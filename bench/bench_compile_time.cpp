@@ -10,11 +10,7 @@
 
 #include "common.h"
 #include "debug/signal_param.h"
-#include "flow/artifacts.h"
-#include "flow/blob.h"
-#include "flow/cache.h"
 #include "flow/pipeline.h"
-#include "flow/serialize.h"
 #include "genbench/genbench.h"
 #include "map/mappers.h"
 #include "pnr/flow.h"
@@ -105,156 +101,6 @@ void run_cache_section() {
   std::filesystem::remove_all(cache_dir);
 }
 
-/// Zero-copy section: warm pipeline legs over the SAME design with the two
-/// artifact encodings.  The "stream" leg parses every cached artifact field
-/// by field (and rebuilds the rr-graph); the "blob" leg mmaps the cache
-/// entries and borrows the big arrays in place.  Timings land as
-/// bench.mmap.* histograms in BENCH_compile_time.json, and the two legs'
-/// results are checked bit-identical before any number is reported.
-void run_mmap_section() {
-  using namespace fpgadbg::flow;
-  std::printf("\n=== zero-copy artifacts: parse (stream) vs mmap (blob) warm "
-              "loads ===\n");
-  const std::string base =
-      "/tmp/fpgadbg_bench_mmap_" + std::to_string(::getpid());
-  std::filesystem::remove_all(base + "_stream");
-  std::filesystem::remove_all(base + "_blob");
-
-  const genbench::CircuitSpec spec{"mmap500", 16, 10, 8, 500, 5, 6, 204};
-  const auto user = genbench::generate(spec);
-  debug::OfflineOptions stream_opt;
-  stream_opt.instrument.trace_width = 8;
-  stream_opt.cache_dir = base + "_stream";
-  stream_opt.artifact_encoding = "stream";
-  debug::OfflineOptions blob_opt = stream_opt;
-  blob_opt.cache_dir = base + "_blob";
-  blob_opt.artifact_encoding = "blob";
-
-  // Cold runs populate each cache in its own encoding.
-  auto cold_stream = flow::Pipeline(stream_opt).run(user);
-  auto cold_blob = flow::Pipeline(blob_opt).run(user);
-  if (!cold_stream.ok() || !cold_blob.ok()) {
-    std::printf("  cold runs FAILED; skipping section\n");
-    return;
-  }
-
-  constexpr int kReps = 5;
-  auto warm_leg = [&](const debug::OfflineOptions& options,
-                      const char* metric) {
-    double best = 1e9;
-    support::Result<flow::PipelineResult> last = flow::PipelineResult{};
-    for (int i = 0; i < kReps; ++i) {
-      Stopwatch timer;
-      last = flow::Pipeline(options).run(user);
-      best = std::min(best, telemetry::metrics()
-                                .histogram(metric)
-                                .observe(timer.elapsed_seconds()));
-    }
-    return std::make_pair(best, std::move(last));
-  };
-  auto [stream_s, stream_r] =
-      warm_leg(stream_opt, "bench.mmap.warm_stream_seconds");
-  auto [blob_s, blob_r] = warm_leg(blob_opt, "bench.mmap.warm_blob_seconds");
-  if (!stream_r.ok() || !blob_r.ok() ||
-      stream_r.value().stages_from_cache != 6 ||
-      blob_r.value().stages_from_cache != 6) {
-    std::printf("  warm legs did not replay from cache; skipping section\n");
-    return;
-  }
-
-  // Bit-identity gate: a faster number from a *different* answer would be
-  // worthless.  Compare the downstream artifacts across the two legs.
-  const auto& so = stream_r.value().offline;
-  const auto& bo = blob_r.value().offline;
-  bool identical =
-      so.compiled->placement.cluster_pos == bo.compiled->placement.cluster_pos &&
-      so.pconf->total_bits() == bo.pconf->total_bits() &&
-      so.pconf->num_parameterized_bits() == bo.pconf->num_parameterized_bits();
-  if (identical) {
-    const bitstream::FunctionView sf = so.pconf->functions();
-    const bitstream::FunctionView bf = bo.pconf->functions();
-    identical = sf.count == bf.count;
-    for (std::size_t i = 0; identical && i < sf.count; ++i) {
-      identical = sf.bits[i] == bf.bits[i] && sf.refs[i] == bf.refs[i];
-    }
-  }
-  telemetry::metrics()
-      .gauge("bench.mmap.bit_identical")
-      .set(identical ? 1.0 : 0.0);
-
-  std::printf("  %-30s %10.6f s best of %d\n", "warm pipeline, stream parse",
-              stream_s, kReps);
-  std::printf("  %-30s %10.6f s best of %d\n", "warm pipeline, blob mmap",
-              blob_s, kReps);
-  std::printf("  warm pipeline results bit-identical: %s\n",
-              identical ? "yes" : "NO");
-
-  // Artifact-load micro-benchmark: the whole-pipeline legs above share the
-  // fixed stage overhead (device build, hashing, the three stream-only
-  // artifacts), which drowns the load-path difference on a small design.
-  // This isolates exactly what the encodings change: serialize the SAME
-  // pconf artifact both ways, then time load_pconf() on each payload —
-  // field-by-field parse + BDD re-insertion for the stream bytes vs
-  // mmap-style validate + borrow for the blob image.
-  auto& off = stream_r.value().offline;
-  const PconfArtifact art{std::move(*off.pconf), off.pconf_stats};
-  ByteWriter stream_w;
-  serialize_pconf(art, stream_w);
-  const std::string stream_bytes = stream_w.take();
-  const std::string blob_bytes = encode_pconf_blob(art);
-
-  auto make_hit = [](const std::string& bytes, bool mapped,
-                     std::shared_ptr<AlignedBlobBuffer>& keep) {
-    keep = std::make_shared<AlignedBlobBuffer>(bytes);
-    CacheHit hit;
-    hit.payload = keep->view();
-    hit.content_hash = fnv1a(keep->view());
-    hit.mapped = mapped;
-    hit.backing = keep;
-    return hit;
-  };
-  std::shared_ptr<AlignedBlobBuffer> stream_buf, blob_buf;
-  const CacheHit stream_hit = make_hit(stream_bytes, false, stream_buf);
-  const CacheHit blob_hit = make_hit(blob_bytes, true, blob_buf);
-
-  constexpr int kLoadReps = 50;
-  auto load_leg = [&](const CacheHit& hit, const char* metric,
-                      std::uint64_t* bits_out) {
-    double best = 1e9;
-    for (int i = 0; i < kLoadReps; ++i) {
-      Stopwatch timer;
-      auto loaded = load_pconf(hit);
-      const double seconds = timer.elapsed_seconds();
-      if (!loaded.ok() || !loaded.value().has_value()) return -1.0;
-      *bits_out = loaded.value()->pconf.total_bits();
-      best = std::min(
-          best, telemetry::metrics().histogram(metric).observe(seconds));
-    }
-    return best;
-  };
-  std::uint64_t stream_bits = 0, blob_bits = 0;
-  const double parse_s =
-      load_leg(stream_hit, "bench.mmap.load_stream_seconds", &stream_bits);
-  const double mmap_s =
-      load_leg(blob_hit, "bench.mmap.load_blob_seconds", &blob_bits);
-  if (parse_s < 0 || mmap_s < 0 || stream_bits != blob_bits) {
-    std::printf("  artifact-load legs FAILED; skipping speedup\n");
-    return;
-  }
-  const double speedup = parse_s / std::max(1e-9, mmap_s);
-  telemetry::metrics().gauge("bench.mmap.speedup").set(speedup);
-
-  std::printf("  %-30s %10.6f s best of %d (%zu bytes)\n",
-              "pconf load, stream parse", parse_s, kLoadReps,
-              stream_bytes.size());
-  std::printf("  %-30s %10.6f s best of %d (%zu bytes)\n",
-              "pconf load, blob mmap", mmap_s, kLoadReps, blob_bytes.size());
-  std::printf("  artifact-load speedup: %.1fx, results bit-identical: %s\n",
-              speedup, identical ? "yes" : "NO");
-  std::filesystem::remove_all(base + "_stream");
-  std::filesystem::remove_all(base + "_blob");
-}
-
 }  // namespace
 
 int main() {
@@ -296,7 +142,6 @@ int main() {
   std::printf("geomean P&R runtime ratio (conv/prop): %.2fx (paper: up to 3x faster)\n",
               std::pow(time_ratio, 1.0 / n));
   run_cache_section();
-  run_mmap_section();
   fpgadbg::bench::dump_metrics("compile_time");
   return 0;
 }

@@ -105,30 +105,21 @@ fi
 
 # When the compile_time harness ran, the summary must carry the artifact
 # cache timings a dashboard tracks across commits: cold, warm and
-# invalidated pipeline runs, the parse-vs-mmap warm-load pair, and the
-# mmap speedup/bit-identity gauges.  A rename or a dropped section fails
-# here instead of silently vanishing from the dashboard.
+# invalidated pipeline runs.  A rename or a dropped section fails here
+# instead of silently vanishing from the dashboard.
 if grep -qE '^bench_compile_time$' <<< "$(printf '%s\n' "${ran[@]}")"; then
   if command -v python3 > /dev/null 2>&1; then
     python3 - "$SUMMARY" << 'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-ct = doc["results"]["compile_time"]["metrics"]
-hist, gauges = ct.get("histograms", {}), ct.get("gauges", {})
+hist = doc["results"]["compile_time"]["metrics"].get("histograms", {})
 missing = [k for k in (
     "bench.cache.cold_seconds", "bench.cache.warm_seconds",
     "bench.cache.invalidated_seconds",
-    "bench.mmap.warm_stream_seconds", "bench.mmap.warm_blob_seconds",
-    "bench.mmap.load_stream_seconds", "bench.mmap.load_blob_seconds",
 ) if k not in hist]
-missing += [k for k in ("bench.mmap.speedup", "bench.mmap.bit_identical")
-            if k not in gauges]
 if missing:
     sys.exit("bench_all: summary is missing cache timings: " + ", ".join(missing))
-if gauges.get("bench.mmap.bit_identical") != 1.0:
-    sys.exit("bench_all: mmap and stream results were NOT bit-identical")
-print("bench_all: cache timings present (mmap speedup %.1fx)"
-      % gauges["bench.mmap.speedup"])
+print("bench_all: cache timings present")
 EOF
   fi
 fi
@@ -143,12 +134,12 @@ for f in "$RESULTS_DIR"/BENCH_*.json; do
 done
 echo "bench_all: copied BENCH_summary.json + per-harness artifacts to $(pwd)"
 
-# Regression gate against the committed baseline.  Advisory by default (a
+# Regression gate against the committed baseline: `fpgadbg benchdiff`, from
+# the same build (the CLI is part of every build).  Advisory by default (a
 # fresh checkout on slower hardware should not fail the whole bench run);
 # BENCH_GATE=strict makes a regression fatal for CI.
-if [ -f bench/baselines/BENCH_summary.json ] \
-    && command -v python3 > /dev/null 2>&1; then
-  if python3 scripts/bench_gate.py ./BENCH_summary.json; then
+if [ -f bench/baselines/BENCH_summary.json ]; then
+  if "$BUILD_DIR/src/tools/fpgadbg" benchdiff ./BENCH_summary.json; then
     :
   elif [ "${BENCH_GATE:-}" = "strict" ]; then
     echo "bench_all: regression gate FAILED (BENCH_GATE=strict)" >&2

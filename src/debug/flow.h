@@ -34,10 +34,6 @@ struct OfflineOptions {
   /// Root of a shared content-addressed cache; non-empty implies the "cas"
   /// backend (and serves as its root even when cache_dir is empty).
   std::string cache_shared;
-  /// Encoding for the hot artifacts (rr-graph, tcon-map, pconf-build):
-  /// "blob" (zero-copy mmap, default) or "stream" (legacy parse).  Loads
-  /// sniff the payload, so flipping the knob never invalidates a cache.
-  std::string artifact_encoding = "blob";
 };
 
 struct OfflineResult {

@@ -203,123 +203,6 @@ Result<debug::Instrumented> deserialize_instrumented(ByteReader& r) {
   return inst;
 }
 
-// --- mapped netlist / map result -------------------------------------------
-
-void serialize_mapped_netlist(const map::MappedNetlist& mn, ByteWriter& w) {
-  using map::MKind;
-  w.str(mn.model_name());
-  w.u64(mn.num_cells());
-  std::size_t latch_cursor = 0;  // latches() is creation-ordered == id order
-  for (map::CellId id = 0; id < mn.num_cells(); ++id) {
-    const map::MCell& c = mn.cell(id);
-    w.u8(static_cast<std::uint8_t>(c.kind));
-    w.str(c.name);
-    if (c.kind == MKind::kLut || c.kind == MKind::kTlut ||
-        c.kind == MKind::kTcon) {
-      w.u32_vec(c.data_inputs);
-      w.u32_vec(c.param_inputs);
-      write_tt(w, c.function);
-    } else if (c.kind == MKind::kLatchOut) {
-      w.i32(mn.latches()[latch_cursor++].init_value);
-    }
-  }
-  w.u64(mn.latches().size());
-  for (const map::MLatch& l : mn.latches()) w.u32(l.input);
-  w.u32_vec(mn.outputs());
-  w.str_vec(mn.output_names());
-}
-
-Result<map::MappedNetlist> deserialize_mapped_netlist(ByteReader& r) {
-  using map::MKind;
-  return guarded("mapped-netlist artifact",
-                 [&]() -> Result<map::MappedNetlist> {
-    map::MappedNetlist mn(r.str());
-    const std::uint64_t num_cells = r.u64();
-    std::size_t num_latch_cells = 0;
-    for (std::uint64_t i = 0; i < num_cells && r.ok(); ++i) {
-      const auto kind = static_cast<MKind>(r.u8());
-      const std::string name = r.str();
-      if (!r.ok()) break;
-      switch (kind) {
-        case MKind::kConst0:
-        case MKind::kInput:
-        case MKind::kParam:
-          mn.add_source(kind, name);
-          break;
-        case MKind::kLatchOut: {
-          const int init = r.i32();
-          mn.add_latch_source(name, init);
-          ++num_latch_cells;
-          break;
-        }
-        case MKind::kLut:
-        case MKind::kTlut:
-        case MKind::kTcon: {
-          std::vector<map::CellId> data = r.u32_vec();
-          std::vector<map::CellId> params = r.u32_vec();
-          logic::TruthTable tt = read_tt(r);
-          if (!r.ok()) break;
-          mn.add_cell(kind, name, std::move(data), std::move(params),
-                      std::move(tt));
-          break;
-        }
-        default:
-          return Status::corrupt_artifact(
-              "mapped-netlist artifact: bad cell kind");
-      }
-    }
-    const std::uint64_t num_latches = r.u64();
-    if (!r.ok() || num_latches != num_latch_cells) {
-      return r.ok() ? Status::corrupt_artifact(
-                          "mapped-netlist artifact: latch count mismatch")
-                    : r.status("mapped-netlist artifact");
-    }
-    for (std::uint64_t i = 0; i < num_latches; ++i) {
-      const map::CellId input = r.u32();
-      if (!r.ok()) break;
-      mn.set_latch_input(i, input);
-    }
-    const std::vector<map::CellId> outputs = r.u32_vec();
-    const std::vector<std::string> names = r.str_vec();
-    if (!r.ok() || outputs.size() != names.size()) {
-      return r.ok() ? Status::corrupt_artifact(
-                          "mapped-netlist artifact: output name mismatch")
-                    : r.status("mapped-netlist artifact");
-    }
-    for (std::size_t i = 0; i < outputs.size(); ++i) {
-      mn.add_output(outputs[i], names[i]);
-    }
-    mn.check();
-    return mn;
-  });
-}
-
-void serialize_map_result(const map::MapResult& result, ByteWriter& w) {
-  serialize_mapped_netlist(result.netlist, w);
-  w.str(result.stats.mapper);
-  w.u64(result.stats.num_luts);
-  w.u64(result.stats.num_tluts);
-  w.u64(result.stats.num_tcons);
-  w.u64(result.stats.lut_area);
-  w.i32(result.stats.depth);
-  // runtime_seconds intentionally not serialized (volatile).
-}
-
-Result<map::MapResult> deserialize_map_result(ByteReader& r) {
-  FPGADBG_ASSIGN_OR_RETURN(map::MappedNetlist mn,
-                           deserialize_mapped_netlist(r));
-  map::MapResult result;
-  result.netlist = std::move(mn);
-  result.stats.mapper = r.str();
-  result.stats.num_luts = r.u64();
-  result.stats.num_tluts = r.u64();
-  result.stats.num_tcons = r.u64();
-  result.stats.lut_area = r.u64();
-  result.stats.depth = r.i32();
-  FPGADBG_RETURN_IF_ERROR(r.status("map artifact"));
-  return result;
-}
-
 // --- packing ---------------------------------------------------------------
 
 void serialize_packing(const pnr::Packing& packing, ByteWriter& w) {
@@ -412,105 +295,6 @@ Result<pnr::RouteResult> deserialize_route_result(ByteReader& r) {
   routing.total_wirelength = r.u64();
   FPGADBG_RETURN_IF_ERROR(r.status("route artifact"));
   return routing;
-}
-
-// --- pconf -----------------------------------------------------------------
-
-void serialize_pconf(const PconfArtifact& artifact, ByteWriter& w) {
-  const bitstream::PConf& pconf = artifact.pconf;
-  w.u64(pconf.total_bits());
-  w.str_vec(pconf.param_names());
-
-  const BitVec& constants = pconf.constants().bits();
-  w.u64(constants.size());
-  std::vector<std::uint64_t> words(constants.word_count());
-  for (std::size_t i = 0; i < words.size(); ++i) words[i] = constants.word(i);
-  w.u64_vec(words);
-
-  // The whole BDD arena, children before parents: replaying insert_node in
-  // index order on a fresh manager reproduces identical refs.
-  const logic::BddManager& bdd = pconf.bdd();
-  w.i32(bdd.num_vars());
-  w.u64(bdd.size());
-  for (logic::BddRef ref = 2; ref < bdd.size(); ++ref) {
-    w.u32(bdd.node_var(ref));
-    w.u32(bdd.node_low(ref));
-    w.u32(bdd.node_high(ref));
-  }
-
-  const bitstream::FunctionView functions = pconf.functions();
-  w.u64(functions.count);
-  for (std::size_t i = 0; i < functions.count; ++i) {
-    w.u64(functions.bits[i]);
-    w.u32(functions.refs[i]);
-  }
-
-  w.u64(artifact.stats.lut_cells);
-  w.u64(artifact.stats.tlut_cells);
-  w.u64(artifact.stats.constant_switch_bits);
-  w.u64(artifact.stats.parameterized_switch_bits);
-  w.u64(artifact.stats.parameterized_lut_bits);
-}
-
-Result<PconfArtifact> deserialize_pconf(ByteReader& r) {
-  return guarded("pconf artifact", [&]() -> Result<PconfArtifact> {
-    const std::uint64_t total_bits = r.u64();
-    std::vector<std::string> param_names = r.str_vec();
-    const std::uint64_t constant_bits = r.u64();
-    std::vector<std::uint64_t> words = r.u64_vec();
-    if (!r.ok() || constant_bits != total_bits ||
-        words.size() != (constant_bits + 63) / 64) {
-      return r.ok() ? Status::corrupt_artifact(
-                          "pconf artifact: constant plane size mismatch")
-                    : r.status("pconf artifact");
-    }
-
-    bitstream::PConf pconf(total_bits, std::move(param_names));
-    BitVec& constants = pconf.constants().bits();
-    for (std::size_t i = 0; i < words.size(); ++i) {
-      constants.set_word(i, words[i]);
-    }
-
-    logic::BddManager& bdd = pconf.bdd();
-    bdd.ensure_vars(r.i32());
-    const std::uint64_t num_nodes = r.u64();
-    for (std::uint64_t ref = 2; ref < num_nodes && r.ok(); ++ref) {
-      const std::uint32_t var = r.u32();
-      const logic::BddRef low = r.u32();
-      const logic::BddRef high = r.u32();
-      if (low >= ref || high >= ref) {
-        return Status::corrupt_artifact(
-            "pconf artifact: BDD node references a later node");
-      }
-      if (bdd.insert_node(var, low, high) != ref) {
-        return Status::corrupt_artifact(
-            "pconf artifact: BDD arena is not canonical");
-      }
-    }
-
-    const std::uint64_t num_functions = r.u64();
-    if (num_functions > r.remaining() / 12 + 1) {
-      return Status::corrupt_artifact("pconf artifact: bad function count");
-    }
-    for (std::uint64_t i = 0; i < num_functions && r.ok(); ++i) {
-      const std::uint64_t bit = r.u64();
-      const logic::BddRef ref = r.u32();
-      if (bit >= total_bits || ref >= bdd.size() || bdd.is_const(ref)) {
-        return Status::corrupt_artifact(
-            "pconf artifact: function bit or ref out of range");
-      }
-      pconf.set_function(bit, ref);
-    }
-
-    PconfArtifact artifact{std::move(pconf), {}};
-    artifact.stats.lut_cells = r.u64();
-    artifact.stats.tlut_cells = r.u64();
-    artifact.stats.constant_switch_bits = r.u64();
-    artifact.stats.parameterized_switch_bits = r.u64();
-    artifact.stats.parameterized_lut_bits = r.u64();
-    FPGADBG_RETURN_IF_ERROR(r.status("pconf artifact"));
-    return artifact;
-  });
 }
 
 // --- options hashing --------------------------------------------------------

@@ -1,10 +1,12 @@
 // Typed, serializable pipeline artifacts.
 //
 // Each offline stage produces one artifact; this header defines its byte
-// format (via flow::ByteWriter / ByteReader), its content hash (FNV-1a over
-// exactly the serialized bytes), and the hashes of the option structs that
-// parameterize each stage.  Deserializers never throw: malformed bytes come
-// back as StatusCode::kCorruptArtifact.
+// format, its content hash (FNV-1a over exactly the serialized bytes), and
+// the hashes of the option structs that parameterize each stage.  The
+// instrument, pack, place and route artifacts are ByteWriter streams; the
+// tcon-map and pconf-build artifacts (and the rr-graph the pipeline caches
+// beside them) are blobs.  Loaders never throw: malformed bytes come back
+// as StatusCode::kCorruptArtifact.
 //
 // Design rule: artifacts carry only deterministic content.  Wall-clock
 // fields (MapStats::runtime_seconds, RouteResult::runtime_seconds) are NOT
@@ -17,7 +19,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "arch/rr_graph.h"
 #include "bitstream/builder.h"
@@ -42,12 +43,6 @@ std::uint64_t netlist_content_hash(const netlist::Netlist& nl);
 void serialize_instrumented(const debug::Instrumented& inst, ByteWriter& w);
 support::Result<debug::Instrumented> deserialize_instrumented(ByteReader& r);
 
-// --- tcon-map ---------------------------------------------------------------
-void serialize_mapped_netlist(const map::MappedNetlist& mn, ByteWriter& w);
-support::Result<map::MappedNetlist> deserialize_mapped_netlist(ByteReader& r);
-void serialize_map_result(const map::MapResult& result, ByteWriter& w);
-support::Result<map::MapResult> deserialize_map_result(ByteReader& r);
-
 // --- pack -------------------------------------------------------------------
 void serialize_packing(const pnr::Packing& packing, ByteWriter& w);
 support::Result<pnr::Packing> deserialize_packing(ByteReader& r);
@@ -67,40 +62,33 @@ struct PconfArtifact {
   bitstream::PConf pconf;
   bitstream::PconfBuildStats stats;
 };
-void serialize_pconf(const PconfArtifact& artifact, ByteWriter& w);
-support::Result<PconfArtifact> deserialize_pconf(ByteReader& r);
 
-// --- zero-copy blob encodings (artifacts_blob.cpp) --------------------------
-// The three heavyweight artifacts — the CSR rr-graph, the mapped netlist and
-// the PConf/BDD store — can be encoded as pointer-free blobs (flow/blob.h)
-// that load by mmap + validate + borrow instead of a field-by-field parse.
-// The load_* functions sniff the payload: a blob image of the current format
-// version takes the zero-copy path, a stream image falls back to the
-// ByteReader deserializers above, and a blob of a DIFFERENT format version
-// comes back as nullopt (treat as a cache miss and rebuild — old caches are
-// rebuilt, never misparsed).
+// --- blob encodings (artifacts_blob.cpp) ------------------------------------
+// The three heavyweight artifacts — the CSR rr-graph, the tcon-map result
+// and the PConf/BDD store — are pointer-free blobs (flow/blob.h) that load
+// by mmap + validate + borrow instead of a field-by-field parse.  Each
+// load_* function is three-valued: a blob image of the current format
+// version loads; a payload that is not a blob image, or a blob of another
+// format version, comes back as nullopt (a cache miss: the caller rebuilds,
+// so old caches are rebuilt, never misparsed); anything else is
+// kCorruptArtifact.
 inline constexpr std::uint32_t kBlobKindRRGraph = 1;
 inline constexpr std::uint32_t kBlobKindMapResult = 2;
 inline constexpr std::uint32_t kBlobKindPconf = 3;
 
-/// True when `bytes` begins with the blob magic (any format version).
-bool looks_like_blob(std::string_view bytes);
-
 std::string encode_rr_graph_blob(const arch::RRGraph& rr);
 /// Zero-copy load: the returned graph borrows its arrays from hit.backing.
-/// nullopt = different blob format version (rebuild).
 support::Result<std::optional<std::unique_ptr<arch::RRGraph>>>
 load_rr_graph_blob(const arch::Device& device, const CacheHit& hit);
 
+/// The mapped netlist plus its MapStats (runtime_seconds excluded).
 std::string encode_map_result_blob(const map::MapResult& result);
-/// Blob or stream payload (sniffed); nullopt = unrecognized format version.
 support::Result<std::optional<map::MapResult>> load_map_result(
     const CacheHit& hit);
 
 std::string encode_pconf_blob(const PconfArtifact& artifact);
-/// Blob or stream payload (sniffed).  On the blob path the PConf's BDD
-/// arena and function table borrow from hit.backing (zero-copy); nullopt =
-/// unrecognized format version.
+/// The PConf's BDD arena and function table borrow from hit.backing
+/// (zero-copy).
 support::Result<std::optional<PconfArtifact>> load_pconf(const CacheHit& hit);
 
 // --- options hashing --------------------------------------------------------

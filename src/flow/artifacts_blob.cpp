@@ -4,9 +4,9 @@
 // image (flow/blob.h); loaders validate the image and either BORROW the big
 // arrays straight out of the mapping (rr-graph node/edge/offset arrays, the
 // PConf BDD arena and function table) or bulk-reconstruct from typed spans
-// (the mapped netlist, whose cells carry strings).  Every loader sniffs the
-// payload and falls back to the legacy stream deserializer, so a cache can
-// hold a mix of encodings and an old entry is re-parsed, not rejected.
+// (the mapped netlist, whose cells carry strings).  A payload that is not a
+// blob image of the current format version is a miss, never a parse: the
+// pipeline rebuilds the artifact and overwrites the entry.
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -97,11 +97,12 @@ auto guarded(const char* what, F&& rebuild) -> decltype(rebuild()) {
   }
 }
 
-}  // namespace
-
+/// True when `bytes` begins with the blob magic (any format version).
 bool looks_like_blob(std::string_view bytes) {
   return bytes.size() >= 8 && bytes.substr(0, 8) == "FDBGBLB1";
 }
+
+}  // namespace
 
 // --- rr-graph ----------------------------------------------------------------
 
@@ -115,6 +116,9 @@ std::string encode_rr_graph_blob(const arch::RRGraph& rr) {
 
 Result<std::optional<std::unique_ptr<arch::RRGraph>>> load_rr_graph_blob(
     const arch::Device& device, const CacheHit& hit) {
+  if (!looks_like_blob(hit.payload)) {
+    return std::optional<std::unique_ptr<arch::RRGraph>>();
+  }
   const BlobImage image = aligned_image(hit);
   FPGADBG_ASSIGN_OR_RETURN(std::optional<BlobReader> reader,
                            BlobReader::open(image.bytes, kBlobKindRRGraph));
@@ -205,11 +209,7 @@ std::string encode_map_result_blob(const map::MapResult& result) {
 
 Result<std::optional<map::MapResult>> load_map_result(const CacheHit& hit) {
   using map::MKind;
-  if (!looks_like_blob(hit.payload)) {
-    ByteReader r(hit.payload);
-    FPGADBG_ASSIGN_OR_RETURN(map::MapResult result, deserialize_map_result(r));
-    return std::optional<map::MapResult>(std::move(result));
-  }
+  if (!looks_like_blob(hit.payload)) return std::optional<map::MapResult>();
   const BlobImage image = aligned_image(hit);
   FPGADBG_ASSIGN_OR_RETURN(std::optional<BlobReader> reader,
                            BlobReader::open(image.bytes, kBlobKindMapResult));
@@ -370,11 +370,7 @@ std::string encode_pconf_blob(const PconfArtifact& artifact) {
 }
 
 Result<std::optional<PconfArtifact>> load_pconf(const CacheHit& hit) {
-  if (!looks_like_blob(hit.payload)) {
-    ByteReader r(hit.payload);
-    FPGADBG_ASSIGN_OR_RETURN(PconfArtifact artifact, deserialize_pconf(r));
-    return std::optional<PconfArtifact>(std::move(artifact));
-  }
+  if (!looks_like_blob(hit.payload)) return std::optional<PconfArtifact>();
   const BlobImage image = aligned_image(hit);
   FPGADBG_ASSIGN_OR_RETURN(std::optional<BlobReader> reader,
                            BlobReader::open(image.bytes, kBlobKindPconf));

@@ -1,7 +1,5 @@
 #include "flow/pipeline.h"
 
-#include <algorithm>
-#include <cmath>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -48,11 +46,12 @@ struct StageContext {
 /// store on miss.  `exec` computes the artifact (may throw the legacy
 /// exceptions), `encode(value)` produces its serialized bytes, and
 /// `load(hit)` is its inverse over a CacheHit — returning nullopt when the
-/// payload is a well-formed artifact of an unrecognized (newer/older blob)
-/// format version, which re-executes the stage instead of misparsing.  The
-/// hit's content hash was already verified against the payload by the
-/// store, so it is reused for downstream key chaining without re-hashing.
-/// On success *content_hash_out carries the artifact's content hash.
+/// payload is an intact entry in a format this build does not read (not a
+/// blob image, or a blob of another format version), which re-executes the
+/// stage instead of misparsing.  The hit's content hash was already
+/// verified against the payload by the store, so it is reused for
+/// downstream key chaining without re-hashing.  On success
+/// *content_hash_out carries the artifact's content hash.
 template <typename T, typename Exec, typename Encode, typename Load>
 Result<T> run_stage(StageContext& ctx, const char* name, std::uint64_t key,
                     std::uint64_t* content_hash_out, Exec exec, Encode encode,
@@ -83,7 +82,7 @@ Result<T> run_stage(StageContext& ctx, const char* name, std::uint64_t key,
       finish(/*hit=*/true, hit.content_hash, hit.payload.size());
       return *std::move(value.value());
     }
-    // Unrecognized format version: fall through and re-execute.
+    // Unreadable format: fall through and re-execute.
   }
 
   std::optional<T> value;
@@ -102,7 +101,7 @@ Result<T> run_stage(StageContext& ctx, const char* name, std::uint64_t key,
   return *std::move(value);
 }
 
-/// Adapts a legacy `ser(value, writer)` serializer into an encode callback.
+/// Adapts a `ser(value, writer)` serializer into an encode callback.
 template <typename Ser>
 auto stream_encode(Ser ser) {
   return [ser](const auto& value) {
@@ -112,8 +111,8 @@ auto stream_encode(Ser ser) {
   };
 }
 
-/// Adapts a legacy `deser(reader)` deserializer into a load callback (the
-/// stream format has no version fan-out, so it never returns nullopt).
+/// Adapts a `deser(reader)` deserializer into a load callback (the
+/// ByteWriter format has no version fan-out, so it never returns nullopt).
 template <typename T, typename Deser>
 auto stream_load(Deser deser) {
   return [deser](const CacheHit& hit) -> Result<std::optional<T>> {
@@ -227,11 +226,7 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
                                    options_.lut_size,
                                    options_.max_param_leaves);
             },
-            [&](const map::MapResult& v) {
-              return blob_encoding() ? encode_map_result_blob(v)
-                                     : stream_encode(serialize_map_result)(v);
-            },
-            [](const CacheHit& hit) { return load_map_result(hit); }));
+            encode_map_result_blob, load_map_result));
   }
   end_stage();
   offline.map_seconds =
@@ -278,36 +273,29 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
     // pipeline stage, and its key ignores the user design entirely so every
     // same-sized compile shares one entry).
     try {
-      const std::size_t min_clbs = std::max<std::size_t>(
-          4, static_cast<std::size_t>(std::ceil(
-                 static_cast<double>(design->packing.num_clusters()) *
-                 copt.device_slack)));
-      design->device = std::make_unique<arch::Device>(copt.arch, min_clbs);
-      if (cache_.enabled() && blob_encoding()) {
-        const std::uint64_t rr_key = stage_key(
-            "rr-graph", hash_arch_params(copt.arch),
-            static_cast<std::uint64_t>(min_clbs));
-        auto loaded = cache_.load("rr-graph", rr_key);
-        if (!loaded.ok()) return Status(loaded.status()).with_stage("pack");
-        if (loaded.value().has_value()) {
-          auto rr = load_rr_graph_blob(*design->device, *loaded.value());
-          if (!rr.ok()) return Status(rr.status()).with_stage("pack");
-          if (rr.value().has_value()) design->rr = std::move(*rr.value());
-        }
-        if (!design->rr) {
-          design->rr = std::make_unique<arch::RRGraph>(*design->device);
+      const std::size_t min_clbs = pnr::size_device(*design, copt);
+      const std::uint64_t rr_key =
+          stage_key("rr-graph", hash_arch_params(copt.arch),
+                    static_cast<std::uint64_t>(min_clbs));
+      auto loaded = cache_.load("rr-graph", rr_key);
+      if (!loaded.ok()) return Status(loaded.status()).with_stage("pack");
+      if (loaded.value().has_value()) {
+        auto rr = load_rr_graph_blob(*design->device, *loaded.value());
+        if (!rr.ok()) return Status(rr.status()).with_stage("pack");
+        if (rr.value().has_value()) design->rr = std::move(*rr.value());
+      }
+      if (!design->rr) {
+        design->rr = std::make_unique<arch::RRGraph>(*design->device);
+        // A disabled cache stores nothing: skip the encode.
+        if (cache_.enabled()) {
           const std::string bytes = encode_rr_graph_blob(*design->rr);
           Status stored =
               cache_.store("rr-graph", rr_key, fnv1a(bytes), bytes);
           if (!stored.ok()) return stored.with_stage("pack");
         }
-      } else {
-        design->rr = std::make_unique<arch::RRGraph>(*design->device);
       }
       design->frames =
           std::make_unique<arch::FrameGeometry>(*design->device, *design->rr);
-      LOG_INFO << "compile: " << design->device->describe() << ", "
-               << design->packing.num_clusters() << " clusters";
       design->nets =
           pnr::extract_nets(net, offline.instrumented.trace_outputs);
     } catch (...) {
@@ -368,19 +356,10 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
     design->report.route_seconds =
         m.histogram("pnr.route_seconds").observe(stage.elapsed_seconds());
 
-    design->report.device = design->device->describe();
-    design->report.clbs_used = design->packing.num_clusters();
-    design->report.luts = net.lut_area();
-    design->report.tcons = net.count(map::MKind::kTcon);
-    design->report.nets = design->nets.nets.size();
-    design->report.route_success = design->routing.success;
-    design->report.route_iterations = design->routing.iterations;
-    design->report.wire_nodes_used = design->routing.wire_nodes_used;
-    design->report.total_wirelength = design->routing.total_wirelength;
     // Routed-fidelity STA runs on cache hits too: the route artifact stores
     // routes, not timing, and the analysis is far cheaper than a replay.
     try {
-      pnr::finalize_timing(*design, copt.timing);
+      pnr::fill_report(*design, copt.timing);
     } catch (...) {
       return status_from_exception("route");
     }
@@ -415,11 +394,7 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
                     bitstream::build_pconf(*offline.compiled, &stats);
                 return PconfArtifact{std::move(pconf), stats};
               },
-              [&](const PconfArtifact& v) {
-                return blob_encoding() ? encode_pconf_blob(v)
-                                       : stream_encode(serialize_pconf)(v);
-              },
-              [](const CacheHit& hit) { return load_pconf(hit); }));
+              encode_pconf_blob, load_pconf));
       offline.pconf =
           std::make_unique<bitstream::PConf>(std::move(artifact.pconf));
       offline.pconf_stats = artifact.stats;

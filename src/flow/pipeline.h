@@ -18,9 +18,15 @@
 // re-runs place -> route -> pconf-build.
 //
 // Derived physical state (arch::Device, RRGraph, FrameGeometry, the net
-// extraction) is deliberately NOT an artifact: it is a cheap deterministic
+// extraction) is deliberately NOT an artifact: it is a deterministic
 // function of the packing size and the architecture options, so the pipeline
-// rebuilds it after pack instead of serializing device models.
+// rebuilds it after pack.  Only the rr-graph, the one big piece, is cached
+// (as a blob keyed on the architecture and device size, outside the six
+// stages).
+//
+// pnr::compile() is the uncached run of the pack/place/route steps; both
+// paths size the device with pnr::size_device() and fill the CompileReport
+// with pnr::fill_report().
 //
 // Error contract: run() never throws.  Stage failures — including legacy
 // fpgadbg::Error exceptions from the CAD libraries and corrupt cache
@@ -75,11 +81,6 @@ class Pipeline {
   support::Result<PipelineResult> run(const netlist::Netlist& user) const;
 
  private:
-  /// Hot artifacts are blob-encoded unless explicitly set to "stream".
-  bool blob_encoding() const {
-    return options_.artifact_encoding != "stream";
-  }
-
   debug::OfflineOptions options_;
   ArtifactCache cache_;
 };

@@ -99,21 +99,10 @@ class BddManager {
   /// Total nodes allocated in the manager (diagnostics).
   std::size_t size() const { return borrowed() ? arena_count_ : nodes_.size(); }
 
-  // --- raw node access (artifact serialization) ----------------------------
-  // Decision nodes occupy indices [2, size()); children always precede their
-  // parents, so replaying insert_node in index order on a fresh manager
-  // reproduces identical refs (make_node hash-conses and both managers apply
-  // the same reduction rules).
-  std::uint32_t node_var(BddRef f) const { return node_at(f).var; }
-  BddRef node_low(BddRef f) const { return node_at(f).low; }
-  BddRef node_high(BddRef f) const { return node_at(f).high; }
-  /// Contiguous arena [0, size()) for bulk serialization (constants first).
+  /// Contiguous arena [0, size()) for the blob encoder: constants first,
+  /// then decision nodes, children always before their parents.
   const Node* arena_data() const {
     return borrowed() ? arena_ : nodes_.data();
-  }
-  /// Re-inserts a node during deserialization; returns the canonical ref.
-  BddRef insert_node(std::uint32_t var, BddRef low, BddRef high) {
-    return make_node(var, low, high);
   }
 
   // --- zero-copy arena adoption --------------------------------------------

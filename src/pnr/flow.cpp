@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "support/error.h"
 #include "support/log.h"
 #include "support/stopwatch.h"
 #include "support/telemetry.h"
@@ -28,17 +27,10 @@ CompiledDesign compile(map::MappedNetlist mn,
   design.report.pack_seconds =
       m.histogram("pnr.pack_seconds").observe(stage_timer.elapsed_seconds());
 
-  const std::size_t min_clbs = std::max<std::size_t>(
-      4, static_cast<std::size_t>(
-             std::ceil(static_cast<double>(design.packing.num_clusters()) *
-                       options.device_slack)));
-  design.device = std::make_unique<arch::Device>(options.arch, min_clbs);
+  size_device(design, options);
   design.rr = std::make_unique<arch::RRGraph>(*design.device);
   design.frames =
       std::make_unique<arch::FrameGeometry>(*design.device, *design.rr);
-  LOG_INFO << "compile: " << design.device->describe() << ", "
-           << design.packing.num_clusters() << " clusters";
-
   design.nets = extract_nets(net, trace_output_names);
 
   stage_timer.restart();
@@ -59,18 +51,34 @@ CompiledDesign compile(map::MappedNetlist mn,
   design.report.route_seconds =
       m.histogram("pnr.route_seconds").observe(stage_timer.elapsed_seconds());
 
-  design.report.device = design.device->describe();
-  design.report.clbs_used = design.packing.num_clusters();
-  design.report.luts = net.lut_area();
-  design.report.tcons = net.count(map::MKind::kTcon);
-  design.report.nets = design.nets.nets.size();
-  design.report.route_success = design.routing.success;
-  design.report.route_iterations = design.routing.iterations;
-  design.report.wire_nodes_used = design.routing.wire_nodes_used;
-  design.report.total_wirelength = design.routing.total_wirelength;
-  finalize_timing(design, options.timing);
+  fill_report(design, options.timing);
   design.report.total_seconds = total_timer.elapsed_seconds();
   return design;
+}
+
+std::size_t size_device(CompiledDesign& design, const CompileOptions& options) {
+  const std::size_t clusters = design.packing.num_clusters();
+  const std::size_t min_clbs = std::max<std::size_t>(
+      4, static_cast<std::size_t>(std::ceil(static_cast<double>(clusters) *
+                                            options.device_slack)));
+  design.device = std::make_unique<arch::Device>(options.arch, min_clbs);
+  LOG_INFO << "compile: " << design.device->describe() << ", " << clusters
+           << " clusters";
+  return min_clbs;
+}
+
+void fill_report(CompiledDesign& design, const TimingOptions& timing) {
+  CompileReport& report = design.report;
+  report.device = design.device->describe();
+  report.clbs_used = design.packing.num_clusters();
+  report.luts = design.netlist.lut_area();
+  report.tcons = design.netlist.count(map::MKind::kTcon);
+  report.nets = design.nets.nets.size();
+  report.route_success = design.routing.success;
+  report.route_iterations = design.routing.iterations;
+  report.wire_nodes_used = design.routing.wire_nodes_used;
+  report.total_wirelength = design.routing.total_wirelength;
+  finalize_timing(design, timing);
 }
 
 void finalize_timing(CompiledDesign& design, const TimingOptions& timing) {
@@ -85,16 +93,6 @@ void finalize_timing(CompiledDesign& design, const TimingOptions& timing) {
   telemetry::metrics()
       .gauge("timing.critical_path_ns")
       .set(sta.critical_path_ns);
-}
-
-support::Result<CompiledDesign> try_compile(
-    map::MappedNetlist mn, const std::vector<std::string>& trace_output_names,
-    const CompileOptions& options) {
-  try {
-    return compile(std::move(mn), trace_output_names, options);
-  } catch (...) {
-    return support::status_from_current_exception();
-  }
 }
 
 }  // namespace fpgadbg::pnr

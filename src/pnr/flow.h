@@ -10,7 +10,6 @@
 
 #include "arch/frames.h"
 #include "pnr/route.h"
-#include "support/status.h"
 
 namespace fpgadbg::pnr {
 
@@ -60,21 +59,27 @@ struct CompiledDesign {
   CompileReport report;
 };
 
+/// The uncached run of pack -> place -> route.  flow::Pipeline runs the same
+/// steps with a cache lookup around each; both size the device with
+/// size_device() and end with fill_report().
 CompiledDesign compile(map::MappedNetlist mn,
                        const std::vector<std::string>& trace_output_names,
                        const CompileOptions& options = {});
 
+/// Builds design.device for the packed design: clusters * device_slack CLB
+/// tiles, at least 4.  Returns that requested CLB count (the device may
+/// round it up to its grid).
+std::size_t size_device(CompiledDesign& design, const CompileOptions& options);
+
+/// Fills the report's size and routing fields from the packed, placed and
+/// routed design, then runs finalize_timing().  The *_seconds fields are
+/// the caller's.
+void fill_report(CompiledDesign& design, const TimingOptions& timing);
+
 /// Runs the routed-fidelity STA over a compiled design, fills the report's
 /// timing fields and publishes the `timing.fmax_mhz` gauge (exposed as
-/// `fpgadbg_timing_fmax_mhz` on /metrics).  compile() calls it; the cached
-/// pipeline calls it too so replayed place/route artifacts still report
-/// timing.
+/// `fpgadbg_timing_fmax_mhz` on /metrics).  fill_report() calls it, so
+/// replayed place/route artifacts still report timing.
 void finalize_timing(CompiledDesign& design, const TimingOptions& timing);
-
-/// Result form of compile: an unroutable or otherwise failing physical flow
-/// comes back as a Status (kUnroutable for FlowError) instead of throwing.
-support::Result<CompiledDesign> try_compile(
-    map::MappedNetlist mn, const std::vector<std::string>& trace_output_names,
-    const CompileOptions& options = {});
 
 }  // namespace fpgadbg::pnr

@@ -49,9 +49,6 @@
 //                          of fpgadbg processes at one root and they
 //                          share artifacts (atomic publish, lock-free
 //                          reads)
-//   --artifact-encoding <e> blob (zero-copy mmap, default) or stream
-//                          (legacy parse); loads sniff the stored format,
-//                          so flipping the knob never invalidates a cache
 //   --trace <file.json>    collect TraceScope spans and write a Chrome-trace
 //                          JSON timeline (chrome://tracing, Perfetto)
 //   --metrics <file.json>  write the metrics registry snapshot as JSON
@@ -180,8 +177,6 @@ int usage() {
                " (content-addressed, multi-process shareable)\n"
                "  --cache-shared <root>  shared CAS root (implies"
                " --cache-backend cas)\n"
-               "  --artifact-encoding <e> blob (zero-copy mmap, default) or"
-               " stream (legacy parse)\n"
                "  --trace <file.json>    write Chrome-trace/Perfetto span"
                " timeline\n"
                "  --metrics <file.json>  write metrics registry snapshot as"
@@ -235,7 +230,6 @@ struct Args {
   std::string cache_dir;     ///< global --cache-dir, empty = caching disabled
   std::string cache_backend; ///< global --cache-backend: "" | "dir" | "cas"
   std::string cache_shared;  ///< global --cache-shared CAS root
-  std::string artifact_encoding;  ///< global --artifact-encoding
   std::string journal_path;  ///< global --journal, empty = no JSONL sink
 };
 
@@ -426,14 +420,11 @@ support::Result<int> cmd_map(const Args& args) {
   return 0;
 }
 
-/// Copies the global cache/encoding knobs into the pipeline options.
+/// Copies the global cache knobs into the pipeline options.
 void apply_cache_options(const Args& args, debug::OfflineOptions& options) {
   options.cache_dir = args.cache_dir;
   options.cache_backend = args.cache_backend;
   options.cache_shared = args.cache_shared;
-  if (!args.artifact_encoding.empty()) {
-    options.artifact_encoding = args.artifact_encoding;
-  }
 }
 
 /// Shared offline-stage driver for flow/profile: runs the staged pipeline
@@ -1119,8 +1110,8 @@ support::Result<int> cmd_gen(const Args& args) {
 // ---------------------------------------------------------------------------
 // benchdiff: the perf-regression sentinel.  Compares a fresh BENCH_summary
 // against a committed baseline snapshot, metric by metric, with per-kind
-// noise tolerances; exits nonzero when anything regressed.  Mirrors
-// scripts/bench_gate.py so CI can use either entry point.
+// noise tolerances; exits nonzero when anything regressed.  The repo's one
+// perf gate: scripts/bench_all.sh runs it after every sweep.
 // ---------------------------------------------------------------------------
 
 /// One comparable number extracted from a summary: a histogram sum or a
@@ -1221,7 +1212,7 @@ support::Result<int> cmd_benchdiff(const Args& args) {
   std::printf("  %-52s %14s %14s %8s  %s\n", "metric", "baseline", "fresh",
               "delta%", "verdict");
 
-  // Per-metric-kind rules, shared verbatim with scripts/bench_gate.py:
+  // Per-metric-kind rules:
   //   *_seconds hist sums     lower better, rel tolerance + 50 ms floor
   //   *speedup*, *per_sec*    higher better, rel tolerance
   //   *bit_identical*         exact match
@@ -1317,7 +1308,7 @@ int main(int argc, char** argv) {
 
   // Peel global options off the token stream; the rest is command + args.
   std::string trace_path, metrics_path, prom_path, cache_dir, journal_path;
-  std::string cache_backend, cache_shared, artifact_encoding;
+  std::string cache_backend, cache_shared;
   bool introspect = false;
   int introspect_port = 0;
   std::vector<std::string> rest;
@@ -1326,8 +1317,8 @@ int main(int argc, char** argv) {
     if (t == "--trace" || t == "--metrics" || t == "--prom" ||
         t == "--journal" || t == "--log-level" || t == "--log-format" ||
         t == "--cache-dir" || t == "--cache-backend" ||
-        t == "--cache-shared" || t == "--artifact-encoding" ||
-        t == "--introspect" || t == "--introspect-linger") {
+        t == "--cache-shared" || t == "--introspect" ||
+        t == "--introspect-linger") {
       if (i + 1 >= tokens.size()) {
         std::fprintf(stderr, "fpgadbg: %s requires a value\n", t.c_str());
         return kUsageExit;
@@ -1352,13 +1343,6 @@ int main(int argc, char** argv) {
         cache_backend = value;
       } else if (t == "--cache-shared") {
         cache_shared = value;
-      } else if (t == "--artifact-encoding") {
-        if (value != "blob" && value != "stream") {
-          std::fprintf(stderr, "fpgadbg: invalid --artifact-encoding '%s' "
-                       "(want blob|stream)\n", value.c_str());
-          return kUsageExit;
-        }
-        artifact_encoding = value;
       } else if (t == "--introspect") {
         char* end = nullptr;
         const long port = std::strtol(value.c_str(), &end, 10);
@@ -1424,7 +1408,6 @@ int main(int argc, char** argv) {
   args.cache_dir = cache_dir;
   args.cache_backend = cache_backend;
   args.cache_shared = cache_shared;
-  args.artifact_encoding = artifact_encoding;
   args.journal_path = journal_path;
 
   // Every subcommand reports failure as a Result; stray exceptions from

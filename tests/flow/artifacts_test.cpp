@@ -1,14 +1,16 @@
-// Artifact round-trip tests: serialize -> hash -> deserialize -> re-serialize
-// -> re-hash must be the identity on the content hash for every stage
-// artifact.  This is the property the cache depends on: a loaded artifact is
+// Artifact round-trip tests: encode -> hash -> load -> re-encode -> re-hash
+// must be the identity on the content hash for every stage artifact.  This
+// is the property the cache depends on: a loaded artifact is
 // indistinguishable (bytes and downstream hashes) from a computed one.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "bitstream/builder.h"
 #include "debug/signal_param.h"
 #include "flow/artifacts.h"
+#include "flow/blob.h"
 #include "genbench/genbench.h"
 #include "map/mappers.h"
 #include "pnr/flow.h"
@@ -47,6 +49,17 @@ std::pair<T, std::uint64_t> round_trip(const T& value, Ser ser, Deser deser) {
   return {std::move(restored).value(), hash1};
 }
 
+/// A CacheHit over a 64-byte-aligned copy of `bytes`, shaped like the hit an
+/// mmap'd cache entry gives the blob loaders.
+CacheHit aligned_hit(const std::string& bytes) {
+  auto buffer = std::make_shared<AlignedBlobBuffer>(bytes);
+  CacheHit hit;
+  hit.payload = buffer->view();
+  hit.content_hash = fnv1a(bytes);
+  hit.backing = buffer;
+  return hit;
+}
+
 TEST(Artifacts, NetlistRoundTrip) {
   const auto nl = small_user(1);
   auto [restored, hash] =
@@ -73,30 +86,33 @@ TEST(Artifacts, InstrumentedRoundTrip) {
 TEST(Artifacts, MappedNetlistRoundTrip) {
   const auto inst = small_instrumented(3);
   const auto mapping = map::tcon_map(inst.netlist);
-  auto [restored, hash] = round_trip(mapping.netlist, serialize_mapped_netlist,
-                                     deserialize_mapped_netlist);
-  (void)hash;
+  // The mapped netlist is cached inside the tcon-map stage's map-result blob.
+  const std::string bytes = encode_map_result_blob(mapping);
+  auto loaded = load_map_result(aligned_hit(bytes));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  ASSERT_TRUE(loaded.value().has_value());
+  const map::MappedNetlist& restored = loaded.value()->netlist;
   EXPECT_EQ(restored.num_cells(), mapping.netlist.num_cells());
   EXPECT_EQ(restored.count(map::MKind::kTcon),
             mapping.netlist.count(map::MKind::kTcon));
   EXPECT_EQ(restored.lut_area(), mapping.netlist.lut_area());
+  EXPECT_EQ(restored.latches().size(), mapping.netlist.latches().size());
 }
 
 TEST(Artifacts, MapResultRoundTripDropsWallClock) {
   const auto inst = small_instrumented(4);
   auto mapping = map::tcon_map(inst.netlist);
-  ByteWriter w1;
-  serialize_map_result(mapping, w1);
+  const std::string bytes = encode_map_result_blob(mapping);
   // Volatile timing must not leak into artifact bytes: two runs differing
-  // only in runtime_seconds hash identically.
+  // only in runtime_seconds encode identically.
   mapping.stats.runtime_seconds += 123.0;
-  ByteWriter w2;
-  serialize_map_result(mapping, w2);
-  EXPECT_EQ(w1.content_hash(), w2.content_hash());
+  EXPECT_EQ(encode_map_result_blob(mapping), bytes);
 
-  auto [restored, hash] =
-      round_trip(mapping, serialize_map_result, deserialize_map_result);
-  (void)hash;
+  auto loaded = load_map_result(aligned_hit(bytes));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  ASSERT_TRUE(loaded.value().has_value());
+  const map::MapResult& restored = *loaded.value();
+  EXPECT_EQ(encode_map_result_blob(restored), bytes);
   EXPECT_EQ(restored.stats.num_tcons, mapping.stats.num_tcons);
   EXPECT_EQ(restored.stats.mapper, mapping.stats.mapper);
 }
@@ -152,10 +168,14 @@ TEST(Artifacts, PackingPlacementRoutingRoundTrip) {
 
 TEST(Artifacts, PconfRoundTrip) {
   const Physical phys = compile_small(6);
-  PconfArtifact artifact{phys.pconf, phys.stats};
-  auto [restored, hash] =
-      round_trip(artifact, serialize_pconf, deserialize_pconf);
-  (void)hash;
+  const std::string bytes =
+      encode_pconf_blob(PconfArtifact{phys.pconf, phys.stats});
+  auto loaded = load_pconf(aligned_hit(bytes));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  ASSERT_TRUE(loaded.value().has_value());
+  const PconfArtifact& restored = *loaded.value();
+  EXPECT_EQ(encode_pconf_blob(restored), bytes);
+  EXPECT_TRUE(restored.pconf.functions_borrowed());
   EXPECT_EQ(restored.pconf.total_bits(), phys.pconf.total_bits());
   EXPECT_EQ(restored.pconf.num_parameterized_bits(),
             phys.pconf.num_parameterized_bits());

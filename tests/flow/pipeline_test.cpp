@@ -199,29 +199,40 @@ TEST(Pipeline, MappingOnlyFlowCachesTwoStages) {
 }
 
 TEST(Pipeline, StreamAndBlobEncodingsAreBitIdentical) {
-  // The zero-copy blob path must be an encoding detail, invisible in the
-  // results: cold and warm runs under "stream" and "blob" all agree bit for
-  // bit on the downstream artifacts.
+  // Blob is the only encoding written, but a cache may still hold tcon-map
+  // and pconf-build entries an older build wrote in the stream encoding.
+  // The encoding must stay invisible in the results: a run that finds stream
+  // entries rebuilds those stages, and it, the cold runs and a warm run over
+  // blob entries all agree bit for bit on the downstream artifacts.
   TempCacheDir cache_s("enc_stream");
   TempCacheDir cache_b("enc_blob");
   auto opt_s = small_options();
   opt_s.cache_dir = cache_s.path;
-  opt_s.artifact_encoding = "stream";
   auto opt_b = small_options();
-  opt_b.cache_dir = cache_b.path;  // default: blob
+  opt_b.cache_dir = cache_b.path;
 
   auto cold_s = Pipeline(opt_s).run(small_user(9));
+  ASSERT_TRUE(cold_s.ok()) << cold_s.status().to_string();
+  ArtifactCache stream_cache(cache_s.path);
+  for (std::size_t stage : {1u, 5u}) {  // tcon-map, pconf-build
+    const StageReport& entry = cold_s.value().stages[stage];
+    const std::string bytes = "stream-encoded " + entry.name + " artifact";
+    ASSERT_TRUE(
+        stream_cache.store(entry.name, entry.key, fnv1a(bytes), bytes).ok());
+  }
+
   auto cold_b = Pipeline(opt_b).run(small_user(9));
   auto warm_s = Pipeline(opt_s).run(small_user(9));
   auto warm_b = Pipeline(opt_b).run(small_user(9));
-  for (auto* r : {&cold_s, &cold_b, &warm_s, &warm_b}) {
+  for (auto* r : {&cold_b, &warm_s, &warm_b}) {
     ASSERT_TRUE(r->ok()) << r->status().to_string();
   }
-  EXPECT_EQ(warm_s.value().stages_from_cache, 6u);
+  EXPECT_EQ(warm_s.value().stages_from_cache, 4u);
   EXPECT_EQ(warm_b.value().stages_from_cache, 6u);
 
   // The warm blob run serves the PConf function table zero-copy from the
-  // mapped cache entry; the stream run owns a parsed copy.
+  // mapped cache entry; the run that met a stream entry owns the table it
+  // rebuilt.
   EXPECT_TRUE(warm_b.value().offline.pconf->functions_borrowed());
   EXPECT_FALSE(warm_s.value().offline.pconf->functions_borrowed());
 
@@ -243,6 +254,40 @@ TEST(Pipeline, StreamAndBlobEncodingsAreBitIdentical) {
       EXPECT_EQ(got.refs[i], want.refs[i]) << i;
     }
   }
+}
+
+/// Overwrites the cold run's entry for stages[stage] with intact bytes that
+/// are not a blob image, as an older build's stream encoding wrote them.
+/// The warm run must treat the entry as a miss: that stage re-executes, its
+/// re-encoded blob has the cold content hash, so every other stage hits.
+void expect_non_blob_entry_rebuilt(std::size_t stage, const std::string& stem,
+                                   std::uint64_t seed) {
+  TempCacheDir cache(stem);
+  auto options = small_options();
+  options.cache_dir = cache.path;
+  Pipeline pipeline(options);
+  auto cold = pipeline.run(small_user(seed));
+  ASSERT_TRUE(cold.ok()) << cold.status().to_string();
+  const StageReport& entry = cold.value().stages[stage];
+
+  const std::string bytes = "stream-encoded " + entry.name + " artifact";
+  ASSERT_TRUE(ArtifactCache(cache.path)
+                  .store(entry.name, entry.key, fnv1a(bytes), bytes)
+                  .ok());
+  auto warm = pipeline.run(small_user(seed));
+  ASSERT_TRUE(warm.ok()) << warm.status().to_string();
+  EXPECT_EQ(warm.value().stages_executed, 1u);
+  EXPECT_EQ(warm.value().stages_from_cache, 5u);
+  EXPECT_FALSE(warm.value().stages[stage].from_cache);
+  EXPECT_EQ(warm.value().stages[stage].content_hash, entry.content_hash);
+}
+
+TEST(Pipeline, NonBlobTconMapEntryIsAMiss) {
+  expect_non_blob_entry_rebuilt(1, "nonblob_map", 9);
+}
+
+TEST(Pipeline, NonBlobPconfEntryIsAMiss) {
+  expect_non_blob_entry_rebuilt(5, "nonblob_pconf", 11);
 }
 
 TEST(Pipeline, CasBackendWarmRunExecutesZeroStages) {

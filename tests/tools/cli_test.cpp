@@ -233,32 +233,11 @@ TEST(Cli, CacheGcEnforcesByteBudget) {
   ASSERT_EQ(gc.exit_code, 0) << gc.output;
   EXPECT_NE(gc.output.find("cache gc (dir:"), std::string::npos);
   EXPECT_NE(gc.output.find("kept 0 entries / 0 bytes"), std::string::npos);
-  // Missing cache location and missing budget are usage errors.
+  // Missing cache location, missing budget and an unknown backend are
+  // usage errors.
   EXPECT_EQ(run("cache gc --max-bytes 1").exit_code, 2);
   EXPECT_EQ(run("cache gc --cache-dir " + cache).exit_code, 2);
-}
-
-TEST(Cli, StreamEncodingStillWarmLoads) {
-  const std::string blif = write_profile_blif("stream_in.blif");
-  const std::string cache = tmp_path("stream_cache");
-  std::system(("rm -rf " + cache).c_str());
-  const std::string base =
-      "flow " + blif + " --width 2 --artifact-encoding stream --cache-dir " +
-      cache;
-  ASSERT_EQ(run(base).exit_code, 0);
-  const auto warm = run(base);
-  ASSERT_EQ(warm.exit_code, 0) << warm.output;
-  EXPECT_NE(warm.output.find("0 stages executed, 6 from cache"),
-            std::string::npos);
-  // Blob readers sniff the payload, so flipping the encoding knob between
-  // runs must still hit (never misparse, never invalidate).
-  const auto crossed =
-      run("flow " + blif + " --width 2 --cache-dir " + cache);
-  ASSERT_EQ(crossed.exit_code, 0) << crossed.output;
-  EXPECT_NE(crossed.output.find("0 stages executed, 6 from cache"),
-            std::string::npos);
   EXPECT_EQ(run("--cache-backend bogus gen list").exit_code, 2);
-  EXPECT_EQ(run("--artifact-encoding bogus gen list").exit_code, 2);
 }
 
 TEST(Cli, UnknownMapperRejected) {
