@@ -65,19 +65,19 @@ grep -q '^fpgadbg_debug_turns_total ' "$SMOKE_DIR/metrics.prom" || {
 }
 echo "schema smoke: OK ($SMOKE_DIR)"
 
-# Shared-cache smoke: two sequential flow runs against ONE content-addressed
-# cache root.  The first populates it; the second must execute zero stages,
-# replay all six from the shared root, and report mmap hits — this pins the
-# whole zero-copy chain (CAS publish, index lookup, mmap load, blob
-# validation) end to end through the CLI.
-CAS_ROOT="$SMOKE_DIR/cas-root"
-rm -rf "$CAS_ROOT"
-COLD=$("$FPGADBG" flow "$SMOKE_DIR/design.blif" --cache-shared "$CAS_ROOT")
+# Shared-cache smoke: two sequential flow runs, as separate processes,
+# against ONE cache directory.  The first populates it; the second must
+# execute zero stages, replay all six from the shared directory, and report
+# mmap hits — this pins the whole zero-copy chain (temp-file + rename
+# publish, mmap load, blob validation) end to end through the CLI.
+SHARED_CACHE="$SMOKE_DIR/shared-cache"
+rm -rf "$SHARED_CACHE"
+COLD=$("$FPGADBG" flow "$SMOKE_DIR/design.blif" --cache-dir "$SHARED_CACHE")
 grep -q "6 stages executed, 0 from cache" <<< "$COLD" || {
   echo "shared-cache smoke: cold run did not execute all stages" >&2
   exit 1
 }
-WARM=$("$FPGADBG" flow "$SMOKE_DIR/design.blif" --cache-shared "$CAS_ROOT")
+WARM=$("$FPGADBG" flow "$SMOKE_DIR/design.blif" --cache-dir "$SHARED_CACHE")
 grep -q "0 stages executed, 6 from cache" <<< "$WARM" || {
   echo "shared-cache smoke: warm run re-executed stages" >&2
   exit 1
@@ -88,12 +88,12 @@ if [ "$MMAP_HITS" -le 0 ]; then
   echo "shared-cache smoke: warm run reported no mmap hits: $WARM" >&2
   exit 1
 fi
-"$FPGADBG" cache gc --max-bytes 0 --cache-shared "$CAS_ROOT" | \
+"$FPGADBG" cache gc --max-bytes 0 --cache-dir "$SHARED_CACHE" | \
   grep -q "kept 0 entries" || {
-  echo "shared-cache smoke: cache gc did not drain the root" >&2
+  echo "shared-cache smoke: cache gc did not drain the directory" >&2
   exit 1
 }
-echo "shared-cache smoke: OK ($MMAP_HITS mmap hits from $CAS_ROOT)"
+echo "shared-cache smoke: OK ($MMAP_HITS mmap hits from $SHARED_CACHE)"
 
 # ASan leg: the zero-copy blob reader against a hostile-image corpus,
 # compiled standalone with -fsanitize=address (also registered as the

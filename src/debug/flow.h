@@ -28,12 +28,6 @@ struct OfflineOptions {
   /// Artifact-cache directory for the staged pipeline (see flow/pipeline.h);
   /// empty disables caching and every stage executes.
   std::string cache_dir;
-  /// Cache backend: "dir" (default, one file per entry) or "cas"
-  /// (content-addressed store shareable between processes).
-  std::string cache_backend;
-  /// Root of a shared content-addressed cache; non-empty implies the "cas"
-  /// backend (and serves as its root even when cache_dir is empty).
-  std::string cache_shared;
 };
 
 struct OfflineResult {

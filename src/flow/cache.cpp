@@ -9,9 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <utility>
 
-#include "flow/cache_internal.h"
 #include "flow/serialize.h"
 #include "support/mmap.h"
 #include "support/telemetry.h"
@@ -25,11 +23,44 @@ namespace fs = std::filesystem;
 using support::MmapRegion;
 using support::Result;
 using support::Status;
-using namespace cache_internal;
 
-}  // namespace
+// The header is exactly 64 bytes so the payload that follows starts on a
+// 64-byte boundary — the blob format's base-alignment requirement — and so
+// a header read is one fixed-size I/O.
+constexpr std::size_t kEntryHeaderSize = 64;
+constexpr char kMagic[8] = {'F', 'D', 'B', 'G', 'A', 'R', 'T', '2'};
+constexpr char kLegacyMagic[8] = {'F', 'D', 'B', 'G', 'A', 'R', 'T', '1'};
 
-namespace cache_internal {
+/// Marks the process-unique file a store writes before renaming it into
+/// place: <key-hex>.tmp.<pid>.
+constexpr std::string_view kTempInfix = ".tmp.";
+
+/// Fixed header: magic[0,8) stage_hash[8,16) key[16,24) payload_hash[24,32)
+/// payload_size[32,40) reserved-zero[40,64).
+struct EntryHeader {
+  std::uint64_t stage_hash = 0;
+  std::uint64_t key = 0;
+  std::uint64_t payload_hash = 0;
+  std::uint64_t payload_size = 0;
+};
+
+void encode_header(char out[kEntryHeaderSize], const EntryHeader& h) {
+  std::memset(out, 0, kEntryHeaderSize);
+  std::memcpy(out, kMagic, 8);
+  std::memcpy(out + 8, &h.stage_hash, 8);
+  std::memcpy(out + 16, &h.key, 8);
+  std::memcpy(out + 24, &h.payload_hash, 8);
+  std::memcpy(out + 32, &h.payload_size, 8);
+}
+
+EntryHeader decode_header(const char in[kEntryHeaderSize]) {
+  EntryHeader h;
+  std::memcpy(&h.stage_hash, in + 8, 8);
+  std::memcpy(&h.key, in + 16, 8);
+  std::memcpy(&h.payload_hash, in + 24, 8);
+  std::memcpy(&h.payload_size, in + 32, 8);
+  return h;
+}
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -38,6 +69,8 @@ std::string hex64(std::uint64_t v) {
   return std::string(buf, 16);
 }
 
+/// Marks `path` as just-used: sets atime to now, leaves mtime alone.  Best
+/// effort (noatime mounts would otherwise starve the LRU sweep of signal).
 void touch_atime(const std::string& path) {
   struct timespec times[2];
   times[0].tv_sec = 0;
@@ -47,6 +80,7 @@ void touch_atime(const std::string& path) {
   ::utimensat(AT_FDCWD, path.c_str(), times, 0);
 }
 
+/// st_atime of `path` in nanoseconds, or -1 when unreadable.
 std::int64_t read_atime_ns(const std::string& path) {
   struct stat st;
   if (::stat(path.c_str(), &st) != 0) return -1;
@@ -54,17 +88,17 @@ std::int64_t read_atime_ns(const std::string& path) {
          st.st_atim.tv_nsec;
 }
 
+/// Writes `header + payload` to `path` via a process-unique temp file +
+/// atomic rename.  Returns false on I/O error.
 bool publish_file(const std::string& path, const char* header,
-                  std::size_t header_size, const void* payload,
-                  std::size_t payload_size) {
+                  std::string_view payload) {
   // Process-unique temp name: concurrent writers of the same entry never
   // stomp each other's partial file, and rename() makes the publish atomic.
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  const std::string tmp = path + std::string(kTempInfix) +
+                          std::to_string(static_cast<long>(::getpid()));
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return false;
-  bool ok = true;
   auto write_all = [&](const char* p, std::size_t n) {
     while (n > 0) {
       const ssize_t w = ::write(fd, p, n);
@@ -74,19 +108,15 @@ bool publish_file(const std::string& path, const char* header,
     }
     return true;
   };
-  if (header_size > 0) ok = write_all(header, header_size);
-  if (ok && payload_size > 0) {
-    ok = write_all(static_cast<const char*>(payload), payload_size);
-  }
+  bool ok = write_all(header, kEntryHeaderSize) &&
+            write_all(payload.data(), payload.size());
   if (::close(fd) != 0) ok = false;
   if (ok && ::rename(tmp.c_str(), path.c_str()) != 0) ok = false;
   if (!ok) ::unlink(tmp.c_str());
   return ok;
 }
 
-}  // namespace cache_internal
-
-// --- shared GC sweep --------------------------------------------------------
+}  // namespace
 
 GcStats gc_sweep(std::vector<CacheEntryInfo> all, std::uint64_t max_bytes) {
   GcStats stats;
@@ -105,7 +135,6 @@ GcStats gc_sweep(std::vector<CacheEntryInfo> all, std::uint64_t max_bytes) {
   for (const CacheEntryInfo& e : all) {
     if (total <= max_bytes) break;
     if (::unlink(e.path.c_str()) != 0 && errno != ENOENT) continue;
-    for (const std::string& idx : e.index_paths) ::unlink(idx.c_str());
     total -= e.bytes;
     stats.removed_bytes += e.bytes;
     ++stats.removed_entries;
@@ -113,190 +142,133 @@ GcStats gc_sweep(std::vector<CacheEntryInfo> all, std::uint64_t max_bytes) {
   return stats;
 }
 
-Result<GcStats> CacheStore::gc(std::uint64_t max_bytes) const {
-  FPGADBG_ASSIGN_OR_RETURN(std::vector<CacheEntryInfo> all, entries());
-  return gc_sweep(std::move(all), max_bytes);
-}
-
-// --- directory backend ------------------------------------------------------
-
-namespace {
-
-class DirCacheStore final : public CacheStore {
- public:
-  explicit DirCacheStore(std::string dir) : dir_(std::move(dir)) {}
-
-  std::string entry_path(const std::string& stage,
-                         std::uint64_t key) const override {
-    return dir_ + "/" + stage + "/" + hex64(key);
-  }
-
-  Result<std::optional<CacheHit>> load(const std::string& stage,
-                                       std::uint64_t key) const override {
-    auto& m = telemetry::metrics();
-    const std::string path = entry_path(stage, key);
-
-    struct stat st;
-    if (::stat(path.c_str(), &st) != 0) {
-      if (errno != ENOENT) {
-        return Status::io_error("cannot stat cache entry " + path + ": " +
-                                std::strerror(errno));
-      }
-      m.counter("flow.cache.misses").add();
-      return std::optional<CacheHit>();
-    }
-
-    // Fail fast on truncation BEFORE touching any payload byte: the fixed
-    // header carries the payload size, so a short file is detected from
-    // the first 64 bytes, not discovered at the end of a full digest pass.
-    if (static_cast<std::size_t>(st.st_size) < kEntryHeaderSize) {
-      return Status::corrupt_artifact(
-          "cache entry " + path +
-          ": shorter than the fixed header (truncated)");
-    }
-
-    FPGADBG_ASSIGN_OR_RETURN(std::shared_ptr<MmapRegion> region,
-                             MmapRegion::map_file(path));
-    const std::string_view file = region->view();
-    if (std::memcmp(file.data(), kLegacyMagic, 8) == 0) {
-      // Pre-mmap entry format: rebuilt, never misparsed.
-      m.counter("flow.cache.misses").add();
-      return std::optional<CacheHit>();
-    }
-    if (std::memcmp(file.data(), kDirMagic, 8) != 0) {
-      return Status::corrupt_artifact("cache entry " + path +
-                                      ": bad magic (not an artifact file)");
-    }
-    const EntryHeader h = decode_header(file.data());
-    if (h.stage_hash != fnv1a(stage) || h.key != key) {
-      return Status::corrupt_artifact("cache entry " + path +
-                                      ": mislabeled header");
-    }
-    if (h.payload_size != file.size() - kEntryHeaderSize) {
-      return Status::corrupt_artifact(
-          "cache entry " + path +
-          ": payload size does not match the file (truncated)");
-    }
-    const std::string_view payload = file.substr(kEntryHeaderSize);
-    if (fnv1a(payload) != h.payload_hash) {
-      return Status::corrupt_artifact(
-          "cache entry " + path +
-          ": payload hash mismatch (file is damaged); delete it to "
-          "recompute");
-    }
-
-    touch_atime(path);
-    m.counter("flow.cache.hits").add();
-    m.counter("flow.cache.bytes_read").add(payload.size());
-    m.counter("flow.cache.mmap_hits").add();
-    m.counter("flow.cache.bytes_mapped").add(payload.size());
-    CacheHit hit;
-    hit.payload = payload;
-    hit.content_hash = h.payload_hash;
-    hit.mapped = true;
-    hit.backing = std::move(region);
-    return std::optional<CacheHit>(std::move(hit));
-  }
-
-  Status store(const std::string& stage, std::uint64_t key,
-               std::uint64_t content_hash,
-               std::string_view bytes) const override {
-    const std::string path = entry_path(stage, key);
-    std::error_code ec;
-    fs::create_directories(fs::path(path).parent_path(), ec);
-    if (ec) {
-      return Status::io_error("cannot create cache directory for " + path +
-                              ": " + ec.message());
-    }
-    char header[kEntryHeaderSize];
-    encode_header(header, kDirMagic,
-                  EntryHeader{fnv1a(stage), key, content_hash, bytes.size()});
-    if (!publish_file(path, header, sizeof header, bytes.data(),
-                      bytes.size())) {
-      return Status::io_error("cannot publish cache entry " + path + ": " +
-                              std::strerror(errno));
-    }
-    auto& m = telemetry::metrics();
-    m.counter("flow.cache.stores").add();
-    m.counter("flow.cache.bytes_written").add(bytes.size());
-    return Status();
-  }
-
-  Result<std::vector<CacheEntryInfo>> entries() const override {
-    std::vector<CacheEntryInfo> all;
-    std::error_code ec;
-    for (fs::directory_iterator stage_it(dir_, ec);
-         !ec && stage_it != fs::directory_iterator(); ++stage_it) {
-      if (!stage_it->is_directory(ec)) continue;
-      std::error_code ec2;
-      for (fs::directory_iterator it(stage_it->path(), ec2);
-           !ec2 && it != fs::directory_iterator(); ++it) {
-        if (!it->is_regular_file(ec2)) continue;
-        CacheEntryInfo e;
-        e.path = it->path().string();
-        e.bytes = it->file_size(ec2);
-        e.atime_ns = read_atime_ns(e.path);
-        all.push_back(std::move(e));
-      }
-    }
-    return all;
-  }
-
-  std::string describe() const override { return "dir:" + dir_; }
-
- private:
-  std::string dir_;
-};
-
-}  // namespace
-
-std::unique_ptr<CacheStore> make_dir_cache_store(std::string dir) {
-  return std::make_unique<DirCacheStore>(std::move(dir));
-}
-
-// --- facade -----------------------------------------------------------------
-
-ArtifactCache::ArtifactCache(std::string cache_dir)
-    : location_(std::move(cache_dir)) {
-  if (!location_.empty()) store_ = make_dir_cache_store(location_);
-}
-
-ArtifactCache ArtifactCache::for_options(const std::string& backend,
-                                         const std::string& cache_dir,
-                                         const std::string& shared_root) {
-  const bool cas = backend == "cas" || (backend.empty() && !shared_root.empty());
-  ArtifactCache cache;
-  if (cas) {
-    cache.location_ = shared_root.empty() ? cache_dir : shared_root;
-    if (!cache.location_.empty()) {
-      cache.store_ = make_cas_cache_store(cache.location_);
-    }
-  } else {
-    cache.location_ = cache_dir;
-    if (!cache.location_.empty()) {
-      cache.store_ = make_dir_cache_store(cache.location_);
-    }
-  }
-  return cache;
+std::string ArtifactCache::entry_path(const std::string& stage,
+                                      std::uint64_t key) const {
+  if (!enabled()) return {};
+  return dir_ + "/" + stage + "/" + hex64(key);
 }
 
 Result<std::optional<CacheHit>> ArtifactCache::load(const std::string& stage,
                                                     std::uint64_t key) const {
   if (!enabled()) return std::optional<CacheHit>();
-  return store_->load(stage, key);
+  auto& m = telemetry::metrics();
+  const std::string path = entry_path(stage, key);
+
+  // One open: a missing entry — never stored, or unlinked by a concurrent
+  // gc() — is a miss; any other failure to map it is an I/O error.
+  Result<std::shared_ptr<MmapRegion>> mapped = MmapRegion::map_file(path);
+  if (!mapped.ok()) {
+    if (mapped.status().code() != support::StatusCode::kNotFound) {
+      return mapped.status();
+    }
+    m.counter("flow.cache.misses").add();
+    return std::optional<CacheHit>();
+  }
+  std::shared_ptr<MmapRegion> region = std::move(mapped).value();
+  const std::string_view file = region->view();
+
+  // Fail fast on truncation BEFORE touching any payload byte: the fixed
+  // header carries the payload size, so a short file is detected from
+  // the first 64 bytes, not discovered at the end of a full digest pass.
+  if (file.size() < kEntryHeaderSize) {
+    return Status::corrupt_artifact(
+        "cache entry " + path + ": shorter than the fixed header (truncated)");
+  }
+  if (std::memcmp(file.data(), kLegacyMagic, 8) == 0) {
+    // Pre-mmap entry format: rebuilt, never misparsed.
+    m.counter("flow.cache.misses").add();
+    return std::optional<CacheHit>();
+  }
+  if (std::memcmp(file.data(), kMagic, 8) != 0) {
+    return Status::corrupt_artifact("cache entry " + path +
+                                    ": bad magic (not an artifact file)");
+  }
+  const EntryHeader h = decode_header(file.data());
+  if (h.stage_hash != fnv1a(stage) || h.key != key) {
+    return Status::corrupt_artifact("cache entry " + path +
+                                    ": mislabeled header");
+  }
+  if (h.payload_size != file.size() - kEntryHeaderSize) {
+    return Status::corrupt_artifact(
+        "cache entry " + path +
+        ": payload size does not match the file (truncated)");
+  }
+  const std::string_view payload = file.substr(kEntryHeaderSize);
+  if (fnv1a(payload) != h.payload_hash) {
+    return Status::corrupt_artifact(
+        "cache entry " + path +
+        ": payload hash mismatch (file is damaged); delete it to recompute");
+  }
+
+  touch_atime(path);
+  m.counter("flow.cache.hits").add();
+  m.counter("flow.cache.bytes_read").add(payload.size());
+  m.counter("flow.cache.mmap_hits").add();
+  m.counter("flow.cache.bytes_mapped").add(payload.size());
+  CacheHit hit;
+  hit.payload = payload;
+  hit.content_hash = h.payload_hash;
+  hit.mapped = true;
+  hit.backing = std::move(region);
+  return std::optional<CacheHit>(std::move(hit));
 }
 
 Status ArtifactCache::store(const std::string& stage, std::uint64_t key,
                             std::uint64_t content_hash,
                             std::string_view bytes) const {
   if (!enabled()) return Status();
-  return store_->store(stage, key, content_hash, bytes);
+  const std::string path = entry_path(stage, key);
+  std::error_code ec;
+  fs::create_directories(fs::path(path).parent_path(), ec);
+  if (ec) {
+    return Status::io_error("cannot create cache directory for " + path +
+                            ": " + ec.message());
+  }
+  char header[kEntryHeaderSize];
+  encode_header(header,
+                EntryHeader{fnv1a(stage), key, content_hash, bytes.size()});
+  if (!publish_file(path, header, bytes)) {
+    return Status::io_error("cannot publish cache entry " + path + ": " +
+                            std::strerror(errno));
+  }
+  auto& m = telemetry::metrics();
+  m.counter("flow.cache.stores").add();
+  m.counter("flow.cache.bytes_written").add(bytes.size());
+  return Status();
 }
 
-std::string ArtifactCache::entry_path(const std::string& stage,
-                                      std::uint64_t key) const {
-  if (!enabled()) return {};
-  return store_->entry_path(stage, key);
+Result<std::vector<CacheEntryInfo>> ArtifactCache::entries() const {
+  std::vector<CacheEntryInfo> all;
+  if (!enabled()) return all;
+  std::error_code ec;
+  for (fs::directory_iterator stage_it(dir_, ec);
+       !ec && stage_it != fs::directory_iterator(); ++stage_it) {
+    if (!stage_it->is_directory(ec)) continue;
+    std::error_code ec2;
+    for (fs::directory_iterator it(stage_it->path(), ec2);
+         !ec2 && it != fs::directory_iterator(); ++it) {
+      if (!it->is_regular_file(ec2)) continue;
+      // Another process's store in flight: deleting it would fail that
+      // store's rename.
+      if (it->path().filename().string().find(kTempInfix) !=
+          std::string::npos) {
+        continue;
+      }
+      std::error_code size_ec;
+      CacheEntryInfo e;
+      e.path = it->path().string();
+      e.bytes = it->file_size(size_ec);
+      if (size_ec) continue;  // unlinked since the listing
+      e.atime_ns = read_atime_ns(e.path);
+      all.push_back(std::move(e));
+    }
+  }
+  return all;
+}
+
+Result<GcStats> ArtifactCache::gc(std::uint64_t max_bytes) const {
+  FPGADBG_ASSIGN_OR_RETURN(std::vector<CacheEntryInfo> all, entries());
+  return gc_sweep(std::move(all), max_bytes);
 }
 
 }  // namespace fpgadbg::flow

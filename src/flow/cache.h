@@ -1,30 +1,25 @@
-// Pluggable on-disk artifact cache for the staged compile pipeline.
+// On-disk artifact cache for the staged compile pipeline.
 //
-// The cache is split into a thin facade (ArtifactCache, what the pipeline
-// holds) over a storage interface (CacheStore) with two backends:
+// One file per entry at <dir>/<stage>/<key-hex>.  Entries carry a fixed
+// 64-byte header (magic FDBGART2, stage hash, key, payload FNV-1a, payload
+// size), so the payload starts on a 64-byte boundary and a load is an mmap +
+// header check + one linear digest pass — never a parse, never a copy.
 //
-//  - Directory backend ("dir", the PR 3 layout evolved): one file per entry
-//    at <dir>/<stage>/<key-hex>.  Entries carry a fixed 64-byte header
-//    (magic FDBGART2, stage hash, key, payload FNV-1a, payload size), so
-//    the payload starts on a 64-byte boundary and a load is an mmap +
-//    header check + one linear digest pass — never a parse, never a copy.
-//  - Content-addressed backend ("cas"): payloads live at
-//    <root>/cas/<fnv-hex> named by their own content hash (deduplicated,
-//    immutable once published), and small fixed-size index files at
-//    <root>/index/<stage>/<key-hex> map stage keys to content hashes.
-//    Both are published via temp file + atomic rename, so any number of
-//    processes — including over NFS — can share one root: readers never
-//    lock, writers take a shared flock only to fence against a concurrent
-//    GC sweep (which takes it exclusively).
+// Sharing: any number of processes may point at one directory.  A store
+// writes a process-unique <key-hex>.tmp.<pid> file and renames it into
+// place, so a reader never sees a partial entry; readers take no lock (a
+// mapping taken before an unlink stays valid).  gc() never counts or
+// deletes an in-flight temp file, and an entry that a concurrent gc()
+// unlinks before a load opens it is a plain miss.
 //
-// Integrity contract (both backends): the fixed header is validated FIRST
-// — magic, identity, and the stored payload size against the actual file
-// size — so a truncated entry fails fast as StatusCode::kCorruptArtifact
-// before any payload byte is hashed; then one FNV-1a pass over the mapped
-// payload catches bit flips.  A corrupt entry is a reportable error, never
-// silently wrong pipeline output.  Legacy FDBGART1 entries (pre-mmap
-// stream headers) are detected and treated as misses, so old caches are
-// rebuilt, not misparsed.
+// Integrity contract: the fixed header is validated FIRST — magic,
+// identity, and the stored payload size against the actual file size — so
+// a truncated entry fails fast as StatusCode::kCorruptArtifact before any
+// payload byte is hashed; then one FNV-1a pass over the mapped payload
+// catches bit flips.  A corrupt entry is a reportable error, never silently
+// wrong pipeline output.  Legacy FDBGART1 entries (pre-mmap stream headers)
+// are detected and treated as misses, so old caches are rebuilt, not
+// misparsed.
 //
 // A default-constructed (or empty-path) cache is disabled: every load
 // misses, every store is a no-op, so pipeline code needs no branches.
@@ -35,6 +30,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "support/status.h"
@@ -56,10 +52,9 @@ struct CacheHit {
 
 /// One stored entry, as seen by the GC sweep.
 struct CacheEntryInfo {
-  std::string path;                     ///< payload file to delete
-  std::vector<std::string> index_paths; ///< CAS: index files naming it
-  std::uint64_t bytes = 0;              ///< on-disk size of `path`
-  std::int64_t atime_ns = 0;            ///< last access (LRU order)
+  std::string path;           ///< entry file to delete
+  std::uint64_t bytes = 0;    ///< on-disk size of `path`
+  std::int64_t atime_ns = 0;  ///< last access (LRU order)
 };
 
 struct GcStats {
@@ -69,76 +64,33 @@ struct GcStats {
   std::uint64_t removed_bytes = 0;
 };
 
-/// Storage interface behind the cache facade.  Implementations must make
-/// store() atomic with respect to concurrent load()s (publish via rename)
-/// and must keep load() lock-free.
-class CacheStore {
- public:
-  virtual ~CacheStore() = default;
-
-  /// nullopt = miss; a hit bumps the entry's atime (LRU bookkeeping).
-  virtual support::Result<std::optional<CacheHit>> load(
-      const std::string& stage, std::uint64_t key) const = 0;
-
-  /// Publishes serialized artifact bytes whose FNV-1a hash is
-  /// `content_hash`.  Idempotent; concurrent stores of the same entry are
-  /// safe (last rename wins, both files are identical).
-  virtual support::Status store(const std::string& stage, std::uint64_t key,
-                                std::uint64_t content_hash,
-                                std::string_view bytes) const = 0;
-
-  /// Path of the keyed entry file (dir: the payload; cas: the index).
-  /// For tests and error messages.
-  virtual std::string entry_path(const std::string& stage,
-                                 std::uint64_t key) const = 0;
-
-  /// Every stored entry, for the GC sweep.  Order is unspecified.
-  virtual support::Result<std::vector<CacheEntryInfo>> entries() const = 0;
-
-  /// LRU-by-atime sweep: removes oldest-accessed entries until the total
-  /// payload size is <= max_bytes.  The CAS backend takes the root lock
-  /// exclusively for the duration so it never races a concurrent store.
-  virtual support::Result<GcStats> gc(std::uint64_t max_bytes) const;
-
-  /// Human-readable backend description ("dir:<path>" / "cas:<root>").
-  virtual std::string describe() const = 0;
-};
-
-std::unique_ptr<CacheStore> make_dir_cache_store(std::string dir);
-std::unique_ptr<CacheStore> make_cas_cache_store(std::string root);
-
 /// Removes the listed entries in LRU order until the remaining total is
-/// <= max_bytes.  Shared sweep used by both backends' gc().
+/// <= max_bytes.  The sweep behind ArtifactCache::gc().
 GcStats gc_sweep(std::vector<CacheEntryInfo> all, std::uint64_t max_bytes);
 
-/// Facade the pipeline holds.  Copyable (backends are stateless and
-/// shared); disabled when no backend is configured.
+/// The cache the pipeline holds.  Copyable (it is only its directory);
+/// disabled when the directory is empty.
 class ArtifactCache {
  public:
   /// Disabled cache (all loads miss, stores do nothing).
   ArtifactCache() = default;
-  /// Directory backend under `cache_dir`; empty = disabled.
-  explicit ArtifactCache(std::string cache_dir);
+  /// Cache under `cache_dir`; empty = disabled.
+  explicit ArtifactCache(std::string cache_dir) : dir_(std::move(cache_dir)) {}
 
-  /// Resolves the CLI-level knobs: backend "dir" (default) or "cas";
-  /// `shared_root` is the CAS root (falls back to `cache_dir` when empty,
-  /// and a non-empty shared root implies "cas" when no backend is named).
-  static ArtifactCache for_options(const std::string& backend,
-                                   const std::string& cache_dir,
-                                   const std::string& shared_root);
-
-  bool enabled() const { return store_ != nullptr; }
-  const std::string& dir() const { return location_; }
-  CacheStore* backend() const { return store_.get(); }
+  bool enabled() const { return !dir_.empty(); }
+  const std::string& dir() const { return dir_; }
 
   /// Looks up (stage, key).  nullopt = miss (also when disabled); a Status
-  /// means the entry exists but is corrupt or unreadable.  Counts
+  /// means the entry exists but is corrupt or unreadable.  A hit bumps the
+  /// entry's atime (LRU bookkeeping).  Counts
   /// flow.cache.{hits,misses,bytes_read,mmap_hits,bytes_mapped}.
   support::Result<std::optional<CacheHit>> load(const std::string& stage,
                                                 std::uint64_t key) const;
 
-  /// Stores serialized artifact bytes whose FNV-1a hash is `content_hash`.
-  /// Counts flow.cache.stores and flow.cache.bytes_written.
+  /// Publishes serialized artifact bytes whose FNV-1a hash is
+  /// `content_hash`.  Idempotent; concurrent stores of the same entry are
+  /// safe (last rename wins, both files are identical).  Counts
+  /// flow.cache.stores and flow.cache.bytes_written.
   support::Status store(const std::string& stage, std::uint64_t key,
                         std::uint64_t content_hash,
                         std::string_view bytes) const;
@@ -146,9 +98,16 @@ class ArtifactCache {
   /// Path of the entry file (for tests and error messages).
   std::string entry_path(const std::string& stage, std::uint64_t key) const;
 
+  /// Every published entry, for the GC sweep; in-flight temp files are not
+  /// entries.  Order is unspecified.
+  support::Result<std::vector<CacheEntryInfo>> entries() const;
+
+  /// LRU-by-atime sweep: removes oldest-accessed entries until the total
+  /// entry size is <= max_bytes.
+  support::Result<GcStats> gc(std::uint64_t max_bytes) const;
+
  private:
-  std::string location_;
-  std::shared_ptr<CacheStore> store_;
+  std::string dir_;
 };
 
 }  // namespace fpgadbg::flow

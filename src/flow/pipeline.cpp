@@ -138,9 +138,7 @@ const char* stage_name(StageId id) {
 
 Pipeline::Pipeline(debug::OfflineOptions options)
     : options_(std::move(options)),
-      cache_(ArtifactCache::for_options(options_.cache_backend,
-                                        options_.cache_dir,
-                                        options_.cache_shared)) {}
+      cache_(options_.cache_dir) {}
 
 Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
   telemetry::MetricsRegistry& m = telemetry::metrics();

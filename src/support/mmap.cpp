@@ -14,8 +14,10 @@ Result<std::shared_ptr<MmapRegion>> MmapRegion::map_file(
     const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
-    return Status::io_error("cannot open " + path + " for mapping: " +
-                            std::strerror(errno));
+    const int err = errno;
+    const std::string why =
+        "cannot open " + path + " for mapping: " + std::strerror(err);
+    return err == ENOENT ? Status::not_found(why) : Status::io_error(why);
   }
   struct stat st;
   if (::fstat(fd, &st) != 0) {

@@ -20,8 +20,9 @@ namespace fpgadbg::support {
 
 class MmapRegion {
  public:
-  /// Maps `path` read-only.  Fails with kIoError when the file cannot be
-  /// opened or mapped.  Empty files yield a valid region with size() == 0.
+  /// Maps `path` read-only.  Fails with kNotFound when the file does not
+  /// exist and kIoError when it cannot be opened or mapped.  Empty files
+  /// yield a valid region with size() == 0.
   static Result<std::shared_ptr<MmapRegion>> map_file(const std::string& path);
 
   ~MmapRegion();

@@ -25,10 +25,9 @@
 //       emit one of the paper's synthetic benchmark circuits
 //   fpgadbg export <design.blif> <out.v> [--par f.par] [--mapper sm|abc|tcon]
 //       technology-map and write structural Verilog
-//   fpgadbg cache gc --max-bytes <N>
-//       LRU sweep of the artifact cache (whichever backend the global cache
-//       options select): evict least-recently-used entries until the total
-//       payload size is at most N bytes
+//   fpgadbg cache gc --max-bytes <N> --cache-dir <dir>
+//       LRU sweep of the artifact cache: evict least-recently-used entries
+//       until the total entry size is at most N bytes
 //   fpgadbg report <session.jsonl> [<metrics.json>] [--top N] [--serve PORT]
 //       analyse a session journal (--journal output): per-turn SCG/DPR
 //       table against the paper's §V-C2 constants (50 us SCG, 176 ms /
@@ -40,15 +39,9 @@
 // Global options (valid with every subcommand, --flag value or --flag=value):
 //   --cache-dir <dir>      artifact cache for the offline pipeline (flow,
 //                          profile): re-runs skip stages whose inputs and
-//                          options are unchanged
-//   --cache-backend <b>    cache storage backend: dir (default, one file
-//                          per entry) or cas (content-addressed store,
-//                          shareable between concurrent processes)
-//   --cache-shared <root>  root of a shared content-addressed cache;
-//                          implies --cache-backend cas.  Point any number
-//                          of fpgadbg processes at one root and they
-//                          share artifacts (atomic publish, lock-free
-//                          reads)
+//                          options are unchanged.  Any number of fpgadbg
+//                          processes may share one directory (atomic
+//                          publish, lock-free reads)
 //   --trace <file.json>    collect TraceScope spans and write a Chrome-trace
 //                          JSON timeline (chrome://tracing, Perfetto)
 //   --metrics <file.json>  write the metrics registry snapshot as JSON
@@ -83,6 +76,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -156,7 +150,7 @@ int usage() {
                "  gen <benchname|list> [<out.blif>]\n"
                "  export <design.blif> <out.v> [--par f.par]"
                " [--mapper sm|abc|tcon]\n"
-               "  cache gc --max-bytes <N>\n"
+               "  cache gc --max-bytes <N> --cache-dir <dir>\n"
                "  report <session.jsonl> [<metrics.json>] [--top N]"
                " [--serve PORT]\n"
                "  benchdiff <fresh-summary.json> [--baseline <path>]"
@@ -172,11 +166,7 @@ int usage() {
                "  --introspect-linger <seconds>  keep serving after the"
                " command finishes, until the timeout or a GET /quitz\n"
                "  --cache-dir <dir>      artifact cache for the offline"
-               " pipeline (flow, profile)\n"
-               "  --cache-backend <b>    dir (default) or cas"
-               " (content-addressed, multi-process shareable)\n"
-               "  --cache-shared <root>  shared CAS root (implies"
-               " --cache-backend cas)\n"
+               " pipeline (flow, profile); shareable between processes\n"
                "  --trace <file.json>    write Chrome-trace/Perfetto span"
                " timeline\n"
                "  --metrics <file.json>  write metrics registry snapshot as"
@@ -205,6 +195,38 @@ int usage() {
   return kUsageExit;
 }
 
+/// The options `command` reads, or nullptr for an unknown command.  The
+/// global options are peeled off in main() first; any other "-" token is a
+/// usage error, so a misspelt or removed option fails instead of being
+/// silently ignored.
+const std::set<std::string>* command_options(const std::string& command) {
+  static const std::map<std::string, std::set<std::string>> table = [] {
+    // flow and profile: the pipeline's instrument, route and timing knobs.
+    const std::set<std::string> compile = {
+        "--width", "--route-threads", "--astar-fac", "--timing-driven",
+        "--timing-tradeoff", "--crit-exp", "--route-crit-weight",
+        "--delay-lut", "--delay-pin", "--delay-segment", "--delay-fanout",
+        "--delay-tile"};
+    std::set<std::string> profile = compile;
+    profile.insert({"--turns", "--cycles", "--scenarios", "--scenario-cycles",
+                    "--flame", "--sample-hz"});
+    return std::map<std::string, std::set<std::string>>{
+        {"stats", {}},
+        {"instrument", {"--width", "--radix", "--replication", "--select"}},
+        {"map", {"--par", "--mapper", "-k"}},
+        {"flow", compile},
+        {"profile", profile},
+        {"gen", {}},
+        {"export", {"--par", "--mapper"}},
+        {"cache", {"--max-bytes"}},
+        {"report", {"--top", "--serve"}},
+        {"benchdiff", {"--baseline", "--tolerance"}},
+    };
+  }();
+  const auto it = table.find(command);
+  return it == table.end() ? nullptr : &it->second;
+}
+
 /// Valueless (boolean) flags.  The positional scan in parse() must know
 /// them: every other "-"-prefixed token swallows the next token as its
 /// value, which would silently eat a positional after e.g. --timing-driven.
@@ -228,8 +250,6 @@ struct Args {
   }
   std::vector<std::string> raw;
   std::string cache_dir;     ///< global --cache-dir, empty = caching disabled
-  std::string cache_backend; ///< global --cache-backend: "" | "dir" | "cas"
-  std::string cache_shared;  ///< global --cache-shared CAS root
   std::string journal_path;  ///< global --journal, empty = no JSONL sink
 };
 
@@ -249,17 +269,25 @@ support::Status attach_journal_sink(const Args& args, std::ofstream& out,
   return support::Status();
 }
 
-Args parse(const std::vector<std::string>& tokens, std::size_t skip) {
+/// Splits `command`'s tokens into positionals and options.  An option the
+/// command does not read is reported on stderr and yields nullopt.
+std::optional<Args> parse(const std::string& command,
+                          std::vector<std::string> raw) {
+  const std::set<std::string>* accepted = command_options(command);
   Args args;
-  for (std::size_t i = skip; i < tokens.size(); ++i) {
-    args.raw.push_back(tokens[i]);
-  }
+  args.raw = std::move(raw);
   for (std::size_t i = 0; i < args.raw.size(); ++i) {
-    if (args.raw[i].rfind("-", 0) == 0) {
-      if (!is_boolean_flag(args.raw[i])) ++i;  // skip option value
-    } else {
-      args.positional.push_back(args.raw[i]);
+    const std::string& t = args.raw[i];
+    if (t.rfind("-", 0) != 0) {
+      args.positional.push_back(t);
+      continue;
     }
+    if (accepted != nullptr && accepted->count(t) == 0) {
+      std::fprintf(stderr, "fpgadbg: unknown option '%s' for %s\n", t.c_str(),
+                   command.c_str());
+      return std::nullopt;
+    }
+    if (!is_boolean_flag(t)) ++i;  // skip option value
   }
   return args;
 }
@@ -420,28 +448,18 @@ support::Result<int> cmd_map(const Args& args) {
   return 0;
 }
 
-/// Copies the global cache knobs into the pipeline options.
-void apply_cache_options(const Args& args, debug::OfflineOptions& options) {
-  options.cache_dir = args.cache_dir;
-  options.cache_backend = args.cache_backend;
-  options.cache_shared = args.cache_shared;
-}
-
 /// Shared offline-stage driver for flow/profile: runs the staged pipeline
-/// (honoring the --cache-* options) and prints a stage/cache summary.
+/// (honoring --cache-dir) and prints a stage/cache summary.
 support::Result<debug::OfflineResult> run_pipeline(
     const netlist::Netlist& nl, const debug::OfflineOptions& options) {
   flow::Pipeline pipeline(options);
   FPGADBG_ASSIGN_OR_RETURN(flow::PipelineResult result, pipeline.run(nl));
-  if (!options.cache_dir.empty() || !options.cache_shared.empty()) {
-    const std::string& where =
-        !options.cache_shared.empty() ? options.cache_shared
-                                      : options.cache_dir;
+  if (!options.cache_dir.empty()) {
     const telemetry::MetricsSnapshot snap = telemetry::metrics().snapshot();
     std::printf("pipeline: %zu stages executed, %zu from cache (%s), "
                 "%llu mmap hits / %llu bytes mapped\n",
                 result.stages_executed, result.stages_from_cache,
-                where.c_str(),
+                options.cache_dir.c_str(),
                 static_cast<unsigned long long>(
                     snap.counter("flow.cache.mmap_hits")),
                 static_cast<unsigned long long>(
@@ -455,7 +473,7 @@ support::Result<int> cmd_flow(const Args& args) {
   FPGADBG_ASSIGN_OR_RETURN(const netlist::Netlist nl,
                            netlist::try_read_blif_file(args.positional[0]));
   debug::OfflineOptions options;
-  apply_cache_options(args, options);
+  options.cache_dir = args.cache_dir;
   if (auto w = args.option("--width")) {
     options.instrument.trace_width = to_count(*w, "--width");
   }
@@ -502,7 +520,7 @@ support::Result<int> cmd_profile(const Args& args) {
   FPGADBG_ASSIGN_OR_RETURN(const netlist::Netlist nl,
                            netlist::try_read_blif_file(args.positional[0]));
   debug::OfflineOptions options;
-  apply_cache_options(args, options);
+  options.cache_dir = args.cache_dir;
   if (auto w = args.option("--width")) {
     options.instrument.trace_width = to_count(*w, "--width");
   }
@@ -1039,15 +1057,13 @@ support::Result<int> cmd_report(const Args& args) {
   return 0;
 }
 
-/// `fpgadbg cache gc --max-bytes N`: LRU-by-atime sweep over whichever
-/// backend the global cache options select (dir or cas).
+/// `fpgadbg cache gc --max-bytes N`: LRU-by-atime sweep of --cache-dir.
 support::Result<int> cmd_cache(const Args& args) {
   if (args.positional.empty() || args.positional[0] != "gc") return usage();
-  const flow::ArtifactCache cache = flow::ArtifactCache::for_options(
-      args.cache_backend, args.cache_dir, args.cache_shared);
+  const flow::ArtifactCache cache(args.cache_dir);
   if (!cache.enabled()) {
     return support::Status::invalid_argument(
-        "cache gc: no cache configured (use --cache-dir or --cache-shared)");
+        "cache gc: no cache configured (use --cache-dir)");
   }
   const auto max = args.option("--max-bytes");
   if (!max) {
@@ -1055,11 +1071,10 @@ support::Result<int> cmd_cache(const Args& args) {
         "cache gc: --max-bytes <N> is required");
   }
   const std::uint64_t max_bytes = to_count(*max, "--max-bytes");
-  FPGADBG_ASSIGN_OR_RETURN(const flow::GcStats stats,
-                           cache.backend()->gc(max_bytes));
+  FPGADBG_ASSIGN_OR_RETURN(const flow::GcStats stats, cache.gc(max_bytes));
   std::printf("cache gc (%s): kept %zu entries / %llu bytes, evicted %zu "
               "entries / %llu bytes (budget %llu)\n",
-              cache.backend()->describe().c_str(),
+              cache.dir().c_str(),
               stats.scanned_entries - stats.removed_entries,
               static_cast<unsigned long long>(stats.scanned_bytes -
                                               stats.removed_bytes),
@@ -1308,7 +1323,6 @@ int main(int argc, char** argv) {
 
   // Peel global options off the token stream; the rest is command + args.
   std::string trace_path, metrics_path, prom_path, cache_dir, journal_path;
-  std::string cache_backend, cache_shared;
   bool introspect = false;
   int introspect_port = 0;
   std::vector<std::string> rest;
@@ -1316,8 +1330,7 @@ int main(int argc, char** argv) {
     const std::string t = tokens[i];
     if (t == "--trace" || t == "--metrics" || t == "--prom" ||
         t == "--journal" || t == "--log-level" || t == "--log-format" ||
-        t == "--cache-dir" || t == "--cache-backend" ||
-        t == "--cache-shared" || t == "--introspect" ||
+        t == "--cache-dir" || t == "--introspect" ||
         t == "--introspect-linger") {
       if (i + 1 >= tokens.size()) {
         std::fprintf(stderr, "fpgadbg: %s requires a value\n", t.c_str());
@@ -1334,15 +1347,6 @@ int main(int argc, char** argv) {
         journal_path = value;
       } else if (t == "--cache-dir") {
         cache_dir = value;
-      } else if (t == "--cache-backend") {
-        if (value != "dir" && value != "cas") {
-          std::fprintf(stderr, "fpgadbg: invalid --cache-backend '%s' (want "
-                       "dir|cas)\n", value.c_str());
-          return kUsageExit;
-        }
-        cache_backend = value;
-      } else if (t == "--cache-shared") {
-        cache_shared = value;
       } else if (t == "--introspect") {
         char* end = nullptr;
         const long port = std::strtol(value.c_str(), &end, 10);
@@ -1393,6 +1397,13 @@ int main(int argc, char** argv) {
   set_log_level(level);
   if (rest.empty()) return usage();
 
+  const std::string command = rest[0];
+  std::optional<Args> parsed = parse(command, {rest.begin() + 1, rest.end()});
+  if (!parsed) return kUsageExit;
+  Args& args = *parsed;
+  args.cache_dir = cache_dir;
+  args.journal_path = journal_path;
+
   if (!trace_path.empty()) telemetry::start_tracing();
 
   if (introspect) {
@@ -1402,13 +1413,6 @@ int main(int argc, char** argv) {
       return support::status_code_exit_code(started.code());
     }
   }
-
-  const std::string command = rest[0];
-  Args args = parse(rest, 1);
-  args.cache_dir = cache_dir;
-  args.cache_backend = cache_backend;
-  args.cache_shared = cache_shared;
-  args.journal_path = journal_path;
 
   // Every subcommand reports failure as a Result; stray exceptions from
   // deeper layers are converted to a Status here, so nothing escapes main.

@@ -1,7 +1,7 @@
-// Cache backend tests: dir/cas round trips, the fail-fast integrity
-// contract (truncation detected from the fixed header, bit flips from the
-// digest), legacy-entry migration, CAS dedup/dangling-index behavior, and
-// the LRU-by-atime GC sweep shared by both backends.
+// Artifact cache store tests: the fail-fast integrity contract (truncation
+// detected from the fixed header, bit flips from the digest), legacy-entry
+// migration, the LRU-by-atime GC sweep and its concurrency rules (in-flight
+// temp files are not entries; a vanished entry is a miss).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -11,12 +11,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "flow/cache.h"
 #include "flow/serialize.h"
+#include "support/mmap.h"
 #include "support/status.h"
 
 namespace fpgadbg::flow {
@@ -44,25 +44,15 @@ void set_atime(const std::string& path, std::int64_t seconds) {
   ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
 }
 
-std::size_t count_files(const std::string& dir) {
-  std::size_t n = 0;
-  std::error_code ec;
-  for (fs::recursive_directory_iterator it(dir, ec);
-       !ec && it != fs::recursive_directory_iterator(); ++it) {
-    if (it->is_regular_file()) ++n;
-  }
-  return n;
-}
-
-// --- integrity contract (dir backend) --------------------------------------
+// --- integrity contract ----------------------------------------------------
 
 TEST(DirCacheStore, TruncatedBelowHeaderFailsFast) {
   TempRoot root("trunc_hdr");
-  auto store = make_dir_cache_store(root.path);
+  const ArtifactCache store(root.path);
   const std::string bytes(1024, 'x');
-  ASSERT_TRUE(store->store("place", 1, fnv1a(bytes), bytes).ok());
-  ASSERT_EQ(::truncate(store->entry_path("place", 1).c_str(), 17), 0);
-  auto load = store->load("place", 1);
+  ASSERT_TRUE(store.store("place", 1, fnv1a(bytes), bytes).ok());
+  ASSERT_EQ(::truncate(store.entry_path("place", 1).c_str(), 17), 0);
+  auto load = store.load("place", 1);
   ASSERT_FALSE(load.ok());
   EXPECT_EQ(load.status().code(), support::StatusCode::kCorruptArtifact);
   EXPECT_NE(load.status().message().find("truncated"), std::string::npos);
@@ -70,13 +60,13 @@ TEST(DirCacheStore, TruncatedBelowHeaderFailsFast) {
 
 TEST(DirCacheStore, TruncatedPayloadFailsBeforeDigest) {
   TempRoot root("trunc_pay");
-  auto store = make_dir_cache_store(root.path);
+  const ArtifactCache store(root.path);
   const std::string bytes(4096, 'y');
-  ASSERT_TRUE(store->store("route", 2, fnv1a(bytes), bytes).ok());
+  ASSERT_TRUE(store.store("route", 2, fnv1a(bytes), bytes).ok());
   // Cut the payload in half: the header's payload_size no longer matches
   // the file, so the load must fail from the size check alone.
-  ASSERT_EQ(::truncate(store->entry_path("route", 2).c_str(), 64 + 2048), 0);
-  auto load = store->load("route", 2);
+  ASSERT_EQ(::truncate(store.entry_path("route", 2).c_str(), 64 + 2048), 0);
+  auto load = store.load("route", 2);
   ASSERT_FALSE(load.ok());
   EXPECT_EQ(load.status().code(), support::StatusCode::kCorruptArtifact);
   EXPECT_NE(load.status().message().find("truncated"), std::string::npos);
@@ -84,98 +74,31 @@ TEST(DirCacheStore, TruncatedPayloadFailsBeforeDigest) {
 
 TEST(DirCacheStore, PayloadBitFlipFailsTheDigest) {
   TempRoot root("flip");
-  auto store = make_dir_cache_store(root.path);
+  const ArtifactCache store(root.path);
   const std::string bytes(512, 'z');
-  ASSERT_TRUE(store->store("pack", 3, fnv1a(bytes), bytes).ok());
-  const std::string path = store->entry_path("pack", 3);
+  ASSERT_TRUE(store.store("pack", 3, fnv1a(bytes), bytes).ok());
+  const std::string path = store.entry_path("pack", 3);
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   f.seekp(64 + 100);
   f.put('Z');
   f.close();
-  auto load = store->load("pack", 3);
+  auto load = store.load("pack", 3);
   ASSERT_FALSE(load.ok());
   EXPECT_EQ(load.status().code(), support::StatusCode::kCorruptArtifact);
 }
 
 TEST(DirCacheStore, LegacyStreamEntryIsAMissNotAParse) {
   TempRoot root("legacy");
-  auto store = make_dir_cache_store(root.path);
-  // Plant a pre-mmap FDBGART1 entry where the new backend would look.
-  const std::string path = store->entry_path("instrument", 4);
+  const ArtifactCache store(root.path);
+  // Plant a pre-mmap FDBGART1 entry where a load looks.
+  const std::string path = store.entry_path("instrument", 4);
   fs::create_directories(fs::path(path).parent_path());
   std::ofstream out(path, std::ios::binary);
   out << "FDBGART1" << std::string(64, '\0') << "old stream payload";
   out.close();
-  auto load = store->load("instrument", 4);
+  auto load = store.load("instrument", 4);
   ASSERT_TRUE(load.ok()) << load.status().to_string();
   EXPECT_FALSE(load.value().has_value());  // rebuilt, never misparsed
-}
-
-// --- CAS backend ------------------------------------------------------------
-
-TEST(CasCacheStore, StoreThenLoadRoundTripsViaMmap) {
-  TempRoot root("cas_rt");
-  auto store = make_cas_cache_store(root.path);
-  const std::string bytes = "content addressed payload";
-  ASSERT_TRUE(store->store("place", 7, fnv1a(bytes), bytes).ok());
-  auto load = store->load("place", 7);
-  ASSERT_TRUE(load.ok()) << load.status().to_string();
-  ASSERT_TRUE(load.value().has_value());
-  EXPECT_EQ(load.value()->payload, bytes);
-  EXPECT_EQ(load.value()->content_hash, fnv1a(bytes));
-  EXPECT_TRUE(load.value()->mapped);
-  EXPECT_FALSE(store->load("place", 8).value().has_value());
-}
-
-TEST(CasCacheStore, IdenticalPayloadsDeduplicate) {
-  TempRoot root("cas_dedup");
-  auto store = make_cas_cache_store(root.path);
-  const std::string bytes(1000, 'd');
-  // Four (stage, key) pairs, one payload: one object, four index files.
-  ASSERT_TRUE(store->store("place", 1, fnv1a(bytes), bytes).ok());
-  ASSERT_TRUE(store->store("place", 2, fnv1a(bytes), bytes).ok());
-  ASSERT_TRUE(store->store("route", 1, fnv1a(bytes), bytes).ok());
-  ASSERT_TRUE(store->store("route", 2, fnv1a(bytes), bytes).ok());
-  EXPECT_EQ(count_files(root.path + "/cas"), 1u);
-  EXPECT_EQ(count_files(root.path + "/index"), 4u);
-  auto entries = store->entries();
-  ASSERT_TRUE(entries.ok());
-  ASSERT_EQ(entries.value().size(), 1u);
-  EXPECT_EQ(entries.value()[0].bytes, bytes.size());
-  EXPECT_EQ(entries.value()[0].index_paths.size(), 4u);
-}
-
-TEST(CasCacheStore, DanglingIndexIsAMiss) {
-  TempRoot root("cas_dangle");
-  auto store = make_cas_cache_store(root.path);
-  const std::string bytes = "swept payload";
-  ASSERT_TRUE(store->store("route", 9, fnv1a(bytes), bytes).ok());
-  // Simulate a GC that removed the object but (crash) not the index.
-  ASSERT_EQ(count_files(root.path + "/cas"), 1u);
-  for (const auto& e : fs::directory_iterator(root.path + "/cas")) {
-    fs::remove(e.path());
-  }
-  auto load = store->load("route", 9);
-  ASSERT_TRUE(load.ok()) << load.status().to_string();
-  EXPECT_FALSE(load.value().has_value());
-  // A follow-up store + load works again (rebuild-and-republish path).
-  ASSERT_TRUE(store->store("route", 9, fnv1a(bytes), bytes).ok());
-  EXPECT_TRUE(store->load("route", 9).value().has_value());
-}
-
-TEST(CasCacheStore, TruncatedObjectFailsFast) {
-  TempRoot root("cas_trunc");
-  auto store = make_cas_cache_store(root.path);
-  const std::string bytes(2048, 'q');
-  ASSERT_TRUE(store->store("pconf-build", 5, fnv1a(bytes), bytes).ok());
-  const std::string object =
-      root.path + "/cas/" +
-      fs::directory_iterator(root.path + "/cas")->path().filename().string();
-  ASSERT_EQ(::truncate(object.c_str(), 100), 0);
-  auto load = store->load("pconf-build", 5);
-  ASSERT_FALSE(load.ok());
-  EXPECT_EQ(load.status().code(), support::StatusCode::kCorruptArtifact);
-  EXPECT_NE(load.status().message().find("truncated"), std::string::npos);
 }
 
 // --- GC ---------------------------------------------------------------------
@@ -208,89 +131,60 @@ TEST(GcSweep, EvictsLeastRecentlyUsedFirst) {
 
 TEST(DirCacheStore, GcEvictsInAtimeOrder) {
   TempRoot root("dir_gc");
-  auto store = make_dir_cache_store(root.path);
+  const ArtifactCache store(root.path);
   const std::string bytes(100, 'g');
   for (std::uint64_t key = 0; key < 4; ++key) {
-    ASSERT_TRUE(store->store("place", key, fnv1a(bytes), bytes).ok());
+    ASSERT_TRUE(store.store("place", key, fnv1a(bytes), bytes).ok());
   }
   // Pin atimes so key 2 is the coldest and key 1 the hottest.
   const std::uint64_t by_age[] = {2, 0, 3, 1};  // oldest -> newest
   for (int i = 0; i < 4; ++i) {
-    set_atime(store->entry_path("place", by_age[i]), 1000 + i);
+    set_atime(store.entry_path("place", by_age[i]), 1000 + i);
   }
-  auto stats = store->gc((64 + 100) * 2);  // keep two entries
+  auto stats = store.gc((64 + 100) * 2);  // keep two entries
   ASSERT_TRUE(stats.ok()) << stats.status().to_string();
   EXPECT_EQ(stats.value().removed_entries, 2u);
-  EXPECT_FALSE(store->load("place", 2).value().has_value());  // evicted
-  EXPECT_FALSE(store->load("place", 0).value().has_value());  // evicted
-  EXPECT_TRUE(store->load("place", 3).value().has_value());   // kept
-  EXPECT_TRUE(store->load("place", 1).value().has_value());   // kept
+  EXPECT_FALSE(store.load("place", 2).value().has_value());  // evicted
+  EXPECT_FALSE(store.load("place", 0).value().has_value());  // evicted
+  EXPECT_TRUE(store.load("place", 3).value().has_value());   // kept
+  EXPECT_TRUE(store.load("place", 1).value().has_value());   // kept
 }
 
-TEST(CasCacheStore, GcRemovesObjectsAndTheirIndexes) {
-  TempRoot root("cas_gc");
-  auto store = make_cas_cache_store(root.path);
-  const std::string cold(300, 'c');
-  const std::string hot(300, 'h');
-  ASSERT_TRUE(store->store("place", 1, fnv1a(cold), cold).ok());
-  ASSERT_TRUE(store->store("route", 1, fnv1a(cold), cold).ok());  // same object
-  ASSERT_TRUE(store->store("place", 2, fnv1a(hot), hot).ok());
-  auto entries = store->entries();
-  ASSERT_TRUE(entries.ok());
-  // Pin the cold object older than the hot one (the first payload byte
-  // identifies which object a content-named file holds).
-  for (const CacheEntryInfo& e : entries.value()) {
-    std::ifstream in(e.path, std::ios::binary);
-    std::string first(1, '\0');
-    in.read(first.data(), 1);
-    set_atime(e.path, first[0] == 'c' ? 1000 : 2000);
-  }
-  auto stats = store->gc(300);  // room for exactly one object
+TEST(DirCacheStore, GcSkipsInFlightTempFiles) {
+  TempRoot root("dir_gc_tmp");
+  const ArtifactCache store(root.path);
+  const std::string bytes(100, 't');
+  ASSERT_TRUE(store.store("route", 1, fnv1a(bytes), bytes).ok());
+  // Another process's store of the same entry, not yet renamed into place:
+  // deleting it would fail that store.
+  const std::string temp = store.entry_path("route", 1) + ".tmp.4242";
+  std::ofstream(temp) << std::string(500, 'p');
+  auto stats = store.gc(0);
   ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+  EXPECT_EQ(stats.value().scanned_entries, 1u);
+  EXPECT_EQ(stats.value().scanned_bytes, 64u + bytes.size());
   EXPECT_EQ(stats.value().removed_entries, 1u);
-  // The cold object and BOTH index files naming it are gone; the hot entry
-  // still loads.
-  EXPECT_FALSE(store->load("place", 1).value().has_value());
-  EXPECT_FALSE(store->load("route", 1).value().has_value());
-  EXPECT_FALSE(fs::exists(store->entry_path("place", 1)));
-  EXPECT_FALSE(fs::exists(store->entry_path("route", 1)));
-  EXPECT_TRUE(store->load("place", 2).value().has_value());
+  EXPECT_FALSE(fs::exists(store.entry_path("route", 1)));
+  EXPECT_TRUE(fs::exists(temp));
 }
 
-TEST(CacheStore, DescribeNamesTheBackend) {
-  TempRoot root("describe");
-  EXPECT_EQ(make_dir_cache_store(root.path)->describe(), "dir:" + root.path);
-  EXPECT_EQ(make_cas_cache_store(root.path)->describe(), "cas:" + root.path);
+// --- sharing ----------------------------------------------------------------
+
+TEST(MmapRegion, MissingFileIsNotFound) {
+  // An entry a concurrent gc() unlinked reads as not-found, which load()
+  // turns into a miss instead of an I/O error.
+  TempRoot root("mmap_missing");
+  auto mapped = support::MmapRegion::map_file(root.path + "/gone");
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), support::StatusCode::kNotFound);
 }
 
-// --- facade backend selection ----------------------------------------------
-
-TEST(ArtifactCache, ForOptionsSelectsBackend) {
-  TempRoot root("facade");
-  const ArtifactCache none = ArtifactCache::for_options("", "", "");
-  EXPECT_FALSE(none.enabled());
-
-  const ArtifactCache dir = ArtifactCache::for_options("", root.path, "");
-  ASSERT_TRUE(dir.enabled());
-  EXPECT_EQ(dir.backend()->describe(), "dir:" + root.path);
-
-  // A shared root implies the CAS backend even with no explicit backend.
-  const ArtifactCache shared = ArtifactCache::for_options("", "", root.path);
-  ASSERT_TRUE(shared.enabled());
-  EXPECT_EQ(shared.backend()->describe(), "cas:" + root.path);
-
-  // Explicit "cas" with only a cache_dir uses that directory as the root.
-  const ArtifactCache cas = ArtifactCache::for_options("cas", root.path, "");
-  ASSERT_TRUE(cas.enabled());
-  EXPECT_EQ(cas.backend()->describe(), "cas:" + root.path);
-}
-
-TEST(ArtifactCache, TwoHandlesShareOneCasRoot) {
+TEST(ArtifactCache, TwoHandlesShareOneDir) {
   TempRoot root("shared");
-  // Two independent facades over one root: what one stores the other loads
-  // (the in-process analogue of the two-process CLI smoke test).
-  const ArtifactCache a = ArtifactCache::for_options("cas", "", root.path);
-  const ArtifactCache b = ArtifactCache::for_options("cas", "", root.path);
+  // Two independent handles over one directory: what one stores the other
+  // loads (the in-process analogue of the two-process CLI smoke test).
+  const ArtifactCache a(root.path);
+  const ArtifactCache b(root.path);
   const std::string bytes = "published by a";
   ASSERT_TRUE(a.store("place", 11, fnv1a(bytes), bytes).ok());
   auto load = b.load("place", 11);

@@ -290,23 +290,6 @@ TEST(Pipeline, NonBlobPconfEntryIsAMiss) {
   expect_non_blob_entry_rebuilt(5, "nonblob_pconf", 11);
 }
 
-TEST(Pipeline, CasBackendWarmRunExecutesZeroStages) {
-  TempCacheDir root("cas_pipe");
-  auto options = small_options();
-  options.cache_shared = root.path;  // implies the cas backend
-  Pipeline pipeline(options);
-  auto cold = pipeline.run(small_user(10));
-  ASSERT_TRUE(cold.ok()) << cold.status().to_string();
-  EXPECT_EQ(cold.value().stages_executed, 6u);
-  ASSERT_TRUE(std::filesystem::exists(root.path + "/cas"));
-  auto warm = pipeline.run(small_user(10));
-  ASSERT_TRUE(warm.ok()) << warm.status().to_string();
-  EXPECT_EQ(warm.value().stages_executed, 0u);
-  EXPECT_EQ(warm.value().stages_from_cache, 6u);
-  EXPECT_EQ(warm.value().offline.compiled->placement.cluster_pos,
-            cold.value().offline.compiled->placement.cluster_pos);
-}
-
 TEST(ArtifactCache, DisabledCacheAlwaysMisses) {
   ArtifactCache cache;
   EXPECT_FALSE(cache.enabled());

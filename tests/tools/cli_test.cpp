@@ -192,17 +192,17 @@ TEST(Cli, CacheDirMakesRerunSkipStages) {
             std::string::npos);
 }
 
-TEST(Cli, SharedCasRootIsSharedAcrossProcesses) {
-  const std::string blif = write_profile_blif("cas_in.blif");
-  const std::string root = tmp_path("cas_root");
+TEST(Cli, CacheDirIsSharedAcrossProcesses) {
+  const std::string blif = write_profile_blif("shared_in.blif");
+  const std::string root = tmp_path("shared_cache");
   std::system(("rm -rf " + root).c_str());
-  // Two separate CLI processes against one CAS root: the first publishes,
-  // the second replays every stage from the shared store via mmap.
-  const auto first = run("flow " + blif + " --width 2 --cache-shared " + root);
+  // Two separate CLI processes against one cache directory: the first
+  // publishes, the second replays every stage from it via mmap.
+  const auto first = run("flow " + blif + " --width 2 --cache-dir " + root);
   ASSERT_EQ(first.exit_code, 0) << first.output;
   EXPECT_NE(first.output.find("6 stages executed, 0 from cache"),
             std::string::npos);
-  const auto second = run("flow " + blif + " --width 2 --cache-shared " + root);
+  const auto second = run("flow " + blif + " --width 2 --cache-dir " + root);
   ASSERT_EQ(second.exit_code, 0) << second.output;
   EXPECT_NE(second.output.find("0 stages executed, 6 from cache"),
             std::string::npos);
@@ -211,13 +211,11 @@ TEST(Cli, SharedCasRootIsSharedAcrossProcesses) {
   ASSERT_NE(pos, std::string::npos) << second.output;
   EXPECT_EQ(second.output.find("0 mmap hits"), std::string::npos)
       << second.output;
-  // CAS layout on disk: content-named objects + per-stage indexes.
-  EXPECT_TRUE(std::ifstream(root + "/.lock").good());
-  const auto gc_all = run("cache gc --max-bytes 0 --cache-shared " + root);
+  const auto gc_all = run("cache gc --max-bytes 0 --cache-dir " + root);
   ASSERT_EQ(gc_all.exit_code, 0) << gc_all.output;
-  EXPECT_NE(gc_all.output.find("cache gc (cas:"), std::string::npos);
+  EXPECT_NE(gc_all.output.find("kept 0 entries"), std::string::npos);
   // After the full sweep a third run is cold again.
-  const auto third = run("flow " + blif + " --width 2 --cache-shared " + root);
+  const auto third = run("flow " + blif + " --width 2 --cache-dir " + root);
   ASSERT_EQ(third.exit_code, 0) << third.output;
   EXPECT_NE(third.output.find("6 stages executed, 0 from cache"),
             std::string::npos);
@@ -231,13 +229,29 @@ TEST(Cli, CacheGcEnforcesByteBudget) {
             0);
   const auto gc = run("cache gc --max-bytes 1 --cache-dir " + cache);
   ASSERT_EQ(gc.exit_code, 0) << gc.output;
-  EXPECT_NE(gc.output.find("cache gc (dir:"), std::string::npos);
+  EXPECT_NE(gc.output.find("cache gc (" + cache + ")"), std::string::npos);
   EXPECT_NE(gc.output.find("kept 0 entries / 0 bytes"), std::string::npos);
-  // Missing cache location, missing budget and an unknown backend are
-  // usage errors.
+  // Missing cache location, missing budget and the removed backend flag
+  // are usage errors.
   EXPECT_EQ(run("cache gc --max-bytes 1").exit_code, 2);
   EXPECT_EQ(run("cache gc --cache-dir " + cache).exit_code, 2);
-  EXPECT_EQ(run("--cache-backend bogus gen list").exit_code, 2);
+  EXPECT_EQ(run("flow " + blif + " --cache-backend cas").exit_code, 2);
+}
+
+TEST(Cli, UnknownOptionIsUsageError) {
+  // An option the command does not read is rejected, not ignored: a script
+  // still passing a removed or misspelt flag must not run as if it were
+  // not there.
+  const std::string blif = write_profile_blif("unknown_opt.blif");
+  const auto removed = run("flow " + blif + " --cache-shared r");
+  EXPECT_EQ(removed.exit_code, 2);
+  EXPECT_NE(removed.output.find("unknown option '--cache-shared'"),
+            std::string::npos)
+      << removed.output;
+  const auto typo = run("flow " + blif + " --widht 2");
+  EXPECT_EQ(typo.exit_code, 2);
+  EXPECT_NE(typo.output.find("unknown option '--widht'"), std::string::npos)
+      << typo.output;
 }
 
 TEST(Cli, UnknownMapperRejected) {
