@@ -10,7 +10,6 @@
 #include "logic/sop.h"
 #include "logic/truth_table.h"
 #include "sim/compiled_simulator.h"
-#include "sim/parallel_simulator.h"
 #include "sim/simulator.h"
 #include "support/rng.h"
 
@@ -133,26 +132,8 @@ void BM_SimulatorStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorStep)->Arg(100)->Arg(1000);
 
-void BM_ParallelSimulatorStep(benchmark::State& state) {
-  genbench::CircuitSpec spec{"parstep", 12, 8, 8,
-                             static_cast<std::size_t>(state.range(0)), 5, 6,
-                             504};
-  const auto nl = genbench::generate(spec);
-  sim::ParallelSimulator simulator(nl);
-  Rng rng(8);
-  for (auto _ : state) {
-    for (auto in : nl.inputs()) simulator.set_input_word(in, rng.next_u64());
-    simulator.step();
-  }
-  // 64 vectors per step.
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0) * 64);
-}
-BENCHMARK(BM_ParallelSimulatorStep)->Arg(100)->Arg(1000);
-
-// Same circuit and stimulus cadence as BM_ParallelSimulatorStep, so the two
-// counters compare directly: the compiled engine replaces the interpreter's
-// per-node minterm scan with branch-free Shannon kernels over packed masks.
+// 64 stimulus vectors per step, each through the branch-free Shannon
+// kernels over packed masks.
 void BM_CompiledSimulatorStep(benchmark::State& state) {
   genbench::CircuitSpec spec{"parstep", 12, 8, 8,
                              static_cast<std::size_t>(state.range(0)), 5, 6,

@@ -162,7 +162,9 @@ void SessionJournal::write_event(std::ostream& os, const SessionEvent& e) {
 // ---------------------------------------------------------------------------
 
 SessionJournal::SessionJournal(std::size_t capacity)
-    : capacity_(capacity ? capacity : 1) {}
+    : capacity_(capacity ? capacity : 1) {
+  ring_.reserve(capacity_);
+}
 
 void SessionJournal::set_sink(std::ostream* sink) {
   sink_ = sink;
@@ -182,23 +184,26 @@ void SessionJournal::append(SessionEvent event) {
     write_event(*sink_, event);
     *sink_ << '\n';
   }
-  events_.push_back(std::move(event));
-  if (events_.size() > capacity_) {
-    events_.pop_front();
-    ++dropped_;
-    dropped_counter.add(1);
+  if (ring_.size() < capacity_) {
+    ring_.push_back(std::move(event));
+    return;
   }
+  ring_[head_] = std::move(event);  // overwrites the oldest
+  head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+  ++dropped_;
+  dropped_counter.add(1);
 }
 
 void SessionJournal::clear() {
-  events_.clear();
+  ring_.clear();
+  head_ = 0;
   total_ = 0;
   dropped_ = 0;
   next_seq_ = 0;
 }
 
 void SessionJournal::write_all(std::ostream& os) const {
-  for (const SessionEvent& e : events_) {
+  for (const SessionEvent& e : events()) {
     write_event(os, e);
     os << '\n';
   }
@@ -298,7 +303,7 @@ support::Result<SessionJournal> SessionJournal::load(std::istream& in) {
     // preserved and telemetry counters are not charged for re-ingestion.
     journal.next_seq_ = std::max(journal.next_seq_, e.seq + 1);
     ++journal.total_;
-    journal.events_.push_back(std::move(e));
+    journal.ring_.push_back(std::move(e));
   }
   return journal;
 }

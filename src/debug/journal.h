@@ -17,8 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <cstddef>
 #include <iosfwd>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,6 +52,11 @@ std::optional<SessionEventKind> parse_session_event_kind(
 /// unused fields stay value-initialized and are omitted from the JSONL form.
 struct SessionEvent {
   SessionEventKind kind = SessionEventKind::kSessionStart;
+  // The flags share the padding after `kind`: the ring holds up to 65,536
+  // events, so every byte of the record counts.
+  bool incremental = false;  ///< kScgEval / kTurnEnd: incremental SCG
+  bool full = false;         ///< kIcapWrite / kTurnEnd: full configuration
+                             ///< (frame_ids omitted)
   std::uint64_t seq = 0;    ///< monotonic per session (assigned on append)
   std::uint64_t turn = 0;   ///< owning turn index (turn-scoped events)
   std::uint64_t cycle = 0;  ///< session cycles emulated when emitted
@@ -65,12 +71,10 @@ struct SessionEvent {
   // kScgEval / kTurnEnd
   std::uint64_t bits_changed = 0;
   std::uint64_t bits_evaluated = 0;
-  bool incremental = false;
   double scg_eval_seconds = 0.0;
 
   // kIcapWrite / kTurnEnd
   std::uint64_t frames = 0;  ///< frames written by this reconfiguration
-  bool full = false;         ///< full configuration (frame_ids omitted)
   double reconfig_seconds = 0.0;
   std::vector<std::uint64_t> frame_ids;  ///< partial: frame addresses
 
@@ -92,9 +96,73 @@ struct SessionEvent {
 
 class SessionJournal {
  public:
+  /// The ringed events, oldest first.  A view: it and its iterators stay
+  /// valid until the journal changes.
+  class Events {
+   public:
+    class const_iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = SessionEvent;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const SessionEvent*;
+      using reference = const SessionEvent&;
+
+      const_iterator() = default;
+      const_iterator(const std::vector<SessionEvent>* ring, std::size_t head,
+                     std::size_t index)
+          : ring_(ring), head_(head), index_(index) {}
+      reference operator*() const { return at(*ring_, head_, index_); }
+      pointer operator->() const { return &at(*ring_, head_, index_); }
+      const_iterator& operator++() {
+        ++index_;
+        return *this;
+      }
+      const_iterator operator++(int) {
+        const_iterator old = *this;
+        ++index_;
+        return old;
+      }
+      bool operator==(const const_iterator& other) const {
+        return index_ == other.index_;
+      }
+      bool operator!=(const const_iterator& other) const {
+        return index_ != other.index_;
+      }
+
+     private:
+      const std::vector<SessionEvent>* ring_ = nullptr;
+      std::size_t head_ = 0;
+      std::size_t index_ = 0;
+    };
+
+    Events(const std::vector<SessionEvent>& ring, std::size_t head)
+        : ring_(&ring), head_(head) {}
+    std::size_t size() const { return ring_->size(); }
+    bool empty() const { return size() == 0; }
+    const SessionEvent& operator[](std::size_t i) const {
+      return at(*ring_, head_, i);
+    }
+    const SessionEvent& front() const { return (*this)[0]; }
+    const SessionEvent& back() const { return (*this)[size() - 1]; }
+    const_iterator begin() const { return {ring_, head_, 0}; }
+    const_iterator end() const { return {ring_, head_, size()}; }
+
+   private:
+    static const SessionEvent& at(const std::vector<SessionEvent>& ring,
+                                  std::size_t head, std::size_t i) {
+      const std::size_t j = head + i;
+      return ring[j < ring.size() ? j : j - ring.size()];
+    }
+
+    const std::vector<SessionEvent>* ring_;
+    std::size_t head_;
+  };
+
   /// `capacity` bounds the in-memory ring; once full the oldest events are
-  /// dropped (counted in dropped_events()).  The JSONL sink, once attached,
-  /// sees every event regardless of ring eviction.
+  /// dropped (counted in dropped_events()).  The ring's storage is reserved
+  /// up front and its pages are touched as events arrive.  The JSONL sink,
+  /// once attached, sees every event regardless of ring eviction.
   explicit SessionJournal(std::size_t capacity = 1u << 16);
 
   bool enabled() const { return enabled_; }
@@ -111,11 +179,11 @@ class SessionJournal {
 
   void append(SessionEvent event);
 
-  std::size_t size() const { return events_.size(); }
+  std::size_t size() const { return ring_.size(); }
   std::size_t capacity() const { return capacity_; }
   std::uint64_t total_events() const { return total_; }
   std::uint64_t dropped_events() const { return dropped_; }
-  const std::deque<SessionEvent>& events() const { return events_; }
+  Events events() const { return Events(ring_, head_); }
   void clear();
 
   /// One event as a single JSONL line (no trailing newline).
@@ -131,7 +199,11 @@ class SessionJournal {
  private:
   std::size_t capacity_;
   bool enabled_ = true;
-  std::deque<SessionEvent> events_;
+  /// Events in arrival order from head_ on, wrapping; head_ stays 0 until
+  /// the ring is full.  A vector, not a deque: a deque keeps this record
+  /// two to a node and costs 19 bytes more per event.
+  std::vector<SessionEvent> ring_;
+  std::size_t head_ = 0;
   std::uint64_t total_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -33,6 +33,24 @@ void CompiledSimulator::init() {
   }
   if (pool_ && pool_->size() <= 1) pool_ = nullptr;
   values_.assign(prog_.num_slots, 0);
+  // The broadcast loop's copy of the program (see BroadcastOp).
+  broadcast_ops_.resize(prog_.ops.size());
+  for (std::size_t i = 0; i < prog_.ops.size(); ++i) {
+    const SimOp& op = prog_.ops[i];
+    const std::uint32_t k = op.fanin_count;
+    const std::uint32_t* f = prog_.fanins.data() + op.fanin_begin;
+    BroadcastOp& w = broadcast_ops_[i];
+    w.mask = k == SimProgram::kMaxOpArity
+                 ? op.mask
+                 : op.mask & ((std::uint64_t{1} << (1u << k)) - 1);
+    for (std::uint32_t width = 1u << k; width < 64; width <<= 1) {
+      w.mask |= w.mask << width;
+    }
+    w.out = op.out;
+    for (std::uint32_t j = 0; j < SimProgram::kMaxOpArity; ++j) {
+      w.fanins[j] = j < k ? f[j] : (k != 0 ? f[0] : op.out);
+    }
+  }
   latch_words_.resize(prog_.latches.size());
   if (opts_.event_driven) dirty_.assign(prog_.num_slots, 0);
   op_has_fault_.assign(prog_.ops.size(), 0);
@@ -46,13 +64,18 @@ void CompiledSimulator::reset() {
     values_[prog_.latches[i].out_slot] = latch_words_[i];
   }
   full_eval_pending_ = true;
+  values_current_ = false;
 }
 
 void CompiledSimulator::set_source_word(std::uint32_t slot,
                                         std::uint64_t word) {
+  // No branch on whether the word changed: under random stimulus it would
+  // be a coin flip per input.
+  const bool changed = values_[slot] != word;
   if (word != 0 && word != ~0ULL) uniform_ = false;
-  if (opts_.event_driven && values_[slot] != word) dirty_[slot] = 1;
+  if (opts_.event_driven) dirty_[slot] |= changed;
   values_[slot] = word;
+  values_current_ = values_current_ & !changed;
 }
 
 void CompiledSimulator::set_input(std::uint32_t id, bool value) {
@@ -99,7 +122,6 @@ void CompiledSimulator::run_ops(std::size_t begin, std::size_t end,
   const std::uint32_t* arena = prog_.fanins.data();
   std::uint64_t* vals = values_.data();
   const bool event = opts_.event_driven;
-  const bool uniform = uniform_;
   std::uint8_t* dirty = event ? dirty_.data() : nullptr;
   const std::uint8_t* op_fault = op_has_fault_.data();
   const bool have_faults = !faults_by_op_.empty();
@@ -118,21 +140,9 @@ void CompiledSimulator::run_ops(std::size_t begin, std::size_t end,
         continue;
       }
     }
-    std::uint64_t r;
-    if (uniform) {
-      // Broadcast fast path: every lane agrees, so one mask lookup via the
-      // fanin bit pattern replaces the full Shannon walk (the scalar
-      // debug-session workload never leaves this path).
-      std::uint32_t idx = 0;
-      for (std::uint32_t j = 0; j < k; ++j) {
-        idx |= static_cast<std::uint32_t>(vals[f[j]] & 1) << j;
-      }
-      r = broadcast((op.mask >> idx) & 1);
-    } else {
-      std::uint64_t w[SimProgram::kMaxOpArity];
-      for (std::uint32_t j = 0; j < k; ++j) w[j] = vals[f[j]];
-      r = eval_op_word(op.mask, k, w);
-    }
+    std::uint64_t w[SimProgram::kMaxOpArity];
+    for (std::uint32_t j = 0; j < k; ++j) w[j] = vals[f[j]];
+    std::uint64_t r = eval_op_word(op.mask, k, w);
     if (faulted) {
       for (const Fault& fl : faults_by_op_.find(static_cast<std::uint32_t>(i))
                                  ->second) {
@@ -154,8 +164,27 @@ void CompiledSimulator::run_ops(std::size_t begin, std::size_t end,
   }
 }
 
+void CompiledSimulator::run_broadcast_ops(std::size_t begin,
+                                          std::size_t end) {
+  // Every lane agrees, so an op's result is one mask bit, indexed by lane 0
+  // of its fanins.  With every op widened to six fanins, no branch depends
+  // on the op.  A switch on the arity made the sweep's speed hinge on how
+  // much of the program's arity sequence the branch predictor held, and it
+  // swung by up to 1.3 times from one run to the next.
+  const BroadcastOp* ops = broadcast_ops_.data();
+  std::uint64_t* vals = values_.data();
+  for (std::size_t i = begin; i < end; ++i) {
+    const BroadcastOp& op = ops[i];
+    const std::uint32_t* f = op.fanins;
+    const std::uint64_t idx =
+        (vals[f[0]] & 1) | (vals[f[1]] & 1) << 1 | (vals[f[2]] & 1) << 2 |
+        (vals[f[3]] & 1) << 3 | (vals[f[4]] & 1) << 4 | (vals[f[5]] & 1) << 5;
+    vals[op.out] = broadcast((op.mask >> idx) & 1);
+  }
+}
+
 void CompiledSimulator::sweep_level(std::size_t begin, std::size_t end,
-                                    bool full) {
+                                    bool full, bool broadcast_only) {
   telemetry::TraceScope span("sim.level_sweep", "sim");
   const std::size_t width = end - begin;
   if (pool_ != nullptr && width >= opts_.parallel_min_level_width) {
@@ -171,10 +200,11 @@ void CompiledSimulator::sweep_level(std::size_t begin, std::size_t end,
       // "sim" category keeps it off the hot path outside full tracing.
       telemetry::TraceScope chunk_span("sim.level_chunk", "sim");
       const std::size_t b = begin + c * chunk;
-      run_ops(b, std::min(end, b + chunk), full);
+      const std::size_t e = std::min(end, b + chunk);
+      broadcast_only ? run_broadcast_ops(b, e) : run_ops(b, e, full);
     });
   } else {
-    run_ops(begin, end, full);
+    broadcast_only ? run_broadcast_ops(begin, end) : run_ops(begin, end, full);
   }
 }
 
@@ -187,8 +217,12 @@ void CompiledSimulator::eval() {
   for (std::size_t i = 0; i < prog_.latches.size(); ++i) {
     set_source_word(prog_.latches[i].out_slot, latch_words_[i]);
   }
+  // Chosen once per sweep: the scalar debug-session DUT always takes the
+  // broadcast loop; word, event-driven and faulted sweeps take run_ops.
+  const bool broadcast_only = uniform_ && !event && faults_by_op_.empty();
   for (std::size_t l = 0; l + 1 < prog_.level_begin.size(); ++l) {
-    sweep_level(prog_.level_begin[l], prog_.level_begin[l + 1], full);
+    sweep_level(prog_.level_begin[l], prog_.level_begin[l + 1], full,
+                broadcast_only);
   }
   if (event) {
     for (std::uint32_t id : prog_.inputs) dirty_[id] = 0;
@@ -196,14 +230,16 @@ void CompiledSimulator::eval() {
     for (const SimLatch& latch : prog_.latches) dirty_[latch.out_slot] = 0;
   }
   full_eval_pending_ = false;
+  values_current_ = true;
 }
 
 void CompiledSimulator::step() {
-  eval();
+  if (!values_current_) eval();
   for (std::size_t i = 0; i < prog_.latches.size(); ++i) {
     latch_words_[i] = values_[prog_.latches[i].in_slot];
   }
   ++cycle_;
+  values_current_ = false;
 }
 
 bool CompiledSimulator::output(std::size_t index) const {
@@ -233,6 +269,7 @@ void CompiledSimulator::inject_fault(const Fault& fault) {
     op_has_fault_[op] = 1;
   }
   full_eval_pending_ = true;
+  values_current_ = false;
 }
 
 void CompiledSimulator::clear_faults() {
@@ -240,6 +277,7 @@ void CompiledSimulator::clear_faults() {
   faults_by_op_.clear();
   std::fill(op_has_fault_.begin(), op_has_fault_.end(), 0);
   full_eval_pending_ = true;
+  values_current_ = false;
 }
 
 void CompiledSimulator::restore(const Snapshot& snapshot) {
@@ -257,6 +295,7 @@ void CompiledSimulator::restore(const Snapshot& snapshot) {
     values_[prog_.latches[i].out_slot] = w;
   }
   full_eval_pending_ = true;
+  values_current_ = false;
 }
 
 }  // namespace fpgadbg::sim

@@ -6,8 +6,13 @@
 // same engine serves both stimulus styles:
 //   * scalar mode — the NetlistSimulator-compatible bool API broadcasts each
 //     value across all 64 lanes, so value(id) is just lane 0;
-//   * word mode — the ParallelSimulator-compatible API drives 64 independent
+//   * word mode — set_input_word()/set_param_word() drive 64 independent
 //     stimulus streams per step, one bit lane each.
+// While every source is a broadcast word, no fault is installed and the
+// event-driven mode is off, a sweep runs a dedicated loop that looks each
+// op's result up in its mask instead of walking the Shannon kernel.  That
+// loop reads a copy of the program whose ops are all widened to six fanins,
+// so no branch in it depends on the op.
 // An optional event-driven mode skips every op whose fanins did not change
 // since the previous eval (dirty flags propagated level by level), and wide
 // levels are swept with ThreadPool::parallel_for when a pool with more than
@@ -64,9 +69,13 @@ class CompiledSimulator {
   void set_input_word(std::uint32_t id, std::uint64_t word);
   void set_param_word(std::uint32_t id, std::uint64_t word);
 
-  /// Propagate combinationally (does not advance latches).
+  /// Propagate combinationally (does not advance latches).  Always sweeps.
   void eval();
-  /// eval() then clock all latches.
+  /// Clock all latches with the values of the current sources.  Sweeps
+  /// first only when the values are stale: eval() makes them current, and
+  /// they go stale on a set_input*/set_param* that changes a word, on
+  /// reset(), restore(), inject_fault(), clear_faults(), and on every clock.
+  /// So eval(); step() costs one sweep, exactly as step() alone does.
   void step();
 
   bool value(std::uint32_t id) const { return values_[id] & 1; }
@@ -106,9 +115,23 @@ class CompiledSimulator {
   void init();
   void set_source_word(std::uint32_t slot, std::uint64_t word);
   void run_ops(std::size_t begin, std::size_t end, bool full);
-  void sweep_level(std::size_t begin, std::size_t end, bool full);
+  void run_broadcast_ops(std::size_t begin, std::size_t end);
+  void sweep_level(std::size_t begin, std::size_t end, bool full,
+                   bool broadcast_only);
+
+  /// An op widened to kMaxOpArity fanins for the broadcast loop.  The
+  /// fanins it lacks repeat its first one (a constant op, with none, reads
+  /// its own output slot), and its mask repeats the op's 2^k-bit table
+  /// across all 64 bits, so the extra index bits always pick a copy of the
+  /// same entry.
+  struct BroadcastOp {
+    std::uint64_t mask = 0;
+    std::uint32_t out = 0;
+    std::uint32_t fanins[SimProgram::kMaxOpArity] = {};
+  };
 
   SimProgram prog_;
+  std::vector<BroadcastOp> broadcast_ops_;  ///< parallel to prog_.ops
   CompiledSimOptions opts_;
   std::unique_ptr<ThreadPool> own_pool_;
   ThreadPool* pool_ = nullptr;  ///< null when sweeps are always serial
@@ -119,10 +142,13 @@ class CompiledSimulator {
   std::unordered_map<std::uint32_t, std::vector<Fault>> faults_by_op_;
   std::vector<Fault> faults_;
   /// True while every source word ever driven has been a broadcast (all-0 or
-  /// all-1): the sweep then takes a per-op indexed-lookup fast path instead
-  /// of the Shannon walk.  Sticky false once any word stimulus mixes lanes.
+  /// all-1): a sweep with no fault and event-driven mode off then runs
+  /// run_broadcast_ops instead of the Shannon walk.  Sticky false once any
+  /// word stimulus mixes lanes.
   bool uniform_ = true;
   bool full_eval_pending_ = true;
+  /// values_ were computed from the current sources, latches and faults.
+  bool values_current_ = false;
   std::uint64_t cycle_ = 0;
 };
 

@@ -37,6 +37,10 @@ class MappedSimulator {
   void set_params(const std::vector<bool>& values);
 
   void eval();
+  /// eval() then clock the latches.  The compiled backend skips that sweep
+  /// when the values are still current from an eval() (see
+  /// CompiledSimulator::step()); the interpreter, a reference engine,
+  /// always sweeps.
   void step();
 
   bool value(map::CellId id) const {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "debug/flow.h"
 #include "debug/session.h"
 #include "genbench/genbench.h"
+#include "sim/compiled_simulator.h"
 #include "sim/equivalence.h"
 #include "sim/simulator.h"
 #include "support/rng.h"
@@ -66,40 +70,61 @@ TEST(Session, ObserveRetargetsLanes) {
 }
 
 TEST(Session, TraceMatchesGoldenSimulation) {
-  const Netlist user = small_user(5);
+  // Turn after turn, observe a new signal set without resetting the DUT and
+  // run it on; a golden NetlistSimulator of the ORIGINAL user circuit must
+  // agree with every captured sample, on both emulation backends.
+  genbench::CircuitSpec spec{"golden", 10, 8, 6, 90, 4, 6, 55};
+  const Netlist user = genbench::generate(spec);
   const auto offline = run_offline(user, small_options());
-  DebugSession session(offline);
-
-  // Choose 3 signals and watch them for 64 cycles; a golden NetlistSimulator
-  // of the ORIGINAL user circuit must agree with every captured sample.
-  std::vector<std::string> want;
-  for (netlist::NodeId id : user.topo_order()) {
-    want.push_back(user.name(id));
-    if (want.size() == 3) break;
+  // The design keeps the session DUT's widest ops covered.
+  const sim::CompiledSimulator lowered(offline.mapping.netlist);
+  std::set<std::uint32_t> arities;
+  for (const sim::SimOp& op : lowered.program().ops) {
+    arities.insert(op.fanin_count);
   }
-  const auto report = session.observe(want);
-  session.reset();
+  ASSERT_TRUE(arities.count(5) && arities.count(6))
+      << "the lowered DUT lost its 5- and 6-fanin ops";
 
-  sim::NetlistSimulator golden(user);
-  Rng rng(55);
-  for (int cycle = 0; cycle < 64; ++cycle) {
-    std::vector<bool> inputs;
-    for (std::size_t i = 0; i < user.inputs().size(); ++i) {
-      inputs.push_back(rng.next_bool());
+  constexpr int kTurns = 8;
+  constexpr int kCyclesPerTurn = 24;
+  const auto& lanes = offline.instrumented.lane_signals;
+  for (sim::SimBackend backend :
+       {sim::SimBackend::kCompiled, sim::SimBackend::kInterpreted}) {
+    SCOPED_TRACE(sim::to_string(backend));
+    DebugSession session(offline, {}, 1024, backend);
+    sim::NetlistSimulator golden(user);
+    Rng rng(55);
+    for (int turn = 0; turn < kTurns; ++turn) {
+      // Window `turn`: the turn-th candidate of every lane.
+      std::vector<std::string> want;
+      for (const auto& lane : lanes) {
+        const std::string& s = lane[static_cast<std::size_t>(turn) % lane.size()];
+        if (std::find(want.begin(), want.end(), s) == want.end()) {
+          want.push_back(s);
+        }
+      }
+      const auto report = session.observe(want);
+      for (int cycle = 0; cycle < kCyclesPerTurn; ++cycle) {
+        std::vector<bool> inputs;
+        for (std::size_t i = 0; i < user.inputs().size(); ++i) {
+          inputs.push_back(rng.next_bool());
+        }
+        golden.set_inputs(inputs);
+        golden.eval();
+        const BitVec& sample = session.step(inputs);
+        for (std::size_t lane = 0; lane < session.num_lanes(); ++lane) {
+          const auto id = user.find(report.observed[lane]);
+          ASSERT_TRUE(id.has_value());
+          ASSERT_EQ(sample.get(lane), golden.value(*id))
+              << "turn " << turn << " cycle " << cycle << " lane " << lane
+              << " signal " << report.observed[lane];
+        }
+        golden.step();
+      }
     }
-    golden.set_inputs(inputs);
-    golden.eval();
-    const BitVec& sample = session.step(inputs);
-    for (std::size_t lane = 0; lane < session.num_lanes(); ++lane) {
-      const auto id = user.find(report.observed[lane]);
-      ASSERT_TRUE(id.has_value());
-      EXPECT_EQ(sample.get(lane), golden.value(*id))
-          << "cycle " << cycle << " lane " << lane << " signal "
-          << report.observed[lane];
-    }
-    golden.step();
+    EXPECT_EQ(session.trace().samples_stored(),
+              static_cast<std::size_t>(kTurns * kCyclesPerTurn));
   }
-  EXPECT_EQ(session.trace().samples_stored(), 64u);
 }
 
 TEST(Session, ReobservationWithoutRecompile) {

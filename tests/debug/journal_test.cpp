@@ -115,6 +115,26 @@ TEST(Journal, RingDropsOldestBeyondCapacity) {
   EXPECT_EQ(j.dropped_events(), 3u);
   EXPECT_EQ(j.events().front().count, 3u);  // 0..2 evicted
   EXPECT_EQ(j.events().back().seq, 6u);
+  // The ring has wrapped; iteration and indexing still run oldest first.
+  std::uint64_t expect = 3;
+  for (const SessionEvent& e : j.events()) EXPECT_EQ(e.count, expect++);
+  EXPECT_EQ(expect, 7u);
+  for (std::size_t i = 0; i < j.events().size(); ++i) {
+    EXPECT_EQ(j.events()[i].count, 3 + i);
+  }
+  std::ostringstream jsonl;
+  j.write_all(jsonl);
+  EXPECT_EQ(jsonl.str().find("\"count\":3"), jsonl.str().find("\"count\""));
+  j.clear();
+  EXPECT_EQ(j.size(), 0u);
+  for (int i = 0; i < 5; ++i) {
+    SessionEvent e;
+    e.kind = SessionEventKind::kCycleBatch;
+    e.count = static_cast<std::uint64_t>(10 + i);
+    j.append(std::move(e));
+  }
+  EXPECT_EQ(j.events().front().count, 11u);
+  EXPECT_EQ(j.events().back().count, 14u);
 }
 
 TEST(Journal, SinkAttachedLateCatchesUpAndStreams) {

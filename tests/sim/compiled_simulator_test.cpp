@@ -1,20 +1,23 @@
-// Randomized differential tests pinning the compiled engine to the two
-// reference simulators: for every random netlist, stimulus stream, latch
-// init and injected fault, CompiledSimulator must agree bit-for-bit with
-// NetlistSimulator (scalar oracle) and ParallelSimulator (word oracle),
-// in both full-sweep and event-driven mode.
+// Randomized differential tests pinning the compiled engine to the
+// NetlistSimulator oracle: for every random netlist, stimulus stream, latch
+// init and injected fault, CompiledSimulator must agree bit-for-bit with it
+// (one oracle per lane in word mode), in both full-sweep and event-driven
+// mode.
 #include "sim/compiled_simulator.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <set>
 
 #include "genbench/genbench.h"
 #include "map/mappers.h"
 #include "sim/equivalence.h"
 #include "sim/mapped_simulator.h"
-#include "sim/parallel_simulator.h"
 #include "sim/simulator.h"
 #include "support/error.h"
 #include "support/rng.h"
+#include "support/telemetry.h"
 
 namespace fpgadbg::sim {
 namespace {
@@ -105,31 +108,87 @@ TEST(CompiledSimulator, EventDrivenSkipsStableCones) {
 }
 
 TEST(CompiledSimulator, WordModeMatchesParallelSimulator) {
+  // Every lane is checked against a NetlistSimulator fed that lane's stream.
+  // The name is kept so the test's id stays stable.  A parameter gate joins
+  // each design, so parameter words are checked lane by lane as well.
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     genbench::CircuitSpec spec{"word", 10, 8, 6, 120, 6, 5, seed * 211};
-    const Netlist nl = genbench::generate(spec);
-    ParallelSimulator par(nl);
+    Netlist nl = genbench::generate(spec);
+    const NodeId param = nl.add_param("p");
+    nl.add_output(
+        nl.add_logic("pf", {nl.inputs().front(), param}, logic::tt_xor(2)),
+        "po");
     CompiledSimulator comp(nl);
+    std::vector<NetlistSimulator> lanes;
+    lanes.reserve(CompiledSimulator::kLanes);
+    for (std::size_t l = 0; l < CompiledSimulator::kLanes; ++l) {
+      lanes.emplace_back(nl);
+    }
     Rng rng(seed);
     for (int cycle = 0; cycle < 25; ++cycle) {
       for (NodeId p : nl.params()) {
         const std::uint64_t w = rng.next_u64();
-        par.set_param_word(p, w);
         comp.set_param_word(p, w);
+        for (std::size_t l = 0; l < lanes.size(); ++l) {
+          lanes[l].set_param(p, (w >> l) & 1);
+        }
       }
       for (NodeId in : nl.inputs()) {
         const std::uint64_t w = rng.next_u64();
-        par.set_input_word(in, w);
         comp.set_input_word(in, w);
+        for (std::size_t l = 0; l < lanes.size(); ++l) {
+          lanes[l].set_input(in, (w >> l) & 1);
+        }
       }
-      par.eval();
       comp.eval();
-      for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-        ASSERT_EQ(comp.output_word(o), par.output_word(o))
-            << "cycle " << cycle << " output " << o;
+      for (std::size_t l = 0; l < lanes.size(); ++l) {
+        lanes[l].eval();
+        for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
+          ASSERT_EQ(comp.value(nl.outputs()[o], l), lanes[l].output(o))
+              << "cycle " << cycle << " lane " << l << " output " << o;
+        }
+        lanes[l].step();
       }
-      par.step();
       comp.step();
+    }
+    EXPECT_THROW(comp.set_param_word(nl.inputs().front(), 0), Error);
+    EXPECT_THROW(comp.set_input_word(param, 0), Error);
+  }
+}
+
+TEST(CompiledSimulator, BroadcastLoopMatchesOracleAtEveryArity) {
+  // The broadcast loop widens every op to six fanins; one random function
+  // per arity 0..6, all over the same inputs, checked at every input
+  // combination, pins the padding and the replicated masks.
+  Rng rng(41);
+  Netlist nl;
+  std::vector<NodeId> ins;
+  for (int i = 0; i < 6; ++i) {
+    ins.push_back(nl.add_input("i" + std::to_string(i)));
+  }
+  for (int arity = 0; arity <= 6; ++arity) {
+    const std::vector<NodeId> fanins(ins.begin(), ins.begin() + arity);
+    const NodeId x = nl.add_logic(
+        "f" + std::to_string(arity), fanins,
+        logic::TruthTable::from_bits(rng.next_u64(), arity));
+    nl.add_output(x, "o" + std::to_string(arity));
+  }
+  CompiledSimulator comp(nl);
+  std::set<std::uint32_t> arities;
+  for (const SimOp& op : comp.program().ops) arities.insert(op.fanin_count);
+  EXPECT_EQ(arities, (std::set<std::uint32_t>{0, 1, 2, 3, 4, 5, 6}));
+  NetlistSimulator ref(nl);
+  for (std::uint32_t combo = 0; combo < 64; ++combo) {
+    for (int i = 0; i < 6; ++i) {
+      comp.set_input(ins[i], (combo >> i) & 1);
+      ref.set_input(ins[i], (combo >> i) & 1);
+    }
+    comp.eval();
+    ref.eval();
+    for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
+      ASSERT_EQ(comp.output(o), ref.output(o))
+          << "inputs " << combo << " arity " << o;
+      ASSERT_EQ(comp.output_word(o), comp.output(o) ? ~0ULL : 0ULL);
     }
   }
 }
@@ -155,7 +214,8 @@ TEST(CompiledSimulator, WideFaninLowersToCascade) {
 
 TEST(CompiledSimulator, LatchInitValues) {
   // init 0 => 0, init 1 => 1, init 2/3 (don't care / unknown) reset to 0,
-  // matching NetlistSimulator::reset().
+  // matching NetlistSimulator::reset().  A toggling latch and two constant
+  // nodes ride along: every lane must agree through a clock and a reset.
   Netlist nl;
   std::vector<NodeId> qs;
   for (int init = 0; init < 4; ++init) {
@@ -165,14 +225,32 @@ TEST(CompiledSimulator, LatchInitValues) {
     nl.add_output(q, "o" + std::to_string(init));
   }
   for (int i = 0; i < 4; ++i) nl.set_latch_input(i, qs[i]);  // hold
+  const NodeId t = nl.add_latch("t", kNullNode, 1);
+  nl.set_latch_input(4, nl.add_logic("nt", {t}, ~logic::TruthTable::var(1, 0)));
+  nl.add_output(t, "ot");
+  nl.add_output(nl.add_logic("k1", {}, logic::TruthTable::one(0)), "o1");
+  nl.add_output(nl.add_logic("k0", {}, logic::TruthTable::zero(0)), "o0");
   NetlistSimulator ref(nl);
   CompiledSimulator comp(nl);
-  ref.eval();
-  comp.eval();
-  for (std::size_t o = 0; o < 4; ++o) {
-    EXPECT_EQ(comp.output(o), ref.output(o)) << "init " << o;
-    EXPECT_EQ(comp.output_word(o), comp.output(o) ? ~0ULL : 0ULL);
-  }
+  auto expect_agree = [&](bool toggle, const char* when) {
+    ref.eval();
+    comp.eval();
+    for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
+      EXPECT_EQ(comp.output(o), ref.output(o)) << when << " output " << o;
+      EXPECT_EQ(comp.output_word(o), comp.output(o) ? ~0ULL : 0ULL)
+          << when << " output " << o;
+    }
+    EXPECT_EQ(comp.output(4), toggle) << when;
+    EXPECT_TRUE(comp.output(5)) << when;
+    EXPECT_FALSE(comp.output(6)) << when;
+  };
+  expect_agree(true, "at reset");
+  ref.step();
+  comp.step();
+  expect_agree(false, "after one clock");
+  ref.reset();
+  comp.reset();
+  expect_agree(true, "after reset");
 }
 
 TEST(CompiledSimulator, FaultDifferential) {
@@ -374,6 +452,151 @@ TEST(CompiledSimulator, RejectsOutOfRangeFault) {
   EXPECT_THROW(comp.inject_fault({static_cast<NodeId>(1000),
                                   FaultType::kInvert, 0}),
                Error);
+  // Stimulus for node ids past the design fails the same way instead of
+  // indexing off the end of the value arrays.
+  EXPECT_THROW(comp.set_input_word(static_cast<NodeId>(1000), 0), Error);
+  EXPECT_THROW(comp.set_param_word(static_cast<NodeId>(1000), 0), Error);
+}
+
+TEST(CompiledSimulator, StepAfterEvalSweepsOnce) {
+  // step() clocks what eval() computed: a cycle of eval(); step() costs one
+  // sweep, and a step() with no eval() before it still sweeps once.
+  genbench::CircuitSpec spec{"once", 10, 8, 6, 120, 6, 5, 1001};
+  const Netlist nl = genbench::generate(spec);
+  CompiledSimulator comp(nl);
+  const telemetry::Counter& evals = telemetry::metrics().counter("sim.evals");
+  Rng rng(5);
+  std::vector<bool> inputs(nl.inputs().size());
+  const std::uint64_t before = evals.value();
+  for (int cycle = 0; cycle < 32; ++cycle) {
+    for (std::size_t i = 0; i < inputs.size(); ++i) inputs[i] = rng.next_bool();
+    comp.set_inputs(inputs);
+    comp.eval();
+    comp.step();
+  }
+  EXPECT_EQ(evals.value() - before, 32u);
+  comp.step();
+  EXPECT_EQ(evals.value() - before, 33u);
+}
+
+/// o = q' = a ^ p ^ q: every mutation below changes the latch's next state.
+Netlist toggle_design() {
+  Netlist nl;
+  const NodeId a = nl.add_input("a");
+  const NodeId p = nl.add_param("p");
+  const NodeId q = nl.add_latch("q", kNullNode, 0);
+  const NodeId ap = nl.add_logic("ap", {a, p}, logic::tt_xor(2));
+  const NodeId x = nl.add_logic("x", {ap, q}, logic::tt_xor(2));
+  nl.set_latch_input(0, x);
+  nl.add_output(x, "o");
+  return nl;
+}
+
+std::vector<std::uint64_t> latch_state(const CompiledSimulator& sim) {
+  return sim.snapshot().latch_words;
+}
+std::vector<std::uint8_t> latch_state(const MappedSimulator& sim) {
+  return sim.snapshot().latch_state;
+}
+std::vector<std::uint64_t> output_state(const CompiledSimulator& sim) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t o = 0; o < sim.program().outputs.size(); ++o) {
+    out.push_back(sim.output_word(o));
+  }
+  return out;
+}
+std::vector<bool> output_state(const MappedSimulator& sim) {
+  return sim.output_values();
+}
+
+/// `make` returns an engine with a = 1, p = 0 and q = 1, so x = 0.  Applies
+/// `mutate` between eval() and step() on one engine, and before a lone
+/// step() on a twin; then both eval() once more and must agree.  A third
+/// engine clocks without the mutation: it must end elsewhere, or the case
+/// could not show a missed invalidation.
+template <typename Sim>
+void expect_step_reevaluates(const std::function<Sim()>& make,
+                             const std::function<void(Sim&)>& mutate,
+                             const std::string& what) {
+  Sim early = make();
+  early.eval();
+  mutate(early);
+  early.step();
+  early.eval();
+  Sim twin = make();
+  mutate(twin);
+  twin.step();
+  twin.eval();
+  Sim unmutated = make();
+  unmutated.eval();
+  unmutated.step();
+  EXPECT_EQ(latch_state(early), latch_state(twin)) << what;
+  EXPECT_EQ(output_state(early), output_state(twin)) << what;
+  EXPECT_NE(latch_state(unmutated), latch_state(twin))
+      << what << ": the mutation does not reach the latch";
+}
+
+TEST(CompiledSimulator, StepAfterMutationReevaluates) {
+  const Netlist nl = toggle_design();
+  const NodeId a = nl.inputs()[0];
+  const NodeId p = nl.params()[0];
+  const NodeId x = *nl.find("x");
+  const CompiledSimulator::Snapshot at_reset = CompiledSimulator(nl).snapshot();
+  using Mutate = std::function<void(CompiledSimulator&)>;
+  const Mutate none = [](CompiledSimulator&) {};
+  const Mutate invert_x = [&](CompiledSimulator& s) {
+    s.inject_fault({x, FaultType::kInvert, 0});
+  };
+  struct Case {
+    std::string name;
+    Mutate setup;   ///< before the early eval()
+    Mutate mutate;  ///< between eval() and step()
+  };
+  const std::vector<Case> cases = {
+      {"set_input", none, [&](auto& s) { s.set_input(a, false); }},
+      {"set_param", none, [&](auto& s) { s.set_param(p, true); }},
+      {"set_input_word mixed", none,
+       [&](auto& s) { s.set_input_word(a, 0xffffffffULL); }},
+      {"inject_fault", none, invert_x},
+      {"clear_faults", invert_x, [](auto& s) { s.clear_faults(); }},
+      {"restore", none, [&](auto& s) { s.restore(at_reset); }},
+      {"reset", none, [](auto& s) { s.reset(); }}};
+  for (bool event : {false, true}) {
+    for (const Case& c : cases) {
+      const std::function<CompiledSimulator()> make = [&] {
+        CompiledSimulator sim(nl, CompiledSimOptions{.event_driven = event});
+        sim.set_input(a, true);
+        sim.step();
+        c.setup(sim);
+        return sim;
+      };
+      expect_step_reevaluates<CompiledSimulator>(
+          make, c.mutate, c.name + (event ? " (event-driven)" : " (full)"));
+    }
+  }
+  // The same contract through MappedSimulator's compiled backend (its
+  // interpreter always sweeps in step()).
+  const auto mapped = map::simple_map(nl, 4).netlist;
+  const map::CellId ma = *mapped.find("a");
+  const map::CellId mp = mapped.params()[0];
+  const MappedSimulator::Snapshot mapped_at_reset =
+      MappedSimulator(mapped, SimBackend::kCompiled).snapshot();
+  using MappedMutate = std::function<void(MappedSimulator&)>;
+  const std::vector<std::pair<std::string, MappedMutate>> mapped_cases = {
+      {"set_input", [&](auto& s) { s.set_input(ma, false); }},
+      {"set_param", [&](auto& s) { s.set_param(mp, true); }},
+      {"restore", [&](auto& s) { s.restore(mapped_at_reset); }},
+      {"reset", [](auto& s) { s.reset(); }}};
+  const std::function<MappedSimulator()> make = [&] {
+    MappedSimulator sim(mapped, SimBackend::kCompiled);
+    sim.set_input(ma, true);
+    sim.step();
+    return sim;
+  };
+  for (const auto& [name, mutate] : mapped_cases) {
+    expect_step_reevaluates<MappedSimulator>(make, mutate,
+                                             name + " (MappedSimulator)");
+  }
 }
 
 }  // namespace
