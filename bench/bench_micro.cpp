@@ -132,8 +132,8 @@ void BM_SimulatorStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorStep)->Arg(100)->Arg(1000);
 
-// 64 stimulus vectors per step, each through the branch-free Shannon
-// kernels over packed masks.
+// One stimulus vector per step, as the debug session's emulated DUT sees
+// it: bool inputs, one broadcast sweep per cycle.
 void BM_CompiledSimulatorStep(benchmark::State& state) {
   genbench::CircuitSpec spec{"parstep", 12, 8, 8,
                              static_cast<std::size_t>(state.range(0)), 5, 6,
@@ -141,36 +141,16 @@ void BM_CompiledSimulatorStep(benchmark::State& state) {
   const auto nl = genbench::generate(spec);
   sim::CompiledSimulator simulator(nl);
   Rng rng(8);
+  std::vector<bool> inputs(nl.inputs().size());
   for (auto _ : state) {
-    for (auto in : nl.inputs()) simulator.set_input_word(in, rng.next_u64());
+    for (std::size_t i = 0; i < inputs.size(); ++i) inputs[i] = rng.next_bool();
+    simulator.set_inputs(inputs);
     simulator.step();
   }
-  // 64 vectors per step.
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0) * 64);
+                          state.range(0));
 }
 BENCHMARK(BM_CompiledSimulatorStep)->Arg(100)->Arg(1000)->Arg(10000);
-
-// Event-driven variant: only a handful of inputs toggle per step, the rest
-// of the design is skipped level by level.
-void BM_CompiledSimulatorStepEventDriven(benchmark::State& state) {
-  genbench::CircuitSpec spec{"parstep", 12, 8, 8,
-                             static_cast<std::size_t>(state.range(0)), 5, 6,
-                             504};
-  const auto nl = genbench::generate(spec);
-  sim::CompiledSimulator simulator(nl,
-                                   sim::CompiledSimOptions{.event_driven = true});
-  Rng rng(8);
-  for (auto _ : state) {
-    // Toggle one input per step (typical idle-logic workload).
-    const auto in = nl.inputs()[rng.next_u64() % nl.inputs().size()];
-    simulator.set_input_word(in, rng.next_u64());
-    simulator.step();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0) * 64);
-}
-BENCHMARK(BM_CompiledSimulatorStepEventDriven)->Arg(1000)->Arg(10000);
 
 void BM_ScgSpecializeIncremental(benchmark::State& state) {
   auto& offline = OfflineFixture::get().offline;

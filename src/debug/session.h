@@ -53,7 +53,7 @@ class DebugSession {
   DebugSession(const OfflineResult& offline,
                bitstream::IcapModel icap = {},
                std::size_t trace_depth = 1024,
-               sim::SimBackend backend = sim::default_sim_backend());
+               sim::SimBackend backend = sim::SimBackend::kCompiled);
   ~DebugSession();
 
   std::size_t num_lanes() const { return lanes_; }

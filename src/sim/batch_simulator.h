@@ -1,12 +1,10 @@
-// Structure-of-arrays batched scenario simulation.
+// Structure-of-arrays batched scenario simulation: the word-parallel engine.
 //
-// The compiled engine (CompiledSimulator) evaluates exactly one 64-lane
-// stimulus word per slot per step; driving "millions of scenarios" through
-// it means re-walking the levelized program once per 64 scenarios, paying
-// the full op-decode and fanin-indexing overhead every pass.  This engine
-// restructures value storage as structure-of-arrays: every SSA slot owns B
-// contiguous 64-bit words (one word = one *scenario block* of 64 lanes), so
-// a single walk of the SimProgram evaluates B x 64 independent scenarios.
+// Every SSA slot owns B contiguous 64-bit words (one word = one *scenario
+// block* of 64 lanes), so a single walk of the levelized SimProgram
+// evaluates B x 64 independent scenarios.  Debug campaigns, fault sweeps
+// and equivalence checking (one block per side) all run here; the debug
+// session's single stimulus stream runs on CompiledSimulator.
 // The per-op inner loop runs over the B blocks of one slot — contiguous
 // loads/stores that the compiler vectorizes over the widest ISA available
 // (this translation unit is built with -O3 and the host's native vector
@@ -114,7 +112,7 @@ class BatchSimulator {
   // --- faults ------------------------------------------------------------
   /// Injects a fault into every scenario (`kAllScenarios`) or exactly one.
   /// Faults on source nodes have no effect (they are never re-evaluated),
-  /// matching the CompiledSimulator / NetlistSimulator semantics.
+  /// matching the NetlistSimulator oracle.
   void inject_fault(const Fault& fault, std::size_t scenario = kAllScenarios);
   /// Fully general form: one lane mask word per block selects the faulted
   /// scenarios.  `mask` must have exactly blocks() entries.

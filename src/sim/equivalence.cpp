@@ -3,7 +3,7 @@
 #include <bit>
 #include <sstream>
 
-#include "sim/compiled_simulator.h"
+#include "sim/batch_simulator.h"
 #include "sim/mapped_simulator.h"
 #include "sim/simulator.h"
 #include "support/error.h"
@@ -55,9 +55,9 @@ EquivalenceReport run_lockstep(SimA& sa, SimB& sb, const NamesA& input_names,
   return report;
 }
 
-/// Word-parallel lockstep on the compiled engine: 64 independent sequential
-/// streams advance per step, so the requested vector count costs
-/// ceil(vectors / 64) evaluation sweeps on each side.
+/// Word-parallel lockstep: 64 independent sequential streams advance per
+/// step, so the requested vector count costs ceil(vectors / 64) evaluation
+/// sweeps on each side.
 template <typename DrvA, typename DrvB>
 EquivalenceReport run_lockstep_words(DrvA& sa, DrvB& sb,
                                      const std::vector<std::string>& input_names,
@@ -84,8 +84,8 @@ EquivalenceReport run_lockstep_words(DrvA& sa, DrvB& sb,
     sa.sim.step();
     sb.sim.step();
     for (std::size_t i = 0; i < out_names.size(); ++i) {
-      const std::uint64_t wa = sa.sim.output_word(i);
-      const std::uint64_t wb = sb.sim.output_word(i);
+      const std::uint64_t wa = sa.sim.output_word(i, 0);
+      const std::uint64_t wb = sb.sim.output_word(i, 0);
       if (wa != wb) {
         const int lane = std::countr_zero(wa ^ wb);
         report.equivalent = false;
@@ -130,38 +130,22 @@ struct MappedDriver {
   MappedSimulator sim;
 };
 
-struct CompiledNetlistDriver {
-  explicit CompiledNetlistDriver(const netlist::Netlist& netlist)
-      : nl(&netlist), sim(netlist) {}
+/// One BatchSimulator block (64 lanes) over a netlist or a mapped netlist.
+template <typename Design>
+struct BatchDriver {
+  explicit BatchDriver(const Design& d) : design(&d), sim(d) {}
   void set_input_word_by_name(const std::string& name, std::uint64_t w) {
-    const auto id = nl->find(name);
+    const auto id = design->find(name);
     FPGADBG_REQUIRE(id.has_value(), "unknown input: " + name);
-    sim.set_input_word(*id, w);
+    sim.set_input_word(*id, 0, w);
   }
   void set_param_word_by_name(const std::string& name, std::uint64_t w) {
-    const auto id = nl->find(name);
+    const auto id = design->find(name);
     FPGADBG_REQUIRE(id.has_value(), "unknown param: " + name);
-    sim.set_param_word(*id, w);
+    sim.set_param_word(*id, 0, w);
   }
-  const netlist::Netlist* nl;
-  CompiledSimulator sim;
-};
-
-struct CompiledMappedDriver {
-  explicit CompiledMappedDriver(const map::MappedNetlist& mapped)
-      : mn(&mapped), sim(mapped) {}
-  void set_input_word_by_name(const std::string& name, std::uint64_t w) {
-    const auto id = mn->find(name);
-    FPGADBG_REQUIRE(id.has_value(), "unknown input: " + name);
-    sim.set_input_word(*id, w);
-  }
-  void set_param_word_by_name(const std::string& name, std::uint64_t w) {
-    const auto id = mn->find(name);
-    FPGADBG_REQUIRE(id.has_value(), "unknown param: " + name);
-    sim.set_param_word(*id, w);
-  }
-  const map::MappedNetlist* mn;
-  CompiledSimulator sim;
+  const Design* design;
+  BatchSimulator sim;
 };
 
 std::vector<std::string> names_of(const netlist::Netlist& nl,
@@ -181,8 +165,8 @@ EquivalenceReport check_equivalence(const netlist::Netlist& a,
   FPGADBG_REQUIRE(a.outputs().size() == b.outputs().size(),
                   "output count mismatch");
   if (backend == SimBackend::kCompiled) {
-    CompiledNetlistDriver da(a);
-    CompiledNetlistDriver db(b);
+    BatchDriver<netlist::Netlist> da(a);
+    BatchDriver<netlist::Netlist> db(b);
     return run_lockstep_words(da, db, names_of(a, a.inputs()),
                               names_of(a, a.params()), a.output_names(),
                               vectors, rng);
@@ -200,8 +184,8 @@ EquivalenceReport check_equivalence(const netlist::Netlist& a,
   FPGADBG_REQUIRE(a.outputs().size() == b.outputs().size(),
                   "output count mismatch");
   if (backend == SimBackend::kCompiled) {
-    CompiledNetlistDriver da(a);
-    CompiledMappedDriver db(b);
+    BatchDriver<netlist::Netlist> da(a);
+    BatchDriver<map::MappedNetlist> db(b);
     return run_lockstep_words(da, db, names_of(a, a.inputs()),
                               names_of(a, a.params()), a.output_names(),
                               vectors, rng);

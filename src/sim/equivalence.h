@@ -6,11 +6,11 @@
 // netlists must share input/param/output naming (all our passes preserve
 // names).
 //
-// Backend selection: with SimBackend::kCompiled (the default) both designs
-// run on the compiled engine in word-parallel mode — 64 independent
-// sequential stimulus streams advance per step, so `vectors` random vectors
-// cost ceil(vectors / 64) evaluation sweeps.  kInterpreted retains the
-// original one-vector-at-a-time interpreters as the oracle path.
+// Backend selection: with SimBackend::kCompiled (the default) each design
+// runs on one BatchSimulator block — 64 independent sequential stimulus
+// streams advance per step, so `vectors` random vectors cost
+// ceil(vectors / 64) evaluation sweeps.  kInterpreted retains the original
+// one-vector-at-a-time interpreters as the oracle path.
 #pragma once
 
 #include <string>
@@ -44,13 +44,13 @@ EquivalenceReport check_equivalence(const netlist::Netlist& a,
 inline EquivalenceReport check_equivalence(const netlist::Netlist& a,
                                            const netlist::Netlist& b,
                                            std::uint64_t vectors, Rng& rng) {
-  return check_equivalence(a, b, vectors, rng, default_sim_backend());
+  return check_equivalence(a, b, vectors, rng, SimBackend::kCompiled);
 }
 
 inline EquivalenceReport check_equivalence(const netlist::Netlist& a,
                                            const map::MappedNetlist& b,
                                            std::uint64_t vectors, Rng& rng) {
-  return check_equivalence(a, b, vectors, rng, default_sim_backend());
+  return check_equivalence(a, b, vectors, rng, SimBackend::kCompiled);
 }
 
 }  // namespace fpgadbg::sim

@@ -24,7 +24,7 @@ namespace fpgadbg::sim {
 class MappedSimulator {
  public:
   explicit MappedSimulator(const map::MappedNetlist& mn,
-                           SimBackend backend = default_sim_backend());
+                           SimBackend backend = SimBackend::kCompiled);
 
   const map::MappedNetlist& netlist() const { return mn_; }
   SimBackend backend() const { return backend_; }

@@ -1,8 +1,10 @@
 #include "sim/sim_backend.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "support/error.h"
+#include "support/strings.h"
 
 namespace fpgadbg::sim {
 
@@ -16,27 +18,16 @@ std::string to_string(SimBackend backend) {
   return "unknown";
 }
 
-SimBackend parse_sim_backend(const std::string& name) {
-  if (name == "interpreted") return SimBackend::kInterpreted;
-  if (name == "compiled") return SimBackend::kCompiled;
-  throw Error("unknown simulation backend: " + name);
-}
-
-SimBackend default_sim_backend() {
-  if (const char* env = std::getenv("FPGADBG_SIM_BACKEND")) {
-    return parse_sim_backend(env);
-  }
-  return SimBackend::kCompiled;
-}
-
 std::size_t default_batch_blocks() {
-  if (const char* env = std::getenv("FPGADBG_SIM_BATCH_BLOCKS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v < 1) return 1;
-    if (v > 4096) return 4096;
-    return static_cast<std::size_t>(v);
+  const char* env = std::getenv("FPGADBG_SIM_BATCH_BLOCKS");
+  if (env == nullptr) return 64;
+  const std::size_t blocks = parse_size(env, "FPGADBG_SIM_BATCH_BLOCKS");
+  if (blocks < 1) {
+    throw Error(std::string("expected a whole number >= 1 for "
+                            "FPGADBG_SIM_BATCH_BLOCKS, got '") +
+                env + "'");
   }
-  return 64;
+  return std::min<std::size_t>(blocks, 4096);
 }
 
 }  // namespace fpgadbg::sim

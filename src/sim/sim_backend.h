@@ -1,10 +1,9 @@
 // Simulation backend selection.
 //
-// Every consumer of functional simulation (equivalence checking, the debug
-// session's emulated DUT, the benches) picks its engine through this enum:
-// the per-node truth-table interpreters stay available as the oracle, while
-// the compiled levelized engine is the default fast path.  The process-wide
-// default can be overridden with FPGADBG_SIM_BACKEND=interpreted|compiled.
+// The debug session's emulated DUT (MappedSimulator) and equivalence
+// checking pick their engine through this enum: the per-node truth-table
+// interpreters stay available as the oracle, while the compiled levelized
+// engine is the default fast path.
 #pragma once
 
 #include <cstddef>
@@ -15,20 +14,16 @@ namespace fpgadbg::sim {
 
 enum class SimBackend : std::uint8_t {
   kInterpreted,  ///< walk the netlist per node (NetlistSimulator-style oracle)
-  kCompiled,     ///< lowered levelized LUT6 program (CompiledSimulator)
+  kCompiled,     ///< lowered levelized program (CompiledSimulator; equivalence
+                 ///< checking runs BatchSimulator)
 };
 
 std::string to_string(SimBackend backend);
 
-/// Parses "interpreted" or "compiled"; throws fpgadbg::Error otherwise.
-SimBackend parse_sim_backend(const std::string& name);
-
-/// kCompiled unless the FPGADBG_SIM_BACKEND environment variable overrides.
-SimBackend default_sim_backend();
-
 /// Scenario blocks per BatchSimulator pass (each block is 64 scenarios).
 /// 64 unless the FPGADBG_SIM_BATCH_BLOCKS environment variable overrides;
-/// values are clamped to [1, 4096].
+/// larger values are clamped to 4096.  Throws fpgadbg::Error naming the
+/// variable when it is not a whole number >= 1.
 std::size_t default_batch_blocks();
 
 }  // namespace fpgadbg::sim

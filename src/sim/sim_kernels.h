@@ -1,12 +1,11 @@
-// Word-parallel LUT evaluation kernels shared by the simulation engines.
+// Word-parallel LUT evaluation kernels of the batch engine.
 //
-// CompiledSimulator (one 64-lane stimulus word per slot) and BatchSimulator
-// (B contiguous block words per slot) execute the same per-word math: a
-// branch-free Shannon expansion of a packed LUT mask over up to six fanin
-// words, plus word-level fault application.  Keeping the kernels in one
-// header guarantees the engines stay bit-identical and lets each translation
-// unit pick its own codegen flags (the batch engine's inner block loop is
-// compiled with the widest vector ISA available).
+// BatchSimulator (B contiguous block words per slot) evaluates each op with
+// a branch-free Shannon expansion of its packed LUT mask over up to six
+// fanin words, and folds per-scenario faults in under a lane mask.  The
+// kernels live in their own header so the batch translation unit can pick
+// its own codegen flags (its inner block loop is compiled with the widest
+// vector ISA available); CompiledSimulator shares only broadcast().
 #pragma once
 
 #include <cstdint>
@@ -37,31 +36,6 @@ inline std::uint64_t shannon(std::uint64_t mask, const std::uint64_t* w) {
         shannon<K - 1>(mask >> (std::size_t{1} << (K - 1)), w);
     return lo ^ ((lo ^ hi) & s);
   }
-}
-
-inline std::uint64_t eval_op_word(std::uint64_t mask, std::uint32_t arity,
-                                  const std::uint64_t* w) {
-  switch (arity) {
-    case 0: return shannon<0>(mask, w);
-    case 1: return shannon<1>(mask, w);
-    case 2: return shannon<2>(mask, w);
-    case 3: return shannon<3>(mask, w);
-    case 4: return shannon<4>(mask, w);
-    case 5: return shannon<5>(mask, w);
-    default: return shannon<6>(mask, w);
-  }
-}
-
-/// Applies a fault to a full 64-lane word (every lane faulted).
-inline std::uint64_t apply_fault_word(const Fault& f, std::uint64_t value,
-                                      std::uint64_t now) {
-  switch (f.type) {
-    case FaultType::kStuckAt0: return 0;
-    case FaultType::kStuckAt1: return ~0ULL;
-    case FaultType::kInvert: return ~value;
-    case FaultType::kFlipOnCycle: return f.cycle == now ? ~value : value;
-  }
-  return value;
 }
 
 /// Applies a fault to the lanes selected by `lane_mask` only; other lanes

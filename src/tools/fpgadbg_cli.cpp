@@ -648,7 +648,6 @@ support::Result<int> cmd_profile(const Args& args) {
   row_c("debug.journal.events");
   row_c("debug.journal.dropped_events");
   row_c("sim.evals");
-  row_c("sim.ops_skipped");
   row_c("sim.batch.blocks");
   row_c("sim.batch.scenario_cycles");
   row_c("sim.batch.faulted_scenarios");

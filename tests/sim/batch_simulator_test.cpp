@@ -1,18 +1,22 @@
-// Differential tests pinning the SoA batch engine to the compiled engine:
-// a B-block batch must be bit-identical to B independent single-stream
-// CompiledSimulator runs fed the same per-block stimulus words — clean,
-// under block-granular faults, and under per-scenario faults.  Plus the
-// invariants that make batched campaigns trustworthy: thread-count
-// invisibility, snapshot shape checking, and loud bounds failures.
+// Differential tests pinning the SoA batch engine to the NetlistSimulator
+// oracle: every output bit of every scenario must match a NetlistSimulator
+// fed that scenario's lane of every input and parameter word — clean, under
+// block-granular faults, and at the degenerate width B = 1.  Plus the
+// invariants that make batched campaigns trustworthy: per-scenario fault
+// isolation, thread-count invisibility, snapshot shape checking, and loud
+// bounds failures.
 #include "sim/batch_simulator.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "genbench/genbench.h"
-#include "sim/compiled_simulator.h"
+#include "sim/sim_backend.h"
+#include "sim/simulator.h"
 #include "support/error.h"
 #include "support/rng.h"
 
@@ -23,53 +27,80 @@ using netlist::Netlist;
 using netlist::NodeId;
 
 constexpr std::size_t kBlocks = 4;
+constexpr std::size_t kLanes = BatchSimulator::kLanesPerBlock;
 
 genbench::CircuitSpec small_spec(std::uint64_t seed) {
   return genbench::CircuitSpec{"batch150", 12, 10, 8, 150, 4, 6,
                                321 * seed};
 }
 
-/// Drives `cycles` of per-block random stimulus through one batch engine and
-/// kBlocks independent compiled engines, asserting every output word of
-/// every block matches every cycle.
-void expect_matches_compiled(const Netlist& nl, BatchSimulator& batch,
-                             std::vector<CompiledSimulator>& refs, int cycles,
-                             std::uint64_t seed) {
-  ASSERT_EQ(refs.size(), batch.blocks());
+/// One NetlistSimulator per scenario of a `blocks`-block batch; scenario s
+/// is oracles[s].
+std::vector<NetlistSimulator> lane_oracles(const Netlist& nl,
+                                           std::size_t blocks) {
+  std::vector<NetlistSimulator> oracles;
+  oracles.reserve(blocks * kLanes);
+  for (std::size_t s = 0; s < blocks * kLanes; ++s) oracles.emplace_back(nl);
+  return oracles;
+}
+
+/// Injects `fault` into every lane of `block`.
+void inject_block_fault(std::vector<NetlistSimulator>& oracles,
+                        std::size_t block, const Fault& fault) {
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    oracles[block * kLanes + l].inject_fault(fault);
+  }
+}
+
+/// Drives `cycles` of per-block random stimulus words through the batch and
+/// bit l of each word through oracle l of that block, asserting every output
+/// bit of every scenario matches every cycle.
+void expect_matches_oracle(const Netlist& nl, BatchSimulator& batch,
+                           std::vector<NetlistSimulator>& oracles, int cycles,
+                           std::uint64_t seed) {
+  const std::size_t blocks = batch.blocks();
+  ASSERT_EQ(oracles.size(), batch.num_scenarios());
   Rng rng(seed);
   for (int cycle = 0; cycle < cycles; ++cycle) {
     for (NodeId p : nl.params()) {
-      for (std::size_t b = 0; b < refs.size(); ++b) {
+      for (std::size_t b = 0; b < blocks; ++b) {
         const std::uint64_t w = rng.next_u64();
         batch.set_param_word(p, b, w);
-        refs[b].set_param_word(p, w);
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          oracles[b * kLanes + l].set_param(p, (w >> l) & 1);
+        }
       }
     }
     for (NodeId in : nl.inputs()) {
-      for (std::size_t b = 0; b < refs.size(); ++b) {
+      for (std::size_t b = 0; b < blocks; ++b) {
         const std::uint64_t w = rng.next_u64();
         batch.set_input_word(in, b, w);
-        refs[b].set_input_word(in, w);
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          oracles[b * kLanes + l].set_input(in, (w >> l) & 1);
+        }
       }
     }
     batch.step();
-    for (std::size_t b = 0; b < refs.size(); ++b) refs[b].step();
+    for (NetlistSimulator& oracle : oracles) oracle.step();
     for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-      for (std::size_t b = 0; b < refs.size(); ++b) {
-        ASSERT_EQ(batch.output_word(o, b), refs[b].output_word(o))
-            << "cycle " << cycle << " output " << o << " block " << b;
+      for (std::size_t s = 0; s < oracles.size(); ++s) {
+        ASSERT_EQ(batch.output_value(o, s), oracles[s].output(o))
+            << "cycle " << cycle << " output " << o << " block "
+            << s / kLanes << " lane " << s % kLanes;
       }
     }
   }
 }
 
+// The test names predate the oracle reference (the batch was checked against
+// the compiled engine's word mode, since deleted); they are kept so the
+// tests' ids stay stable.
 TEST(BatchSimulator, CleanBatchMatchesIndependentCompiledRuns) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const Netlist nl = genbench::generate(small_spec(seed));
     BatchSimulator batch(nl, BatchSimOptions{.blocks = kBlocks});
-    std::vector<CompiledSimulator> refs;
-    for (std::size_t b = 0; b < kBlocks; ++b) refs.emplace_back(nl);
-    expect_matches_compiled(nl, batch, refs, 30, seed + 5);
+    std::vector<NetlistSimulator> oracles = lane_oracles(nl, kBlocks);
+    expect_matches_oracle(nl, batch, oracles, 30, seed + 5);
   }
 }
 
@@ -86,8 +117,7 @@ TEST(BatchSimulator, FaultedBlocksMatchFaultedCompiledRuns) {
   const Fault flip{topo[2 * topo.size() / 3], FaultType::kFlipOnCycle, 6};
 
   BatchSimulator batch(nl, BatchSimOptions{.blocks = kBlocks});
-  std::vector<CompiledSimulator> refs;
-  for (std::size_t b = 0; b < kBlocks; ++b) refs.emplace_back(nl);
+  std::vector<NetlistSimulator> oracles = lane_oracles(nl, kBlocks);
 
   auto block_mask = [](std::size_t block) {
     std::vector<std::uint64_t> mask(kBlocks, 0);
@@ -95,20 +125,20 @@ TEST(BatchSimulator, FaultedBlocksMatchFaultedCompiledRuns) {
     return mask;
   };
   batch.inject_fault_masked(invert, block_mask(1));
-  refs[1].inject_fault(invert);
+  inject_block_fault(oracles, 1, invert);
   batch.inject_fault_masked(stuck, block_mask(3));
   batch.inject_fault_masked(flip, block_mask(3));
-  refs[3].inject_fault(stuck);
-  refs[3].inject_fault(flip);
-  EXPECT_EQ(batch.num_faulted_scenarios(), 2 * BatchSimulator::kLanesPerBlock);
+  inject_block_fault(oracles, 3, stuck);
+  inject_block_fault(oracles, 3, flip);
+  EXPECT_EQ(batch.num_faulted_scenarios(), 2 * kLanes);
 
-  expect_matches_compiled(nl, batch, refs, 16, 99);
+  expect_matches_oracle(nl, batch, oracles, 16, 99);
 
-  // Clearing faults re-merges every universe with the clean references.
+  // Clearing faults re-merges every universe with the clean oracles.
   batch.clear_faults();
-  for (auto& ref : refs) ref.clear_faults();
+  for (NetlistSimulator& oracle : oracles) oracle.clear_faults();
   EXPECT_EQ(batch.num_faulted_scenarios(), 0u);
-  expect_matches_compiled(nl, batch, refs, 8, 100);
+  expect_matches_oracle(nl, batch, oracles, 8, 100);
 }
 
 TEST(BatchSimulator, PerScenarioFaultTouchesExactlyOneLane) {
@@ -274,12 +304,82 @@ TEST(BatchSimulator, BoundsChecksFailLoudly) {
 }
 
 TEST(BatchSimulator, SingleBlockMatchesCompiledEngine) {
-  // Degenerate width B=1 is exactly the compiled engine's word mode.
+  // Degenerate width B = 1: 64 independent streams, each checked against
+  // its own oracle.
   const Netlist nl = genbench::generate(small_spec(6));
   BatchSimulator batch(nl, BatchSimOptions{.blocks = 1});
-  std::vector<CompiledSimulator> refs;
-  refs.emplace_back(nl);
-  expect_matches_compiled(nl, batch, refs, 20, 61);
+  std::vector<NetlistSimulator> oracles = lane_oracles(nl, 1);
+  expect_matches_oracle(nl, batch, oracles, 20, 61);
+}
+
+TEST(BatchSimulator, WordModeMatchesNetlistOracle) {
+  // The word setters at B = 1 on designs joined by a parameter gate, so
+  // parameter words are checked lane by lane as well, plus the setters'
+  // input/param kind checks.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    genbench::CircuitSpec spec{"word", 10, 8, 6, 120, 6, 5, seed * 211};
+    Netlist nl = genbench::generate(spec);
+    const NodeId param = nl.add_param("p");
+    nl.add_output(
+        nl.add_logic("pf", {nl.inputs().front(), param}, logic::tt_xor(2)),
+        "po");
+    BatchSimulator batch(nl, BatchSimOptions{.blocks = 1});
+    std::vector<NetlistSimulator> oracles = lane_oracles(nl, 1);
+    expect_matches_oracle(nl, batch, oracles, 25, seed);
+    EXPECT_THROW(batch.set_param_word(nl.inputs().front(), 0, 0), Error);
+    EXPECT_THROW(batch.set_input_word(param, 0, 0), Error);
+    EXPECT_THROW(batch.broadcast_param(nl.inputs().front(), true), Error);
+    EXPECT_THROW(batch.broadcast_input(param, true), Error);
+  }
+}
+
+TEST(BatchSimulator, FaultOnSourceIsNoOp) {
+  // The oracle only applies faults while walking logic nodes, so a fault on
+  // an input is silently inert; the batch engine mirrors that contract.
+  Netlist nl;
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId f = nl.add_logic("f", {a, b}, logic::tt_xor(2));
+  nl.add_output(f, "o");
+  NetlistSimulator ref(nl);
+  BatchSimulator batch(nl);
+  ref.inject_fault({a, FaultType::kStuckAt1, 0});
+  batch.inject_fault({a, FaultType::kStuckAt1, 0});
+  EXPECT_EQ(batch.num_faulted_scenarios(), 0u);
+  // Lanes 0..3 enumerate (a, b); the oracle sees one combination at a time.
+  batch.set_input_word(a, 0, 0b1010);
+  batch.set_input_word(b, 0, 0b1100);
+  batch.eval();
+  for (std::size_t lane = 0; lane < 4; ++lane) {
+    const bool va = (0b1010 >> lane) & 1;
+    const bool vb = (0b1100 >> lane) & 1;
+    ref.set_input(a, va);
+    ref.set_input(b, vb);
+    ref.eval();
+    EXPECT_EQ(batch.output_value(0, lane), ref.output(0)) << va << vb;
+    EXPECT_EQ(batch.output_value(0, lane), va != vb);
+  }
+}
+
+TEST(SimBackend, BatchBlocksEnvRejectsGarbage) {
+  // Anything but a whole number >= 1 is an error that names the variable.
+  for (const char* bad : {"abc", "0", "-3", "64k"}) {
+    setenv("FPGADBG_SIM_BATCH_BLOCKS", bad, 1);
+    try {
+      (void)default_batch_blocks();
+      ADD_FAILURE() << "FPGADBG_SIM_BATCH_BLOCKS=" << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("FPGADBG_SIM_BATCH_BLOCKS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  setenv("FPGADBG_SIM_BATCH_BLOCKS", "16", 1);
+  EXPECT_EQ(default_batch_blocks(), 16u);
+  setenv("FPGADBG_SIM_BATCH_BLOCKS", "100000", 1);
+  EXPECT_EQ(default_batch_blocks(), 4096u);
+  unsetenv("FPGADBG_SIM_BATCH_BLOCKS");
+  EXPECT_EQ(default_batch_blocks(), 64u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Randomized differential tests pinning the compiled engine to the
-// NetlistSimulator oracle: for every random netlist, stimulus stream, latch
-// init and injected fault, CompiledSimulator must agree bit-for-bit with it
-// (one oracle per lane in word mode), in both full-sweep and event-driven
-// mode.
+// NetlistSimulator oracle: for every random netlist, stimulus stream and
+// latch init, CompiledSimulator must agree bit-for-bit with it.  Plus the
+// one-sweep-per-cycle contract of step() and the checks on stimulus targets
+// and snapshots.
 #include "sim/compiled_simulator.h"
 
 #include <gtest/gtest.h>
@@ -66,96 +66,6 @@ TEST(CompiledSimulator, MatchesInterpreterOnRandomNetlists) {
   }
 }
 
-TEST(CompiledSimulator, EventDrivenMatchesFullSweep) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    genbench::CircuitSpec spec{"evt", 12, 8, 9, 150, 6, 6, seed * 131};
-    const Netlist nl = genbench::generate(spec);
-    NetlistSimulator ref(nl);
-    CompiledSimulator comp(nl, CompiledSimOptions{.event_driven = true});
-    expect_matches_scalar(nl, comp, ref, 50, seed + 7);
-  }
-}
-
-TEST(CompiledSimulator, EventDrivenSkipsStableCones) {
-  // Re-evaluating without input changes must still produce correct values.
-  genbench::CircuitSpec spec{"stable", 8, 6, 5, 80, 5, 4, 17};
-  const Netlist nl = genbench::generate(spec);
-  NetlistSimulator ref(nl);
-  CompiledSimulator comp(nl, CompiledSimOptions{.event_driven = true});
-  Rng rng(3);
-  for (NodeId in : nl.inputs()) {
-    const bool bit = rng.next_bool();
-    comp.set_input(in, bit);
-    ref.set_input(in, bit);
-  }
-  comp.eval();
-  ref.eval();
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    comp.eval();  // nothing dirty: pure skip sweep
-    for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-      EXPECT_EQ(comp.output(o), ref.output(o)) << "repeat " << repeat;
-    }
-  }
-  // Toggle a single input; only its cone re-evaluates, results still match.
-  const NodeId first = nl.inputs().front();
-  comp.set_input(first, !comp.value(first));
-  ref.set_input(first, !ref.value(first));
-  comp.eval();
-  ref.eval();
-  for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-    EXPECT_EQ(comp.output(o), ref.output(o));
-  }
-}
-
-TEST(CompiledSimulator, WordModeMatchesParallelSimulator) {
-  // Every lane is checked against a NetlistSimulator fed that lane's stream.
-  // The name is kept so the test's id stays stable.  A parameter gate joins
-  // each design, so parameter words are checked lane by lane as well.
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    genbench::CircuitSpec spec{"word", 10, 8, 6, 120, 6, 5, seed * 211};
-    Netlist nl = genbench::generate(spec);
-    const NodeId param = nl.add_param("p");
-    nl.add_output(
-        nl.add_logic("pf", {nl.inputs().front(), param}, logic::tt_xor(2)),
-        "po");
-    CompiledSimulator comp(nl);
-    std::vector<NetlistSimulator> lanes;
-    lanes.reserve(CompiledSimulator::kLanes);
-    for (std::size_t l = 0; l < CompiledSimulator::kLanes; ++l) {
-      lanes.emplace_back(nl);
-    }
-    Rng rng(seed);
-    for (int cycle = 0; cycle < 25; ++cycle) {
-      for (NodeId p : nl.params()) {
-        const std::uint64_t w = rng.next_u64();
-        comp.set_param_word(p, w);
-        for (std::size_t l = 0; l < lanes.size(); ++l) {
-          lanes[l].set_param(p, (w >> l) & 1);
-        }
-      }
-      for (NodeId in : nl.inputs()) {
-        const std::uint64_t w = rng.next_u64();
-        comp.set_input_word(in, w);
-        for (std::size_t l = 0; l < lanes.size(); ++l) {
-          lanes[l].set_input(in, (w >> l) & 1);
-        }
-      }
-      comp.eval();
-      for (std::size_t l = 0; l < lanes.size(); ++l) {
-        lanes[l].eval();
-        for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-          ASSERT_EQ(comp.value(nl.outputs()[o], l), lanes[l].output(o))
-              << "cycle " << cycle << " lane " << l << " output " << o;
-        }
-        lanes[l].step();
-      }
-      comp.step();
-    }
-    EXPECT_THROW(comp.set_param_word(nl.inputs().front(), 0), Error);
-    EXPECT_THROW(comp.set_input_word(param, 0), Error);
-  }
-}
-
 TEST(CompiledSimulator, BroadcastLoopMatchesOracleAtEveryArity) {
   // The broadcast loop widens every op to six fanins; one random function
   // per arity 0..6, all over the same inputs, checked at every input
@@ -188,7 +98,6 @@ TEST(CompiledSimulator, BroadcastLoopMatchesOracleAtEveryArity) {
     for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
       ASSERT_EQ(comp.output(o), ref.output(o))
           << "inputs " << combo << " arity " << o;
-      ASSERT_EQ(comp.output_word(o), comp.output(o) ? ~0ULL : 0ULL);
     }
   }
 }
@@ -215,7 +124,7 @@ TEST(CompiledSimulator, WideFaninLowersToCascade) {
 TEST(CompiledSimulator, LatchInitValues) {
   // init 0 => 0, init 1 => 1, init 2/3 (don't care / unknown) reset to 0,
   // matching NetlistSimulator::reset().  A toggling latch and two constant
-  // nodes ride along: every lane must agree through a clock and a reset.
+  // nodes ride along: they must agree through a clock and a reset.
   Netlist nl;
   std::vector<NodeId> qs;
   for (int init = 0; init < 4; ++init) {
@@ -237,8 +146,6 @@ TEST(CompiledSimulator, LatchInitValues) {
     comp.eval();
     for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
       EXPECT_EQ(comp.output(o), ref.output(o)) << when << " output " << o;
-      EXPECT_EQ(comp.output_word(o), comp.output(o) ? ~0ULL : 0ULL)
-          << when << " output " << o;
     }
     EXPECT_EQ(comp.output(4), toggle) << when;
     EXPECT_TRUE(comp.output(5)) << when;
@@ -253,84 +160,37 @@ TEST(CompiledSimulator, LatchInitValues) {
   expect_agree(true, "after reset");
 }
 
-TEST(CompiledSimulator, FaultDifferential) {
-  genbench::CircuitSpec spec{"flt", 10, 8, 6, 100, 5, 5, 404};
-  const Netlist nl = genbench::generate(spec);
-  Rng pick(9);
-  const auto& logic_nodes = nl.topo_order();
-  for (FaultType type : {FaultType::kStuckAt0, FaultType::kStuckAt1,
-                         FaultType::kInvert, FaultType::kFlipOnCycle}) {
-    const NodeId victim =
-        logic_nodes[pick.next_u64() % logic_nodes.size()];
-    Fault fault{victim, type, /*cycle=*/5};
-    NetlistSimulator ref(nl);
-    CompiledSimulator comp(nl);
-    ref.inject_fault(fault);
-    comp.inject_fault(fault);
-    // 12 cycles crosses the kFlipOnCycle trigger cycle on both sides.
-    expect_matches_scalar(nl, comp, ref, 12,
-                          static_cast<std::uint64_t>(type) + 21);
-    ref.clear_faults();
-    comp.clear_faults();
-    expect_matches_scalar(nl, comp, ref, 6,
-                          static_cast<std::uint64_t>(type) + 50);
-  }
-}
-
-TEST(CompiledSimulator, FaultDifferentialEventDriven) {
-  // Event-driven mode must keep re-evaluating faulted cones even when their
-  // fanins are stable (a kFlipOnCycle changes value with no input edge).
-  genbench::CircuitSpec spec{"fltev", 8, 6, 5, 80, 5, 4, 505};
-  const Netlist nl = genbench::generate(spec);
-  const NodeId victim = nl.topo_order()[nl.topo_order().size() / 2];
-  for (FaultType type : {FaultType::kInvert, FaultType::kFlipOnCycle}) {
-    Fault fault{victim, type, /*cycle=*/3};
-    NetlistSimulator ref(nl);
-    CompiledSimulator comp(nl, CompiledSimOptions{.event_driven = true});
-    ref.inject_fault(fault);
-    comp.inject_fault(fault);
-    expect_matches_scalar(nl, comp, ref, 10,
-                          static_cast<std::uint64_t>(type) + 77);
-  }
-}
-
 TEST(CompiledSimulator, SnapshotRestoreReplays) {
   genbench::CircuitSpec spec{"snap", 8, 6, 8, 90, 5, 4, 606};
   const Netlist nl = genbench::generate(spec);
   CompiledSimulator comp(nl);
   Rng rng(11);
-  std::vector<std::vector<std::uint64_t>> stimulus;
+  std::vector<std::vector<bool>> stimulus;
   for (int cycle = 0; cycle < 10; ++cycle) {
-    auto& words = stimulus.emplace_back();
-    for (NodeId in : nl.inputs()) {
-      words.push_back(rng.next_u64());
-      comp.set_input_word(in, words.back());
+    auto& bits = stimulus.emplace_back();
+    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+      bits.push_back(rng.next_bool());
     }
+    comp.set_inputs(bits);
     comp.step();
   }
   const auto snap = comp.snapshot();
   EXPECT_EQ(snap.cycle, 10u);
   // Run ahead, recording outputs.
-  std::vector<std::uint64_t> ahead;
+  std::vector<std::vector<bool>> ahead;
   for (int cycle = 0; cycle < 5; ++cycle) {
-    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-      comp.set_input_word(nl.inputs()[i], stimulus[static_cast<std::size_t>(
-                                              cycle) % stimulus.size()][i]);
-    }
+    comp.set_inputs(stimulus[static_cast<std::size_t>(cycle)]);
     comp.eval();
-    ahead.push_back(comp.output_word(0));
+    ahead.push_back(comp.output_values());
     comp.step();
   }
   // Rewind and replay: identical trajectory.
   comp.restore(snap);
   EXPECT_EQ(comp.cycle(), 10u);
   for (int cycle = 0; cycle < 5; ++cycle) {
-    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-      comp.set_input_word(nl.inputs()[i], stimulus[static_cast<std::size_t>(
-                                              cycle) % stimulus.size()][i]);
-    }
+    comp.set_inputs(stimulus[static_cast<std::size_t>(cycle)]);
     comp.eval();
-    EXPECT_EQ(comp.output_word(0), ahead[static_cast<std::size_t>(cycle)]);
+    EXPECT_EQ(comp.output_values(), ahead[static_cast<std::size_t>(cycle)]);
     comp.step();
   }
 }
@@ -386,32 +246,19 @@ TEST(CompiledSimulator, EquivalenceBackendsAgree) {
   EXPECT_TRUE(compiled.equivalent) << compiled.first_mismatch;
   EXPECT_TRUE(interp.equivalent) << interp.first_mismatch;
   EXPECT_GE(compiled.vectors_checked, 256u);
-}
-
-TEST(CompiledSimulator, FaultOnSourceIsNoOp) {
-  // The oracle only applies faults while walking logic nodes, so a fault on
-  // an input is silently inert; the compiled engine mirrors that contract.
-  Netlist nl;
-  const NodeId a = nl.add_input("a");
-  const NodeId b = nl.add_input("b");
-  const NodeId f = nl.add_logic("f", {a, b}, logic::tt_xor(2));
-  nl.add_output(f, "o");
-  NetlistSimulator ref(nl);
-  CompiledSimulator comp(nl);
-  ref.inject_fault({a, FaultType::kStuckAt1, 0});
-  comp.inject_fault({a, FaultType::kStuckAt1, 0});
-  for (bool va : {false, true}) {
-    for (bool vb : {false, true}) {
-      ref.set_input(a, va);
-      ref.set_input(b, vb);
-      comp.set_input(a, va);
-      comp.set_input(b, vb);
-      ref.eval();
-      comp.eval();
-      EXPECT_EQ(comp.output(0), ref.output(0)) << va << vb;
-      EXPECT_EQ(comp.output(0), va != vb);
-    }
-  }
+  // Same names and shape, other functions: both backends must catch it.
+  genbench::CircuitSpec other_spec = spec;
+  other_spec.seed += 1;
+  const Netlist other = genbench::generate(other_spec);
+  Rng r3(21), r4(21);
+  const auto compiled_diff =
+      check_equivalence(nl, other, 256, r3, SimBackend::kCompiled);
+  const auto interp_diff =
+      check_equivalence(nl, other, 256, r4, SimBackend::kInterpreted);
+  EXPECT_FALSE(compiled_diff.equivalent);
+  EXPECT_FALSE(interp_diff.equivalent);
+  EXPECT_NE(compiled_diff.first_mismatch.find(" lane "), std::string::npos)
+      << compiled_diff.first_mismatch;
 }
 
 TEST(CompiledSimulator, RestoreRejectsWrongSnapshotShape) {
@@ -444,18 +291,21 @@ TEST(CompiledSimulator, RestoreRejectsWrongSnapshotShape) {
   EXPECT_EQ(comp.cycle(), 1u);
 }
 
-TEST(CompiledSimulator, RejectsOutOfRangeFault) {
+TEST(CompiledSimulator, RejectsBadStimulusTargets) {
+  // Stimulus for node ids past the design, or for the wrong kind of source,
+  // fails instead of indexing off the end of the value arrays or driving a
+  // logic slot.
   Netlist nl;
   const NodeId a = nl.add_input("a");
-  nl.add_output(a, "o");
+  const NodeId p = nl.add_param("p");
+  nl.add_output(nl.add_logic("f", {a, p}, logic::tt_xor(2)), "o");
   CompiledSimulator comp(nl);
-  EXPECT_THROW(comp.inject_fault({static_cast<NodeId>(1000),
-                                  FaultType::kInvert, 0}),
-               Error);
-  // Stimulus for node ids past the design fails the same way instead of
-  // indexing off the end of the value arrays.
-  EXPECT_THROW(comp.set_input_word(static_cast<NodeId>(1000), 0), Error);
-  EXPECT_THROW(comp.set_param_word(static_cast<NodeId>(1000), 0), Error);
+  EXPECT_THROW(comp.set_input(static_cast<NodeId>(1000), true), Error);
+  EXPECT_THROW(comp.set_param(static_cast<NodeId>(1000), true), Error);
+  EXPECT_THROW(comp.set_input(p, true), Error);
+  EXPECT_THROW(comp.set_param(a, true), Error);
+  EXPECT_THROW(comp.set_inputs({true, false}), Error);
+  EXPECT_THROW(comp.set_params({}), Error);
 }
 
 TEST(CompiledSimulator, StepAfterEvalSweepsOnce) {
@@ -498,16 +348,6 @@ std::vector<std::uint64_t> latch_state(const CompiledSimulator& sim) {
 std::vector<std::uint8_t> latch_state(const MappedSimulator& sim) {
   return sim.snapshot().latch_state;
 }
-std::vector<std::uint64_t> output_state(const CompiledSimulator& sim) {
-  std::vector<std::uint64_t> out;
-  for (std::size_t o = 0; o < sim.program().outputs.size(); ++o) {
-    out.push_back(sim.output_word(o));
-  }
-  return out;
-}
-std::vector<bool> output_state(const MappedSimulator& sim) {
-  return sim.output_values();
-}
 
 /// `make` returns an engine with a = 1, p = 0 and q = 1, so x = 0.  Applies
 /// `mutate` between eval() and step() on one engine, and before a lone
@@ -531,7 +371,7 @@ void expect_step_reevaluates(const std::function<Sim()>& make,
   unmutated.eval();
   unmutated.step();
   EXPECT_EQ(latch_state(early), latch_state(twin)) << what;
-  EXPECT_EQ(output_state(early), output_state(twin)) << what;
+  EXPECT_EQ(early.output_values(), twin.output_values()) << what;
   EXPECT_NE(latch_state(unmutated), latch_state(twin))
       << what << ": the mutation does not reach the latch";
 }
@@ -540,39 +380,21 @@ TEST(CompiledSimulator, StepAfterMutationReevaluates) {
   const Netlist nl = toggle_design();
   const NodeId a = nl.inputs()[0];
   const NodeId p = nl.params()[0];
-  const NodeId x = *nl.find("x");
   const CompiledSimulator::Snapshot at_reset = CompiledSimulator(nl).snapshot();
   using Mutate = std::function<void(CompiledSimulator&)>;
-  const Mutate none = [](CompiledSimulator&) {};
-  const Mutate invert_x = [&](CompiledSimulator& s) {
-    s.inject_fault({x, FaultType::kInvert, 0});
+  const std::vector<std::pair<std::string, Mutate>> cases = {
+      {"set_input", [&](auto& s) { s.set_input(a, false); }},
+      {"set_param", [&](auto& s) { s.set_param(p, true); }},
+      {"restore", [&](auto& s) { s.restore(at_reset); }},
+      {"reset", [](auto& s) { s.reset(); }}};
+  const std::function<CompiledSimulator()> make_compiled = [&] {
+    CompiledSimulator sim(nl);
+    sim.set_input(a, true);
+    sim.step();
+    return sim;
   };
-  struct Case {
-    std::string name;
-    Mutate setup;   ///< before the early eval()
-    Mutate mutate;  ///< between eval() and step()
-  };
-  const std::vector<Case> cases = {
-      {"set_input", none, [&](auto& s) { s.set_input(a, false); }},
-      {"set_param", none, [&](auto& s) { s.set_param(p, true); }},
-      {"set_input_word mixed", none,
-       [&](auto& s) { s.set_input_word(a, 0xffffffffULL); }},
-      {"inject_fault", none, invert_x},
-      {"clear_faults", invert_x, [](auto& s) { s.clear_faults(); }},
-      {"restore", none, [&](auto& s) { s.restore(at_reset); }},
-      {"reset", none, [](auto& s) { s.reset(); }}};
-  for (bool event : {false, true}) {
-    for (const Case& c : cases) {
-      const std::function<CompiledSimulator()> make = [&] {
-        CompiledSimulator sim(nl, CompiledSimOptions{.event_driven = event});
-        sim.set_input(a, true);
-        sim.step();
-        c.setup(sim);
-        return sim;
-      };
-      expect_step_reevaluates<CompiledSimulator>(
-          make, c.mutate, c.name + (event ? " (event-driven)" : " (full)"));
-    }
+  for (const auto& [name, mutate] : cases) {
+    expect_step_reevaluates<CompiledSimulator>(make_compiled, mutate, name);
   }
   // The same contract through MappedSimulator's compiled backend (its
   // interpreter always sweeps in step()).

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Builds and runs the ThreadSanitizer smoke test for the compiled engine's
-# parallel level sweeps plus the telemetry registry / tracer / logger under
-# concurrent hammering.  Compiles only the simulation core (not the whole
-# tree) with -fsanitize=thread, so the tier-1 flow can afford to run it on
-# every invocation.  Usage: run_tsan_smoke.sh <source-dir> <work-dir>
+# Builds and runs the ThreadSanitizer smoke test for the telemetry registry,
+# tracer and logger under concurrent hammering.  Compiles only those sources
+# (not the whole tree) with -fsanitize=thread, so the tier-1 flow can afford
+# to run it on every invocation.  Usage: run_tsan_smoke.sh <source-dir>
+# <work-dir>
 set -eu
 
 SRC="$1"
@@ -16,19 +16,9 @@ BIN="$WORK/tsan_smoke"
 "$CXX" -std=c++20 -O1 -g -fsanitize=thread -fno-omit-frame-pointer \
   -I "$SRC/src" \
   "$SRC/tests/sim/tsan_smoke.cpp" \
-  "$SRC/src/support/bitvec.cpp" \
-  "$SRC/src/support/error.cpp" \
   "$SRC/src/support/log.cpp" \
-  "$SRC/src/support/rng.cpp" \
   "$SRC/src/support/telemetry.cpp" \
   "$SRC/src/support/thread_pool.cpp" \
-  "$SRC/src/logic/truth_table.cpp" \
-  "$SRC/src/netlist/netlist.cpp" \
-  "$SRC/src/map/mapped_netlist.cpp" \
-  "$SRC/src/sim/fault.cpp" \
-  "$SRC/src/sim/sim_program.cpp" \
-  "$SRC/src/sim/compiled_simulator.cpp" \
-  "$SRC/src/sim/simulator.cpp" \
   -lpthread -o "$BIN"
 
 exec "$BIN"

@@ -1,110 +1,19 @@
-// ThreadSanitizer smoke test for the compiled engine's parallel level
-// sweeps.  Built standalone by run_tsan_smoke.sh with -fsanitize=thread
-// (the main build stays unsanitized), forced onto a 4-worker pool with the
-// parallel dispatch threshold at 1 so EVERY level is swept concurrently —
-// the configuration most likely to expose a data race.  Differential
-// against the single-threaded interpreter keeps it honest.
-//
-// A second phase hammers the telemetry registry (counters, histograms,
-// gauges), the span tracer, and the logger from every pool thread while a
-// reader concurrently snapshots and exports — the exact concurrency pattern
-// the instrumented pipeline produces.
+// ThreadSanitizer smoke test for the observability layer.  Built
+// standalone by run_tsan_smoke.sh with -fsanitize=thread (the main build
+// stays unsanitized).  It hammers the telemetry registry (counters,
+// histograms, gauges), the span tracer, and the logger from every pool
+// thread while a reader concurrently snapshots and exports — the exact
+// concurrency pattern the instrumented pipeline produces.  Threaded
+// simulation is covered by sim_batch_tsan_smoke.
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "netlist/netlist.h"
-#include "sim/compiled_simulator.h"
-#include "sim/simulator.h"
 #include "support/log.h"
-#include "support/rng.h"
 #include "support/telemetry.h"
 #include "support/thread_pool.h"
 
 namespace {
-
-using fpgadbg::Rng;
-using fpgadbg::logic::TruthTable;
-using fpgadbg::netlist::Netlist;
-using fpgadbg::netlist::NodeId;
-
-/// Wide, shallow random netlist: many ops per level maximizes parallel
-/// chunking inside one sweep.
-Netlist make_wide_netlist(std::uint64_t seed) {
-  Rng rng(seed);
-  Netlist nl;
-  std::vector<NodeId> pool;
-  for (int i = 0; i < 24; ++i) {
-    pool.push_back(nl.add_input("i" + std::to_string(i)));
-  }
-  std::vector<NodeId> latches;
-  for (int i = 0; i < 8; ++i) {
-    const NodeId q = nl.add_latch("q" + std::to_string(i),
-                                  fpgadbg::netlist::kNullNode, i % 2);
-    latches.push_back(q);
-    pool.push_back(q);
-  }
-  std::vector<NodeId> gates;
-  for (int g = 0; g < 600; ++g) {
-    const int arity = 2 + static_cast<int>(rng.next_u64() % 5);  // 2..6
-    std::vector<NodeId> fanins;
-    for (int f = 0; f < arity; ++f) {
-      fanins.push_back(pool[rng.next_u64() % pool.size()]);
-    }
-    TruthTable tt = TruthTable::from_bits(rng.next_u64(), arity);
-    const NodeId n = nl.add_logic("g" + std::to_string(g), fanins, tt);
-    gates.push_back(n);
-    if (g % 3 == 0) pool.push_back(n);
-  }
-  for (int i = 0; i < 8; ++i) {
-    nl.set_latch_input(static_cast<std::size_t>(i),
-                       gates[gates.size() - 1 - static_cast<std::size_t>(i)]);
-  }
-  for (int o = 0; o < 12; ++o) {
-    nl.add_output(gates[gates.size() - 20 + static_cast<std::size_t>(o)],
-                  "o" + std::to_string(o));
-  }
-  return nl;
-}
-
-int run_differential(const Netlist& nl, bool event_driven,
-                     std::uint64_t seed) {
-  fpgadbg::sim::CompiledSimOptions opts;
-  opts.event_driven = event_driven;
-  opts.num_threads = 4;
-  opts.parallel_min_level_width = 1;  // force every level through the pool
-  fpgadbg::sim::CompiledSimulator comp(nl, opts);
-  fpgadbg::sim::NetlistSimulator ref(nl);
-
-  const fpgadbg::sim::Fault fault{nl.topo_order()[100],
-                                  fpgadbg::sim::FaultType::kInvert, 0};
-  comp.inject_fault(fault);
-  ref.inject_fault(fault);
-
-  Rng rng(seed);
-  for (int cycle = 0; cycle < 50; ++cycle) {
-    for (NodeId in : nl.inputs()) {
-      const bool bit = rng.next_bool();
-      comp.set_input(in, bit);
-      ref.set_input(in, bit);
-    }
-    comp.eval();
-    ref.eval();
-    for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-      if (comp.output(o) != ref.output(o)) {
-        std::fprintf(stderr,
-                     "MISMATCH cycle %d output %zu (event_driven=%d)\n",
-                     cycle, o, event_driven ? 1 : 0);
-        return 1;
-      }
-    }
-    comp.step();
-    ref.step();
-  }
-  return 0;
-}
 
 int run_telemetry_hammer() {
   using namespace fpgadbg;
@@ -171,10 +80,7 @@ int run_telemetry_hammer() {
 }  // namespace
 
 int main() {
-  const Netlist nl = make_wide_netlist(42);
-  int rc = run_differential(nl, /*event_driven=*/false, 7);
-  rc |= run_differential(nl, /*event_driven=*/true, 8);
-  rc |= run_telemetry_hammer();
+  const int rc = run_telemetry_hammer();
   if (rc == 0) std::puts("tsan smoke: OK");
   return rc;
 }
