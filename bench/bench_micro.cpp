@@ -168,27 +168,6 @@ void BM_ScgSpecializeIncremental(benchmark::State& state) {
 }
 BENCHMARK(BM_ScgSpecializeIncremental);
 
-// Word-parallel SCG: one memoized BDD walk serves 64 assignments.  Compare
-// per-specialization cost against BM_ScgSpecialize.
-void BM_ScgSpecializeBatch(benchmark::State& state) {
-  auto& offline = OfflineFixture::get().offline;
-  const auto& inst = offline.instrumented;
-  std::vector<std::unordered_map<std::string, bool>> assignments;
-  Rng rng(17);
-  for (int k = 0; k < 64; ++k) {
-    const auto& lane = inst.lane_signals[rng.next_u64() % inst.lane_signals.size()];
-    assignments.push_back(
-        inst.select_signals({lane[rng.next_u64() % lane.size()]}));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(offline.pconf->specialize_batch(assignments));
-  }
-  // Specializations produced per unit time (the scalar bench produces 1 per
-  // iteration).
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_ScgSpecializeBatch);
-
 void BM_TconMapSmall(benchmark::State& state) {
   genbench::CircuitSpec spec{"mapbench", 10, 8, 4, 60, 4, 5, 503};
   const auto nl = genbench::generate(spec);

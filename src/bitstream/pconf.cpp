@@ -1,6 +1,7 @@
 #include "bitstream/pconf.h"
 
 #include <algorithm>
+#include <map>
 
 #include "support/error.h"
 #include "support/stopwatch.h"
@@ -59,6 +60,7 @@ void PConf::sync_functions() const {
 }
 
 void PConf::thaw_functions() {
+  index_.reset();
   if (map_dirty_) return;
   const FunctionView view = functions();
   build_map_.clear();
@@ -90,14 +92,6 @@ bool PConf::is_parameterized(std::size_t bit) const {
   return it != end && *it == bit;
 }
 
-logic::BddRef PConf::ref_of(std::size_t bit) const {
-  const FunctionView view = functions();
-  const std::uint64_t* end = view.bits + view.count;
-  const std::uint64_t* it = std::lower_bound(view.bits, end, bit);
-  FPGADBG_REQUIRE(it != end && *it == bit, "bit is not parameterized");
-  return view.refs[it - view.bits];
-}
-
 support::Status PConf::adopt_functions(const std::uint64_t* bits,
                                        const std::uint32_t* refs,
                                        std::size_t count,
@@ -127,8 +121,7 @@ support::Status PConf::adopt_functions(const std::uint64_t* bits,
   fn_refs_b_ = refs;
   fn_count_b_ = count;
   fn_backing_ = std::move(backing);
-  index_built_ = false;
-  bits_by_param_.clear();
+  index_.reset();
   return Status();
 }
 
@@ -195,62 +188,73 @@ PConf::Specialization PConf::specialize(
   return result;
 }
 
-std::vector<PConf::Specialization> PConf::specialize_batch(
-    const std::vector<std::unordered_map<std::string, bool>>& assignments)
-    const {
-  FPGADBG_REQUIRE(assignments.size() <= 64,
-                  "specialize_batch handles at most 64 assignments");
-  telemetry::TraceScope span("scg.specialize_batch", "scg");
-  Stopwatch timer;
-  const std::size_t batch = assignments.size();
-  // Transpose the assignments: bit k of var_words[v] = value of parameter v
-  // under assignments[k].
-  std::vector<std::uint64_t> var_words(param_names_.size(), 0);
-  for (std::size_t k = 0; k < batch; ++k) {
-    for (const auto& [name, value] : assignments[k]) {
-      const auto it = param_index_.find(name);
-      FPGADBG_REQUIRE(it != param_index_.end(), "unknown parameter: " + name);
-      if (value) {
-        var_words[static_cast<std::size_t>(it->second)] |= 1ULL << k;
-      }
-    }
-  }
-
-  std::vector<Specialization> results(batch);
-  for (auto& r : results) r.memory = constant_;
-  // One memo across every parameterized bit: the SCG's functions share BDD
-  // structure heavily, so most walks hit the cache.
-  std::unordered_map<logic::BddRef, std::uint64_t> memo;
+const PConf::IncrementalIndex& PConf::incremental_index() const {
+  if (index_) return *index_;
   const FunctionView view = functions();
+  const logic::BddManager::Node* arena = bdd_.arena_data();
+  IncrementalIndex index;
+  // One DFS per distinct root collects the nodes it reaches and its
+  // support; functions that share a root share its group.  Stamps (table
+  // position + 1, group + 1) stand in for per-walk sets.
+  constexpr std::uint32_t kNoGroup = 0xffffffffu;
+  std::vector<std::uint32_t> group_of_root(bdd_.size(), kNoGroup);
+  std::vector<std::uint32_t> walk_stamp(bdd_.size(), 0);
+  std::vector<std::uint32_t> group_stamp(bdd_.size(), 0);
+  std::vector<std::uint32_t> var_stamp(param_names_.size(), 0);
+  std::map<std::vector<std::uint32_t>, std::uint32_t> group_of_support;
+  std::vector<std::uint32_t> stack, reached, support;
   for (std::size_t i = 0; i < view.count; ++i) {
-    const std::uint64_t word = bdd_.evaluate_word(view.refs[i], var_words, memo);
-    for (std::size_t k = 0; k < batch; ++k) {
-      results[k].memory.set(view.bits[i], (word >> k) & 1);
-      ++results[k].bits_evaluated;
-    }
-  }
-  const double per_spec =
-      batch == 0 ? 0.0 : timer.elapsed_seconds() / static_cast<double>(batch);
-  for (auto& r : results) r.eval_seconds = per_spec;
-  if (batch != 0) {
-    record_scg("scg.batch_specializations", view.count * batch,
-               /*bdd_nodes_visited=*/0, timer.elapsed_seconds());
-  }
-  return results;
-}
-
-const std::vector<std::vector<std::size_t>>& PConf::bits_by_param() const {
-  if (!index_built_) {
-    bits_by_param_.assign(param_names_.size(), {});
-    const FunctionView view = functions();
-    for (std::size_t i = 0; i < view.count; ++i) {
-      for (int v : bdd_.support(view.refs[i])) {
-        bits_by_param_[static_cast<std::size_t>(v)].push_back(view.bits[i]);
+    const logic::BddRef root = view.refs[i];
+    if (group_of_root[root] == kNoGroup) {
+      const std::uint32_t stamp = static_cast<std::uint32_t>(i + 1);
+      reached.clear();
+      support.clear();
+      stack.assign(1, root);
+      while (!stack.empty()) {
+        const logic::BddRef r = stack.back();
+        stack.pop_back();
+        if (bdd_.is_const(r) || walk_stamp[r] == stamp) continue;
+        walk_stamp[r] = stamp;
+        reached.push_back(r);
+        const logic::BddManager::Node& n = arena[r];
+        FPGADBG_REQUIRE(n.var < param_names_.size(),
+                        "PConf function reads a variable that is no parameter");
+        if (var_stamp[n.var] != stamp) {
+          var_stamp[n.var] = stamp;
+          support.push_back(n.var);
+        }
+        stack.push_back(n.low);
+        stack.push_back(n.high);
+      }
+      std::sort(support.begin(), support.end());
+      const auto [it, inserted] = group_of_support.try_emplace(
+          support, static_cast<std::uint32_t>(index.groups.size()));
+      if (inserted) index.groups.emplace_back();
+      const std::uint32_t g = it->second;
+      group_of_root[root] = g;
+      for (const std::uint32_t r : reached) {
+        // Roots of different groups interleave in the table, so a node
+        // shared between groups can still be appended twice; deduped below.
+        if (group_stamp[r] == g + 1) continue;
+        group_stamp[r] = g + 1;
+        index.groups[g].nodes.push_back(r);
       }
     }
-    index_built_ = true;
+    index.groups[group_of_root[root]].fns.push_back(
+        static_cast<std::uint32_t>(i));
   }
-  return bits_by_param_;
+  // Ascending node ids are a topological order: the arena keeps children
+  // before parents, owned or borrowed.
+  for (SupportGroup& group : index.groups) {
+    std::sort(group.nodes.begin(), group.nodes.end());
+    group.nodes.erase(std::unique(group.nodes.begin(), group.nodes.end()),
+                      group.nodes.end());
+  }
+  index.groups_of_param.resize(param_names_.size());
+  for (const auto& [vars, g] : group_of_support) {
+    for (const std::uint32_t v : vars) index.groups_of_param[v].push_back(g);
+  }
+  return index_.emplace(std::move(index));
 }
 
 PConf::Specialization PConf::specialize_incremental(
@@ -264,25 +268,53 @@ PConf::Specialization PConf::specialize_incremental(
   Stopwatch timer;
   const BitVec old_values = values_from(previous_assignment);
   const BitVec new_values = values_from(assignment);
+  const IncrementalIndex& index = incremental_index();
 
-  result.memory = previous.memory;
-  const auto& index = bits_by_param();
-  // Re-evaluate each affected bit once (a bit may depend on several changed
-  // parameters; evaluation is idempotent so duplicates are merely wasted
-  // work, and the per-bit dedup below avoids most of it).
-  std::vector<std::size_t> dirty;
-  for (std::size_t p = 0; p < param_names_.size(); ++p) {
-    if (old_values.get(p) != new_values.get(p)) {
-      dirty.insert(dirty.end(), index[p].begin(), index[p].end());
+  // Flag every group that reads a changed parameter, once.
+  std::vector<std::uint8_t> param_value(param_names_.size());
+  std::vector<std::uint8_t> flagged(index.groups.size(), 0);
+  std::vector<std::uint32_t> dirty;
+  for (std::size_t p = 0; p < param_value.size(); ++p) {
+    param_value[p] = new_values.get(p);
+    if (old_values.get(p) == new_values.get(p)) continue;
+    for (const std::uint32_t g : index.groups_of_param[p]) {
+      if (!flagged[g]) {
+        flagged[g] = 1;
+        dirty.push_back(g);
+      }
     }
   }
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+
+  result.memory = previous.memory;
+  BitVec& memory = result.memory.bits();
+  const FunctionView view = functions();
+  const logic::BddManager::Node* arena = bdd_.arena_data();
+  // Node values of this call.  A group's node list holds every node its
+  // functions reach, children first, so each read below hits a node this
+  // sweep already wrote (or a constant).
+  std::vector<std::uint8_t> value(bdd_.size(), 0);
+  value[1] = 1;
   std::size_t visited = 0;
-  for (std::size_t bit : dirty) {
-    result.memory.set(bit, bdd_.evaluate(ref_of(bit), new_values, &visited));
-    ++result.bits_evaluated;
+  for (const std::uint32_t g : dirty) {
+    const SupportGroup& group = index.groups[g];
+    for (const std::uint32_t r : group.nodes) {
+      const logic::BddManager::Node& n = arena[r];
+      // Branch-free select: a parameter's value is no predictable branch.
+      const std::uint32_t high = 0u - param_value[n.var];
+      value[r] = value[n.low ^ ((n.low ^ n.high) & high)];
+    }
+    visited += group.nodes.size();
+    for (const std::uint32_t i : group.fns) {
+      const std::size_t bit = static_cast<std::size_t>(view.bits[i]);
+      if (((memory.word(bit >> 6) >> (bit & 63)) & 1) != value[view.refs[i]]) {
+        memory.flip(bit);
+        result.changed_bits.push_back(bit);
+      }
+    }
+    result.bits_evaluated += group.fns.size();
   }
+  // Groups interleave in the table, so their flipped bits do too.
+  std::sort(result.changed_bits.begin(), result.changed_bits.end());
   result.eval_seconds = timer.elapsed_seconds();
   record_scg("scg.incremental_specializations", result.bits_evaluated, visited,
              result.eval_seconds);

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -89,46 +90,56 @@ class PConf {
   struct Specialization {
     ConfigMemory memory;
     std::size_t bits_evaluated = 0;
+    /// Ascending addresses of the bits that differ from the previous
+    /// specialization.  Only specialize_incremental fills it.
+    std::vector<std::size_t> changed_bits;
     double eval_seconds = 0.0;  ///< measured SCG evaluation time
   };
 
   /// The Specialized Configuration Generator: evaluate all parameterized
   /// bits under `assignment` (by parameter name; missing names default to
-  /// false).
+  /// false).  One independent BDD walk per bit: the reference the
+  /// incremental SCG is checked against.
   Specialization specialize(
       const std::unordered_map<std::string, bool>& assignment) const;
 
-  /// Word-parallel SCG: specialize up to 64 assignments in one pass.  Lane
-  /// k of every Boolean evaluation corresponds to assignments[k], so each
-  /// parameterized bit costs ONE memoized BDD walk for the whole batch
-  /// instead of one walk per assignment.  Results are bit-identical to
-  /// calling specialize() per assignment; eval_seconds reports the
-  /// amortized (total / batch) cost per specialization.
-  std::vector<Specialization> specialize_batch(
-      const std::vector<std::unordered_map<std::string, bool>>& assignments)
-      const;
-
   /// Incremental SCG: given the previous specialization and its assignment,
-  /// re-evaluate ONLY the bits whose functions depend on a changed
-  /// parameter.  The embedded-processor optimization behind the paper's
-  /// microsecond-scale turns on large PConfs.  Results are bit-identical to
-  /// specialize(new_assignment).
+  /// re-evaluate ONLY the functions whose support contains a changed
+  /// parameter.  Functions are grouped by support set; each group that
+  /// reads a changed parameter has its BDD nodes swept once, children
+  /// before parents, and every function reads its value at its root.  The
+  /// embedded-processor optimization behind the paper's microsecond-scale
+  /// turns on large PConfs.  The memory is bit-identical to
+  /// specialize(assignment), and `changed_bits` lists the bits that flipped.
   Specialization specialize_incremental(
       const Specialization& previous,
       const std::unordered_map<std::string, bool>& previous_assignment,
       const std::unordered_map<std::string, bool>& assignment) const;
 
-  /// Builds the parameter->bits index the incremental SCG uses.  Called by
+  /// Builds the support-group index the incremental SCG uses.  Called by
   /// the offline stage so no online turn pays the one-time cost; safe (and
-  /// idempotent) to call any time.
-  void prepare_incremental() const { (void)bits_by_param(); }
+  /// idempotent) to call any time.  Any edit of the function table drops
+  /// the index; the next call rebuilds it.
+  void prepare_incremental() const { (void)incremental_index(); }
 
  private:
+  /// The incremental SCG's index: the function table grouped by support
+  /// set.  Holds function-table positions, so any rebuild of the flat table
+  /// invalidates it.
+  struct SupportGroup {
+    std::vector<std::uint32_t> fns;    ///< function-table positions
+    std::vector<std::uint32_t> nodes;  ///< arena nodes they reach, ascending
+  };
+  struct IncrementalIndex {
+    std::vector<SupportGroup> groups;
+    /// Per parameter, the groups whose support contains it.
+    std::vector<std::vector<std::uint32_t>> groups_of_param;
+  };
+
   BitVec values_from(
       const std::unordered_map<std::string, bool>& assignment) const;
-  /// Lazily built inverted index: parameter variable -> bits whose function
-  /// depends on it.
-  const std::vector<std::vector<std::size_t>>& bits_by_param() const;
+  /// Lazily built support-group index over the current function table.
+  const IncrementalIndex& incremental_index() const;
 
   std::size_t flat_count() const {
     return fn_backing_ ? fn_count_b_ : fn_bits_owned_.size();
@@ -136,11 +147,8 @@ class PConf {
   /// Folds build_map_ into the sorted flat arrays (no-op when clean).
   void sync_functions() const;
   /// Copy-on-write: moves the flat table (owned or borrowed) back into
-  /// build_map_ so mutation can proceed.
+  /// build_map_ so mutation can proceed.  Drops the incremental index.
   void thaw_functions();
-  /// BDD of the function attached to `bit`; REQUIREs the bit is
-  /// parameterized.
-  logic::BddRef ref_of(std::size_t bit) const;
 
   ConfigMemory constant_;
   std::vector<std::string> param_names_;
@@ -159,8 +167,7 @@ class PConf {
   const std::uint32_t* fn_refs_b_ = nullptr;
   std::size_t fn_count_b_ = 0;
   std::shared_ptr<const void> fn_backing_;
-  mutable std::vector<std::vector<std::size_t>> bits_by_param_;
-  mutable bool index_built_ = false;
+  mutable std::optional<IncrementalIndex> index_;
 };
 
 }  // namespace fpgadbg::bitstream

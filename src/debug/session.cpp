@@ -103,9 +103,16 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
       }();
       report.scg_eval_seconds = spec.eval_seconds;
       bits_evaluated = spec.bits_evaluated;
-      changed_frames = current_spec_->memory.changed_frames(spec.memory);
+      // Only re-evaluated bits can differ, and the SCG lists the ones that
+      // flipped (ascending), so the frame diff needs no scan of the memory.
+      for (std::size_t bit : spec.changed_bits) {
+        const std::size_t frame = bit / arch::FrameGeometry::kFrameBits;
+        if (changed_frames.empty() || changed_frames.back() != frame) {
+          changed_frames.push_back(frame);
+        }
+      }
       report.frames_reconfigured = changed_frames.size();
-      report.bits_changed = current_spec_->memory.bit_distance(spec.memory);
+      report.bits_changed = spec.changed_bits.size();
       {
         telemetry::TraceScope dpr_span("debug.dpr");
         report.reconfig_seconds = icap_.partial_seconds(changed_frames.size());

@@ -159,22 +159,6 @@ bool BddManager::evaluate(BddRef f, const BitVec& assignment,
   return f == 1;
 }
 
-std::uint64_t BddManager::evaluate_word(
-    BddRef f, const std::vector<std::uint64_t>& var_words,
-    std::unordered_map<BddRef, std::uint64_t>& memo) const {
-  if (is_const(f)) return f == 1 ? ~std::uint64_t{0} : 0;
-  const auto it = memo.find(f);
-  if (it != memo.end()) return it->second;
-  const Node& n = node_at(f);
-  FPGADBG_ASSERT(n.var < var_words.size(),
-                 "BDD evaluation assignment too short");
-  const std::uint64_t lo = evaluate_word(n.low, var_words, memo);
-  const std::uint64_t hi = evaluate_word(n.high, var_words, memo);
-  const std::uint64_t r = lo ^ ((lo ^ hi) & var_words[n.var]);
-  memo.emplace(f, r);
-  return r;
-}
-
 std::vector<int> BddManager::support(BddRef f) const {
   std::set<std::uint32_t> vars;
   std::vector<BddRef> stack{f};

@@ -72,16 +72,6 @@ class BddManager {
   bool evaluate(BddRef f, const BitVec& assignment,
                 std::size_t* visited = nullptr) const;
 
-  /// Word-parallel evaluation: lane k of the result is evaluate(f) under
-  /// the assignment whose variable v has the value in bit k of
-  /// `var_words[v]`.  One Shannon walk serves all 64 lanes; `memo` caches
-  /// per-node results and is shared across calls that use the same
-  /// var_words (the SCG evaluates thousands of functions over one shared
-  /// BDD, so cross-function sharing is where the win comes from).
-  std::uint64_t evaluate_word(
-      BddRef f, const std::vector<std::uint64_t>& var_words,
-      std::unordered_map<BddRef, std::uint64_t>& memo) const;
-
   /// Variables in the support of f, ascending.
   std::vector<int> support(BddRef f) const;
 

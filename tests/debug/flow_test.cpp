@@ -130,19 +130,43 @@ TEST(Session, TraceMatchesGoldenSimulation) {
 TEST(Session, ReobservationWithoutRecompile) {
   const auto offline = run_offline(small_user(6), small_options());
   DebugSession session(offline);
+  const auto& inst = offline.instrumented;
   // Many debugging turns: each must cost frames + microseconds, never a
-  // recompile.  Cross-check cumulative accounting.
-  const auto& lanes = offline.instrumented.lane_signals;
+  // recompile.  Cross-check cumulative accounting, and every turn's frame
+  // and bit counts against a diff of two full specializations.
+  const auto& lanes = inst.lane_signals;
+  auto prev_asg = inst.select_signals({});
   double eval = 0.0, reconf = 0.0;
   for (int turn = 0; turn < 8; ++turn) {
-    const auto& lane = lanes[static_cast<std::size_t>(turn) % lanes.size()];
-    const auto rep =
-        session.observe({lane[static_cast<std::size_t>(turn) % lane.size()]});
+    std::vector<std::string> signals;
+    if (turn % 2 == 0) {
+      const auto& lane = lanes[static_cast<std::size_t>(turn) % lanes.size()];
+      signals.push_back(lane[static_cast<std::size_t>(turn) % lane.size()]);
+    } else {
+      // Dense: a fresh signal on every lane that can take one.
+      for (std::size_t l = 0; l < lanes.size(); ++l) {
+        auto trial = signals;
+        trial.push_back(lanes[l][(static_cast<std::size_t>(turn) + l) %
+                                 lanes[l].size()]);
+        if (inst.try_select_signals(trial).ok()) signals = std::move(trial);
+      }
+      EXPECT_GT(signals.size(), 1u) << "dense turn " << turn;
+    }
+    const auto rep = session.observe(signals);
     eval += rep.scg_eval_seconds;
     reconf += rep.reconfig_seconds;
     EXPECT_LT(rep.frames_reconfigured,
               offline.pconf->total_bits() / arch::FrameGeometry::kFrameBits)
         << "turn must be partial, not full";
+    const auto asg = inst.select_signals(signals);
+    const auto before = offline.pconf->specialize(prev_asg);
+    const auto after = offline.pconf->specialize(asg);
+    EXPECT_EQ(rep.frames_reconfigured,
+              before.memory.changed_frames(after.memory).size())
+        << "turn " << turn;
+    EXPECT_EQ(rep.bits_changed, before.memory.bit_distance(after.memory))
+        << "turn " << turn;
+    prev_asg = asg;
   }
   const auto summary = session.summary();
   EXPECT_EQ(summary.turns, 9u);  // constructor turn + 8

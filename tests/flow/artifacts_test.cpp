@@ -14,6 +14,7 @@
 #include "genbench/genbench.h"
 #include "map/mappers.h"
 #include "pnr/flow.h"
+#include "support/rng.h"
 
 namespace fpgadbg::flow {
 namespace {
@@ -183,6 +184,31 @@ TEST(Artifacts, PconfRoundTrip) {
   EXPECT_EQ(restored.stats.tlut_cells, phys.stats.tlut_cells);
   EXPECT_EQ(restored.stats.parameterized_switch_bits,
             phys.stats.parameterized_switch_bits);
+
+  // The incremental SCG builds its index over the borrowed arena and table
+  // and must track specialize() of the source PConf step by step: dense
+  // steps (random assignments) alternate with one-parameter flips.
+  const bitstream::PConf& loaded_pconf = restored.pconf;
+  const auto& names = loaded_pconf.param_names();
+  ASSERT_FALSE(names.empty());
+  Rng rng(61);
+  std::unordered_map<std::string, bool> prev_asg;
+  auto prev = loaded_pconf.specialize(prev_asg);
+  for (int step = 0; step < 12; ++step) {
+    auto asg = prev_asg;
+    if (step % 2 == 0) {
+      for (const std::string& name : names) asg[name] = rng.next_bool();
+    } else {
+      const std::string& name = names[rng.next_below(names.size())];
+      asg[name] = !asg[name];
+    }
+    prev = loaded_pconf.specialize_incremental(prev, prev_asg, asg);
+    EXPECT_EQ(prev.memory, phys.pconf.specialize(asg).memory)
+        << "step " << step;
+    prev_asg = asg;
+  }
+  EXPECT_TRUE(loaded_pconf.functions_borrowed());
+  EXPECT_TRUE(loaded_pconf.bdd().borrowed());
 }
 
 TEST(Artifacts, TruncatedBytesAreCorruptNotFatal) {

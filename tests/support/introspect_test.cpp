@@ -270,6 +270,7 @@ TEST(Introspect, HammerScrapeWhileWriting) {
   series.reset();
 
   std::atomic<bool> stop{false};
+  std::atomic<bool> wrote{false};
   std::thread writer([&] {
     // A fake route loop: iteration-cadence progress + series, item-cadence
     // counter/histogram updates.
@@ -286,8 +287,12 @@ TEST(Introspect, HammerScrapeWhileWriting) {
       progress.advance(iter);
       progress.field("overused_nodes", static_cast<double>(1000 / iter));
       telemetry::TraceScope span("introspect_test.hammer", "test");
+      wrote.store(true, std::memory_order_release);
     }
   });
+  // Scrape only once the writer has run an iteration: on a loaded host the
+  // scrapes below can otherwise all finish before its first one.
+  while (!wrote.load(std::memory_order_acquire)) std::this_thread::yield();
 
   std::uint64_t last_seen = 0;
   int scrapes_with_counter = 0;
