@@ -1,4 +1,5 @@
-// Shared experiment driver for the Table I / Table II / Fig. 7 harnesses.
+// Shared experiment driver for the Table I / Table II / Fig. 7 harness
+// (bench_mapping_tables).
 //
 // Runs the paper's mapping experiment on every benchmark: generate the
 // circuit, run the signal parameterisation, then map with the two

@@ -68,8 +68,9 @@ echo "schema smoke: OK ($SMOKE_DIR)"
 # Shared-cache smoke: two sequential flow runs, as separate processes,
 # against ONE cache directory.  The first populates it; the second must
 # execute zero stages, replay all six from the shared directory, and report
-# mmap hits — this pins the whole zero-copy chain (temp-file + rename
-# publish, mmap load, blob validation) end to end through the CLI.
+# exactly six mmap hits, one per stage (the cache holds nothing else) —
+# this pins the whole zero-copy chain (temp-file + rename publish, mmap
+# load, blob validation) end to end through the CLI.
 SHARED_CACHE="$SMOKE_DIR/shared-cache"
 rm -rf "$SHARED_CACHE"
 COLD=$("$FPGADBG" flow "$SMOKE_DIR/design.blif" --cache-dir "$SHARED_CACHE")
@@ -83,9 +84,8 @@ grep -q "0 stages executed, 6 from cache" <<< "$WARM" || {
   exit 1
 }
 MMAP_HITS=$(sed -n 's/.*from cache (.*), \([0-9]*\) mmap hits.*/\1/p' <<< "$WARM")
-MMAP_HITS="${MMAP_HITS:-0}"
-if [ "$MMAP_HITS" -le 0 ]; then
-  echo "shared-cache smoke: warm run reported no mmap hits: $WARM" >&2
+if [ "$MMAP_HITS" != 6 ]; then
+  echo "shared-cache smoke: warm run did not report 6 mmap hits: $WARM" >&2
   exit 1
 fi
 "$FPGADBG" cache gc --max-bytes 0 --cache-dir "$SHARED_CACHE" | \

@@ -4,29 +4,20 @@
 
 namespace fpgadbg::arch {
 
-RRGraph::RRGraph(const Device& device, int width, int height, int tracks)
-    : device_(device), width_(width), height_(height), tracks_(tracks) {}
-
-void RRGraph::use_owned() {
-  nodes_ = nodes_owned_.data();
-  num_nodes_ = nodes_owned_.size();
-  edges_ = edges_owned_.data();
-  num_edges_ = edges_owned_.size();
-  edge_offsets_ = edge_offsets_owned_.data();
-}
-
 RRGraph::RRGraph(const Device& device)
-    : RRGraph(device, device.width(), device.height(),
-              device.params().channel_width) {
+    : device_(device),
+      width_(device.width()),
+      height_(device.height()),
+      tracks_(device.params().channel_width) {
   const std::size_t ntiles = static_cast<std::size_t>(width_ * height_);
   const std::size_t nwires = ntiles * static_cast<std::size_t>(tracks_);
-  nodes_owned_.reserve(2 * ntiles + 2 * nwires);
+  nodes_.reserve(2 * ntiles + 2 * nwires);
 
   const auto push = [&](RRKind kind, int x, int y, int track, int capacity) {
-    nodes_owned_.push_back(RRNode{static_cast<std::int16_t>(x),
-                                  static_cast<std::int16_t>(y),
-                                  static_cast<std::int16_t>(track),
-                                  static_cast<std::int16_t>(capacity), kind});
+    nodes_.push_back(RRNode{static_cast<std::int16_t>(x),
+                            static_cast<std::int16_t>(y),
+                            static_cast<std::int16_t>(track),
+                            static_cast<std::int16_t>(capacity), kind});
   };
 
   // Each BLE exposes both its LUT output and its FF (Q) output, so a
@@ -38,17 +29,17 @@ RRGraph::RRGraph(const Device& device)
   for (int y = 0; y < height_; ++y) {
     for (int x = 0; x < width_; ++x) push(RRKind::kOpin, x, y, -1, n_out);
   }
-  base_ipin_ = static_cast<RRNodeId>(nodes_owned_.size());
+  base_ipin_ = static_cast<RRNodeId>(nodes_.size());
   for (int y = 0; y < height_; ++y) {
     for (int x = 0; x < width_; ++x) push(RRKind::kIpin, x, y, -1, n_in);
   }
-  base_chanx_ = static_cast<RRNodeId>(nodes_owned_.size());
+  base_chanx_ = static_cast<RRNodeId>(nodes_.size());
   for (int y = 0; y < height_; ++y) {
     for (int x = 0; x < width_; ++x) {
       for (int t = 0; t < tracks_; ++t) push(RRKind::kChanX, x, y, t, 1);
     }
   }
-  base_chany_ = static_cast<RRNodeId>(nodes_owned_.size());
+  base_chany_ = static_cast<RRNodeId>(nodes_.size());
   for (int y = 0; y < height_; ++y) {
     for (int x = 0; x < width_; ++x) {
       for (int t = 0; t < tracks_; ++t) push(RRKind::kChanY, x, y, t, 1);
@@ -97,68 +88,14 @@ RRGraph::RRGraph(const Device& device)
     }
   }
 
-  edge_offsets_owned_.assign(nodes_owned_.size() + 1, 0);
-  for (const RREdge& e : raw) ++edge_offsets_owned_[e.from + 1];
-  for (std::size_t n = 1; n <= nodes_owned_.size(); ++n) {
-    edge_offsets_owned_[n] += edge_offsets_owned_[n - 1];
+  edge_offsets_.assign(nodes_.size() + 1, 0);
+  for (const RREdge& e : raw) ++edge_offsets_[e.from + 1];
+  for (std::size_t n = 1; n <= nodes_.size(); ++n) {
+    edge_offsets_[n] += edge_offsets_[n - 1];
   }
-  edges_owned_.resize(raw.size());
-  std::vector<RREdgeId> cursor(edge_offsets_owned_.begin(),
-                               edge_offsets_owned_.end() - 1);
-  for (const RREdge& e : raw) edges_owned_[cursor[e.from]++] = e;
-  use_owned();
-}
-
-support::Result<std::unique_ptr<RRGraph>> RRGraph::adopt(
-    const Device& device, const RRNode* nodes, std::size_t num_nodes,
-    const RREdge* edges, std::size_t num_edges, const RREdgeId* edge_offsets,
-    std::size_t num_offsets, std::shared_ptr<const void> backing) {
-  using support::Status;
-  const int width = device.width();
-  const int height = device.height();
-  const int tracks = device.params().channel_width;
-  const std::size_t ntiles = static_cast<std::size_t>(width) *
-                             static_cast<std::size_t>(height);
-  const std::size_t expected_nodes =
-      2 * ntiles + 2 * ntiles * static_cast<std::size_t>(tracks);
-  if (num_nodes != expected_nodes) {
-    return Status::corrupt_artifact(
-        "rr-graph artifact: node count does not match the device geometry");
-  }
-  if (num_offsets != num_nodes + 1) {
-    return Status::corrupt_artifact(
-        "rr-graph artifact: CSR offset array has the wrong length");
-  }
-  if (edge_offsets[0] != 0 || edge_offsets[num_nodes] != num_edges) {
-    return Status::corrupt_artifact(
-        "rr-graph artifact: CSR offsets do not cover the edge array");
-  }
-  for (std::size_t n = 0; n < num_nodes; ++n) {
-    if (edge_offsets[n] > edge_offsets[n + 1]) {
-      return Status::corrupt_artifact(
-          "rr-graph artifact: CSR offsets are not monotone");
-    }
-  }
-  for (std::size_t e = 0; e < num_edges; ++e) {
-    if (edges[e].from >= num_nodes || edges[e].to >= num_nodes) {
-      return Status::corrupt_artifact(
-          "rr-graph artifact: edge endpoint out of range");
-    }
-  }
-
-  std::unique_ptr<RRGraph> rr(new RRGraph(device, width, height, tracks));
-  rr->nodes_ = nodes;
-  rr->num_nodes_ = num_nodes;
-  rr->edges_ = edges;
-  rr->num_edges_ = num_edges;
-  rr->edge_offsets_ = edge_offsets;
-  rr->backing_ = std::move(backing);
-  rr->base_opin_ = 0;
-  rr->base_ipin_ = static_cast<RRNodeId>(ntiles);
-  rr->base_chanx_ = static_cast<RRNodeId>(2 * ntiles);
-  rr->base_chany_ = static_cast<RRNodeId>(
-      2 * ntiles + ntiles * static_cast<std::size_t>(tracks));
-  return rr;
+  edges_.resize(raw.size());
+  std::vector<RREdgeId> cursor(edge_offsets_.begin(), edge_offsets_.end() - 1);
+  for (const RREdge& e : raw) edges_[cursor[e.from]++] = e;
 }
 
 RRNodeId RRGraph::opin_at(int x, int y) const {

@@ -15,28 +15,24 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "arch/device.h"
-#include "support/status.h"
 
 namespace fpgadbg::arch {
 
 enum class RRKind : std::uint8_t { kOpin, kIpin, kChanX, kChanY };
 
-/// Field order packs the struct to exactly 10 bytes with NO hidden padding:
-/// blob artifacts serialize node arrays as raw spans, and padding bytes
-/// would make the serialized image nondeterministic.
+/// Field order packs the struct to 10 bytes, so the router's reads of the
+/// node array stay dense.
 struct RRNode {
   std::int16_t x;
   std::int16_t y;
   std::int16_t track;    ///< -1 for pins
   std::int16_t capacity; ///< wires 1; pins = pin count of the block
   RRKind kind;
-  std::uint8_t pad = 0;  ///< always zero (deterministic raw bytes)
 };
-static_assert(sizeof(RRNode) == 10, "RRNode must stay padding-free");
+static_assert(sizeof(RRNode) == 10, "RRNode must stay 10 bytes");
 
 using RRNodeId = std::uint32_t;
 using RREdgeId = std::uint32_t;
@@ -78,32 +74,17 @@ class RREdgeSpan {
   RREdgeId last_;
 };
 
+/// Built from the device on every compile and warm replay; never loaded
+/// from the artifact cache (rebuilding it is cheaper than validating a
+/// cached copy).
 class RRGraph {
  public:
   explicit RRGraph(const Device& device);
 
-  /// Zero-copy load: builds an RRGraph whose node/edge/offset arrays
-  /// BORROW from `backing` (typically an mmap'd blob) instead of being
-  /// constructed.  Validates the structural invariants that keep the
-  /// router's reads in bounds — array counts matching the device geometry,
-  /// monotone CSR offsets, edge endpoints within range — and rejects
-  /// violations as kCorruptArtifact.  Per-node coordinates are trusted
-  /// from the digest-verified producer plus the cache key (which pins the
-  /// architecture parameters the graph was built from).
-  static support::Result<std::unique_ptr<RRGraph>> adopt(
-      const Device& device, const RRNode* nodes, std::size_t num_nodes,
-      const RREdge* edges, std::size_t num_edges,
-      const RREdgeId* edge_offsets, std::size_t num_offsets,
-      std::shared_ptr<const void> backing);
-
-  // The read-side pointers alias the owned vectors, so a copy would dangle.
-  RRGraph(const RRGraph&) = delete;
-  RRGraph& operator=(const RRGraph&) = delete;
-
   const Device& device() const { return device_; }
 
-  std::size_t num_nodes() const { return num_nodes_; }
-  std::size_t num_edges() const { return num_edges_; }
+  std::size_t num_nodes() const { return nodes_.size(); }
+  std::size_t num_edges() const { return edges_.size(); }
   const RRNode& node(RRNodeId id) const { return nodes_[id]; }
   const RREdge& edge(RREdgeId id) const { return edges_[id]; }
 
@@ -118,37 +99,14 @@ class RRGraph {
   RRNodeId chanx_at(int x, int y, int track) const;
   RRNodeId chany_at(int x, int y, int track) const;
 
-  /// Raw CSR arrays for blob serialization (nodes, edges, offsets; the
-  /// offsets array has num_nodes() + 1 elements).
-  const RRNode* nodes_data() const { return nodes_; }
-  const RREdge* edges_data() const { return edges_; }
-  const RREdgeId* edge_offsets_data() const { return edge_offsets_; }
-
-  /// True when the arrays borrow from a mapped artifact.
-  bool borrowed() const { return backing_ != nullptr; }
-
  private:
-  explicit RRGraph(const Device& device, int width, int height, int tracks);
-
-  /// Points the read-side arrays at the owned vectors (cold-build mode).
-  void use_owned();
-
   const Device& device_;
-  // Read-side arrays.  Either aliases of the owned vectors below (cold
-  // build) or views into `backing_` (warm mmap load).  The router only
-  // ever sees these pointers, so both modes cost identical reads.
-  const RRNode* nodes_ = nullptr;
-  std::size_t num_nodes_ = 0;
+  std::vector<RRNode> nodes_;
   /// CSR adjacency: edges is sorted by `from` (insertion order preserved
   /// within one source node); edge_offsets[n]..edge_offsets[n+1] indexes
   /// node n's outgoing edges.  Edge ids are CSR positions.
-  const RREdge* edges_ = nullptr;
-  std::size_t num_edges_ = 0;
-  const RREdgeId* edge_offsets_ = nullptr;
-  std::vector<RRNode> nodes_owned_;
-  std::vector<RREdge> edges_owned_;
-  std::vector<RREdgeId> edge_offsets_owned_;
-  std::shared_ptr<const void> backing_;
+  std::vector<RREdge> edges_;
+  std::vector<RREdgeId> edge_offsets_;
   // Dense index helpers.
   int width_, height_, tracks_;
   RRNodeId base_opin_, base_ipin_, base_chanx_, base_chany_;

@@ -60,28 +60,6 @@ std::optional<SessionEventKind> parse_session_event_kind(
 
 namespace {
 
-void write_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 /// %.17g round-trips every finite double exactly.
 void write_double(std::ostream& os, double v) {
   char buf[32];
@@ -94,7 +72,7 @@ void write_strings(std::ostream& os, const char* key,
   os << ",\"" << key << "\":[";
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i) os << ',';
-    write_string(os, values[i]);
+    os << support::json_quote(values[i]);
   }
   os << ']';
 }

@@ -4,9 +4,8 @@
 // format, its content hash (FNV-1a over exactly the serialized bytes), and
 // the hashes of the option structs that parameterize each stage.  The
 // instrument, pack, place and route artifacts are ByteWriter streams; the
-// tcon-map and pconf-build artifacts (and the rr-graph the pipeline caches
-// beside them) are blobs.  Loaders never throw: malformed bytes come back
-// as StatusCode::kCorruptArtifact.
+// tcon-map and pconf-build artifacts are blobs.  Loaders never throw:
+// malformed bytes come back as StatusCode::kCorruptArtifact.
 //
 // Design rule: artifacts carry only deterministic content.  Wall-clock
 // fields (MapStats::runtime_seconds, RouteResult::runtime_seconds) are NOT
@@ -16,11 +15,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
-#include "arch/rr_graph.h"
 #include "bitstream/builder.h"
 #include "bitstream/pconf.h"
 #include "debug/signal_param.h"
@@ -64,22 +61,18 @@ struct PconfArtifact {
 };
 
 // --- blob encodings (artifacts_blob.cpp) ------------------------------------
-// The three heavyweight artifacts — the CSR rr-graph, the tcon-map result
-// and the PConf/BDD store — are pointer-free blobs (flow/blob.h) that load
-// by mmap + validate + borrow instead of a field-by-field parse.  Each
+// The two heavyweight artifacts — the tcon-map result and the PConf/BDD
+// store — are pointer-free blobs (flow/blob.h) that load by mmap + validate
+// (+ borrow, for the PConf) instead of a field-by-field parse.  Each
 // load_* function is three-valued: a blob image of the current format
 // version loads; a payload that is not a blob image, or a blob of another
 // format version, comes back as nullopt (a cache miss: the caller rebuilds,
 // so old caches are rebuilt, never misparsed); anything else is
 // kCorruptArtifact.
-inline constexpr std::uint32_t kBlobKindRRGraph = 1;
+// Kind 1 was the rr-graph, which is now rebuilt on every run; the kinds
+// are not renumbered, so entries already on disk stay readable.
 inline constexpr std::uint32_t kBlobKindMapResult = 2;
 inline constexpr std::uint32_t kBlobKindPconf = 3;
-
-std::string encode_rr_graph_blob(const arch::RRGraph& rr);
-/// Zero-copy load: the returned graph borrows its arrays from hit.backing.
-support::Result<std::optional<std::unique_ptr<arch::RRGraph>>>
-load_rr_graph_blob(const arch::Device& device, const CacheHit& hit);
 
 /// The mapped netlist plus its MapStats (runtime_seconds excluded).
 std::string encode_map_result_blob(const map::MapResult& result);

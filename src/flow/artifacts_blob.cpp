@@ -2,11 +2,11 @@
 //
 // Encoders lay the artifact out as typed sections of one deterministic blob
 // image (flow/blob.h); loaders validate the image and either BORROW the big
-// arrays straight out of the mapping (rr-graph node/edge/offset arrays, the
-// PConf BDD arena and function table) or bulk-reconstruct from typed spans
-// (the mapped netlist, whose cells carry strings).  A payload that is not a
-// blob image of the current format version is a miss, never a parse: the
-// pipeline rebuilds the artifact and overwrites the entry.
+// arrays straight out of the mapping (the PConf BDD arena and function
+// table) or bulk-reconstruct from typed spans (the mapped netlist, whose
+// cells carry strings).  A payload that is not a blob image of the current
+// format version is a miss, never a parse: the pipeline rebuilds the
+// artifact and overwrites the entry.
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -28,10 +28,6 @@ using support::Status;
 
 // Section tags, unique per blob kind.
 enum : std::uint32_t {
-  // rr-graph (kind 1)
-  kTagRRNodes = 1,
-  kTagRREdges = 2,
-  kTagRROffsets = 3,
   // map-result (kind 2): structure-of-arrays mapped netlist.  Variable-size
   // per-cell data (names, fanins, truth-table words) is flattened with one
   // offsets array of num_cells + 1 entries per attribute.
@@ -103,39 +99,6 @@ bool looks_like_blob(std::string_view bytes) {
 }
 
 }  // namespace
-
-// --- rr-graph ----------------------------------------------------------------
-
-std::string encode_rr_graph_blob(const arch::RRGraph& rr) {
-  BlobWriter w(kBlobKindRRGraph);
-  w.section(kTagRRNodes, rr.nodes_data(), rr.num_nodes());
-  w.section(kTagRREdges, rr.edges_data(), rr.num_edges());
-  w.section(kTagRROffsets, rr.edge_offsets_data(), rr.num_nodes() + 1);
-  return w.finish();
-}
-
-Result<std::optional<std::unique_ptr<arch::RRGraph>>> load_rr_graph_blob(
-    const arch::Device& device, const CacheHit& hit) {
-  if (!looks_like_blob(hit.payload)) {
-    return std::optional<std::unique_ptr<arch::RRGraph>>();
-  }
-  const BlobImage image = aligned_image(hit);
-  FPGADBG_ASSIGN_OR_RETURN(std::optional<BlobReader> reader,
-                           BlobReader::open(image.bytes, kBlobKindRRGraph));
-  if (!reader.has_value()) return std::optional<std::unique_ptr<arch::RRGraph>>();
-  FPGADBG_ASSIGN_OR_RETURN(BlobSpan<arch::RRNode> nodes,
-                           reader->span<arch::RRNode>(kTagRRNodes));
-  FPGADBG_ASSIGN_OR_RETURN(BlobSpan<arch::RREdge> edges,
-                           reader->span<arch::RREdge>(kTagRREdges));
-  FPGADBG_ASSIGN_OR_RETURN(BlobSpan<arch::RREdgeId> offsets,
-                           reader->span<arch::RREdgeId>(kTagRROffsets));
-  FPGADBG_ASSIGN_OR_RETURN(
-      std::unique_ptr<arch::RRGraph> rr,
-      arch::RRGraph::adopt(device, nodes.ptr, nodes.count, edges.ptr,
-                           edges.count, offsets.ptr, offsets.count,
-                           image.backing));
-  return std::optional<std::unique_ptr<arch::RRGraph>>(std::move(rr));
-}
 
 // --- map result --------------------------------------------------------------
 

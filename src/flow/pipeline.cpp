@@ -7,7 +7,6 @@
 #include "bitstream/builder.h"
 #include "flow/artifacts.h"
 #include "map/mappers.h"
-#include "pnr/nets.h"
 #include "pnr/pack.h"
 #include "pnr/place.h"
 #include "pnr/route.h"
@@ -264,38 +263,10 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
     design->report.pack_seconds =
         m.histogram("pnr.pack_seconds").observe(stage.elapsed_seconds());
 
-    // Derived physical state: a deterministic, cheap function of the packing
-    // size and the architecture options.  The rr-graph is the one big piece
-    // — it is cached as a zero-copy blob keyed on (arch params, device
-    // size), OUTSIDE the six counted stages (it is derived state, not a
-    // pipeline stage, and its key ignores the user design entirely so every
-    // same-sized compile shares one entry).
+    // Derived physical state: a deterministic function of the packing and
+    // the options, rebuilt on every run rather than cached.
     try {
-      const std::size_t min_clbs = pnr::size_device(*design, copt);
-      const std::uint64_t rr_key =
-          stage_key("rr-graph", hash_arch_params(copt.arch),
-                    static_cast<std::uint64_t>(min_clbs));
-      auto loaded = cache_.load("rr-graph", rr_key);
-      if (!loaded.ok()) return Status(loaded.status()).with_stage("pack");
-      if (loaded.value().has_value()) {
-        auto rr = load_rr_graph_blob(*design->device, *loaded.value());
-        if (!rr.ok()) return Status(rr.status()).with_stage("pack");
-        if (rr.value().has_value()) design->rr = std::move(*rr.value());
-      }
-      if (!design->rr) {
-        design->rr = std::make_unique<arch::RRGraph>(*design->device);
-        // A disabled cache stores nothing: skip the encode.
-        if (cache_.enabled()) {
-          const std::string bytes = encode_rr_graph_blob(*design->rr);
-          Status stored =
-              cache_.store("rr-graph", rr_key, fnv1a(bytes), bytes);
-          if (!stored.ok()) return stored.with_stage("pack");
-        }
-      }
-      design->frames =
-          std::make_unique<arch::FrameGeometry>(*design->device, *design->rr);
-      design->nets =
-          pnr::extract_nets(net, offline.instrumented.trace_outputs);
+      pnr::derive_physical(*design, offline.instrumented.trace_outputs, copt);
     } catch (...) {
       return status_from_exception("pack");
     }

@@ -18,15 +18,14 @@
 // re-runs place -> route -> pconf-build.
 //
 // Derived physical state (arch::Device, RRGraph, FrameGeometry, the net
-// extraction) is deliberately NOT an artifact: it is a deterministic
-// function of the packing size and the architecture options, so the pipeline
-// rebuilds it after pack.  Only the rr-graph, the one big piece, is cached
-// (as a blob keyed on the architecture and device size, outside the six
-// stages).
+// extraction) is deliberately NOT cached: it is a deterministic function of
+// the packing and the architecture options, and rebuilding it is cheaper
+// than loading and validating a stored copy.  The cache directory holds the
+// six stage artifacts and nothing else.
 //
 // pnr::compile() is the uncached run of the pack/place/route steps; both
-// paths size the device with pnr::size_device() and fill the CompileReport
-// with pnr::fill_report().
+// paths derive the physical state with pnr::derive_physical() and fill the
+// CompileReport with pnr::fill_report().
 //
 // Error contract: run() never throws.  Stage failures — including legacy
 // fpgadbg::Error exceptions from the CAD libraries and corrupt cache

@@ -27,11 +27,7 @@ CompiledDesign compile(map::MappedNetlist mn,
   design.report.pack_seconds =
       m.histogram("pnr.pack_seconds").observe(stage_timer.elapsed_seconds());
 
-  size_device(design, options);
-  design.rr = std::make_unique<arch::RRGraph>(*design.device);
-  design.frames =
-      std::make_unique<arch::FrameGeometry>(*design.device, *design.rr);
-  design.nets = extract_nets(net, trace_output_names);
+  derive_physical(design, trace_output_names, options);
 
   stage_timer.restart();
   {
@@ -56,7 +52,9 @@ CompiledDesign compile(map::MappedNetlist mn,
   return design;
 }
 
-std::size_t size_device(CompiledDesign& design, const CompileOptions& options) {
+void derive_physical(CompiledDesign& design,
+                     const std::vector<std::string>& trace_output_names,
+                     const CompileOptions& options) {
   const std::size_t clusters = design.packing.num_clusters();
   const std::size_t min_clbs = std::max<std::size_t>(
       4, static_cast<std::size_t>(std::ceil(static_cast<double>(clusters) *
@@ -64,7 +62,10 @@ std::size_t size_device(CompiledDesign& design, const CompileOptions& options) {
   design.device = std::make_unique<arch::Device>(options.arch, min_clbs);
   LOG_INFO << "compile: " << design.device->describe() << ", " << clusters
            << " clusters";
-  return min_clbs;
+  design.rr = std::make_unique<arch::RRGraph>(*design.device);
+  design.frames =
+      std::make_unique<arch::FrameGeometry>(*design.device, *design.rr);
+  design.nets = extract_nets(design.netlist, trace_output_names);
 }
 
 void fill_report(CompiledDesign& design, const TimingOptions& timing) {

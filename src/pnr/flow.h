@@ -60,16 +60,18 @@ struct CompiledDesign {
 };
 
 /// The uncached run of pack -> place -> route.  flow::Pipeline runs the same
-/// steps with a cache lookup around each; both size the device with
-/// size_device() and end with fill_report().
+/// steps with a cache lookup around each; both derive the physical state
+/// with derive_physical() and end with fill_report().
 CompiledDesign compile(map::MappedNetlist mn,
                        const std::vector<std::string>& trace_output_names,
                        const CompileOptions& options = {});
 
-/// Builds design.device for the packed design: clusters * device_slack CLB
-/// tiles, at least 4.  Returns that requested CLB count (the device may
-/// round it up to its grid).
-std::size_t size_device(CompiledDesign& design, const CompileOptions& options);
+/// Derives the packed design's physical state, which is never cached: sizes
+/// design.device (clusters * device_slack CLB tiles, at least 4), then
+/// builds design.rr and design.frames and extracts design.nets.
+void derive_physical(CompiledDesign& design,
+                     const std::vector<std::string>& trace_output_names,
+                     const CompileOptions& options);
 
 /// Fills the report's size and routing fields from the packed, placed and
 /// routed design, then runs finalize_timing().  The *_seconds fields are

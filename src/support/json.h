@@ -3,17 +3,20 @@
 // session journals.  Supports the full value grammar; \uXXXX escapes are
 // decoded for the BMP (surrogate pairs are replaced with '?', which no
 // artifact emits anyway).  Strictness is the point: a parse failure means
-// the writer is broken.
+// the writer is broken.  json_quote() is the one string writer those
+// artifacts use, and parse_json() inverts it.
 //
 // Header-only so both the tools layer (`fpgadbg report`) and the test suite
 // (tests/testutil/json_lite.h forwards here) share one implementation.
 #pragma once
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fpgadbg::support {
@@ -239,6 +242,34 @@ class JsonParser {
 };
 
 }  // namespace json_detail
+
+/// `s` as a quoted JSON string literal: `"` and `\` are backslash-escaped,
+/// newline, carriage return and tab use their short escapes, other control
+/// bytes become \u00XX, and every other byte is copied as is.
+inline std::string json_quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
 
 /// Parses `text` as one JSON document; throws std::runtime_error on error.
 inline JsonValue parse_json(const std::string& text) {

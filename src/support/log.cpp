@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <mutex>
 
+#include "support/json.h"
 #include "support/telemetry.h"
 
 namespace fpgadbg {
@@ -52,25 +53,6 @@ int thread_id() {
   return id;
 }
 
-void append_json_escaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 }  // namespace
 
 LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
@@ -112,11 +94,10 @@ void log_emit(LogLevel level, const std::string& msg) {
             .count();
     char head[96];
     std::snprintf(head, sizeof head,
-                  "{\"ts\": %.3f, \"level\": \"%s\", \"tid\": %d, \"msg\": \"",
+                  "{\"ts\": %.3f, \"level\": \"%s\", \"tid\": %d, \"msg\": ",
                   ts, level_name(level), thread_id());
     line = head;
-    append_json_escaped(&line, msg);
-    line += '"';
+    line += support::json_quote(msg);
     // Causal join key: a line emitted under an active TraceScope (or inside
     // ThreadPool work the scope fanned out) carries the ids its spans and
     // journal events carry, so slow-turn logs grep straight to their trace.

@@ -24,6 +24,8 @@
 #include <thread>
 #include <vector>
 
+#include "support/json.h"
+
 namespace fpgadbg::prof {
 
 namespace {
@@ -207,15 +209,6 @@ std::vector<ResolvedSample> resolve_samples() {
   return out;
 }
 
-void write_json_escaped(std::ostream& os, const std::string& str) {
-  os << '"';
-  for (char c : str) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -360,7 +353,7 @@ void write_speedscope(std::ostream& os) {
         " \"shared\": {\"frames\": [";
   for (std::size_t i = 0; i < frames.size(); ++i) {
     os << (i ? ", " : "") << "{\"name\": ";
-    write_json_escaped(os, frames[i]);
+    os << support::json_quote(frames[i]);
     os << "}";
   }
   os << "]},\n \"profiles\": [";

@@ -11,6 +11,8 @@
 #include <mutex>
 #include <ostream>
 
+#include "support/json.h"
+
 namespace fpgadbg::telemetry {
 
 // ---------------------------------------------------------------------------
@@ -246,28 +248,6 @@ void write_json_number(std::ostream& os, double v) {
   os << buf;
 }
 
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 }  // namespace
 
 void MetricsRegistry::write_json(std::ostream& os) const {
@@ -275,13 +255,13 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   os << "{\n  \"counters\": {";
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
     os << (i ? ",\n    " : "\n    ");
-    write_json_string(os, snap.counters[i].first);
+    os << support::json_quote(snap.counters[i].first);
     os << ": " << snap.counters[i].second;
   }
   os << (snap.counters.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
   for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
     os << (i ? ",\n    " : "\n    ");
-    write_json_string(os, snap.gauges[i].first);
+    os << support::json_quote(snap.gauges[i].first);
     os << ": ";
     write_json_number(os, snap.gauges[i].second);
   }
@@ -289,7 +269,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
     const auto& [name, h] = snap.histograms[i];
     os << (i ? ",\n    " : "\n    ");
-    write_json_string(os, name);
+    os << support::json_quote(name);
     os << ": {\"count\": " << h.count << ", \"sum\": ";
     write_json_number(os, h.sum);
     os << ", \"min\": ";
@@ -308,7 +288,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   for (std::size_t i = 0; i < snap.series.size(); ++i) {
     const auto& [name, values] = snap.series[i];
     os << (i ? ",\n    " : "\n    ");
-    write_json_string(os, name);
+    os << support::json_quote(name);
     os << ": [";
     for (std::size_t j = 0; j < values.size(); ++j) {
       if (j) os << ", ";
@@ -535,7 +515,7 @@ void write_progress_json(std::ostream& os) {
     const ProgressSnapshot& t = tasks[i];
     os << (i ? ",\n  " : "\n  ");
     os << "{\"name\": ";
-    write_json_string(os, t.name);
+    os << support::json_quote(t.name);
     os << ", \"id\": " << t.id
        << ", \"done\": " << (t.done ? "true" : "false")
        << ", \"units_done\": " << t.units_done
@@ -544,16 +524,16 @@ void write_progress_json(std::ostream& os) {
     os << ", \"fields\": {";
     for (std::size_t j = 0; j < t.fields.size(); ++j) {
       if (j) os << ", ";
-      write_json_string(os, t.fields[j].first);
+      os << support::json_quote(t.fields[j].first);
       os << ": ";
       write_json_number(os, t.fields[j].second);
     }
     os << "}, \"notes\": {";
     for (std::size_t j = 0; j < t.notes.size(); ++j) {
       if (j) os << ", ";
-      write_json_string(os, t.notes[j].first);
+      os << support::json_quote(t.notes[j].first);
       os << ": ";
-      write_json_string(os, t.notes[j].second);
+      os << support::json_quote(t.notes[j].second);
     }
     os << "}}";
   }
@@ -802,9 +782,9 @@ void write_chrome_trace(std::ostream& os) {
   for (const auto& [tid, e] : events) {
     sep();
     os << "{\"name\": ";
-    write_json_string(os, e.name);
+    os << support::json_quote(e.name);
     os << ", \"cat\": ";
-    write_json_string(os, e.category);
+    os << support::json_quote(e.category);
     os << ", \"ph\": \"X\", \"ts\": ";
     write_json_number(os, static_cast<double>(e.start_ns) / 1e3);
     os << ", \"dur\": ";

@@ -4,9 +4,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -98,6 +101,90 @@ TEST(Pipeline, WarmRunExecutesZeroStages) {
             cold.value().offline.pconf->num_parameterized_bits());
   EXPECT_EQ(warm.value().offline.compiled->placement.cluster_pos,
             cold.value().offline.compiled->placement.cluster_pos);
+}
+
+/// Names of the subdirectories of a cache directory.
+std::set<std::string> cache_subdirs(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_directory()) names.insert(entry.path().filename().string());
+  }
+  return names;
+}
+
+TEST(Pipeline, CacheHoldsOnlyStageArtifacts) {
+  // Derived physical state (device, rr-graph, frames, nets) is rebuilt on
+  // every run, so a cold run stores the six stage artifacts and nothing
+  // else.
+  TempCacheDir cache("only_stages");
+  auto options = small_options();
+  options.cache_dir = cache.path;
+  auto cold = Pipeline(options).run(small_user(12));
+  ASSERT_TRUE(cold.ok()) << cold.status().to_string();
+  const std::set<std::string> expected = {"instrument", "tcon-map", "pack",
+                                          "place",      "route",
+                                          "pconf-build"};
+  EXPECT_EQ(cache_subdirs(cache.path), expected);
+  auto listed = ArtifactCache(cache.path).entries();
+  ASSERT_TRUE(listed.ok()) << listed.status().to_string();
+  EXPECT_EQ(listed.value().size(), 6u);
+}
+
+/// Stores an entry where older builds kept the rr-graph beside the six
+/// stages: <dir>/rr-graph/<key>, keyed on the architecture and the
+/// requested CLB count.  The payload is no graph image; nothing reads it.
+void store_leftover_rr_graph_entry(const std::string& dir,
+                                   const debug::OfflineOptions& options,
+                                   const pnr::CompiledDesign& design) {
+  const std::uint64_t min_clbs = std::max<std::uint64_t>(
+      4, static_cast<std::uint64_t>(
+             std::ceil(static_cast<double>(design.packing.num_clusters()) *
+                       options.compile.device_slack)));
+  const std::uint64_t key = hash_combine(
+      hash_combine(fnv1a(std::string_view("rr-graph")),
+                   hash_arch_params(options.compile.arch)),
+      min_clbs);
+  const std::string bytes = "rr-graph entry written by an older build";
+  ASSERT_TRUE(
+      ArtifactCache(dir).store("rr-graph", key, fnv1a(bytes), bytes).ok());
+}
+
+TEST(Pipeline, LeftoverRRGraphEntryIsIgnoredAndSwept) {
+  // A cache written in the older layout still replays every stage, and the
+  // rr-graph entry it carries is an ordinary entry to the GC sweep.
+  TempCacheDir cache("legacy_rr");
+  auto options = small_options();
+  options.cache_dir = cache.path;
+  auto cold = Pipeline(options).run(small_user(13));
+  ASSERT_TRUE(cold.ok()) << cold.status().to_string();
+  const pnr::CompiledDesign& c = *cold.value().offline.compiled;
+  store_leftover_rr_graph_entry(cache.path, options, c);
+  ASSERT_EQ(cache_subdirs(cache.path).count("rr-graph"), 1u);
+
+  auto warm = Pipeline(options).run(small_user(13));
+  ASSERT_TRUE(warm.ok()) << warm.status().to_string();
+  EXPECT_EQ(warm.value().stages_executed, 0u);
+  EXPECT_EQ(warm.value().stages_from_cache, 6u);
+  const pnr::CompiledDesign& w = *warm.value().offline.compiled;
+  EXPECT_EQ(w.placement.cluster_pos, c.placement.cluster_pos);
+  EXPECT_EQ(w.routing.routes, c.routing.routes);
+  const bitstream::PConf& wp = *warm.value().offline.pconf;
+  const bitstream::PConf& cp = *cold.value().offline.pconf;
+  EXPECT_EQ(wp.total_bits(), cp.total_bits());
+  EXPECT_TRUE(wp.constants() == cp.constants());
+  const bitstream::FunctionView got = wp.functions();
+  const bitstream::FunctionView want = cp.functions();
+  ASSERT_EQ(got.count, want.count);
+  for (std::size_t i = 0; i < got.count; ++i) {
+    EXPECT_EQ(got.bits[i], want.bits[i]) << i;
+    EXPECT_EQ(got.refs[i], want.refs[i]) << i;
+  }
+
+  auto swept = ArtifactCache(cache.path).gc(0);
+  ASSERT_TRUE(swept.ok()) << swept.status().to_string();
+  EXPECT_EQ(swept.value().scanned_entries, 7u);
+  EXPECT_EQ(swept.value().removed_entries, 7u);
+  EXPECT_TRUE(std::filesystem::is_empty(cache.path + "/rr-graph"));
 }
 
 TEST(Pipeline, PlaceOptionChangeRerunsOnlyDownstream) {
