@@ -3,12 +3,15 @@
 // Every configuration evaluates the SAME 4096 scenarios (64 scenario blocks
 // x 64 lanes) with the same stateless stimulus function, so outputs must be
 // bit-identical across batch widths and thread counts — verified here with
-// per-scenario output signatures before any speedup is reported.  The
-// ladder: 1 block -> 16 blocks -> 64 blocks -> 64 blocks + thread pool.  A
-// final differential rung injects a fault into odd scenarios only and
-// checks that exactly those universes diverge.  Emits BENCH_scenarios.json;
-// acceptance is >= 12x scenario*cycles per second for the threaded 64-block
-// engine over the 1-block engine on the largest design.
+// the library campaign's per-scenario signatures (debug::run_scenario_batch
+// at each rung's width and thread count) before any speedup is reported.
+// The timed rungs drive the engine alone, without the campaign's signature
+// fold.  The ladder: 1 block -> 16 blocks -> 64 blocks -> 64 blocks +
+// thread pool.  A final differential rung injects a fault into odd
+// scenarios only and checks that exactly those universes diverge.  Emits
+// BENCH_scenarios.json; acceptance is >= 12x scenario*cycles per second for
+// the threaded 64-block engine over the 1-block engine on the largest
+// design.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -27,26 +30,12 @@ using namespace fpgadbg;
 namespace {
 
 constexpr std::uint64_t kSeed = 0xba7c4;
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
-struct RunResult {
-  double seconds = 0.0;
-  std::vector<std::uint64_t> signatures;  ///< per scenario; verification runs
-};
-
-void fold_signatures(std::vector<std::uint64_t>& sigs, std::size_t block,
-                     std::uint64_t word) {
-  std::uint64_t* sig = sigs.data() + block * 64;
-  for (std::size_t l = 0; l < 64; ++l) {
-    sig[l] = (sig[l] ^ ((word >> l) & 1)) * kFnvPrime;
-  }
-}
-
-/// The SoA engine at B blocks per pass (B*64 scenarios per program walk).
-RunResult run_batched(const netlist::Netlist& nl, std::size_t blocks_per_pass,
-                      std::size_t threads, std::size_t total_blocks,
-                      std::size_t cycles, bool collect) {
+/// Seconds for the SoA engine at B blocks per pass (B*64 scenarios per
+/// program walk) to run the ladder's scenarios.
+double run_batched(const netlist::Netlist& nl, std::size_t blocks_per_pass,
+                   std::size_t threads, std::size_t total_blocks,
+                   std::size_t cycles) {
   sim::BatchSimOptions opt;
   opt.blocks = blocks_per_pass;
   opt.num_threads = threads;
@@ -55,8 +44,6 @@ RunResult run_batched(const netlist::Netlist& nl, std::size_t blocks_per_pass,
   const std::size_t outputs = bs.program().outputs.size();
   const std::size_t passes =
       (total_blocks + blocks_per_pass - 1) / blocks_per_pass;
-  RunResult r;
-  if (collect) r.signatures.assign(total_blocks * 64, kFnvOffset);
   std::uint64_t sink = 0;
   Stopwatch timer;
   for (std::size_t p = 0; p < passes; ++p) {
@@ -74,16 +61,14 @@ RunResult run_batched(const netlist::Netlist& nl, std::size_t blocks_per_pass,
       for (std::size_t o = 0; o < outputs; ++o) {
         const sim::BatchSimulator::BatchView view = bs.output_view(o);
         for (std::size_t b = 0; b < blocks_per_pass; ++b) {
-          const std::uint64_t w = view.word(b);
-          if (collect) fold_signatures(r.signatures, block0 + b, w);
-          sink ^= w;
+          sink ^= view.word(b);
         }
       }
     }
   }
-  r.seconds = timer.elapsed_seconds();
+  const double seconds = timer.elapsed_seconds();
   if (sink == 0x5eed5eed) std::printf("(unlikely)\n");
-  return r;
+  return seconds;
 }
 
 struct ConfigRow {
@@ -135,8 +120,8 @@ int main() {
     row.gates = spec.num_gates;
 
     // Timed runs (no signature collection on the clock), then an untimed
-    // verification pass per configuration collecting per-scenario
-    // signatures.
+    // verification campaign per configuration at the same width and thread
+    // count, whose per-scenario signatures must match the first rung's.
     struct Cfg {
       const char* label;
       std::size_t blocks, threads;
@@ -151,17 +136,22 @@ int main() {
     };
     std::vector<std::uint64_t> reference;
     for (const Cfg& cfg : cfgs) {
-      const RunResult timed = run_batched(nl, cfg.blocks, cfg.threads,
-                                          total_blocks, cycles, false);
-      const RunResult verify = run_batched(nl, cfg.blocks, cfg.threads,
-                                           total_blocks, cycles, true);
+      const double seconds =
+          run_batched(nl, cfg.blocks, cfg.threads, total_blocks, cycles);
+      debug::ScenarioBatchOptions vopt;
+      vopt.scenarios = total_blocks * 64;
+      vopt.cycles = cycles;
+      vopt.seed = kSeed;
+      vopt.blocks_per_pass = cfg.blocks;
+      vopt.num_threads = cfg.threads;
+      const auto verify = debug::run_scenario_batch(nl, vopt);
       ConfigRow c;
       c.label = cfg.label;
       c.blocks = cfg.blocks;
       c.threads = cfg.threads == 0 ? ThreadPool::global().size() : cfg.threads;
-      c.seconds = timed.seconds;
+      c.seconds = seconds;
       c.rate = static_cast<double>(total_blocks * 64) *
-               static_cast<double>(cycles) / timed.seconds;
+               static_cast<double>(cycles) / seconds;
       if (reference.empty()) {
         reference = verify.signatures;
       } else {

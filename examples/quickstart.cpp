@@ -49,7 +49,7 @@ int main() {
   // --- 3. online stage: two debugging turns with different signal sets
   debug::DebugSession session(offline);
   Rng rng(1);
-  for (const std::vector<std::string> watch :
+  for (const std::vector<std::string>& watch :
        {std::vector<std::string>{"g1", "g2"},
         std::vector<std::string>{"g4", "state"}}) {
     const auto turn = session.observe(watch);

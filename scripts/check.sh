@@ -19,8 +19,11 @@ else
   BUILD_DIR="${1:-build}"
 fi
 
+# A tree this script creates builds with -Werror, so a new warning fails
+# the gate.
 if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
-  cmake -B "$BUILD_DIR" -S . -DFPGADBG_SANITIZE="$SANITIZE"
+  cmake -B "$BUILD_DIR" -S . -DFPGADBG_SANITIZE="$SANITIZE" \
+        -DFPGADBG_WERROR=ON
 fi
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j "$(nproc)"

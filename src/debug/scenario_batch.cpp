@@ -12,9 +12,6 @@ namespace fpgadbg::debug {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
 inline std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -73,7 +70,7 @@ ScenarioBatchResult drive(sim::BatchSimulator& sim,
   result.cycles = options.cycles;
   result.blocks_per_pass = B;
   result.passes = passes;
-  result.signatures.assign(scenarios, kFnvOffset);
+  result.signatures.assign(scenarios, sim::kSignatureOffsetBasis);
 
   // Live progress at pass cadence: a campaign of thousands of scenarios is
   // exactly the long-running loop the introspection server exists for.
@@ -110,17 +107,8 @@ ScenarioBatchResult drive(sim::BatchSimulator& sim,
         }
       }
       sim.step();
-      for (std::size_t o = 0; o < prog.outputs.size(); ++o) {
-        const sim::BatchSimulator::BatchView view = sim.output_view(o);
-        for (std::size_t b = 0; b < valid; ++b) {
-          const std::uint64_t w = view.word(b);
-          std::uint64_t* sig =
-              result.signatures.data() + (block0 + b) * kLanes;
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            sig[l] = (sig[l] ^ ((w >> l) & 1)) * kFnvPrime;
-          }
-        }
-      }
+      sim.fold_output_signatures(result.signatures.data() + block0 * kLanes,
+                                 valid);
     }
     const std::size_t scenarios_done =
         std::min(scenarios, (block0 + valid) * kLanes);
@@ -176,7 +164,12 @@ ScenarioBatchResult run_scenario_batch(const netlist::Netlist& nl,
 
 ScenarioBatchResult run_scenario_batch(const map::MappedNetlist& mn,
                                        const ScenarioBatchOptions& options) {
-  sim::BatchSimulator sim(mn, engine_options(options));
+  // A campaign never sets a parameter, so it runs the design specialized on
+  // the all-zero assignment: every TCON a wire or a constant, every TLUT a
+  // plain LUT.
+  sim::BatchSimulator sim(
+      sim::lower_program(mn, std::vector<bool>(mn.params().size(), false)),
+      engine_options(options));
   return drive(sim, options);
 }
 

@@ -8,6 +8,19 @@
 // chunked into batch passes or sharded across threads — signatures are
 // comparable across batch widths, thread counts, engines, and processes.
 //
+// The signature of scenario s (block s / 64, lane s % 64) is FNV-1a over
+// its output bits: it starts at sim::kSignatureOffsetBasis, and after each
+// cycle's step, for each output o in declaration order,
+//   sig = (sig ^ bit_o) * sim::kSignaturePrime,
+// where input i of that cycle carried bit s % 64 of
+// scenario_stimulus_word(seed, i, cycle, s / 64).
+//
+// A campaign never sets a parameter: every parameter is 0, whatever a
+// debug session has observed.  The mapped-netlist entry point therefore
+// runs the design specialized on the all-zero assignment (every TCON a
+// wire or a constant, every TLUT a plain LUT; see sim/sim_program.h), whose
+// outputs equal the generic design's with its parameters held at 0.
+//
 // Differential consumers (fpgadbg campaign, backend A/B checks) run the
 // same campaign twice under different configurations and diff the
 // signature vectors with diverging_scenarios().
@@ -43,9 +56,10 @@ struct ScenarioBatchOptions {
   std::size_t num_threads = 1;
   /// Explicit fault list (applied where the target scenario falls).
   std::vector<ScenarioFault> faults;
-  /// Convenience for smoke/profiling runs: inject this many kInvert faults
-  /// on the first logic nodes of the design, fault i targeting scenario
-  /// 2*i + 1 — odd scenarios become faulted universes, even stay clean.
+  /// Convenience for smoke/profiling runs: inject this many kInvert faults,
+  /// on the logic nodes driving outputs first (in output order), then on the
+  /// lowest-numbered other logic nodes; fault i targets scenario 2*i + 1 —
+  /// odd scenarios become faulted universes, even stay clean.
   std::size_t auto_faults = 0;
 };
 
@@ -55,8 +69,8 @@ struct ScenarioBatchResult {
   std::size_t blocks_per_pass = 0;
   std::size_t passes = 0;
   std::size_t faulted_scenarios = 0;
-  /// Per-scenario FNV-1a over the output bit trace, comparable across batch
-  /// widths and thread counts.
+  /// Per-scenario FNV-1a over the output bit trace (defined above),
+  /// comparable across batch widths and thread counts.
   std::vector<std::uint64_t> signatures;
   double seconds = 0.0;
   double scenario_cycles_per_sec = 0.0;

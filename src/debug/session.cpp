@@ -205,7 +205,8 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
 ScenarioBatchResult DebugSession::run_scenario_batch(
     const ScenarioBatchOptions& options) const {
   // The campaign runs on its own SoA engine over the session's mapped
-  // design; the interactive DUT (sim_) and its trace window are untouched.
+  // design, specialized on the all-zero assignment; the interactive DUT
+  // (sim_), its parameters and its trace window are untouched.
   return debug::run_scenario_batch(offline_.mapping.netlist, options);
 }
 

@@ -99,7 +99,8 @@ class DebugSession {
   /// the structure-of-arrays engine, 64 x blocks scenarios per pass.  This
   /// is the entry point equivalence and `fpgadbg campaign` consumers use to
   /// sweep thousands of scenarios without touching the interactive DUT
-  /// state of the session.
+  /// state of the session.  The campaign runs the design specialized on
+  /// every parameter at 0, not on the assignment the session observes.
   ScenarioBatchResult run_scenario_batch(
       const ScenarioBatchOptions& options) const;
 

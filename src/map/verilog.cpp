@@ -49,8 +49,7 @@ class Namer {
 };
 
 /// SOP expression of a cell over its (data ++ param) input names.
-std::string sop_expr(const MappedNetlist& mn, const Namer& names,
-                     const MCell& cell) {
+std::string sop_expr(const Namer& names, const MCell& cell) {
   std::vector<std::string> inputs;
   for (CellId in : cell.data_inputs) inputs.push_back(names.wire(in));
   for (CellId in : cell.param_inputs) inputs.push_back(names.wire(in));
@@ -107,7 +106,7 @@ void write_verilog(const MappedNetlist& mn, std::ostream& out) {
                                                    : "TCON";
     out << "  wire " << names.wire(id) << ";  // " << kind << '\n';
     out << "  assign " << names.wire(id) << " = "
-        << sop_expr(mn, names, cell) << ";\n";
+        << sop_expr(names, cell) << ";\n";
   }
 
   // Constant sources.

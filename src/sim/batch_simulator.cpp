@@ -63,6 +63,11 @@ BatchSimulator::BatchSimulator(const map::MappedNetlist& mn,
   init();
 }
 
+BatchSimulator::BatchSimulator(SimProgram program, BatchSimOptions options)
+    : prog_(std::move(program)), opts_(options) {
+  init();
+}
+
 void BatchSimulator::init() {
   FPGADBG_REQUIRE(opts_.blocks >= 1, "batch must have at least one block");
   blocks_ = opts_.blocks;
@@ -75,6 +80,10 @@ void BatchSimulator::init() {
   if (pool_ && pool_->size() <= 1) pool_ = nullptr;
   if (opts_.min_blocks_per_task == 0) opts_.min_blocks_per_task = 1;
   values_.assign(prog_.num_slots * blocks_, 0);
+  for (std::size_t i = 0; i < prog_.param_values.size(); ++i) {
+    std::fill_n(slot_words(prog_.params[i]), blocks_,
+                kernels::broadcast(prog_.param_values[i] != 0));
+  }
   latch_words_.assign(prog_.latches.size() * blocks_, 0);
   op_has_fault_.assign(prog_.ops.size(), 0);
   faulted_mask_.assign(blocks_, 0);
@@ -105,6 +114,8 @@ void BatchSimulator::set_param_word(std::uint32_t id, std::size_t block,
   FPGADBG_REQUIRE(id < prog_.num_design_nodes &&
                       prog_.node_kind[id] == SimProgram::SlotKind::kParam,
                   "set_param target is not a parameter");
+  FPGADBG_REQUIRE(prog_.param_values.empty(),
+                  "set_param target is bound in this program");
   FPGADBG_REQUIRE(block < blocks_, "scenario block out of range");
   slot_words(id)[block] = word;
 }
@@ -120,6 +131,8 @@ void BatchSimulator::broadcast_param(std::uint32_t id, bool value) {
   FPGADBG_REQUIRE(id < prog_.num_design_nodes &&
                       prog_.node_kind[id] == SimProgram::SlotKind::kParam,
                   "set_param target is not a parameter");
+  FPGADBG_REQUIRE(prog_.param_values.empty(),
+                  "set_param target is bound in this program");
   std::fill_n(slot_words(id), blocks_, kernels::broadcast(value));
 }
 
@@ -248,6 +261,23 @@ bool BatchSimulator::output_value(std::size_t index,
                                   std::size_t scenario) const {
   FPGADBG_REQUIRE(index < prog_.outputs.size(), "output index out of range");
   return value(prog_.outputs[index], scenario);
+}
+
+void BatchSimulator::fold_output_signatures(std::uint64_t* signatures,
+                                            std::size_t valid_blocks) const {
+  FPGADBG_REQUIRE(valid_blocks <= blocks_, "scenario block out of range");
+  // Built with this unit's vector ISA: the lane loop's 64-bit multiplies
+  // vectorize here, and the order of the folds is the signature definition.
+  for (const std::uint32_t out : prog_.outputs) {
+    const std::uint64_t* words = slot_words(out);
+    for (std::size_t b = 0; b < valid_blocks; ++b) {
+      const std::uint64_t w = words[b];
+      std::uint64_t* sig = signatures + b * kLanesPerBlock;
+      for (std::size_t l = 0; l < kLanesPerBlock; ++l) {
+        sig[l] = (sig[l] ^ ((w >> l) & 1)) * kSignaturePrime;
+      }
+    }
+  }
 }
 
 void BatchSimulator::account_fault(const Fault& fault,

@@ -20,6 +20,12 @@
 // the fact).  Threaded sweeps shard scenario blocks across a thread pool:
 // blocks are embarrassingly parallel, one task walks the whole program for
 // its block range, and there are no barriers inside a step.
+//
+// The engine runs any lowered program.  Campaigns hand it a mapped design
+// specialized on their parameter assignment (sim_program.h), whose
+// parameters are bound: their slots hold the bound values, and writing
+// one throws.  The campaign's per-scenario signature fold also lives here,
+// so it compiles with the same vector ISA as the sweep.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +55,11 @@ struct BatchSimOptions {
 /// Marks a fault (or stimulus) as applying to every scenario of the batch.
 inline constexpr std::size_t kAllScenarios = static_cast<std::size_t>(-1);
 
+/// FNV-1a parameters of the per-scenario output signatures
+/// (BatchSimulator::fold_output_signatures).
+inline constexpr std::uint64_t kSignatureOffsetBasis = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kSignaturePrime = 0x100000001b3ULL;
+
 class BatchSimulator {
  public:
   static constexpr std::size_t kLanesPerBlock = 64;
@@ -58,6 +69,9 @@ class BatchSimulator {
                           BatchSimOptions options = {});
   explicit BatchSimulator(const map::MappedNetlist& mn,
                           BatchSimOptions options = {});
+  /// Runs an already lowered program, e.g. a mapped design specialized on
+  /// a parameter assignment.
+  explicit BatchSimulator(SimProgram program, BatchSimOptions options = {});
 
   const SimProgram& program() const { return prog_; }
   const BatchSimOptions& options() const { return opts_; }
@@ -70,7 +84,8 @@ class BatchSimulator {
   // --- stimulus ----------------------------------------------------------
   // One word drives the 64 lanes of one scenario block; the broadcast forms
   // drive every block at once.  All entry points bounds-check their node id
-  // and block index and throw fpgadbg::Error on misuse.
+  // and block index and throw fpgadbg::Error on misuse, as does writing a
+  // parameter the program binds.
   void set_input_word(std::uint32_t id, std::size_t block, std::uint64_t word);
   void set_param_word(std::uint32_t id, std::size_t block, std::uint64_t word);
   void broadcast_input(std::uint32_t id, bool value);
@@ -108,6 +123,15 @@ class BatchSimulator {
   BatchView output_view(std::size_t index) const;
   std::uint64_t output_word(std::size_t index, std::size_t block) const;
   bool output_value(std::size_t index, std::size_t scenario) const;
+
+  /// Folds the current output values of blocks [0, valid_blocks) into
+  /// per-scenario FNV-1a signatures: for each output in program order, for
+  /// each scenario s, signatures[s] = (signatures[s] ^ bit) * kSignaturePrime.
+  /// `signatures` holds valid_blocks * 64 words, scenario s of this batch at
+  /// index s; the words past them are not touched.  A campaign starts each
+  /// signature at kSignatureOffsetBasis and folds once per step().
+  void fold_output_signatures(std::uint64_t* signatures,
+                              std::size_t valid_blocks) const;
 
   // --- faults ------------------------------------------------------------
   /// Injects a fault into every scenario (`kAllScenarios`) or exactly one.

@@ -13,6 +13,11 @@ using logic::TruthTable;
 // 2:1 mux over (lo, hi, sel): out = sel ? hi : lo.
 constexpr std::uint64_t kMuxMask = 0xCA;
 
+// Bit positions of a one-word table at which variable v is 1.
+constexpr std::uint64_t kVarMask[SimProgram::kMaxOpArity] = {
+    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
+
 /// Accumulates ops with their levels; ops are bucket-sorted by level once
 /// all nodes are lowered.
 struct Builder {
@@ -68,6 +73,86 @@ struct Builder {
     const std::uint32_t mux_fanins[3] = {lo, hi,
                                          fanin_slots[static_cast<std::size_t>(split)]};
     return emit(kMuxMask, mux_fanins, 3, out);
+  }
+
+  /// Lowers one cell of a specialized program: `tt` over `fanin_slots`
+  /// with each variable v in the `fixed` set bound to bit v of `values`,
+  /// over only the variables that cofactor still depends on.  A constant
+  /// cofactor is a 0-input op; a cell with no bound and no redundant
+  /// variable lowers exactly as lower_function() lowers it.
+  std::uint32_t lower_specialized(const TruthTable& tt,
+                                  const std::vector<std::uint32_t>& fanin_slots,
+                                  std::uint32_t fixed, std::uint32_t values,
+                                  std::uint32_t out) {
+    const int n = tt.num_vars();
+    if (n > static_cast<int>(SimProgram::kMaxOpArity)) {
+      return lower_specialized_wide(tt, fanin_slots, fixed, values, out);
+    }
+    // At most six variables: the whole table is one word.
+    const std::uint64_t tail =
+        n == 6 ? ~0ULL : (1ULL << (std::size_t{1} << n)) - 1;
+    std::uint64_t w = n == 0 ? (tt.bit(0) ? 1 : 0) : tt.words()[0];
+    for (int v = 0; v < n; ++v) {
+      if (((fixed >> v) & 1U) == 0) continue;
+      const int shift = 1 << v;
+      if ((values >> v) & 1U) {
+        const std::uint64_t hi = w & kVarMask[v];
+        w = hi | (hi >> shift);
+      } else {
+        const std::uint64_t lo = w & ~kVarMask[v];
+        w = lo | (lo << shift);
+      }
+    }
+    std::uint32_t support[SimProgram::kMaxOpArity];
+    std::uint32_t slots[SimProgram::kMaxOpArity];
+    std::uint32_t arity = 0;
+    for (int v = 0; v < n; ++v) {
+      if ((((w >> (1 << v)) ^ w) & ~kVarMask[v] & tail) != 0) {
+        support[arity] = static_cast<std::uint32_t>(v);
+        slots[arity++] = fanin_slots[static_cast<std::size_t>(v)];
+      }
+    }
+    if (arity == static_cast<std::uint32_t>(n)) {
+      return emit(w, fanin_slots.data(), arity, out);
+    }
+    // Gather the cofactor's bits over its support (the other variables
+    // do not matter; they are read at 0).
+    std::uint64_t mask = 0;
+    for (std::uint64_t y = 0; y < (1ULL << arity); ++y) {
+      std::uint64_t x = 0;
+      for (std::uint32_t i = 0; i < arity; ++i) {
+        if ((y >> i) & 1U) x |= 1ULL << support[i];
+      }
+      mask |= ((w >> x) & 1U) << y;
+    }
+    return emit(mask, slots, arity, out);
+  }
+
+  /// lower_specialized() for a table wider than one word.
+  std::uint32_t lower_specialized_wide(
+      const TruthTable& tt, const std::vector<std::uint32_t>& fanin_slots,
+      std::uint32_t fixed, std::uint32_t values, std::uint32_t out) {
+    TruthTable cof = tt;
+    for (int v = 0; v < tt.num_vars(); ++v) {
+      if ((fixed >> v) & 1U) {
+        cof = ((values >> v) & 1U) ? cof.cofactor1(v) : cof.cofactor0(v);
+      }
+    }
+    const std::vector<int> support = cof.support();
+    const auto arity = static_cast<std::uint32_t>(support.size());
+    std::vector<std::uint32_t> slots;
+    for (int v : support) {
+      slots.push_back(fanin_slots[static_cast<std::size_t>(v)]);
+    }
+    TruthTable reduced(static_cast<int>(arity));
+    for (std::size_t y = 0; y < reduced.num_bits(); ++y) {
+      std::size_t x = 0;
+      for (std::uint32_t i = 0; i < arity; ++i) {
+        if ((y >> i) & 1U) x |= std::size_t{1} << support[i];
+      }
+      if (cof.bit(x)) reduced.set_bit(y, true);
+    }
+    return lower_function(reduced, slots, arity, out);
   }
 
   /// Bucket-sorts ops by level and fills level_begin.
@@ -147,7 +232,11 @@ SimProgram lower_program(const netlist::Netlist& nl) {
   return std::move(b.prog);
 }
 
-SimProgram lower_program(const map::MappedNetlist& mn) {
+namespace {
+
+/// Lowers `mn`; with `param_values`, specialized on that assignment.
+SimProgram lower_mapped(const map::MappedNetlist& mn,
+                        const std::vector<bool>* param_values) {
   using map::MKind;
   Builder b;
   b.prog.num_slots = mn.num_cells();
@@ -184,17 +273,53 @@ SimProgram lower_program(const map::MappedNetlist& mn) {
         latch.input, latch.output,
         static_cast<std::uint8_t>(latch.init_value == 1 ? 1 : 0)});
   }
+  // Bound value per cell id; read only for parameter cells.
+  std::vector<std::uint8_t> bound;
+  if (param_values != nullptr) {
+    FPGADBG_REQUIRE(param_values->size() == mn.params().size(),
+                    "specialized lowering needs one value per parameter");
+    bound.assign(mn.num_cells(), 0);
+    for (std::size_t i = 0; i < mn.params().size(); ++i) {
+      const std::uint8_t v = (*param_values)[i] ? 1 : 0;
+      b.prog.param_values.push_back(v);
+      bound[mn.params()[i]] = v;
+    }
+  }
   std::vector<std::uint32_t> fanin_slots;
   for (map::CellId id : mn.topo_order()) {
     const auto& cell = mn.cell(id);
     fanin_slots.assign(cell.data_inputs.begin(), cell.data_inputs.end());
     fanin_slots.insert(fanin_slots.end(), cell.param_inputs.begin(),
                        cell.param_inputs.end());
-    b.lower_function(cell.function, fanin_slots,
-                     static_cast<std::uint32_t>(fanin_slots.size()), id);
+    if (param_values == nullptr) {
+      b.lower_function(cell.function, fanin_slots,
+                       static_cast<std::uint32_t>(fanin_slots.size()), id);
+      continue;
+    }
+    // A specialized program binds every parameter fanin.
+    std::uint32_t fixed = 0;
+    std::uint32_t values = 0;
+    for (std::size_t j = 0; j < fanin_slots.size(); ++j) {
+      if (b.prog.node_kind[fanin_slots[j]] == SimProgram::SlotKind::kParam) {
+        fixed |= 1U << j;
+        values |= static_cast<std::uint32_t>(bound[fanin_slots[j]]) << j;
+      }
+    }
+    b.lower_specialized(cell.function, fanin_slots, fixed, values, id);
   }
   b.finish();
   return std::move(b.prog);
+}
+
+}  // namespace
+
+SimProgram lower_program(const map::MappedNetlist& mn) {
+  return lower_mapped(mn, nullptr);
+}
+
+SimProgram lower_program(const map::MappedNetlist& mn,
+                         const std::vector<bool>& param_values) {
+  return lower_mapped(mn, &param_values);
 }
 
 }  // namespace fpgadbg::sim

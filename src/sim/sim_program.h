@@ -11,6 +11,23 @@
 // one-to-one; cascade temporaries occupy the slots above.  Ops within one
 // level never read each other's outputs, which is what lets the evaluator
 // sweep a level with ThreadPool::parallel_for.
+//
+// A mapped netlist lowers two ways.  The generic program keeps parameters
+// as free inputs: a TLUT or TCON becomes a LUT over its data AND parameter
+// inputs, so a (4 data, 2 parameter) TCON is a 6-input op — a 63-mux
+// Shannon expansion of what is a wire under any one assignment.  The
+// program specialized on an assignment is what the configured FPGA runs
+// once the SCG has specialized the PConf (the paper's parameters are
+// quasi-static): every cell that reads a parameter is cofactored on the
+// assignment, and every cell is lowered over only the inputs its cofactor
+// still depends on, so a TCON becomes a wire, an inverter or a constant
+// (at most one fanin) and a TLUT an ordinary LUT of its data inputs.  A
+// cell with neither a parameter nor a redundant input lowers identically in
+// both programs, and op_of_node names the same design nodes in both, so
+// fault injection behaves the same.
+// Scenario campaigns, which never change a parameter, run the specialized
+// program; the debug session and equivalence checking, which do, run the
+// generic one.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +77,10 @@ struct SimProgram {
                                           ///< (kNoOp for sources)
   std::vector<std::uint32_t> inputs;      ///< design ids, declaration order
   std::vector<std::uint32_t> params;
+  /// The values the parameters are bound to, one per `params` entry, in a
+  /// program specialized on an assignment; empty when parameters are free
+  /// inputs.  No op of a specialized program reads a parameter slot.
+  std::vector<std::uint8_t> param_values;
   std::vector<std::uint32_t> outputs;
   std::vector<SimLatch> latches;
 
@@ -69,6 +90,11 @@ struct SimProgram {
 };
 
 SimProgram lower_program(const netlist::Netlist& nl);
+/// The generic program: parameters are free inputs.
 SimProgram lower_program(const map::MappedNetlist& mn);
+/// The program specialized on one parameter assignment: `param_values[i]`
+/// is the value of `mn.params()[i]` (one value per parameter, or throws).
+SimProgram lower_program(const map::MappedNetlist& mn,
+                         const std::vector<bool>& param_values);
 
 }  // namespace fpgadbg::sim

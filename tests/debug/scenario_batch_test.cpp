@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "debug/flow.h"
 #include "debug/session.h"
 #include "genbench/genbench.h"
+#include "sim/mapped_simulator.h"
 #include "support/error.h"
 
 namespace fpgadbg::debug {
@@ -86,6 +89,103 @@ TEST(ScenarioBatch, DivergenceRequiresEqualScenarioCounts) {
   options.scenarios = 128;
   const auto b = run_scenario_batch(nl, options);
   EXPECT_THROW(diverging_scenarios(a, b), Error);
+}
+
+/// `mn` with the functions of `inverted` complemented: a kInvert fault on
+/// each of those cells, built into the netlist.
+map::MappedNetlist with_inverted_cells(const map::MappedNetlist& mn,
+                                       const std::vector<map::CellId>& inverted) {
+  map::MappedNetlist out(mn.model_name());
+  for (map::CellId id = 0; id < mn.num_cells(); ++id) {
+    const map::MCell& c = mn.cell(id);
+    switch (c.kind) {
+      case map::MKind::kConst0:
+      case map::MKind::kInput:
+      case map::MKind::kParam:
+        out.add_source(c.kind, c.name);
+        break;
+      case map::MKind::kLatchOut:
+        for (const map::MLatch& l : mn.latches()) {
+          if (l.output == id) out.add_latch_source(c.name, l.init_value);
+        }
+        break;
+      default: {
+        const bool invert = std::find(inverted.begin(), inverted.end(),
+                                      id) != inverted.end();
+        out.add_cell(c.kind, c.name, c.data_inputs, c.param_inputs,
+                     invert ? ~c.function : c.function);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < mn.latches().size(); ++i) {
+    out.set_latch_input(i, mn.latches()[i].input);
+  }
+  for (std::size_t o = 0; o < mn.outputs().size(); ++o) {
+    out.add_output(mn.outputs()[o], mn.output_names()[o]);
+  }
+  return out;
+}
+
+TEST(ScenarioBatch, SignaturesMatchScalarOracle) {
+  // The signature definition, pinned against one interpreted scalar
+  // simulator per scenario: scenario s sees bit s % 64 of block s / 64's
+  // stimulus word for each input, every parameter at 0, and the auto
+  // faults (a kInvert on the first logic cells driving outputs, fault i in
+  // scenario 2i + 1); its signature is FNV-1a over its output bits, output
+  // by output after each cycle's step.
+  genbench::CircuitSpec spec{"scno", 8, 6, 4, 48, 3, 5, 91};
+  OfflineOptions offline_options;
+  offline_options.instrument.trace_width = 6;
+  offline_options.run_pnr = false;
+  const map::MappedNetlist mn =
+      run_offline(genbench::generate(spec), offline_options).mapping.netlist;
+  ASSERT_GT(mn.params().size(), 0u);
+  ScenarioBatchOptions options;
+  options.scenarios = 128;
+  options.cycles = 20;
+  options.seed = 0x0dd5eed;
+  options.blocks_per_pass = 1;
+  options.auto_faults = 2;
+  const ScenarioBatchResult result = run_scenario_batch(mn, options);
+  ASSERT_EQ(result.signatures.size(), options.scenarios);
+  ASSERT_EQ(result.passes, 2u);
+
+  std::vector<map::CellId> faulted;
+  for (map::CellId id : mn.outputs()) {
+    if (faulted.size() < options.auto_faults && !mn.is_source(id)) {
+      faulted.push_back(id);
+    }
+  }
+  ASSERT_EQ(faulted.size(), options.auto_faults);
+  std::vector<map::MappedNetlist> designs;  // [0] clean, [1 + i] fault i
+  designs.push_back(with_inverted_cells(mn, {}));
+  for (map::CellId id : faulted) designs.push_back(with_inverted_cells(mn, {id}));
+  EXPECT_EQ(result.faulted_scenarios, faulted.size());
+
+  const std::vector<bool> zeros(mn.params().size(), false);
+  for (std::size_t s = 0; s < options.scenarios; ++s) {
+    std::size_t design = 0;
+    for (std::size_t i = 0; i < faulted.size(); ++i) {
+      if (s == 2 * i + 1) design = 1 + i;
+    }
+    sim::MappedSimulator oracle(designs[design], sim::SimBackend::kInterpreted);
+    oracle.set_params(zeros);
+    std::uint64_t signature = 0xcbf29ce484222325ULL;
+    std::vector<bool> inputs(mn.inputs().size());
+    for (std::uint64_t cycle = 0; cycle < options.cycles; ++cycle) {
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        inputs[i] = (scenario_stimulus_word(options.seed, i, cycle, s / 64) >>
+                     (s % 64)) & 1U;
+      }
+      oracle.set_inputs(inputs);
+      oracle.step();
+      for (std::size_t o = 0; o < mn.outputs().size(); ++o) {
+        signature = (signature ^ (oracle.output(o) ? 1U : 0U)) *
+                    0x100000001b3ULL;
+      }
+    }
+    ASSERT_EQ(result.signatures[s], signature) << "scenario " << s;
+  }
 }
 
 TEST(ScenarioBatch, SessionEntryPointRunsOnMappedDut) {

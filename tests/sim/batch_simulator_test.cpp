@@ -333,6 +333,46 @@ TEST(BatchSimulator, WordModeMatchesNetlistOracle) {
   }
 }
 
+TEST(BatchSimulator, FoldOutputSignaturesMatchesPerBitFnv) {
+  // Fold two of three blocks each cycle: the result is FNV-1a over every
+  // output bit in program order, one multiply per bit, and the third
+  // block's signatures are never written.
+  constexpr std::size_t kFoldBlocks = 3;
+  constexpr std::size_t kValid = 2;
+  const Netlist nl = genbench::generate(small_spec(7));
+  BatchSimulator batch(nl, BatchSimOptions{.blocks = kFoldBlocks});
+  std::vector<std::uint64_t> sigs(kFoldBlocks * kLanes, kSignatureOffsetBasis);
+  for (std::size_t s = kValid * kLanes; s < sigs.size(); ++s) {
+    sigs[s] = 0x5eed0000 + s;
+  }
+  std::vector<std::uint64_t> expected(kValid * kLanes, kSignatureOffsetBasis);
+  Rng rng(17);
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    for (NodeId in : nl.inputs()) {
+      for (std::size_t b = 0; b < kFoldBlocks; ++b) {
+        batch.set_input_word(in, b, rng.next_u64());
+      }
+    }
+    batch.step();
+    batch.fold_output_signatures(sigs.data(), kValid);
+    for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
+      const BatchSimulator::BatchView view = batch.output_view(o);
+      for (std::size_t s = 0; s < expected.size(); ++s) {
+        const std::uint64_t bit = view.bit(s) ? 1 : 0;
+        expected[s] = (expected[s] ^ bit) * kSignaturePrime;
+      }
+    }
+  }
+  for (std::size_t s = 0; s < expected.size(); ++s) {
+    ASSERT_EQ(sigs[s], expected[s]) << "scenario " << s;
+  }
+  for (std::size_t s = kValid * kLanes; s < sigs.size(); ++s) {
+    ASSERT_EQ(sigs[s], 0x5eed0000 + s) << "scenario " << s;
+  }
+  EXPECT_THROW(batch.fold_output_signatures(sigs.data(), kFoldBlocks + 1),
+               Error);
+}
+
 TEST(BatchSimulator, FaultOnSourceIsNoOp) {
   // The oracle only applies faults while walking logic nodes, so a fault on
   // an input is silently inert; the batch engine mirrors that contract.

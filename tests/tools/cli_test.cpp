@@ -422,7 +422,9 @@ TEST(Cli, JournalFlagStreamsSessionEvents) {
     ASSERT_NE(e.find("ev"), nullptr) << line;
     ASSERT_NE(e.find("seq"), nullptr) << line;
     EXPECT_EQ(e.find("seq")->number, static_cast<double>(events));
-    if (events == 0) EXPECT_EQ(e.find("ev")->str, "session_start");
+    if (events == 0) {
+      EXPECT_EQ(e.find("ev")->str, "session_start");
+    }
     turn_starts += e.find("ev")->str == "turn_start";
     ++events;
   }
