@@ -72,8 +72,8 @@ echo "schema smoke: OK ($SMOKE_DIR)"
 # against ONE cache directory.  The first populates it; the second must
 # execute zero stages, replay all six from the shared directory, and report
 # exactly six mmap hits, one per stage (the cache holds nothing else) —
-# this pins the whole zero-copy chain (temp-file + rename publish, mmap
-# load, blob validation) end to end through the CLI.
+# this pins the whole chain (temp-file + rename publish, mmap load, digest
+# check, stream deserialization) end to end through the CLI.
 SHARED_CACHE="$SMOKE_DIR/shared-cache"
 rm -rf "$SHARED_CACHE"
 COLD=$("$FPGADBG" flow "$SMOKE_DIR/design.blif" --cache-dir "$SHARED_CACHE")
@@ -97,12 +97,6 @@ fi
   exit 1
 }
 echo "shared-cache smoke: OK ($MMAP_HITS mmap hits from $SHARED_CACHE)"
-
-# ASan leg: the zero-copy blob reader against a hostile-image corpus,
-# compiled standalone with -fsanitize=address (also registered as the
-# blob_asan_smoke ctest; run explicitly here so a sanitized gate — where
-# the standalone smokes drop out of ctest — still covers it).
-tests/flow/run_blob_asan_smoke.sh . "$BUILD_DIR/asan_smoke"
 
 # Timing smoke: the timing-driven flow must run end to end and surface its
 # STA summary on stdout and the Fmax gauge in the Prometheus exposition.

@@ -43,17 +43,17 @@ int PConf::param_index(const std::string& name) const {
 
 void PConf::sync_functions() const {
   if (!map_dirty_) return;
-  fn_bits_owned_.clear();
-  fn_refs_owned_.clear();
-  fn_bits_owned_.reserve(build_map_.size());
-  fn_refs_owned_.reserve(build_map_.size());
+  fn_bits_.clear();
+  fn_refs_.clear();
+  fn_bits_.reserve(build_map_.size());
+  fn_refs_.reserve(build_map_.size());
   std::vector<std::size_t> bits;
   bits.reserve(build_map_.size());
   for (const auto& [bit, f] : build_map_) bits.push_back(bit);
   std::sort(bits.begin(), bits.end());
   for (std::size_t bit : bits) {
-    fn_bits_owned_.push_back(bit);
-    fn_refs_owned_.push_back(build_map_.at(bit));
+    fn_bits_.push_back(bit);
+    fn_refs_.push_back(build_map_.at(bit));
   }
   build_map_.clear();
   map_dirty_ = false;
@@ -62,26 +62,19 @@ void PConf::sync_functions() const {
 void PConf::thaw_functions() {
   index_.reset();
   if (map_dirty_) return;
-  const FunctionView view = functions();
   build_map_.clear();
-  build_map_.reserve(view.count);
-  for (std::size_t i = 0; i < view.count; ++i) {
-    build_map_.emplace(static_cast<std::size_t>(view.bits[i]), view.refs[i]);
+  build_map_.reserve(fn_bits_.size());
+  for (std::size_t i = 0; i < fn_bits_.size(); ++i) {
+    build_map_.emplace(static_cast<std::size_t>(fn_bits_[i]), fn_refs_[i]);
   }
-  fn_bits_owned_.clear();
-  fn_refs_owned_.clear();
-  fn_bits_b_ = nullptr;
-  fn_refs_b_ = nullptr;
-  fn_count_b_ = 0;
-  fn_backing_.reset();
+  fn_bits_.clear();
+  fn_refs_.clear();
   map_dirty_ = true;
 }
 
 FunctionView PConf::functions() const {
   sync_functions();
-  if (fn_backing_) return FunctionView{fn_bits_b_, fn_refs_b_, fn_count_b_};
-  return FunctionView{fn_bits_owned_.data(), fn_refs_owned_.data(),
-                      fn_bits_owned_.size()};
+  return FunctionView{fn_bits_.data(), fn_refs_.data(), fn_bits_.size()};
 }
 
 bool PConf::is_parameterized(std::size_t bit) const {
@@ -92,12 +85,14 @@ bool PConf::is_parameterized(std::size_t bit) const {
   return it != end && *it == bit;
 }
 
-support::Status PConf::adopt_functions(const std::uint64_t* bits,
-                                       const std::uint32_t* refs,
-                                       std::size_t count,
-                                       std::shared_ptr<const void> backing) {
+support::Status PConf::load_functions(std::vector<std::uint64_t> bits,
+                                      std::vector<std::uint32_t> refs) {
   using support::Status;
-  for (std::size_t i = 0; i < count; ++i) {
+  if (bits.size() != refs.size()) {
+    return Status::corrupt_artifact(
+        "PConf function table: bit/ref count mismatch");
+  }
+  for (std::size_t i = 0; i < bits.size(); ++i) {
     if (bits[i] >= total_bits()) {
       return Status::corrupt_artifact(
           "PConf function table: bit address out of range");
@@ -115,12 +110,8 @@ support::Status PConf::adopt_functions(const std::uint64_t* bits,
   }
   build_map_.clear();
   map_dirty_ = false;
-  fn_bits_owned_.clear();
-  fn_refs_owned_.clear();
-  fn_bits_b_ = bits;
-  fn_refs_b_ = refs;
-  fn_count_b_ = count;
-  fn_backing_ = std::move(backing);
+  fn_bits_ = std::move(bits);
+  fn_refs_ = std::move(refs);
   index_.reset();
   return Status();
 }
@@ -191,7 +182,7 @@ PConf::Specialization PConf::specialize(
 const PConf::IncrementalIndex& PConf::incremental_index() const {
   if (index_) return *index_;
   const FunctionView view = functions();
-  const logic::BddManager::Node* arena = bdd_.arena_data();
+  const logic::BddManager::Node* arena = bdd_.arena().data();
   IncrementalIndex index;
   // One DFS per distinct root collects the nodes it reaches and its
   // support; functions that share a root share its group.  Stamps (table
@@ -244,7 +235,7 @@ const PConf::IncrementalIndex& PConf::incremental_index() const {
         static_cast<std::uint32_t>(i));
   }
   // Ascending node ids are a topological order: the arena keeps children
-  // before parents, owned or borrowed.
+  // before parents (make_node appends; load_arena checks it).
   for (SupportGroup& group : index.groups) {
     std::sort(group.nodes.begin(), group.nodes.end());
     group.nodes.erase(std::unique(group.nodes.begin(), group.nodes.end()),
@@ -288,7 +279,7 @@ PConf::Specialization PConf::specialize_incremental(
   result.memory = previous.memory;
   BitVec& memory = result.memory.bits();
   const FunctionView view = functions();
-  const logic::BddManager::Node* arena = bdd_.arena_data();
+  const logic::BddManager::Node* arena = bdd_.arena().data();
   // Node values of this call.  A group's node list holds every node its
   // functions reach, children first, so each read below hits a node this
   // sweep already wrote (or a constant).

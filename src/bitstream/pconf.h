@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -60,7 +59,7 @@ class PConf {
   ConfigMemory& constants() { return constant_; }
 
   std::size_t num_parameterized_bits() const {
-    return map_dirty_ ? build_map_.size() : flat_count();
+    return map_dirty_ ? build_map_.size() : fn_bits_.size();
   }
   /// Flat sorted view of the parameterized bits.  Folds any pending
   /// build-side mutations into the flat arrays first (cheap and idempotent
@@ -69,19 +68,14 @@ class PConf {
   /// True when `bit` currently has a Boolean function attached.
   bool is_parameterized(std::size_t bit) const;
 
-  // --- zero-copy function-table adoption -----------------------------------
-  /// Replaces the function table with arrays that BORROW from `backing`
-  /// (typically the same mmap'd blob whose arena bdd().adopt_arena took).
-  /// Validates that bit addresses are strictly ascending and in range and
-  /// that every ref names a decision node of the current BDD manager;
-  /// violations are rejected as kCorruptArtifact.  Reads afterwards walk
-  /// the mapping directly; the first mutation copies out (copy-on-write).
-  support::Status adopt_functions(const std::uint64_t* bits,
-                                  const std::uint32_t* refs, std::size_t count,
-                                  std::shared_ptr<const void> backing);
-
-  /// True when the function table borrows from a mapped artifact.
-  bool functions_borrowed() const { return fn_backing_ != nullptr; }
+  /// Replaces the function table with `bits` and `refs`, parallel arrays
+  /// read back from a cached artifact (load the BDD arena first).
+  /// Validates that the arrays are the same length, that bit addresses are
+  /// strictly ascending and in range, and that every ref names a decision
+  /// node of the current BDD manager; violations are rejected as
+  /// kCorruptArtifact.
+  support::Status load_functions(std::vector<std::uint64_t> bits,
+                                 std::vector<std::uint32_t> refs);
 
   /// Frames containing at least one parameterized bit — the only frames a
   /// specialization can ever touch.
@@ -141,13 +135,10 @@ class PConf {
   /// Lazily built support-group index over the current function table.
   const IncrementalIndex& incremental_index() const;
 
-  std::size_t flat_count() const {
-    return fn_backing_ ? fn_count_b_ : fn_bits_owned_.size();
-  }
   /// Folds build_map_ into the sorted flat arrays (no-op when clean).
   void sync_functions() const;
-  /// Copy-on-write: moves the flat table (owned or borrowed) back into
-  /// build_map_ so mutation can proceed.  Drops the incremental index.
+  /// Moves the flat table back into build_map_ so mutation can proceed.
+  /// Drops the incremental index.
   void thaw_functions();
 
   ConfigMemory constant_;
@@ -157,16 +148,12 @@ class PConf {
   // Function table, dual-store.  Build-time mutation goes through
   // build_map_ (map_dirty_ = true); the first read folds it into the
   // sorted flat arrays below and clears it.  Warm loads skip the map
-  // entirely: the flat arrays borrow from fn_backing_ (an mmap'd blob)
-  // until the first mutation thaws them back into the map.
+  // entirely (load_functions fills the flat arrays) until the first
+  // mutation thaws them back into the map.
   mutable std::unordered_map<std::size_t, logic::BddRef> build_map_;
   mutable bool map_dirty_ = false;
-  mutable std::vector<std::uint64_t> fn_bits_owned_;
-  mutable std::vector<std::uint32_t> fn_refs_owned_;
-  const std::uint64_t* fn_bits_b_ = nullptr;
-  const std::uint32_t* fn_refs_b_ = nullptr;
-  std::size_t fn_count_b_ = 0;
-  std::shared_ptr<const void> fn_backing_;
+  mutable std::vector<std::uint64_t> fn_bits_;
+  mutable std::vector<std::uint32_t> fn_refs_;
   mutable std::optional<IncrementalIndex> index_;
 };
 

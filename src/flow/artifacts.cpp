@@ -19,9 +19,8 @@ void write_int_vec(ByteWriter& w, const std::vector<int>& v) {
 }
 
 std::vector<int> read_int_vec(ByteReader& r) {
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(4);
   std::vector<int> v;
-  if (n > r.remaining() / 4 + 1) return v;  // bounds guard before reserve
   v.reserve(n);
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
     v.push_back(static_cast<int>(r.u32()));
@@ -38,9 +37,8 @@ void write_pos_vec(ByteWriter& w, const std::vector<std::pair<int, int>>& v) {
 }
 
 std::vector<std::pair<int, int>> read_pos_vec(ByteReader& r) {
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(8);
   std::vector<std::pair<int, int>> v;
-  if (n > r.remaining() / 8 + 1) return v;
   v.reserve(n);
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
     const int x = static_cast<int>(r.u32());
@@ -71,9 +69,8 @@ void write_str_vec_vec(ByteWriter& w,
 }
 
 std::vector<std::vector<std::string>> read_str_vec_vec(ByteReader& r) {
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = r.count(8);
   std::vector<std::vector<std::string>> v;
-  if (n > r.remaining() / 8 + 1) return v;
   v.reserve(n);
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) v.push_back(r.str_vec());
   return v;
@@ -203,6 +200,110 @@ Result<debug::Instrumented> deserialize_instrumented(ByteReader& r) {
   return inst;
 }
 
+// --- tcon-map --------------------------------------------------------------
+
+void serialize_map_result(const map::MapResult& result, ByteWriter& w) {
+  const map::MappedNetlist& mn = result.netlist;
+  w.str(mn.model_name());
+  w.u64(mn.num_cells());
+  std::size_t latch_cursor = 0;  // latches() is creation-ordered == id order
+  for (map::CellId id = 0; id < mn.num_cells(); ++id) {
+    const map::MCell& c = mn.cell(id);
+    w.u8(static_cast<std::uint8_t>(c.kind));
+    w.str(c.name);
+    if (c.kind == map::MKind::kLatchOut) {
+      // As in the netlist: the init value rides with the Q cell, the
+      // driver comes in the trailing section.
+      w.i32(mn.latches()[latch_cursor++].init_value);
+    } else if (!mn.is_source(id)) {
+      w.u32_vec(c.data_inputs);
+      w.u32_vec(c.param_inputs);
+      write_tt(w, c.function);
+    }
+  }
+  w.u64(mn.latches().size());
+  for (const map::MLatch& l : mn.latches()) w.u32(l.input);
+  w.u32_vec(mn.outputs());
+  w.str_vec(mn.output_names());
+  const map::MapStats& stats = result.stats;
+  w.str(stats.mapper);
+  w.u64(stats.num_luts);
+  w.u64(stats.num_tluts);
+  w.u64(stats.num_tcons);
+  w.u64(stats.lut_area);
+  w.i32(stats.depth);
+  // runtime_seconds intentionally not serialized (volatile).
+}
+
+Result<map::MapResult> deserialize_map_result(ByteReader& r) {
+  using map::MKind;
+  return guarded("map artifact", [&]() -> Result<map::MapResult> {
+    map::MappedNetlist mn(r.str());
+    const std::uint64_t num_cells = r.u64();
+    for (std::uint64_t i = 0; i < num_cells && r.ok(); ++i) {
+      const auto kind = static_cast<MKind>(r.u8());
+      const std::string name = r.str();
+      if (!r.ok()) break;
+      switch (kind) {
+        case MKind::kConst0:
+        case MKind::kInput:
+        case MKind::kParam:
+          mn.add_source(kind, name);
+          break;
+        case MKind::kLatchOut:
+          mn.add_latch_source(name, r.i32());
+          break;
+        case MKind::kLut:
+        case MKind::kTlut:
+        case MKind::kTcon: {
+          std::vector<map::CellId> data = r.u32_vec();
+          std::vector<map::CellId> params = r.u32_vec();
+          logic::TruthTable tt = read_tt(r);
+          if (!r.ok()) break;
+          mn.add_cell(kind, name, std::move(data), std::move(params),
+                      std::move(tt));
+          break;
+        }
+        default:
+          return Status::corrupt_artifact("map artifact: bad cell kind");
+      }
+    }
+    const std::uint64_t num_latches = r.u64();
+    if (num_latches != mn.latches().size() || !r.ok()) {
+      return r.ok() ? Status::corrupt_artifact(
+                          "map artifact: latch count mismatch")
+                    : r.status("map artifact");
+    }
+    for (std::uint64_t i = 0; i < num_latches; ++i) {
+      const map::CellId input = r.u32();
+      if (!r.ok()) break;
+      mn.set_latch_input(i, input);
+    }
+    const std::vector<map::CellId> outputs = r.u32_vec();
+    const std::vector<std::string> names = r.str_vec();
+    if (!r.ok() || outputs.size() != names.size()) {
+      return r.ok() ? Status::corrupt_artifact(
+                          "map artifact: output name mismatch")
+                    : r.status("map artifact");
+    }
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+      mn.add_output(outputs[i], names[i]);
+    }
+    mn.check();
+    map::MapResult result;
+    result.netlist = std::move(mn);
+    map::MapStats& stats = result.stats;
+    stats.mapper = r.str();
+    stats.num_luts = r.u64();
+    stats.num_tluts = r.u64();
+    stats.num_tcons = r.u64();
+    stats.lut_area = r.u64();
+    stats.depth = r.i32();
+    FPGADBG_RETURN_IF_ERROR(r.status("map artifact"));
+    return result;
+  });
+}
+
 // --- packing ---------------------------------------------------------------
 
 void serialize_packing(const pnr::Packing& packing, ByteWriter& w) {
@@ -213,10 +314,7 @@ void serialize_packing(const pnr::Packing& packing, ByteWriter& w) {
 
 Result<pnr::Packing> deserialize_packing(ByteReader& r) {
   pnr::Packing packing;
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining() / 8 + 1) {
-    return Status::corrupt_artifact("packing artifact: bad cluster count");
-  }
+  const std::uint64_t n = r.count(8);
   packing.clusters.reserve(n);
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
     packing.clusters.push_back(pnr::Cluster{r.u32_vec()});
@@ -250,10 +348,7 @@ void serialize_placement(const pnr::Placement& placement, ByteWriter& w) {
 Result<pnr::Placement> deserialize_placement(ByteReader& r) {
   pnr::Placement placement;
   placement.cluster_pos = read_pos_vec(r);
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining() / 12 + 1) {
-    return Status::corrupt_artifact("placement artifact: bad io count");
-  }
+  const std::uint64_t n = r.count(12);
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
     const map::CellId cell = r.u32();
     const int x = static_cast<int>(r.u32());
@@ -283,10 +378,7 @@ Result<pnr::RouteResult> deserialize_route_result(ByteReader& r) {
   pnr::RouteResult routing;
   routing.success = r.boolean();
   routing.iterations = r.i32();
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining() / 8 + 1) {
-    return Status::corrupt_artifact("route artifact: bad net count");
-  }
+  const std::uint64_t n = r.count(8);
   routing.routes.reserve(n);
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
     routing.routes.push_back(r.u32_vec());
@@ -295,6 +387,65 @@ Result<pnr::RouteResult> deserialize_route_result(ByteReader& r) {
   routing.total_wirelength = r.u64();
   FPGADBG_RETURN_IF_ERROR(r.status("route artifact"));
   return routing;
+}
+
+// --- pconf-build ------------------------------------------------------------
+
+void serialize_pconf(const PconfArtifact& artifact, ByteWriter& w) {
+  const bitstream::PConf& pconf = artifact.pconf;
+  w.u64(pconf.total_bits());
+  w.str_vec(pconf.param_names());
+  const BitVec& constants = pconf.constants().bits();
+  w.u64(constants.word_count());
+  for (std::size_t i = 0; i < constants.word_count(); ++i) {
+    w.u64(constants.word(i));
+  }
+  w.pod_vec<logic::BddManager::Node>(pconf.bdd().arena());
+  const bitstream::FunctionView functions = pconf.functions();
+  w.pod_vec<std::uint64_t>({functions.bits, functions.count});
+  w.pod_vec<std::uint32_t>({functions.refs, functions.count});
+  const bitstream::PconfBuildStats& stats = artifact.stats;
+  w.u64(stats.lut_cells);
+  w.u64(stats.tlut_cells);
+  w.u64(stats.constant_switch_bits);
+  w.u64(stats.parameterized_switch_bits);
+  w.u64(stats.parameterized_lut_bits);
+}
+
+Result<PconfArtifact> deserialize_pconf(ByteReader& r) {
+  return guarded("pconf artifact", [&]() -> Result<PconfArtifact> {
+    const std::uint64_t total_bits = r.u64();
+    std::vector<std::string> param_names = r.str_vec();
+    // Checked before the constant plane is allocated from total_bits.
+    const std::uint64_t num_words = r.count(8);
+    if (!r.ok() || num_words != total_bits / 64 + (total_bits % 64 != 0)) {
+      return r.ok() ? Status::corrupt_artifact(
+                          "pconf artifact: constant plane size mismatch")
+                    : r.status("pconf artifact");
+    }
+    // The BDD's variables are the parameters, so the constructor fixes the
+    // range load_arena checks node variables against.
+    bitstream::PConf pconf(total_bits, std::move(param_names));
+    BitVec& constants = pconf.constants().bits();
+    for (std::size_t i = 0; i < num_words; ++i) {
+      constants.set_word(i, r.u64());
+    }
+    std::vector<logic::BddManager::Node> arena =
+        r.pod_vec<logic::BddManager::Node>();
+    std::vector<std::uint64_t> fn_bits = r.u64_vec();
+    std::vector<std::uint32_t> fn_refs = r.u32_vec();
+    bitstream::PconfBuildStats stats;
+    stats.lut_cells = r.u64();
+    stats.tlut_cells = r.u64();
+    stats.constant_switch_bits = r.u64();
+    stats.parameterized_switch_bits = r.u64();
+    stats.parameterized_lut_bits = r.u64();
+    FPGADBG_RETURN_IF_ERROR(r.status("pconf artifact"));
+    FPGADBG_RETURN_IF_ERROR(pconf.bdd().load_arena(std::move(arena)));
+    FPGADBG_RETURN_IF_ERROR(
+        pconf.load_functions(std::move(fn_bits), std::move(fn_refs)));
+    return PconfArtifact{std::move(pconf), stats};
+  });
 }
 
 // --- options hashing --------------------------------------------------------

@@ -2,10 +2,10 @@
 //
 // Each offline stage produces one artifact; this header defines its byte
 // format, its content hash (FNV-1a over exactly the serialized bytes), and
-// the hashes of the option structs that parameterize each stage.  The
-// instrument, pack, place and route artifacts are ByteWriter streams; the
-// tcon-map and pconf-build artifacts are blobs.  Loaders never throw:
-// malformed bytes come back as StatusCode::kCorruptArtifact.
+// the hashes of the option structs that parameterize each stage.  Every
+// artifact is a ByteWriter stream, and every deserializer validates what
+// it reads: malformed bytes come back as StatusCode::kCorruptArtifact,
+// never as an exception or an out-of-bounds read.
 //
 // Design rule: artifacts carry only deterministic content.  Wall-clock
 // fields (MapStats::runtime_seconds, RouteResult::runtime_seconds) are NOT
@@ -15,13 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 
 #include "bitstream/builder.h"
 #include "bitstream/pconf.h"
 #include "debug/signal_param.h"
-#include "flow/cache.h"
 #include "flow/serialize.h"
 #include "map/cover.h"
 #include "netlist/netlist.h"
@@ -29,6 +26,12 @@
 #include "support/status.h"
 
 namespace fpgadbg::flow {
+
+/// Version of the artifact encodings, folded into every stage's cache key.
+/// Bump it whenever any artifact's bytes change: every key moves, so an
+/// entry written in an older format is never looked up (cache gc sweeps
+/// it like any other entry).  2: tcon-map and pconf-build became streams.
+inline constexpr std::uint64_t kArtifactFormatVersion = 2;
 
 // --- netlist (pipeline input + instrument artifact payload) ----------------
 void serialize_netlist(const netlist::Netlist& nl, ByteWriter& w);
@@ -39,6 +42,11 @@ std::uint64_t netlist_content_hash(const netlist::Netlist& nl);
 // --- instrument ------------------------------------------------------------
 void serialize_instrumented(const debug::Instrumented& inst, ByteWriter& w);
 support::Result<debug::Instrumented> deserialize_instrumented(ByteReader& r);
+
+// --- tcon-map --------------------------------------------------------------
+/// The mapped netlist plus its MapStats (runtime_seconds excluded).
+void serialize_map_result(const map::MapResult& result, ByteWriter& w);
+support::Result<map::MapResult> deserialize_map_result(ByteReader& r);
 
 // --- pack -------------------------------------------------------------------
 void serialize_packing(const pnr::Packing& packing, ByteWriter& w);
@@ -60,34 +68,16 @@ struct PconfArtifact {
   bitstream::PconfBuildStats stats;
 };
 
-// --- blob encodings (artifacts_blob.cpp) ------------------------------------
-// The two heavyweight artifacts — the tcon-map result and the PConf/BDD
-// store — are pointer-free blobs (flow/blob.h) that load by mmap + validate
-// (+ borrow, for the PConf) instead of a field-by-field parse.  Each
-// load_* function is three-valued: a blob image of the current format
-// version loads; a payload that is not a blob image, or a blob of another
-// format version, comes back as nullopt (a cache miss: the caller rebuilds,
-// so old caches are rebuilt, never misparsed); anything else is
-// kCorruptArtifact.
-// Kind 1 was the rr-graph, which is now rebuilt on every run; the kinds
-// are not renumbered, so entries already on disk stay readable.
-inline constexpr std::uint32_t kBlobKindMapResult = 2;
-inline constexpr std::uint32_t kBlobKindPconf = 3;
-
-/// The mapped netlist plus its MapStats (runtime_seconds excluded).
-std::string encode_map_result_blob(const map::MapResult& result);
-support::Result<std::optional<map::MapResult>> load_map_result(
-    const CacheHit& hit);
-
-std::string encode_pconf_blob(const PconfArtifact& artifact);
-/// The PConf's BDD arena and function table borrow from hit.backing
-/// (zero-copy).
-support::Result<std::optional<PconfArtifact>> load_pconf(const CacheHit& hit);
+/// The BDD arena and the function table are written as their raw arrays
+/// and load through BddManager::load_arena and PConf::load_functions,
+/// which check every index a later walk follows.
+void serialize_pconf(const PconfArtifact& artifact, ByteWriter& w);
+support::Result<PconfArtifact> deserialize_pconf(ByteReader& r);
 
 // --- options hashing --------------------------------------------------------
-// Stage cache keys are (stage, input-hash, options-hash); these produce the
-// options-hash component.  Every field that influences the stage's output
-// must be folded in.
+// Stage cache keys are (stage, format version, input-hash, options-hash);
+// these produce the options-hash component.  Every field that influences
+// the stage's output must be folded in.
 std::uint64_t hash_instrument_options(const debug::InstrumentOptions& o);
 std::uint64_t hash_map_options(int lut_size, int max_param_leaves);
 std::uint64_t hash_arch_params(const arch::ArchParams& a);

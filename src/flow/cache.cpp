@@ -24,12 +24,10 @@ using support::MmapRegion;
 using support::Result;
 using support::Status;
 
-// The header is exactly 64 bytes so the payload that follows starts on a
-// 64-byte boundary — the blob format's base-alignment requirement — and so
-// a header read is one fixed-size I/O.
+// The header is a fixed 64 bytes: a header read is one fixed-size I/O, and
+// its 24 reserved bytes leave room for fields without a layout change.
 constexpr std::size_t kEntryHeaderSize = 64;
 constexpr char kMagic[8] = {'F', 'D', 'B', 'G', 'A', 'R', 'T', '2'};
-constexpr char kLegacyMagic[8] = {'F', 'D', 'B', 'G', 'A', 'R', 'T', '1'};
 
 /// Marks the process-unique file a store writes before renaming it into
 /// place: <key-hex>.tmp.<pid>.
@@ -173,11 +171,6 @@ Result<std::optional<CacheHit>> ArtifactCache::load(const std::string& stage,
   if (file.size() < kEntryHeaderSize) {
     return Status::corrupt_artifact(
         "cache entry " + path + ": shorter than the fixed header (truncated)");
-  }
-  if (std::memcmp(file.data(), kLegacyMagic, 8) == 0) {
-    // Pre-mmap entry format: rebuilt, never misparsed.
-    m.counter("flow.cache.misses").add();
-    return std::optional<CacheHit>();
   }
   if (std::memcmp(file.data(), kMagic, 8) != 0) {
     return Status::corrupt_artifact("cache entry " + path +

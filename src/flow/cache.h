@@ -2,8 +2,8 @@
 //
 // One file per entry at <dir>/<stage>/<key-hex>.  Entries carry a fixed
 // 64-byte header (magic FDBGART2, stage hash, key, payload FNV-1a, payload
-// size), so the payload starts on a 64-byte boundary and a load is an mmap +
-// header check + one linear digest pass — never a parse, never a copy.
+// size), so a load is an mmap + header check + one linear digest pass; the
+// stage's deserializer then reads the payload straight from the mapping.
 //
 // Sharing: any number of processes may point at one directory.  A store
 // writes a process-unique <key-hex>.tmp.<pid> file and renames it into
@@ -17,9 +17,9 @@
 // a truncated entry fails fast as StatusCode::kCorruptArtifact before any
 // payload byte is hashed; then one FNV-1a pass over the mapped payload
 // catches bit flips.  A corrupt entry is a reportable error, never silently
-// wrong pipeline output.  Legacy FDBGART1 entries (pre-mmap stream headers)
-// are detected and treated as misses, so old caches are rebuilt, not
-// misparsed.
+// wrong pipeline output.  Entries of older artifact formats are never
+// looked up: the format version is part of every stage key
+// (flow/pipeline.h).
 //
 // A default-constructed (or empty-path) cache is disabled: every load
 // misses, every store is a no-op, so pipeline code needs no branches.
@@ -38,9 +38,8 @@
 namespace fpgadbg::flow {
 
 /// A successful cache load.  `payload` points into `backing` (an mmap
-/// region, 64-byte aligned by construction) and stays valid for as long as
-/// a copy of `backing` is held — zero-copy consumers (blob artifacts) keep
-/// the backing alive inside the deserialized object itself.
+/// region) and stays valid for as long as a copy of `backing` is held; the
+/// pipeline deserializes it while it holds the hit.
 struct CacheHit {
   std::string_view payload;
   std::uint64_t content_hash = 0;

@@ -23,8 +23,9 @@ using support::Status;
 
 std::uint64_t stage_key(const char* name, std::uint64_t input_hash,
                         std::uint64_t options_hash) {
-  return hash_combine(hash_combine(fnv1a(std::string_view(name)), input_hash),
-                      options_hash);
+  const std::uint64_t stage = hash_combine(fnv1a(std::string_view(name)),
+                                           kArtifactFormatVersion);
+  return hash_combine(hash_combine(stage, input_hash), options_hash);
 }
 
 /// Converts a legacy CAD-library exception escaping a stage into a Status.
@@ -41,20 +42,17 @@ struct StageContext {
   std::size_t& from_cache;
 };
 
-/// Runs one cached stage: cache lookup, load on hit, execute + encode +
-/// store on miss.  `exec` computes the artifact (may throw the legacy
-/// exceptions), `encode(value)` produces its serialized bytes, and
-/// `load(hit)` is its inverse over a CacheHit — returning nullopt when the
-/// payload is an intact entry in a format this build does not read (not a
-/// blob image, or a blob of another format version), which re-executes the
-/// stage instead of misparsing.  The hit's content hash was already
-/// verified against the payload by the store, so it is reused for
+/// Runs one cached stage: cache lookup, deserialize on hit, execute +
+/// serialize + store on miss.  `exec` computes the artifact (may throw the
+/// legacy exceptions), `ser(value, writer)` serializes it and
+/// `deser(reader)` is its inverse.  The hit's content hash was already
+/// verified against the payload by the cache, so it is reused for
 /// downstream key chaining without re-hashing.  On success
 /// *content_hash_out carries the artifact's content hash.
-template <typename T, typename Exec, typename Encode, typename Load>
+template <typename T, typename Exec, typename Ser, typename Deser>
 Result<T> run_stage(StageContext& ctx, const char* name, std::uint64_t key,
-                    std::uint64_t* content_hash_out, Exec exec, Encode encode,
-                    Load load) {
+                    std::uint64_t* content_hash_out, Exec exec, Ser ser,
+                    Deser deser) {
   Stopwatch timer;
   auto finish = [&](bool hit, std::uint64_t hash, std::size_t bytes) {
     ctx.reports.push_back(StageReport{name, hit, key, hash, timer.elapsed_seconds(),
@@ -73,15 +71,13 @@ Result<T> run_stage(StageContext& ctx, const char* name, std::uint64_t key,
   }
   if (loaded.value().has_value()) {
     const CacheHit& hit = *loaded.value();
-    Result<std::optional<T>> value = load(hit);
+    ByteReader reader(hit.payload);
+    Result<T> value = deser(reader);
     if (!value.ok()) {
       return Status(value.status()).with_stage(name, hit.content_hash);
     }
-    if (value.value().has_value()) {
-      finish(/*hit=*/true, hit.content_hash, hit.payload.size());
-      return *std::move(value.value());
-    }
-    // Unreadable format: fall through and re-execute.
+    finish(/*hit=*/true, hit.content_hash, hit.payload.size());
+    return value;
   }
 
   std::optional<T> value;
@@ -92,33 +88,13 @@ Result<T> run_stage(StageContext& ctx, const char* name, std::uint64_t key,
   }
   ctx.metrics.counter("flow.stage.executions").add();
 
-  const std::string bytes = encode(*value);
-  const std::uint64_t hash = fnv1a(bytes);
-  Status stored = ctx.cache.store(name, key, hash, bytes);
+  ByteWriter w;
+  ser(*value, w);
+  const std::uint64_t hash = w.content_hash();
+  Status stored = ctx.cache.store(name, key, hash, w.bytes());
   if (!stored.ok()) return stored.with_stage(name, hash);
-  finish(/*hit=*/false, hash, bytes.size());
+  finish(/*hit=*/false, hash, w.bytes().size());
   return *std::move(value);
-}
-
-/// Adapts a `ser(value, writer)` serializer into an encode callback.
-template <typename Ser>
-auto stream_encode(Ser ser) {
-  return [ser](const auto& value) {
-    ByteWriter w;
-    ser(value, w);
-    return w.take();
-  };
-}
-
-/// Adapts a `deser(reader)` deserializer into a load callback (the
-/// ByteWriter format has no version fan-out, so it never returns nullopt).
-template <typename T, typename Deser>
-auto stream_load(Deser deser) {
-  return [deser](const CacheHit& hit) -> Result<std::optional<T>> {
-    ByteReader reader(hit.payload);
-    FPGADBG_ASSIGN_OR_RETURN(T value, deser(reader));
-    return std::optional<T>(std::move(value));
-  };
 }
 
 }  // namespace
@@ -189,8 +165,7 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
         run_stage<debug::Instrumented>(
             ctx, "instrument", key, &instrument_hash,
             [&] { return parameterize_signals(user, options_.instrument); },
-            stream_encode(serialize_instrumented),
-            stream_load<debug::Instrumented>(deserialize_instrumented)));
+            serialize_instrumented, deserialize_instrumented));
   }
   end_stage();
   offline.instrument_seconds =
@@ -223,7 +198,7 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
                                    options_.lut_size,
                                    options_.max_param_leaves);
             },
-            encode_map_result_blob, load_map_result));
+            serialize_map_result, deserialize_map_result));
   }
   end_stage();
   offline.map_seconds =
@@ -256,8 +231,7 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
           run_stage<pnr::Packing>(
               ctx, "pack", key, &pack_hash,
               [&] { return pnr::pack(net, copt.arch); },
-              stream_encode(serialize_packing),
-              stream_load<pnr::Packing>(deserialize_packing)));
+              serialize_packing, deserialize_packing));
     }
     end_stage();
     design->report.pack_seconds =
@@ -293,8 +267,7 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
                 return pnr::place(net, design->packing, design->nets,
                                   *design->device, copt.place, copt.timing);
               },
-              stream_encode(serialize_placement),
-              stream_load<pnr::Placement>(deserialize_placement)));
+              serialize_placement, deserialize_placement));
     }
     end_stage();
     design->report.place_seconds =
@@ -318,8 +291,7 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
                                   design->nets, design->placement, copt.route,
                                   copt.timing);
               },
-              stream_encode(serialize_route_result),
-              stream_load<pnr::RouteResult>(deserialize_route_result)));
+              serialize_route_result, deserialize_route_result));
     }
     end_stage();
     design->report.route_seconds =
@@ -363,7 +335,7 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
                     bitstream::build_pconf(*offline.compiled, &stats);
                 return PconfArtifact{std::move(pconf), stats};
               },
-              encode_pconf_blob, load_pconf));
+              serialize_pconf, deserialize_pconf));
       offline.pconf =
           std::make_unique<bitstream::PConf>(std::move(artifact.pconf));
       offline.pconf_stats = artifact.stats;

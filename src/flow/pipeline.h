@@ -8,14 +8,18 @@
 // Each stage consumes the previous stage's typed artifact and produces its
 // own (see flow/artifacts.h).  A stage's cache key is
 //
-//   hash_combine(fnv1a(stage-name), input-hash, options-hash)
+//   hash_combine(fnv1a(stage-name), kArtifactFormatVersion, input-hash,
+//                options-hash)
 //
 // where input-hash chains the content hashes of every upstream artifact the
 // stage reads, and options-hash folds in exactly the option fields that can
-// change the stage's output.  With a cache directory configured, re-running
-// the pipeline re-executes only the stages downstream of whatever changed:
-// editing place options leaves instrument/tcon-map/pack as cache hits and
-// re-runs place -> route -> pconf-build.
+// change the stage's output.  The format version retires older on-disk
+// encodings in one place: bumping it moves every key, so an entry an older
+// build wrote is never looked up, only swept by cache gc.  With a cache
+// directory configured, re-running the pipeline re-executes only the
+// stages downstream of whatever changed: editing place options leaves
+// instrument/tcon-map/pack as cache hits and re-runs place -> route ->
+// pconf-build.
 //
 // Derived physical state (arch::Device, RRGraph, FrameGeometry, the net
 // extraction) is deliberately NOT cached: it is a deterministic function of

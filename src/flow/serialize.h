@@ -12,8 +12,10 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "support/status.h"
@@ -65,13 +67,19 @@ class ByteWriter {
     buffer_.append(s.data(), s.size());
   }
 
-  void u32_vec(const std::vector<std::uint32_t>& v) {
+  /// Length-prefixed array of a trivially copyable element type, written
+  /// as its in-memory bytes (the element layout is part of the format).
+  template <typename T>
+  void pod_vec(std::span<const T> v) {
+    static_assert(std::is_trivially_copyable_v<T>);
     u64(v.size());
-    if (!v.empty()) raw(v.data(), v.size() * sizeof(std::uint32_t));
+    if (!v.empty()) raw(v.data(), v.size() * sizeof(T));
+  }
+  void u32_vec(const std::vector<std::uint32_t>& v) {
+    pod_vec<std::uint32_t>(v);
   }
   void u64_vec(const std::vector<std::uint64_t>& v) {
-    u64(v.size());
-    if (!v.empty()) raw(v.data(), v.size() * sizeof(std::uint64_t));
+    pod_vec<std::uint64_t>(v);
   }
   void str_vec(const std::vector<std::string>& v) {
     u64(v.size());
@@ -137,27 +145,34 @@ class ByteReader {
     return s;
   }
 
-  std::vector<std::uint32_t> u32_vec() {
+  /// Reads a u64 element count and checks that that many elements of at
+  /// least `min_size` bytes each fit in the bytes left, so callers can size
+  /// an allocation from it.  A count that cannot fit fails the reader and
+  /// reads as 0.  The check divides instead of multiplying: a forged count
+  /// must not wrap the product into a small number.
+  std::uint64_t count(std::size_t min_size) {
     const std::uint64_t n = u64();
-    if (!check(n * sizeof(std::uint32_t))) return {};
-    std::vector<std::uint32_t> v(n);
-    if (n) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(std::uint32_t));
-    pos_ += n * sizeof(std::uint32_t);
+    if (!ok_ || n > remaining() / min_size) {
+      ok_ = false;
+      return 0;
+    }
+    return n;
+  }
+
+  template <typename T>
+  std::vector<T> pod_vec() {
+    static_assert(std::is_trivially_copyable_v<T>);
+    const std::uint64_t n = count(sizeof(T));
+    std::vector<T> v(n);
+    if (n) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
+    pos_ += n * sizeof(T);
     return v;
   }
-  std::vector<std::uint64_t> u64_vec() {
-    const std::uint64_t n = u64();
-    if (!check(n * sizeof(std::uint64_t))) return {};
-    std::vector<std::uint64_t> v(n);
-    if (n) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(std::uint64_t));
-    pos_ += n * sizeof(std::uint64_t);
-    return v;
-  }
+  std::vector<std::uint32_t> u32_vec() { return pod_vec<std::uint32_t>(); }
+  std::vector<std::uint64_t> u64_vec() { return pod_vec<std::uint64_t>(); }
   std::vector<std::string> str_vec() {
-    const std::uint64_t n = u64();
-    // Each element costs at least the 8-byte length prefix; reject sizes the
-    // buffer cannot possibly hold before allocating.
-    if (!check(n * 8)) return {};
+    // Each element costs at least its 8-byte length prefix.
+    const std::uint64_t n = count(8);
     std::vector<std::string> v;
     v.reserve(n);
     for (std::uint64_t i = 0; i < n && ok_; ++i) v.push_back(str());

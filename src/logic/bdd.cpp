@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "support/error.h"
 
@@ -29,57 +30,45 @@ BddRef BddManager::nvar(int v) {
   return make_node(static_cast<std::uint32_t>(v), 1, 0);
 }
 
-support::Status BddManager::adopt_arena(int num_vars, const Node* nodes,
-                                        std::size_t count,
-                                        std::shared_ptr<const void> backing) {
+support::Status BddManager::load_arena(std::vector<Node> nodes) {
   using support::Status;
-  if (num_vars < 0) {
-    return Status::corrupt_artifact("BDD arena: negative variable count");
-  }
-  if (count < 2 || count > 0xffffffffu) {
+  if (nodes.size() < 2 || nodes.size() > 0xffffffffu) {
     return Status::corrupt_artifact("BDD arena: bad node count");
   }
   if (nodes[0].var != kConstVar || nodes[0].low != 0 || nodes[0].high != 0 ||
       nodes[1].var != kConstVar || nodes[1].low != 1 || nodes[1].high != 1) {
     return Status::corrupt_artifact("BDD arena: malformed constant nodes");
   }
-  for (std::size_t ref = 2; ref < count; ++ref) {
+  for (std::size_t ref = 2; ref < nodes.size(); ++ref) {
     const Node& n = nodes[ref];
     // Children strictly before parents keeps every walk in bounds and
     // guarantees termination without per-step checks.
-    if (n.var >= static_cast<std::uint32_t>(num_vars) || n.low == n.high ||
+    if (n.var >= static_cast<std::uint32_t>(num_vars_) || n.low == n.high ||
         n.low >= ref || n.high >= ref) {
       return Status::corrupt_artifact(
           "BDD arena: node breaks the ordering invariant");
     }
   }
-  num_vars_ = std::max(num_vars_, num_vars);
-  nodes_.clear();
+  nodes_ = std::move(nodes);
   unique_.clear();
+  unique_stale_ = true;
   ite_cache_.clear();
-  arena_ = nodes;
-  arena_count_ = count;
-  backing_ = std::move(backing);
   return Status();
 }
 
-void BddManager::thaw() {
-  nodes_.assign(arena_, arena_ + arena_count_);
-  arena_ = nullptr;
-  arena_count_ = 0;
-  backing_.reset();
+void BddManager::rebuild_unique_table() {
   unique_.clear();
   unique_.reserve(nodes_.size());
   for (BddRef ref = 2; ref < nodes_.size(); ++ref) {
     const Node& n = nodes_[ref];
-    // First occurrence wins; a (digest-verified) canonical arena has no
-    // duplicates anyway.
+    // First occurrence wins; a canonical arena has no duplicates anyway.
     unique_.try_emplace(NodeKey{n.var, n.low, n.high}, ref);
   }
+  unique_stale_ = false;
 }
 
 BddRef BddManager::make_node(std::uint32_t var, BddRef low, BddRef high) {
-  if (borrowed()) thaw();
+  if (unique_stale_) rebuild_unique_table();
   if (low == high) return low;
   const NodeKey key{var, low, high};
   auto [it, inserted] = unique_.try_emplace(key, 0);

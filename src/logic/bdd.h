@@ -10,14 +10,12 @@
 //    tiny mux-select expressions, so the 2x node overhead is irrelevant);
 //  - a unique table for hash-consing and an operation cache for ITE;
 //  - nodes are never freed (arena semantics); managers are cheap to discard;
-//  - the arena can BORROW node storage from a memory-mapped artifact
-//    (adopt_arena): reads walk the mapping directly with zero copies, and
-//    the first mutation transparently materializes an owned copy and
-//    rebuilds the unique table (copy-on-write).
+//  - a cached artifact restores the arena wholesale (load_arena); the
+//    unique table is rebuilt by the first make_node after the load, so a
+//    load that only evaluates never pays for it.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -32,10 +30,10 @@ using BddRef = std::uint32_t;
 
 class BddManager {
  public:
-  /// Arena node layout.  Public (and layout-pinned) because blob artifacts
-  /// serialize the arena as one contiguous span and borrow it back on
-  /// load; all twelve bytes are explicit, so the raw bytes are
-  /// deterministic.
+  /// Arena node layout.  Public (and layout-pinned) because the
+  /// pconf-build artifact writes the arena as its raw bytes and the
+  /// incremental SCG sweeps it; all twelve bytes are explicit, so the raw
+  /// bytes are deterministic.
   struct Node {
     std::uint32_t var;  // level; constants use var = 0xffffffff
     BddRef low;
@@ -87,29 +85,21 @@ class BddManager {
   BddRef from_truth_table(const TruthTable& tt, const std::vector<int>& var_map);
 
   /// Total nodes allocated in the manager (diagnostics).
-  std::size_t size() const { return borrowed() ? arena_count_ : nodes_.size(); }
+  std::size_t size() const { return nodes_.size(); }
 
-  /// Contiguous arena [0, size()) for the blob encoder: constants first,
-  /// then decision nodes, children always before their parents.
-  const Node* arena_data() const {
-    return borrowed() ? arena_ : nodes_.data();
-  }
+  /// The arena [0, size()): constants first, then decision nodes, children
+  /// always before their parents.
+  const std::vector<Node>& arena() const { return nodes_; }
 
-  // --- zero-copy arena adoption --------------------------------------------
-  /// Replaces this manager's contents with a borrowed arena of `count`
-  /// nodes living inside `backing` (typically an mmap'd blob).  Validates
-  /// the structural invariants that keep every read in bounds — constants
-  /// at [0,2), children strictly before parents, variables within
-  /// `num_vars`, low != high — and rejects violations as
-  /// kCorruptArtifact.  Canonicity (no duplicate nodes) is trusted from
-  /// the digest-verified producer: a duplicate cannot cause an unsafe read
-  /// and is re-consed away if the arena is ever mutated.  After adoption
-  /// reads are zero-copy; the first make_node materializes an owned copy.
-  support::Status adopt_arena(int num_vars, const Node* nodes,
-                              std::size_t count,
-                              std::shared_ptr<const void> backing);
-
-  bool borrowed() const { return arena_ != nullptr; }
+  /// Replaces this manager's nodes with `nodes`, an arena read back from a
+  /// cached artifact, over the manager's current variables.  Validates the
+  /// structural invariants that keep every read in bounds — constants at
+  /// [0,2), children strictly before parents, variables below num_vars(),
+  /// low != high — and rejects violations as kCorruptArtifact.
+  /// Canonicity (no duplicate nodes) is trusted from the hash-verified
+  /// producer: a duplicate cannot cause an unsafe read.  The unique table
+  /// is rebuilt by the first make_node after the load.
+  support::Status load_arena(std::vector<Node> nodes);
 
  private:
   struct NodeKey {
@@ -141,12 +131,9 @@ class BddManager {
 
   static constexpr std::uint32_t kConstVar = 0xffffffffu;
 
-  const Node& node_at(BddRef f) const {
-    return borrowed() ? arena_[f] : nodes_[f];
-  }
-  /// Copy-on-write: copies the borrowed arena into owned storage and
-  /// rebuilds the unique table so mutation can proceed.
-  void thaw();
+  const Node& node_at(BddRef f) const { return nodes_[f]; }
+  /// Hash-conses every arena node into the unique table (after a load).
+  void rebuild_unique_table();
 
   BddRef make_node(std::uint32_t var, BddRef low, BddRef high);
   std::uint32_t top_var(BddRef f, BddRef g, BddRef h) const;
@@ -157,12 +144,8 @@ class BddManager {
 
   int num_vars_;
   std::vector<Node> nodes_;
-  // Borrowed mode: reads go through arena_ (which points into backing_)
-  // and nodes_/unique_ stay empty until thaw().  The raw pointer is safe
-  // to copy between managers because every copy shares the backing.
-  const Node* arena_ = nullptr;
-  std::size_t arena_count_ = 0;
-  std::shared_ptr<const void> backing_;
+  /// True from load_arena() until the next make_node rebuilds unique_.
+  bool unique_stale_ = false;
   std::unordered_map<NodeKey, BddRef, NodeKeyHash> unique_;
   std::unordered_map<IteKey, BddRef, IteKeyHash> ite_cache_;
 };

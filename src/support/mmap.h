@@ -1,12 +1,9 @@
-// Read-only memory-mapped file regions for zero-copy artifact loading.
+// Read-only memory-mapped file regions for artifact loading.
 //
 // MmapRegion wraps a PROT_READ/MAP_PRIVATE POSIX mapping with RAII
-// ownership.  Loaders hand out string_views and typed spans into the
-// mapping and keep it alive through a shared_ptr<MmapRegion>; the kernel
-// pages data in lazily, so "loading" a multi-megabyte artifact touches only
-// the bytes actually validated and read.  mmap(2) returns page-aligned
-// addresses, which satisfies the blob format's 64-byte base-alignment
-// requirement by construction.
+// ownership.  The artifact cache hands out a string_view into the mapping
+// and keeps it alive through a shared_ptr<MmapRegion>, so a load reads the
+// entry in place instead of copying it into a buffer first.
 #pragma once
 
 #include <cstddef>

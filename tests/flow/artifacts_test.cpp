@@ -4,13 +4,15 @@
 // indistinguishable (bytes and downstream hashes) from a computed one.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <exception>
+#include <functional>
 #include <string>
+#include <vector>
 
+#include "arch/frames.h"
 #include "bitstream/builder.h"
 #include "debug/signal_param.h"
 #include "flow/artifacts.h"
-#include "flow/blob.h"
 #include "genbench/genbench.h"
 #include "map/mappers.h"
 #include "pnr/flow.h"
@@ -19,16 +21,17 @@
 namespace fpgadbg::flow {
 namespace {
 
-netlist::Netlist small_user(std::uint64_t seed) {
-  genbench::CircuitSpec spec{"art" + std::to_string(seed), 8, 6, 4, 36, 3, 5,
-                             seed};
+netlist::Netlist small_user(std::uint64_t seed, std::size_t latches = 4) {
+  genbench::CircuitSpec spec{"art" + std::to_string(seed), 8, 6, latches, 36,
+                             3, 5, seed};
   return genbench::generate(spec);
 }
 
-debug::Instrumented small_instrumented(std::uint64_t seed) {
+debug::Instrumented small_instrumented(std::uint64_t seed,
+                                       std::size_t latches = 4) {
   debug::InstrumentOptions options;
   options.trace_width = 6;
-  return debug::parameterize_signals(small_user(seed), options);
+  return debug::parameterize_signals(small_user(seed, latches), options);
 }
 
 /// Serializes with `ser`, deserializes, re-serializes, and checks that the
@@ -48,17 +51,6 @@ std::pair<T, std::uint64_t> round_trip(const T& value, Ser ser, Deser deser) {
   EXPECT_EQ(w1.bytes(), w2.bytes());
   EXPECT_EQ(hash1, w2.content_hash());
   return {std::move(restored).value(), hash1};
-}
-
-/// A CacheHit over a 64-byte-aligned copy of `bytes`, shaped like the hit an
-/// mmap'd cache entry gives the blob loaders.
-CacheHit aligned_hit(const std::string& bytes) {
-  auto buffer = std::make_shared<AlignedBlobBuffer>(bytes);
-  CacheHit hit;
-  hit.payload = buffer->view();
-  hit.content_hash = fnv1a(bytes);
-  hit.backing = buffer;
-  return hit;
 }
 
 TEST(Artifacts, NetlistRoundTrip) {
@@ -84,38 +76,45 @@ TEST(Artifacts, InstrumentedRoundTrip) {
   EXPECT_EQ(restored.netlist.params().size(), inst.netlist.params().size());
 }
 
-TEST(Artifacts, MappedNetlistRoundTrip) {
-  const auto inst = small_instrumented(3);
+/// Round-trips the tcon-map stage's map result, which carries the mapped
+/// netlist, and checks the restored netlist's shape.
+void expect_mapped_netlist_round_trips(std::size_t latches) {
+  const auto inst = small_instrumented(3, latches);
   const auto mapping = map::tcon_map(inst.netlist);
-  // The mapped netlist is cached inside the tcon-map stage's map-result blob.
-  const std::string bytes = encode_map_result_blob(mapping);
-  auto loaded = load_map_result(aligned_hit(bytes));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-  ASSERT_TRUE(loaded.value().has_value());
-  const map::MappedNetlist& restored = loaded.value()->netlist;
+  auto [result, hash] =
+      round_trip(mapping, serialize_map_result, deserialize_map_result);
+  (void)hash;
+  const map::MappedNetlist& restored = result.netlist;
   EXPECT_EQ(restored.num_cells(), mapping.netlist.num_cells());
   EXPECT_EQ(restored.count(map::MKind::kTcon),
             mapping.netlist.count(map::MKind::kTcon));
   EXPECT_EQ(restored.lut_area(), mapping.netlist.lut_area());
-  EXPECT_EQ(restored.latches().size(), mapping.netlist.latches().size());
+  EXPECT_EQ(restored.latches().size(), latches);
+  EXPECT_EQ(restored.outputs(), mapping.netlist.outputs());
+}
+
+TEST(Artifacts, MappedNetlistRoundTrip) {
+  expect_mapped_netlist_round_trips(4);
 }
 
 TEST(Artifacts, MapResultRoundTripDropsWallClock) {
   const auto inst = small_instrumented(4);
   auto mapping = map::tcon_map(inst.netlist);
-  const std::string bytes = encode_map_result_blob(mapping);
+  ByteWriter w1;
+  serialize_map_result(mapping, w1);
   // Volatile timing must not leak into artifact bytes: two runs differing
   // only in runtime_seconds encode identically.
   mapping.stats.runtime_seconds += 123.0;
-  EXPECT_EQ(encode_map_result_blob(mapping), bytes);
+  ByteWriter w2;
+  serialize_map_result(mapping, w2);
+  EXPECT_EQ(w1.bytes(), w2.bytes());
 
-  auto loaded = load_map_result(aligned_hit(bytes));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-  ASSERT_TRUE(loaded.value().has_value());
-  const map::MapResult& restored = *loaded.value();
-  EXPECT_EQ(encode_map_result_blob(restored), bytes);
+  auto [restored, hash] =
+      round_trip(mapping, serialize_map_result, deserialize_map_result);
+  EXPECT_EQ(hash, w1.content_hash());
   EXPECT_EQ(restored.stats.num_tcons, mapping.stats.num_tcons);
   EXPECT_EQ(restored.stats.mapper, mapping.stats.mapper);
+  EXPECT_EQ(restored.stats.depth, mapping.stats.depth);
 }
 
 /// Runs the physical flow once; placement/routing/pconf tests share it.
@@ -169,15 +168,11 @@ TEST(Artifacts, PackingPlacementRoutingRoundTrip) {
 
 TEST(Artifacts, PconfRoundTrip) {
   const Physical phys = compile_small(6);
-  const std::string bytes =
-      encode_pconf_blob(PconfArtifact{phys.pconf, phys.stats});
-  auto loaded = load_pconf(aligned_hit(bytes));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-  ASSERT_TRUE(loaded.value().has_value());
-  const PconfArtifact& restored = *loaded.value();
-  EXPECT_EQ(encode_pconf_blob(restored), bytes);
-  EXPECT_TRUE(restored.pconf.functions_borrowed());
+  auto [restored, hash] = round_trip(PconfArtifact{phys.pconf, phys.stats},
+                                     serialize_pconf, deserialize_pconf);
+  (void)hash;
   EXPECT_EQ(restored.pconf.total_bits(), phys.pconf.total_bits());
+  EXPECT_TRUE(restored.pconf.constants() == phys.pconf.constants());
   EXPECT_EQ(restored.pconf.num_parameterized_bits(),
             phys.pconf.num_parameterized_bits());
   EXPECT_EQ(restored.pconf.param_names(), phys.pconf.param_names());
@@ -185,10 +180,10 @@ TEST(Artifacts, PconfRoundTrip) {
   EXPECT_EQ(restored.stats.parameterized_switch_bits,
             phys.stats.parameterized_switch_bits);
 
-  // The incremental SCG builds its index over the borrowed arena and table
+  // The incremental SCG builds its index over the loaded arena and table
   // and must track specialize() of the source PConf step by step: dense
   // steps (random assignments) alternate with one-parameter flips.
-  const bitstream::PConf& loaded_pconf = restored.pconf;
+  bitstream::PConf& loaded_pconf = restored.pconf;
   const auto& names = loaded_pconf.param_names();
   ASSERT_FALSE(names.empty());
   Rng rng(61);
@@ -207,8 +202,36 @@ TEST(Artifacts, PconfRoundTrip) {
         << "step " << step;
     prev_asg = asg;
   }
-  EXPECT_TRUE(loaded_pconf.functions_borrowed());
-  EXPECT_TRUE(loaded_pconf.bdd().borrowed());
+
+  // The load leaves the unique table to the first mutation: building a
+  // node the arena already holds must find it, not append a duplicate.
+  const bitstream::FunctionView fns = loaded_pconf.functions();
+  ASSERT_GT(fns.count, 0u);
+  logic::BddManager& bdd = loaded_pconf.bdd();
+  const logic::BddRef root = fns.refs[fns.count - 1];
+  const logic::BddManager::Node node = bdd.arena()[root];
+  const logic::BddRef var = bdd.var(static_cast<int>(node.var));
+  const std::size_t size = bdd.size();
+  EXPECT_EQ(bdd.bdd_ite(var, node.high, node.low), root);
+  EXPECT_EQ(bdd.size(), size);
+}
+
+TEST(Artifacts, EmptySectionsRoundTrip) {
+  // Sections that may be empty must load as empty, not as corrupt: a
+  // mapped netlist with no latches, and a PConf without parameterized bits
+  // (an arena of only the constants and an empty function table).
+  expect_mapped_netlist_round_trips(0);
+
+  const std::size_t two_frames = 2 * arch::FrameGeometry::kFrameBits;
+  bitstream::PConf plain(two_frames, {"p0", "p1"});
+  plain.set_constant(3, true);
+  plain.set_constant(two_frames - 1, true);
+  auto [empty, empty_hash] = round_trip(PconfArtifact{plain, {}},
+                                        serialize_pconf, deserialize_pconf);
+  (void)empty_hash;
+  EXPECT_EQ(empty.pconf.bdd().size(), 2u);
+  EXPECT_EQ(empty.pconf.functions().count, 0u);
+  EXPECT_TRUE(empty.pconf.constants() == plain.constants());
 }
 
 TEST(Artifacts, TruncatedBytesAreCorruptNotFatal) {
@@ -222,6 +245,86 @@ TEST(Artifacts, TruncatedBytesAreCorruptNotFatal) {
     const auto restored = deserialize_netlist(r);
     ASSERT_FALSE(restored.ok()) << "keep=" << keep;
     EXPECT_EQ(restored.status().code(), support::StatusCode::kCorruptArtifact);
+  }
+}
+
+/// One stage payload and its deserializer, reduced to the Status it returns.
+struct Payload {
+  const char* stage;
+  std::string bytes;
+  std::function<support::Status(ByteReader&)> load;
+};
+
+template <typename T, typename Ser, typename Deser>
+Payload make_payload(const char* stage, const T& value, Ser ser, Deser deser) {
+  ByteWriter w;
+  ser(value, w);
+  return Payload{stage, w.take(),
+                 [deser](ByteReader& r) { return deser(r).status(); }};
+}
+
+TEST(Artifacts, HostilePayloadsAreCorruptNotFatal) {
+  // Every loader, fed directly (no cache digest in the way), must turn
+  // each truncation and each single-byte corruption of a real payload into
+  // either a value or kCorruptArtifact, and never throw: a forged length
+  // prefix must not reach an allocation.
+  const auto inst = small_instrumented(8);
+  auto mapping = map::tcon_map(inst.netlist);
+  const Physical phys = compile_small(8);
+  const std::vector<Payload> payloads = {
+      make_payload("instrument", inst, serialize_instrumented,
+                   deserialize_instrumented),
+      make_payload("tcon-map", mapping, serialize_map_result,
+                   deserialize_map_result),
+      make_payload("pack", phys.design.packing, serialize_packing,
+                   deserialize_packing),
+      make_payload("place", phys.design.placement, serialize_placement,
+                   deserialize_placement),
+      make_payload("route", phys.design.routing, serialize_route_result,
+                   deserialize_route_result),
+      make_payload("pconf-build", PconfArtifact{phys.pconf, phys.stats},
+                   serialize_pconf, deserialize_pconf),
+  };
+  for (const Payload& p : payloads) {
+    std::vector<std::string> failures;
+    auto expect_value_or_corrupt = [&](std::string_view bytes,
+                                       const std::string& what) {
+      ByteReader r(bytes);
+      support::Status s;
+      try {
+        s = p.load(r);
+      } catch (const std::exception& e) {
+        failures.push_back(what + " threw: " + e.what());
+        return;
+      } catch (...) {
+        failures.push_back(what + " threw a non-standard exception");
+        return;
+      }
+      if (!s.ok() && s.code() != support::StatusCode::kCorruptArtifact) {
+        failures.push_back(what + ": " + s.to_string());
+      }
+    };
+    {
+      ByteReader r(p.bytes);
+      const support::Status intact = p.load(r);
+      ASSERT_TRUE(intact.ok()) << p.stage << ": " << intact.to_string();
+    }
+    for (std::size_t keep = 0; keep < p.bytes.size(); ++keep) {
+      expect_value_or_corrupt(std::string_view(p.bytes).substr(0, keep),
+                              "truncated to " + std::to_string(keep));
+    }
+    std::string bad = p.bytes;
+    for (std::size_t at = 0; at < bad.size(); ++at) {
+      for (const unsigned mask : {0x01u, 0x80u, 0xffu}) {
+        bad[at] = static_cast<char>(p.bytes[at] ^ mask);
+        expect_value_or_corrupt(bad, "byte " + std::to_string(at) + " ^ " +
+                                         std::to_string(mask));
+      }
+      bad[at] = p.bytes[at];
+    }
+    EXPECT_TRUE(failures.empty())
+        << p.stage << " (" << p.bytes.size() << " bytes): "
+        << failures.size() << " inputs escaped, first: " << failures.front();
   }
 }
 

@@ -1,7 +1,8 @@
 // Artifact cache store tests: the fail-fast integrity contract (truncation
-// detected from the fixed header, bit flips from the digest), legacy-entry
-// migration, the LRU-by-atime GC sweep and its concurrency rules (in-flight
-// temp files are not entries; a vanished entry is a miss).
+// detected from the fixed header, bit flips from the digest, an older
+// header from the magic), the
+// LRU-by-atime GC sweep and its concurrency rules (in-flight temp files are
+// not entries; a vanished entry is a miss).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -87,18 +89,70 @@ TEST(DirCacheStore, PayloadBitFlipFailsTheDigest) {
   EXPECT_EQ(load.status().code(), support::StatusCode::kCorruptArtifact);
 }
 
-TEST(DirCacheStore, LegacyStreamEntryIsAMissNotAParse) {
+/// Overwrites the whole file at `path` with `image`.
+void rewrite(const std::string& path, const std::string& image) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(image.data(), static_cast<std::streamsize>(image.size()));
+}
+
+TEST(DirCacheStore, EveryByteFlipIsRejectedOrUnread) {
+  // The entry digest is the only integrity check in front of a loader, so
+  // no single corrupted byte anywhere in an entry may hand a loader a
+  // changed payload.  Every flip in the magic, the labels, the digest, the
+  // size or the payload is rejected; the reserved header bytes are never
+  // read, so a flip there loads the stored payload unchanged.
+  TempRoot root("every_flip");
+  const ArtifactCache store(root.path);
+  std::string bytes(200, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 37 + 11);
+  }
+  ASSERT_TRUE(store.store("tcon-map", 5, fnv1a(bytes), bytes).ok());
+  const std::string path = store.entry_path("tcon-map", 5);
+  std::string golden;
+  {
+    std::ifstream in(path, std::ios::binary);
+    golden.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(golden.size(), 64 + bytes.size());
+  for (std::size_t at = 0; at < golden.size(); ++at) {
+    std::string bad = golden;
+    bad[at] = static_cast<char>(bad[at] ^ 0x40);
+    rewrite(path, bad);
+    auto load = store.load("tcon-map", 5);
+    if (at >= 40 && at < 64) {
+      ASSERT_TRUE(load.ok()) << "byte " << at << ": "
+                             << load.status().to_string();
+      ASSERT_TRUE(load.value().has_value()) << "byte " << at;
+      EXPECT_EQ(load.value()->payload, bytes) << "byte " << at;
+    } else {
+      ASSERT_FALSE(load.ok()) << "byte " << at << " loaded";
+      EXPECT_EQ(load.status().code(), support::StatusCode::kCorruptArtifact)
+          << "byte " << at;
+    }
+  }
+}
+
+TEST(DirCacheStore, LegacyHeaderEntryIsCorruptNotAParse) {
+  // Entries an older build wrote sit under keys of an older artifact
+  // format version, which this build never looks up.  One found where a
+  // load does look is damage, not a format to fall back on: the previous
+  // header (the same magic with format digit 1) is rejected from the magic
+  // alone, before the payload is read.
   TempRoot root("legacy");
   const ArtifactCache store(root.path);
-  // Plant a pre-mmap FDBGART1 entry where a load looks.
+  const std::string bytes = "old stream payload";
+  ASSERT_TRUE(store.store("instrument", 4, fnv1a(bytes), bytes).ok());
   const std::string path = store.entry_path("instrument", 4);
-  fs::create_directories(fs::path(path).parent_path());
-  std::ofstream out(path, std::ios::binary);
-  out << "FDBGART1" << std::string(64, '\0') << "old stream payload";
-  out.close();
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(7);
+  f.put('1');
+  f.close();
   auto load = store.load("instrument", 4);
-  ASSERT_TRUE(load.ok()) << load.status().to_string();
-  EXPECT_FALSE(load.value().has_value());  // rebuilt, never misparsed
+  ASSERT_FALSE(load.ok());
+  EXPECT_EQ(load.status().code(), support::StatusCode::kCorruptArtifact);
+  EXPECT_NE(load.status().message().find("bad magic"), std::string::npos);
 }
 
 // --- GC ---------------------------------------------------------------------

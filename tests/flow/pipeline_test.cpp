@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -130,6 +131,30 @@ TEST(Pipeline, CacheHoldsOnlyStageArtifacts) {
   EXPECT_EQ(listed.value().size(), 6u);
 }
 
+/// A warm replay's artifacts equal the cold run's bit for bit: placement,
+/// routes (and the timing derived from them), the PConf's constant plane
+/// and its function bits and refs.
+void expect_same_offline(const debug::OfflineResult& warm,
+                         const debug::OfflineResult& cold) {
+  ASSERT_TRUE(warm.compiled && cold.compiled && warm.pconf && cold.pconf);
+  EXPECT_EQ(warm.compiled->placement.cluster_pos,
+            cold.compiled->placement.cluster_pos);
+  EXPECT_EQ(warm.compiled->placement.io_of_cell,
+            cold.compiled->placement.io_of_cell);
+  EXPECT_EQ(warm.compiled->routing.routes, cold.compiled->routing.routes);
+  EXPECT_EQ(warm.compiled->report.critical_path_ns,
+            cold.compiled->report.critical_path_ns);
+  EXPECT_EQ(warm.pconf->total_bits(), cold.pconf->total_bits());
+  EXPECT_TRUE(warm.pconf->constants() == cold.pconf->constants());
+  const bitstream::FunctionView got = warm.pconf->functions();
+  const bitstream::FunctionView want = cold.pconf->functions();
+  ASSERT_EQ(got.count, want.count);
+  for (std::size_t i = 0; i < got.count; ++i) {
+    EXPECT_EQ(got.bits[i], want.bits[i]) << i;
+    EXPECT_EQ(got.refs[i], want.refs[i]) << i;
+  }
+}
+
 /// Stores an entry where older builds kept the rr-graph beside the six
 /// stages: <dir>/rr-graph/<key>, keyed on the architecture and the
 /// requested CLB count.  The payload is no graph image; nothing reads it.
@@ -165,20 +190,7 @@ TEST(Pipeline, LeftoverRRGraphEntryIsIgnoredAndSwept) {
   ASSERT_TRUE(warm.ok()) << warm.status().to_string();
   EXPECT_EQ(warm.value().stages_executed, 0u);
   EXPECT_EQ(warm.value().stages_from_cache, 6u);
-  const pnr::CompiledDesign& w = *warm.value().offline.compiled;
-  EXPECT_EQ(w.placement.cluster_pos, c.placement.cluster_pos);
-  EXPECT_EQ(w.routing.routes, c.routing.routes);
-  const bitstream::PConf& wp = *warm.value().offline.pconf;
-  const bitstream::PConf& cp = *cold.value().offline.pconf;
-  EXPECT_EQ(wp.total_bits(), cp.total_bits());
-  EXPECT_TRUE(wp.constants() == cp.constants());
-  const bitstream::FunctionView got = wp.functions();
-  const bitstream::FunctionView want = cp.functions();
-  ASSERT_EQ(got.count, want.count);
-  for (std::size_t i = 0; i < got.count; ++i) {
-    EXPECT_EQ(got.bits[i], want.bits[i]) << i;
-    EXPECT_EQ(got.refs[i], want.refs[i]) << i;
-  }
+  expect_same_offline(warm.value().offline, cold.value().offline);
 
   auto swept = ArtifactCache(cache.path).gc(0);
   ASSERT_TRUE(swept.ok()) << swept.status().to_string();
@@ -285,70 +297,84 @@ TEST(Pipeline, MappingOnlyFlowCachesTwoStages) {
   EXPECT_FALSE(warm.value().offline.compiled);
 }
 
-TEST(Pipeline, StreamAndBlobEncodingsAreBitIdentical) {
-  // Blob is the only encoding written, but a cache may still hold tcon-map
-  // and pconf-build entries an older build wrote in the stream encoding.
-  // The encoding must stay invisible in the results: a run that finds stream
-  // entries rebuilds those stages, and it, the cold runs and a warm run over
-  // blob entries all agree bit for bit on the downstream artifacts.
-  TempCacheDir cache_s("enc_stream");
-  TempCacheDir cache_b("enc_blob");
-  auto opt_s = small_options();
-  opt_s.cache_dir = cache_s.path;
+/// Intact bytes in the previous tcon-map and pconf-build encoding: its
+/// magic, then zeros.
+std::string previous_encoding_bytes() {
+  return std::string("FDBGBLB1") + std::string(56, '\0');
+}
+
+TEST(Pipeline, OlderFormatEntriesAreNeverRead) {
+  // The artifact format version is part of every stage key, so an entry an
+  // older build wrote sits under a key this build never looks up.  Plant
+  // an entry with the previous tcon-map encoding's magic at that format's
+  // key (it had no version, and the instrument encoding is unchanged, so
+  // the key is computable): the warm run replays all six stages without
+  // reading it, bit for bit, and the GC sweep removes it with the rest.
+  TempCacheDir cache("older_format");
+  auto options = small_options();
+  options.cache_dir = cache.path;
+  auto cold = Pipeline(options).run(small_user(9));
+  ASSERT_TRUE(cold.ok()) << cold.status().to_string();
+  const std::uint64_t old_key = hash_combine(
+      hash_combine(fnv1a(std::string_view("tcon-map")),
+                   cold.value().stages[0].content_hash),
+      hash_map_options(options.lut_size, options.max_param_leaves));
+  ASSERT_NE(old_key, cold.value().stages[1].key);
+  const std::string bytes = previous_encoding_bytes();
+  ASSERT_TRUE(ArtifactCache(cache.path)
+                  .store("tcon-map", old_key, fnv1a(bytes), bytes)
+                  .ok());
+
+  auto warm = Pipeline(options).run(small_user(9));
+  ASSERT_TRUE(warm.ok()) << warm.status().to_string();
+  EXPECT_EQ(warm.value().stages_executed, 0u);
+  EXPECT_EQ(warm.value().stages_from_cache, 6u);
+  expect_same_offline(warm.value().offline, cold.value().offline);
+
+  auto swept = ArtifactCache(cache.path).gc(0);
+  ASSERT_TRUE(swept.ok()) << swept.status().to_string();
+  EXPECT_EQ(swept.value().removed_entries, 7u);
+}
+
+TEST(Pipeline, WarmReplayIsBitIdenticalToColdRun) {
+  // Two independent caches of one design: the cold runs encode the same
+  // bytes for every stage, and each warm replay loads artifacts equal to
+  // the first cold run's bit for bit.
+  TempCacheDir cache_a("replay_a");
+  TempCacheDir cache_b("replay_b");
+  auto opt_a = small_options();
+  opt_a.cache_dir = cache_a.path;
   auto opt_b = small_options();
   opt_b.cache_dir = cache_b.path;
 
-  auto cold_s = Pipeline(opt_s).run(small_user(9));
-  ASSERT_TRUE(cold_s.ok()) << cold_s.status().to_string();
-  ArtifactCache stream_cache(cache_s.path);
-  for (std::size_t stage : {1u, 5u}) {  // tcon-map, pconf-build
-    const StageReport& entry = cold_s.value().stages[stage];
-    const std::string bytes = "stream-encoded " + entry.name + " artifact";
-    ASSERT_TRUE(
-        stream_cache.store(entry.name, entry.key, fnv1a(bytes), bytes).ok());
-  }
-
-  auto cold_b = Pipeline(opt_b).run(small_user(9));
-  auto warm_s = Pipeline(opt_s).run(small_user(9));
-  auto warm_b = Pipeline(opt_b).run(small_user(9));
-  for (auto* r : {&cold_b, &warm_s, &warm_b}) {
+  auto cold_a = Pipeline(opt_a).run(small_user(10));
+  auto cold_b = Pipeline(opt_b).run(small_user(10));
+  auto warm_a = Pipeline(opt_a).run(small_user(10));
+  auto warm_b = Pipeline(opt_b).run(small_user(10));
+  for (auto* r : {&cold_a, &cold_b, &warm_a, &warm_b}) {
     ASSERT_TRUE(r->ok()) << r->status().to_string();
   }
-  EXPECT_EQ(warm_s.value().stages_from_cache, 4u);
+  EXPECT_EQ(warm_a.value().stages_from_cache, 6u);
   EXPECT_EQ(warm_b.value().stages_from_cache, 6u);
-
-  // The warm blob run serves the PConf function table zero-copy from the
-  // mapped cache entry; the run that met a stream entry owns the table it
-  // rebuilt.
-  EXPECT_TRUE(warm_b.value().offline.pconf->functions_borrowed());
-  EXPECT_FALSE(warm_s.value().offline.pconf->functions_borrowed());
-
-  const auto& base = cold_s.value().offline;
-  for (auto* r : {&cold_b, &warm_s, &warm_b}) {
-    const auto& o = r->value().offline;
-    EXPECT_EQ(o.compiled->placement.cluster_pos,
-              base.compiled->placement.cluster_pos);
-    EXPECT_EQ(o.compiled->report.critical_path_ns,
-              base.compiled->report.critical_path_ns);
-    EXPECT_EQ(o.pconf->total_bits(), base.pconf->total_bits());
-    ASSERT_EQ(o.pconf->num_parameterized_bits(),
-              base.pconf->num_parameterized_bits());
-    const bitstream::FunctionView got = o.pconf->functions();
-    const bitstream::FunctionView want = base.pconf->functions();
-    ASSERT_EQ(got.count, want.count);
-    for (std::size_t i = 0; i < got.count; ++i) {
-      EXPECT_EQ(got.bits[i], want.bits[i]) << i;
-      EXPECT_EQ(got.refs[i], want.refs[i]) << i;
+  for (auto* r : {&cold_b, &warm_a, &warm_b}) {
+    ASSERT_EQ(r->value().stages.size(), 6u);
+    for (std::size_t i = 0; i < 6; ++i) {
+      EXPECT_EQ(r->value().stages[i].content_hash,
+                cold_a.value().stages[i].content_hash)
+          << cold_a.value().stages[i].name;
     }
+    expect_same_offline(r->value().offline, cold_a.value().offline);
   }
 }
 
-/// Overwrites the cold run's entry for stages[stage] with intact bytes that
-/// are not a blob image, as an older build's stream encoding wrote them.
-/// The warm run must treat the entry as a miss: that stage re-executes, its
-/// re-encoded blob has the cold content hash, so every other stage hits.
-void expect_non_blob_entry_rebuilt(std::size_t stage, const std::string& stem,
-                                   std::uint64_t seed) {
+/// Overwrites the cold run's entry for stages[stage] with intact bytes in
+/// the previous encoding.  Older builds' entries sit under keys of older
+/// format versions, so an entry this build cannot decode at a current key
+/// is damage: the warm run must fail as a corrupt artifact tagged with the
+/// stage, not rebuild it.
+void expect_undecodable_entry_is_corrupt(std::size_t stage,
+                                         const std::string& stem,
+                                         std::uint64_t seed) {
   TempCacheDir cache(stem);
   auto options = small_options();
   options.cache_dir = cache.path;
@@ -357,24 +383,54 @@ void expect_non_blob_entry_rebuilt(std::size_t stage, const std::string& stem,
   ASSERT_TRUE(cold.ok()) << cold.status().to_string();
   const StageReport& entry = cold.value().stages[stage];
 
-  const std::string bytes = "stream-encoded " + entry.name + " artifact";
+  const std::string bytes = previous_encoding_bytes();
   ASSERT_TRUE(ArtifactCache(cache.path)
                   .store(entry.name, entry.key, fnv1a(bytes), bytes)
                   .ok());
   auto warm = pipeline.run(small_user(seed));
-  ASSERT_TRUE(warm.ok()) << warm.status().to_string();
-  EXPECT_EQ(warm.value().stages_executed, 1u);
-  EXPECT_EQ(warm.value().stages_from_cache, 5u);
-  EXPECT_FALSE(warm.value().stages[stage].from_cache);
-  EXPECT_EQ(warm.value().stages[stage].content_hash, entry.content_hash);
+  ASSERT_FALSE(warm.ok());
+  EXPECT_EQ(warm.status().code(), support::StatusCode::kCorruptArtifact);
+  EXPECT_EQ(warm.status().stage(), entry.name);
 }
 
-TEST(Pipeline, NonBlobTconMapEntryIsAMiss) {
-  expect_non_blob_entry_rebuilt(1, "nonblob_map", 9);
+TEST(Pipeline, UndecodableTconMapEntryIsCorruptWithStage) {
+  expect_undecodable_entry_is_corrupt(1, "undecodable_map", 9);
 }
 
-TEST(Pipeline, NonBlobPconfEntryIsAMiss) {
-  expect_non_blob_entry_rebuilt(5, "nonblob_pconf", 11);
+TEST(Pipeline, UndecodablePconfEntryIsCorruptWithStage) {
+  expect_undecodable_entry_is_corrupt(5, "undecodable_pconf", 11);
+}
+
+TEST(Pipeline, ForgedLengthPrefixIsCorruptNotAThrow) {
+  // A route entry with a valid payload hash whose first route claims
+  // 2^62 + 1 nodes.  Times four bytes per node that count wraps to 4, so a
+  // multiplying bounds check passes and the allocation throws; the load
+  // must fail as a corrupt artifact tagged with the stage instead.
+  TempCacheDir cache("forged_length");
+  auto options = small_options();
+  options.cache_dir = cache.path;
+  Pipeline pipeline(options);
+  auto cold = pipeline.run(small_user(14));
+  ASSERT_TRUE(cold.ok()) << cold.status().to_string();
+  const pnr::RouteResult& routing = cold.value().offline.compiled->routing;
+  ASSERT_FALSE(routing.routes.empty());
+  const StageReport& route = cold.value().stages[4];
+  ByteWriter w;
+  serialize_route_result(routing, w);
+  std::string bytes = w.take();
+  ASSERT_EQ(fnv1a(bytes), route.content_hash);
+  // success (1 byte), iterations (4), route count (8), then the first
+  // route's length prefix.
+  const std::uint64_t forged = (std::uint64_t{1} << 62) + 1;
+  std::memcpy(bytes.data() + 13, &forged, sizeof forged);
+  ASSERT_TRUE(ArtifactCache(cache.path)
+                  .store("route", route.key, fnv1a(bytes), bytes)
+                  .ok());
+
+  auto warm = pipeline.run(small_user(14));
+  ASSERT_FALSE(warm.ok());
+  EXPECT_EQ(warm.status().code(), support::StatusCode::kCorruptArtifact);
+  EXPECT_EQ(warm.status().stage(), "route");
 }
 
 TEST(ArtifactCache, DisabledCacheAlwaysMisses) {

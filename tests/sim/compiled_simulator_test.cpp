@@ -263,7 +263,7 @@ TEST(CompiledSimulator, EquivalenceBackendsAgree) {
 
 TEST(CompiledSimulator, RestoreRejectsWrongSnapshotShape) {
   // Snapshots carry a version and lane width; restoring one taken from an
-  // incompatible engine (or a corrupted blob) must fail loudly instead of
+  // incompatible engine (or a corrupted snapshot) must fail loudly instead of
   // silently loading garbage latch state.
   genbench::CircuitSpec spec{"snapv", 8, 6, 6, 70, 5, 4, 909};
   const Netlist nl = genbench::generate(spec);

@@ -206,7 +206,7 @@ TEST(Cli, CacheDirIsSharedAcrossProcesses) {
   ASSERT_EQ(second.exit_code, 0) << second.output;
   EXPECT_NE(second.output.find("0 stages executed, 6 from cache"),
             std::string::npos);
-  // The summary reports the zero-copy path: mmap hits, bytes mapped.
+  // The summary reports the mmap path: mmap hits, bytes mapped.
   const auto pos = second.output.find("mmap hits");
   ASSERT_NE(pos, std::string::npos) << second.output;
   EXPECT_EQ(second.output.find("0 mmap hits"), std::string::npos)
