@@ -71,7 +71,7 @@ echo "schema smoke: OK ($SMOKE_DIR)"
 # Shared-cache smoke: two sequential flow runs, as separate processes,
 # against ONE cache directory.  The first populates it; the second must
 # execute zero stages, replay all six from the shared directory, and report
-# exactly six mmap hits, one per stage (the cache holds nothing else) —
+# exactly six cache hits, one per stage (the cache holds nothing else) —
 # this pins the whole chain (temp-file + rename publish, mmap load, digest
 # check, stream deserialization) end to end through the CLI.
 SHARED_CACHE="$SMOKE_DIR/shared-cache"
@@ -86,9 +86,9 @@ grep -q "0 stages executed, 6 from cache" <<< "$WARM" || {
   echo "shared-cache smoke: warm run re-executed stages" >&2
   exit 1
 }
-MMAP_HITS=$(sed -n 's/.*from cache (.*), \([0-9]*\) mmap hits.*/\1/p' <<< "$WARM")
-if [ "$MMAP_HITS" != 6 ]; then
-  echo "shared-cache smoke: warm run did not report 6 mmap hits: $WARM" >&2
+CACHE_HITS=$(sed -n 's/.*from cache (.*), \([0-9]*\) cache hits.*/\1/p' <<< "$WARM")
+if [ "$CACHE_HITS" != 6 ]; then
+  echo "shared-cache smoke: warm run did not report 6 cache hits: $WARM" >&2
   exit 1
 fi
 "$FPGADBG" cache gc --max-bytes 0 --cache-dir "$SHARED_CACHE" | \
@@ -96,7 +96,7 @@ fi
   echo "shared-cache smoke: cache gc did not drain the directory" >&2
   exit 1
 }
-echo "shared-cache smoke: OK ($MMAP_HITS mmap hits from $SHARED_CACHE)"
+echo "shared-cache smoke: OK ($CACHE_HITS cache hits from $SHARED_CACHE)"
 
 # Timing smoke: the timing-driven flow must run end to end and surface its
 # STA summary on stdout and the Fmax gauge in the Prometheus exposition.

@@ -168,12 +168,14 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
            << report.reconfig_seconds * 1e6 << " us";
 
   // Apply the parameters to the emulated DUT (the effect the partial
-  // reconfiguration has on real hardware).
+  // reconfiguration has on real hardware): the DUT re-binds the TCONs and
+  // TLUTs that read a parameter that changed.
   const MappedNetlist& mn = offline_.mapping.netlist;
   for (CellId p : mn.params()) {
     const auto it = assignment.find(mn.cell(p).name);
     sim_.set_param(p, it != assignment.end() && it->second);
   }
+  sim_.bind();
   observed_ = report.observed;
 
   const double coverage = coverage_.note_turn(report.observed);

@@ -39,40 +39,46 @@ std::size_t Instrumented::num_observable() const {
   return n;
 }
 
-std::pair<std::size_t, std::size_t> Instrumented::locate(
-    const std::string& signal) const {
-  const auto all = locate_all(signal);
-  if (all.empty()) {
-    return {static_cast<std::size_t>(-1), static_cast<std::size_t>(-1)};
-  }
-  return all.front();
-}
-
-std::vector<std::pair<std::size_t, std::size_t>> Instrumented::locate_all(
-    const std::string& signal) const {
-  std::vector<std::pair<std::size_t, std::size_t>> found;
+void Instrumented::index_placements() {
+  placement_index.clear();
+  placement_index.reserve(num_observable());
   for (std::size_t l = 0; l < lane_signals.size(); ++l) {
     const auto& lane = lane_signals[l];
-    const auto it = std::find(lane.begin(), lane.end(), signal);
-    if (it != lane.end()) {
-      found.emplace_back(l, static_cast<std::size_t>(it - lane.begin()));
+    for (std::size_t i = 0; i < lane.size(); ++i) {
+      Placements& found = placement_index[lane[i]];
+      // A signal's first slot within each lane, as a scan would find it.
+      if (found.empty() || found.back().first != l) found.emplace_back(l, i);
     }
   }
-  return found;
+}
+
+std::pair<std::size_t, std::size_t> Instrumented::locate(
+    const std::string& signal) const {
+  const auto it = placement_index.find(signal);
+  if (it == placement_index.end()) {
+    return {static_cast<std::size_t>(-1), static_cast<std::size_t>(-1)};
+  }
+  return it->second.front();
+}
+
+Instrumented::Placements Instrumented::locate_all(
+    const std::string& signal) const {
+  const auto it = placement_index.find(signal);
+  return it == placement_index.end() ? Placements{} : it->second;
 }
 
 std::unordered_map<std::string, bool> Instrumented::select_signals(
     const std::vector<std::string>& signals) const {
   // Bipartite matching (Kuhn's augmenting paths): signals on the left,
   // lanes on the right; an edge wherever a replica of the signal lives.
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> candidates;
+  std::vector<const Placements*> candidates;
   candidates.reserve(signals.size());
   for (const std::string& signal : signals) {
-    auto placements = locate_all(signal);
-    if (placements.empty()) {
+    const auto it = placement_index.find(signal);
+    if (it == placement_index.end()) {
       throw Error("signal is not observable: " + signal);
     }
-    candidates.push_back(std::move(placements));
+    candidates.push_back(&it->second);
   }
 
   std::vector<int> lane_match(lane_signals.size(), -1);
@@ -80,7 +86,7 @@ std::unordered_map<std::string, bool> Instrumented::select_signals(
 
   std::vector<bool> visited;
   auto try_assign = [&](auto&& self, std::size_t sig) -> bool {
-    for (const auto& [lane, index] : candidates[sig]) {
+    for (const auto& [lane, index] : *candidates[sig]) {
       if (visited[lane]) continue;
       visited[lane] = true;
       if (lane_match[lane] < 0 ||
@@ -239,6 +245,7 @@ Instrumented parameterize_signals(const Netlist& nl,
   }
 
   out.check();
+  result.index_placements();
   return result;
 }
 

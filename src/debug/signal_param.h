@@ -58,13 +58,24 @@ struct Instrumented {
   /// Name of each lane's trace output (feeds the trace buffer).
   std::vector<std::string> trace_outputs;
 
+  /// (lane, index) placements of one signal.
+  using Placements = std::vector<std::pair<std::size_t, std::size_t>>;
+  /// Signal name -> its placements, derived from lane_signals by
+  /// index_placements().
+  std::unordered_map<std::string, Placements> placement_index;
+
+  /// Rebuilds placement_index from lane_signals.  parameterize_signals()
+  /// and the instrument artifact loader call it; so must any other code
+  /// that fills lane_signals.
+  void index_placements();
+
   std::size_t num_observable() const;
 
   /// First (lane, index) of a signal, or (npos, npos) if unobservable.
   std::pair<std::size_t, std::size_t> locate(const std::string& signal) const;
-  /// All (lane, index) placements of a signal (replication >= 1 entries).
-  std::vector<std::pair<std::size_t, std::size_t>> locate_all(
-      const std::string& signal) const;
+  /// All (lane, index) placements of a signal (replication >= 1 entries):
+  /// lanes ascending, the first slot of the signal within each lane.
+  Placements locate_all(const std::string& signal) const;
 
   /// Parameter assignment (param name -> value) that makes the requested
   /// signals simultaneously visible, one per lane.  Lanes are chosen by

@@ -197,6 +197,7 @@ Result<debug::Instrumented> deserialize_instrumented(ByteReader& r) {
   inst.lane_params = read_str_vec_vec(r);
   inst.trace_outputs = r.str_vec();
   FPGADBG_RETURN_IF_ERROR(r.status("instrument artifact"));
+  inst.index_placements();
   return inst;
 }
 

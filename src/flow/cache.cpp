@@ -196,12 +196,9 @@ Result<std::optional<CacheHit>> ArtifactCache::load(const std::string& stage,
   touch_atime(path);
   m.counter("flow.cache.hits").add();
   m.counter("flow.cache.bytes_read").add(payload.size());
-  m.counter("flow.cache.mmap_hits").add();
-  m.counter("flow.cache.bytes_mapped").add(payload.size());
   CacheHit hit;
   hit.payload = payload;
   hit.content_hash = h.payload_hash;
-  hit.mapped = true;
   hit.backing = std::move(region);
   return std::optional<CacheHit>(std::move(hit));
 }

@@ -43,9 +43,6 @@ namespace fpgadbg::flow {
 struct CacheHit {
   std::string_view payload;
   std::uint64_t content_hash = 0;
-  /// True when the payload is served directly from a memory mapping
-  /// (counted as flow.cache.mmap_hits / flow.cache.bytes_mapped).
-  bool mapped = false;
   std::shared_ptr<const void> backing;
 };
 
@@ -82,7 +79,7 @@ class ArtifactCache {
   /// Looks up (stage, key).  nullopt = miss (also when disabled); a Status
   /// means the entry exists but is corrupt or unreadable.  A hit bumps the
   /// entry's atime (LRU bookkeeping).  Counts
-  /// flow.cache.{hits,misses,bytes_read,mmap_hits,bytes_mapped}.
+  /// flow.cache.{hits,misses,bytes_read}.
   support::Result<std::optional<CacheHit>> load(const std::string& stage,
                                                 std::uint64_t key) const;
 

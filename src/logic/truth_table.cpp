@@ -9,11 +9,6 @@ namespace fpgadbg::logic {
 namespace {
 constexpr std::size_t kWordBits = 64;
 
-// Per-word masks of variable v for v < 6: bit positions where x_v == 1.
-constexpr std::uint64_t kVarMask[6] = {
-    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
-    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL};
-
 std::size_t words_for(int num_vars) {
   const std::size_t bits = std::size_t{1} << num_vars;
   return (bits + kWordBits - 1) / kWordBits;

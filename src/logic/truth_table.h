@@ -12,6 +12,11 @@
 
 namespace fpgadbg::logic {
 
+/// Bit positions of a one-word table at which variable v (v < 6) is 1.
+inline constexpr std::uint64_t kVarMask[6] = {
+    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
+    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL};
+
 class TruthTable {
  public:
   static constexpr int kMaxVars = 16;

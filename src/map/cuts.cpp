@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "map/mapped_netlist.h"
 #include "support/error.h"
 #include "support/telemetry.h"
 
@@ -71,20 +72,7 @@ bool dominates(const Cut& a, const Cut& b) {
 bool tcon_feasible(const TruthTable& f, int nd, int np) {
   if (np == 0) return false;  // a TCON must be parameter-steered
   for (std::uint64_t pa = 0; pa < (1ULL << np); ++pa) {
-    TruthTable residual = f;
-    for (int p = 0; p < np; ++p) {
-      residual = ((pa >> p) & 1) ? residual.cofactor1(nd + p)
-                                 : residual.cofactor0(nd + p);
-    }
-    if (residual.is_const0() || residual.is_const1()) continue;
-    bool wire = false;
-    for (int v = 0; v < nd; ++v) {
-      if (residual == TruthTable::var(f.num_vars(), v)) {
-        wire = true;
-        break;
-      }
-    }
-    if (!wire) return false;
+    if (tcon_source(f, nd, pa) == kTconNotWire) return false;
   }
   return true;
 }

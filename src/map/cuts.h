@@ -70,9 +70,10 @@ class CutEnumerator {
   std::size_t generated_cuts_ = 0;  ///< pre-prune total (telemetry)
 };
 
-/// True iff `f` (over nd data vars then np param vars) reduces, for every
-/// parameter assignment, to a constant or a projection of one data variable.
-/// Such functions are realizable in the reconfigurable routing (TCON).
+/// True iff `f` (over nd data vars then np param vars, np > 0) reduces, for
+/// every parameter assignment, to a constant or a projection of one data
+/// variable (map::tcon_source() is never kTconNotWire).  Such functions are
+/// realizable in the reconfigurable routing (TCON).
 bool tcon_feasible(const logic::TruthTable& f, int nd, int np);
 
 }  // namespace fpgadbg::map

@@ -6,6 +6,39 @@
 
 namespace fpgadbg::map {
 
+int tcon_source(const logic::TruthTable& f, int nd, std::uint64_t assignment) {
+  FPGADBG_ASSERT(nd <= f.num_vars() &&
+                     (assignment >> (f.num_vars() - nd)) == 0,
+                 "TCON assignment out of range");
+  const std::size_t width = std::size_t{1} << nd;  // residual bits
+  const std::size_t num_words = nd < 6 ? 1 : width / 64;
+  const std::uint64_t tail =
+      nd < 6 ? (std::uint64_t{1} << width) - 1 : ~std::uint64_t{0};
+  const std::size_t begin = static_cast<std::size_t>(assignment) << nd;
+  const std::uint64_t* words = f.words().data() + begin / 64;
+  const std::size_t shift = begin % 64;  // nonzero only when nd < 6
+  // Candidates still consistent with the residual words read so far:
+  // bit 0 = constant 0, bit 1 = constant 1, bit 2 + v = data input v.
+  std::uint32_t alive = (std::uint32_t{1} << (nd + 2)) - 1;
+  for (std::size_t j = 0; j < num_words && alive != 0; ++j) {
+    const std::uint64_t r = (words[j] >> shift) & tail;
+    if (r != 0) alive &= ~1u;
+    if (r != tail) alive &= ~2u;
+    for (int v = 0; v < nd; ++v) {
+      const std::uint64_t var =
+          v < 6 ? logic::kVarMask[v] & tail
+                : (((j >> (v - 6)) & 1) != 0 ? ~std::uint64_t{0} : 0);
+      if (r != var) alive &= ~(4u << v);
+    }
+  }
+  if ((alive & 1u) != 0) return kTconConst0;
+  if ((alive & 2u) != 0) return kTconConst1;
+  for (int v = 0; v < nd; ++v) {
+    if ((alive & (4u << v)) != 0) return v;
+  }
+  return kTconNotWire;
+}
+
 CellId MappedNetlist::add_source(MKind kind, const std::string& name) {
   FPGADBG_REQUIRE(kind == MKind::kConst0 || kind == MKind::kInput ||
                       kind == MKind::kParam,
@@ -168,23 +201,11 @@ void MappedNetlist::check() const {
       throw Error("cell " + c.name + ": function arity mismatch");
     }
     if (c.kind == MKind::kTcon) {
-      // Verify the defining property: every parameter assignment leaves a
-      // wire (projection to one data input, its complement, or a constant).
+      // The defining property: every parameter assignment leaves a plain
+      // wire or a constant.
       const int nd = static_cast<int>(c.data_inputs.size());
-      const int np = static_cast<int>(c.param_inputs.size());
-      for (std::uint64_t pa = 0; pa < (1ULL << np); ++pa) {
-        logic::TruthTable residual = c.function;
-        for (int p = 0; p < np; ++p) {
-          residual = ((pa >> p) & 1) ? residual.cofactor1(nd + p)
-                                     : residual.cofactor0(nd + p);
-        }
-        // Routing cannot invert: only constants and plain projections pass
-        // (same rule as map::tcon_feasible).
-        bool wire = residual.is_const0() || residual.is_const1();
-        for (int v = 0; v < nd && !wire; ++v) {
-          wire = residual == logic::TruthTable::var(c.function.num_vars(), v);
-        }
-        if (!wire) {
+      for (std::uint64_t pa = 0; pa < (1ULL << c.param_inputs.size()); ++pa) {
+        if (tcon_source(c.function, nd, pa) == kTconNotWire) {
           throw Error("cell " + c.name +
                       " is marked TCON but is not a wire under parameters");
         }

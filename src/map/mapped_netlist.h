@@ -6,9 +6,9 @@
 //           data inputs.  The parameter inputs select which specialization
 //           the LUT's SRAM cells hold; they cost no LUT pins at runtime.
 //   kTcon — tuneable connection: for EVERY parameter assignment the residual
-//           function is a wire (one data input, possibly inverted, or a
-//           constant).  Implemented entirely in the FPGA routing fabric, so
-//           it occupies no LUT and adds no logic depth.
+//           function is a wire (one data input, never inverted: routing
+//           cannot invert) or a constant.  Implemented entirely in the FPGA
+//           routing fabric, so it occupies no LUT and adds no logic depth.
 //
 // Area accounting follows the paper's Table I: LUT area = kLut + kTlut cells;
 // kTcon cells are routed, not placed.
@@ -54,6 +54,21 @@ struct MLatch {
   CellId output = kNullCell;
   int init_value = 0;
 };
+
+/// What a TCON passes under one parameter assignment (see tcon_source()):
+/// a data input index >= 0, or one of these.
+inline constexpr int kTconConst0 = -1;
+inline constexpr int kTconConst1 = -2;
+inline constexpr int kTconNotWire = -3;
+
+/// The source `f` passes when its parameter variables spell `assignment`
+/// (LSB = the first parameter).  `f` is over `nd` data variables with the
+/// parameters above them, so the residual is bits
+/// [assignment * 2^nd, (assignment + 1) * 2^nd) of the table, read in place:
+/// one word for nd <= 6, up to four for K = 8.  Returns the data input the
+/// residual is a plain wire from, kTconConst0/kTconConst1, or kTconNotWire
+/// when it is anything else (an inverted input, or logic of several inputs).
+int tcon_source(const logic::TruthTable& f, int nd, std::uint64_t assignment);
 
 class MappedNetlist {
  public:

@@ -82,6 +82,10 @@ void MappedSimulator::set_params(const std::vector<bool>& values) {
   }
 }
 
+void MappedSimulator::bind() {
+  if (engine_) engine_->bind();
+}
+
 void MappedSimulator::eval() {
   if (engine_) {
     engine_->eval();

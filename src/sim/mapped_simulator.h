@@ -6,8 +6,8 @@
 //
 // Two engines sit behind the same API, selected by SimBackend: the original
 // per-cell interpreter (the oracle) and the compiled levelized engine
-// (CompiledSimulator), which lowers the mapped netlist once at construction
-// and is the default.
+// (CompiledSimulator), the default, which lowers the mapped netlist once at
+// construction and re-binds its TCONs and TLUTs when parameters change.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +35,10 @@ class MappedSimulator {
   void set_inputs(const std::vector<bool>& values);
   void set_param(map::CellId id, bool value);
   void set_params(const std::vector<bool>& values);
+  /// Applies the parameter writes since the last eval() now instead of in
+  /// the next eval() (CompiledSimulator::bind(); the interpreter reads its
+  /// parameters as it goes and has nothing to do).
+  void bind();
 
   void eval();
   /// eval() then clock the latches.  The compiled backend skips that sweep

@@ -8,15 +8,11 @@ namespace fpgadbg::sim {
 
 namespace {
 
+using logic::kVarMask;
 using logic::TruthTable;
 
 // 2:1 mux over (lo, hi, sel): out = sel ? hi : lo.
 constexpr std::uint64_t kMuxMask = 0xCA;
-
-// Bit positions of a one-word table at which variable v is 1.
-constexpr std::uint64_t kVarMask[SimProgram::kMaxOpArity] = {
-    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
-    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
 
 /// Accumulates ops with their levels; ops are bucket-sorted by level once
 /// all nodes are lowered.
@@ -234,8 +230,10 @@ SimProgram lower_program(const netlist::Netlist& nl) {
 
 namespace {
 
-/// Lowers `mn`; with `param_values`, specialized on that assignment.
-SimProgram lower_mapped(const map::MappedNetlist& mn,
+enum class MappedLowering { kGeneric, kSpecialized, kBindable };
+
+/// Lowers `mn` as `mode` says; kSpecialized binds `param_values`.
+SimProgram lower_mapped(const map::MappedNetlist& mn, MappedLowering mode,
                         const std::vector<bool>* param_values) {
   using map::MKind;
   Builder b;
@@ -275,7 +273,7 @@ SimProgram lower_mapped(const map::MappedNetlist& mn,
   }
   // Bound value per cell id; read only for parameter cells.
   std::vector<std::uint8_t> bound;
-  if (param_values != nullptr) {
+  if (mode == MappedLowering::kSpecialized) {
     FPGADBG_REQUIRE(param_values->size() == mn.params().size(),
                     "specialized lowering needs one value per parameter");
     bound.assign(mn.num_cells(), 0);
@@ -289,9 +287,31 @@ SimProgram lower_mapped(const map::MappedNetlist& mn,
   for (map::CellId id : mn.topo_order()) {
     const auto& cell = mn.cell(id);
     fanin_slots.assign(cell.data_inputs.begin(), cell.data_inputs.end());
+    const auto num_data = static_cast<std::uint32_t>(fanin_slots.size());
     fanin_slots.insert(fanin_slots.end(), cell.param_inputs.begin(),
                        cell.param_inputs.end());
-    if (param_values == nullptr) {
+    if (mode == MappedLowering::kBindable && cell.kind == MKind::kTcon) {
+      // No op.  The slot sits at the level of its highest data input, so
+      // every reader sorts after whichever input a binding selects.
+      std::uint32_t level = 0;
+      for (map::CellId in : cell.data_inputs) {
+        level = std::max(level, b.slot_level[in]);
+      }
+      b.slot_level[id] = level;
+      continue;
+    }
+    if (mode == MappedLowering::kBindable && cell.kind == MKind::kTlut &&
+        num_data <= SimProgram::kMaxOpArity) {
+      // The all-zero assignment's residual: the table's low 2^nd bits.
+      const std::uint64_t tail =
+          num_data == SimProgram::kMaxOpArity
+              ? ~0ULL
+              : (1ULL << (std::size_t{1} << num_data)) - 1;
+      b.emit(cell.function.words()[0] & tail, fanin_slots.data(), num_data,
+             id);
+      continue;
+    }
+    if (mode != MappedLowering::kSpecialized) {
       b.lower_function(cell.function, fanin_slots,
                        static_cast<std::uint32_t>(fanin_slots.size()), id);
       continue;
@@ -314,12 +334,16 @@ SimProgram lower_mapped(const map::MappedNetlist& mn,
 }  // namespace
 
 SimProgram lower_program(const map::MappedNetlist& mn) {
-  return lower_mapped(mn, nullptr);
+  return lower_mapped(mn, MappedLowering::kGeneric, nullptr);
 }
 
 SimProgram lower_program(const map::MappedNetlist& mn,
                          const std::vector<bool>& param_values) {
-  return lower_mapped(mn, &param_values);
+  return lower_mapped(mn, MappedLowering::kSpecialized, &param_values);
+}
+
+SimProgram lower_bindable_program(const map::MappedNetlist& mn) {
+  return lower_mapped(mn, MappedLowering::kBindable, nullptr);
 }
 
 }  // namespace fpgadbg::sim

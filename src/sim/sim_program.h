@@ -8,26 +8,31 @@
 // so the evaluator never sees an op it cannot execute branch-free.
 //
 // Slots [0, num_design_nodes) mirror the source design's node/cell ids
-// one-to-one; cascade temporaries occupy the slots above.  Ops within one
-// level never read each other's outputs, which is what lets the evaluator
-// sweep a level with ThreadPool::parallel_for.
+// one-to-one; cascade temporaries occupy the slots above.  An op's level
+// exceeds its fanins', so a sweep in program order sees every fanin
+// settled.
 //
-// A mapped netlist lowers two ways.  The generic program keeps parameters
-// as free inputs: a TLUT or TCON becomes a LUT over its data AND parameter
-// inputs, so a (4 data, 2 parameter) TCON is a 6-input op — a 63-mux
-// Shannon expansion of what is a wire under any one assignment.  The
-// program specialized on an assignment is what the configured FPGA runs
+// A mapped netlist lowers three ways.  The generic program keeps
+// parameters as free inputs: a TLUT or TCON becomes a LUT over its data AND
+// parameter inputs, so a (4 data, 2 parameter) TCON is a 6-input op — a
+// 63-mux Shannon expansion of what is a wire under any one assignment.
+// Equivalence checking, which drives random parameters per lane, runs it.
+// The program specialized on an assignment is what the configured FPGA runs
 // once the SCG has specialized the PConf (the paper's parameters are
 // quasi-static): every cell that reads a parameter is cofactored on the
 // assignment, and every cell is lowered over only the inputs its cofactor
-// still depends on, so a TCON becomes a wire, an inverter or a constant
-// (at most one fanin) and a TLUT an ordinary LUT of its data inputs.  A
-// cell with neither a parameter nor a redundant input lowers identically in
-// both programs, and op_of_node names the same design nodes in both, so
-// fault injection behaves the same.
-// Scenario campaigns, which never change a parameter, run the specialized
-// program; the debug session and equivalence checking, which do, run the
-// generic one.
+// still depends on, so a TCON becomes a wire or a constant (at most one
+// fanin; routing cannot invert) and a TLUT an ordinary LUT of its data
+// inputs.  A cell with neither a parameter nor a redundant input lowers
+// identically in both programs, and op_of_node names the same design nodes
+// in both, so fault injection behaves the same.  Scenario campaigns, which
+// never change a parameter, run it.
+// The bindable program is the debug session's: CompiledSimulator re-binds
+// it on every parameter change instead of lowering it again.  A TCON has no
+// op at all (the emulator reads it from the source its parameters select),
+// and a TLUT of at most six data inputs is one op over its data inputs whose
+// mask the emulator re-cofactors; every other cell lowers as in the generic
+// program.
 #pragma once
 
 #include <cstdint>
@@ -96,5 +101,10 @@ SimProgram lower_program(const map::MappedNetlist& mn);
 /// is the value of `mn.params()[i]` (one value per parameter, or throws).
 SimProgram lower_program(const map::MappedNetlist& mn,
                          const std::vector<bool>& param_values);
+/// The bindable program: no TCON op, and each TLUT of at most six data
+/// inputs one op over them holding the all-zero assignment's cofactor.  A
+/// TCON's slot is levelled with its highest data input, so the level order
+/// stays topological whichever input a binding selects.
+SimProgram lower_bindable_program(const map::MappedNetlist& mn);
 
 }  // namespace fpgadbg::sim

@@ -457,13 +457,13 @@ support::Result<debug::OfflineResult> run_pipeline(
   if (!options.cache_dir.empty()) {
     const telemetry::MetricsSnapshot snap = telemetry::metrics().snapshot();
     std::printf("pipeline: %zu stages executed, %zu from cache (%s), "
-                "%llu mmap hits / %llu bytes mapped\n",
+                "%llu cache hits / %llu bytes read\n",
                 result.stages_executed, result.stages_from_cache,
                 options.cache_dir.c_str(),
                 static_cast<unsigned long long>(
-                    snap.counter("flow.cache.mmap_hits")),
+                    snap.counter("flow.cache.hits")),
                 static_cast<unsigned long long>(
-                    snap.counter("flow.cache.bytes_mapped")));
+                    snap.counter("flow.cache.bytes_read")));
   }
   return std::move(result.offline);
 }
@@ -620,6 +620,7 @@ support::Result<int> cmd_profile(const Args& args) {
   row_h("scg.eval_seconds");
   row_h("debug.reconfig_seconds");
   row_h("debug.turn_seconds");
+  row_h("sim.bind_seconds");
   row_h("pnr.route.iteration_seconds");
 
   std::printf("counters:\n");
@@ -627,8 +628,6 @@ support::Result<int> cmd_profile(const Args& args) {
   row_c("flow.cache.hits");
   row_c("flow.cache.misses");
   row_c("flow.cache.stores");
-  row_c("flow.cache.mmap_hits");
-  row_c("flow.cache.bytes_mapped");
   row_c("flow.cache.bytes_read");
   row_c("map.cuts_enumerated");
   row_c("map.cells.lut");
@@ -648,6 +647,7 @@ support::Result<int> cmd_profile(const Args& args) {
   row_c("debug.journal.events");
   row_c("debug.journal.dropped_events");
   row_c("sim.evals");
+  row_c("sim.bind.cells");
   row_c("sim.batch.blocks");
   row_c("sim.batch.scenario_cycles");
   row_c("sim.batch.faulted_scenarios");

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "debug/flow.h"
@@ -10,6 +11,7 @@
 #include "sim/equivalence.h"
 #include "sim/simulator.h"
 #include "support/rng.h"
+#include "support/telemetry.h"
 
 namespace fpgadbg::debug {
 namespace {
@@ -76,7 +78,8 @@ TEST(Session, TraceMatchesGoldenSimulation) {
   genbench::CircuitSpec spec{"golden", 10, 8, 6, 90, 4, 6, 55};
   const Netlist user = genbench::generate(spec);
   const auto offline = run_offline(user, small_options());
-  // The design keeps the session DUT's widest ops covered.
+  // The design keeps the session DUT's widest ops covered: the ops its
+  // sweep runs, those of the bindable program.
   const sim::CompiledSimulator lowered(offline.mapping.netlist);
   std::set<std::uint32_t> arities;
   for (const sim::SimOp& op : lowered.program().ops) {
@@ -125,6 +128,167 @@ TEST(Session, TraceMatchesGoldenSimulation) {
     EXPECT_EQ(session.trace().samples_stored(),
               static_cast<std::size_t>(kTurns * kCyclesPerTurn));
   }
+}
+
+/// A perfbench-style turn plan: every fourth turn is dense (window i: the
+/// i-th signal of every lane, as many as fit together), the turns between
+/// are sparse (one signal swapped for a random other one that fits).
+std::vector<std::vector<std::string>> mixed_turns(const Instrumented& inst,
+                                                  int turns, Rng& rng) {
+  std::size_t windows = 1;
+  std::vector<std::string> observable;
+  for (const auto& lane : inst.lane_signals) {
+    windows = std::max(windows, lane.size());
+    observable.insert(observable.end(), lane.begin(), lane.end());
+  }
+  std::vector<std::vector<std::string>> plan;
+  std::vector<std::string> current;
+  for (int turn = 0; turn < turns; ++turn) {
+    std::vector<std::string> signals = current;
+    if (turn % 4 == 0) {
+      signals.clear();
+      const std::size_t window = static_cast<std::size_t>(turn / 4) % windows;
+      for (const auto& lane : inst.lane_signals) {
+        if (window >= lane.size()) continue;
+        auto trial = signals;
+        if (std::find(trial.begin(), trial.end(), lane[window]) !=
+            trial.end()) {
+          continue;
+        }
+        trial.push_back(lane[window]);
+        if (inst.try_select_signals(trial).ok()) signals = std::move(trial);
+      }
+    } else if (!current.empty()) {
+      for (int draw = 0; draw < 64; ++draw) {
+        const std::string& s = observable[rng.next_below(observable.size())];
+        if (std::find(current.begin(), current.end(), s) != current.end()) {
+          continue;
+        }
+        auto trial = current;
+        trial[rng.next_below(trial.size())] = s;
+        if (inst.try_select_signals(trial).ok()) {
+          signals = std::move(trial);
+          break;
+        }
+      }
+    }
+    plan.push_back(signals);
+    current = std::move(signals);
+  }
+  return plan;
+}
+
+TEST(Session, CompiledDutMatchesInterpreterOverMixedTurns) {
+  // The compiled DUT binds TCONs to wires and cofactors TLUTs once per turn;
+  // the interpreter evaluates every cell's full function every cycle.  Over
+  // mixed dense and sparse turns on two designs, both must capture the same
+  // samples and agree on the value of every cell, TCONs included, each
+  // cycle.  A snapshot taken before a turn and restored after it replays
+  // the turn's samples.
+  for (std::uint64_t seed : {31u, 32u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    genbench::CircuitSpec spec{"mixed" + std::to_string(seed), 8, 6, 6, 70,
+                               4, 5, seed};
+    const auto offline = run_offline(genbench::generate(spec), small_options());
+    const map::MappedNetlist& mn = offline.mapping.netlist;
+    ASSERT_GT(mn.count(map::MKind::kTcon), 0u);
+    DebugSession compiled(offline, {}, 1024, sim::SimBackend::kCompiled);
+    DebugSession interpreted(offline, {}, 1024, sim::SimBackend::kInterpreted);
+    Rng rng(seed);
+    const auto plan = mixed_turns(offline.instrumented, 64, rng);
+    constexpr int kCycles = 12;
+    for (std::size_t turn = 0; turn < plan.size(); ++turn) {
+      const bool rewind = turn % 8 == 5;
+      std::optional<sim::MappedSimulator::Snapshot> before_c, before_i;
+      if (rewind) {
+        before_c = compiled.snapshot();
+        before_i = interpreted.snapshot();
+      }
+      ASSERT_EQ(compiled.observe(plan[turn]).observed,
+                interpreted.observe(plan[turn]).observed);
+      std::vector<std::vector<bool>> stimulus;
+      std::vector<BitVec> samples;
+      for (int cycle = 0; cycle < kCycles; ++cycle) {
+        std::vector<bool> inputs(mn.inputs().size());
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+          inputs[i] = rng.next_bool();
+        }
+        const BitVec sample = compiled.step(inputs);
+        ASSERT_TRUE(sample == interpreted.step(inputs))
+            << "turn " << turn << " cycle " << cycle;
+        for (map::CellId id = 0; id < mn.num_cells(); ++id) {
+          ASSERT_EQ(compiled.dut().value(id), interpreted.dut().value(id))
+              << "turn " << turn << " cycle " << cycle << " cell "
+              << mn.cell(id).name;
+        }
+        stimulus.push_back(std::move(inputs));
+        samples.push_back(sample);
+      }
+      if (!rewind) continue;
+      compiled.restore(*before_c);
+      interpreted.restore(*before_i);
+      for (int cycle = 0; cycle < kCycles; ++cycle) {
+        const auto c = static_cast<std::size_t>(cycle);
+        ASSERT_TRUE(compiled.step(stimulus[c]) == samples[c])
+            << "compiled replay, turn " << turn << " cycle " << cycle;
+        ASSERT_TRUE(interpreted.step(stimulus[c]) == samples[c])
+            << "interpreted replay, turn " << turn << " cycle " << cycle;
+      }
+    }
+  }
+}
+
+TEST(Session, TurnRebindsOnlyCellsReadingChangedParams) {
+  // A turn re-binds exactly the TCONs and TLUTs that read a parameter whose
+  // value it changed: counted once per cell, however many of its
+  // parameters changed.
+  const auto offline = run_offline(small_user(9), small_options());
+  const auto& inst = offline.instrumented;
+  const map::MappedNetlist& mn = offline.mapping.netlist;
+  DebugSession session(offline);
+  const telemetry::Counter& rebound =
+      telemetry::metrics().counter("sim.bind.cells");
+  auto expected = [&](const std::unordered_map<std::string, bool>& from,
+                      const std::unordered_map<std::string, bool>& to) {
+    std::set<map::CellId> changed;
+    for (map::CellId p : mn.params()) {
+      const std::string& name = mn.cell(p).name;
+      const bool a = from.count(name) != 0 && from.at(name);
+      const bool b = to.count(name) != 0 && to.at(name);
+      if (a != b) changed.insert(p);
+    }
+    std::uint64_t cells = 0;
+    for (map::CellId id = 0; id < mn.num_cells(); ++id) {
+      const auto& params = mn.cell(id).param_inputs;
+      cells += std::any_of(params.begin(), params.end(), [&](map::CellId p) {
+        return changed.count(p) != 0;
+      });
+    }
+    return cells;
+  };
+  auto previous = inst.select_signals({});
+  // One lane moves to its second signal, then every lane moves (dense).
+  std::vector<std::vector<std::string>> turns = {{inst.lane_signals[1][1]}};
+  std::vector<std::string> dense;
+  for (const auto& lane : inst.lane_signals) {
+    auto trial = dense;
+    trial.push_back(lane.back());
+    if (inst.try_select_signals(trial).ok()) dense = std::move(trial);
+  }
+  turns.push_back(dense);
+  for (const auto& signals : turns) {
+    const auto next = inst.select_signals(signals);
+    const std::uint64_t want = expected(previous, next);
+    EXPECT_GT(want, 0u);
+    const std::uint64_t before = rebound.value();
+    session.observe(signals);
+    EXPECT_EQ(rebound.value() - before, want) << signals.size() << " signals";
+    previous = next;
+  }
+  // Observing the same signals again changes no parameter: nothing re-binds.
+  const std::uint64_t before = rebound.value();
+  session.observe(dense);
+  EXPECT_EQ(rebound.value(), before);
 }
 
 TEST(Session, ReobservationWithoutRecompile) {

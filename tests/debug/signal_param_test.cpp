@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "genbench/genbench.h"
 #include "sim/simulator.h"
 #include "support/error.h"
@@ -142,6 +144,107 @@ TEST(SignalParam, MatchingResolvesLaneConflicts) {
   for (const std::string& w : want) {
     EXPECT_NE(std::find(observed.begin(), observed.end(), w), observed.end())
         << w;
+  }
+}
+
+/// A signal's placements as a scan of every lane finds them.
+Instrumented::Placements scan_placements(const Instrumented& inst,
+                                         const std::string& signal) {
+  Instrumented::Placements found;
+  for (std::size_t l = 0; l < inst.lane_signals.size(); ++l) {
+    const auto& lane = inst.lane_signals[l];
+    const auto it = std::find(lane.begin(), lane.end(), signal);
+    if (it != lane.end()) {
+      found.emplace_back(l, static_cast<std::size_t>(it - lane.begin()));
+    }
+  }
+  return found;
+}
+
+/// select_signals() over scanned placements: the same Kuhn matching, so
+/// the same lanes win only if the placements come in the same order.
+std::unordered_map<std::string, bool> scan_select(
+    const Instrumented& inst, const std::vector<std::string>& signals) {
+  std::vector<Instrumented::Placements> candidates;
+  for (const std::string& s : signals) {
+    candidates.push_back(scan_placements(inst, s));
+  }
+  const std::size_t lanes = inst.lane_signals.size();
+  std::vector<int> lane_match(lanes, -1);
+  std::vector<std::size_t> lane_index(lanes, 0);
+  std::vector<bool> visited;
+  auto try_assign = [&](auto&& self, std::size_t sig) -> bool {
+    for (const auto& [lane, index] : candidates[sig]) {
+      if (visited[lane]) continue;
+      visited[lane] = true;
+      if (lane_match[lane] < 0 ||
+          self(self, static_cast<std::size_t>(lane_match[lane]))) {
+        lane_match[lane] = static_cast<int>(sig);
+        lane_index[lane] = index;
+        return true;
+      }
+    }
+    return false;
+  };
+  for (std::size_t sig = 0; sig < signals.size(); ++sig) {
+    visited.assign(lanes, false);
+    EXPECT_TRUE(try_assign(try_assign, sig)) << signals[sig];
+  }
+  std::unordered_map<std::string, bool> assignment;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    for (std::size_t b = 0; b < inst.lane_params[lane].size(); ++b) {
+      assignment[inst.lane_params[lane][b]] =
+          lane_match[lane] >= 0 && ((lane_index[lane] >> b) & 1) != 0;
+    }
+  }
+  return assignment;
+}
+
+TEST(SignalParam, IndexedSelectionMatchesLaneScan) {
+  // The placement index answers what a scan of every lane answers, in the
+  // same order, so matching picks the same lanes: over a turn plan of dense
+  // windows and sparse one-signal swaps, every assignment is unchanged.
+  InstrumentOptions opt;
+  opt.trace_width = 8;
+  const Instrumented inst = parameterize_signals(user_circuit(12, 160), opt);
+  std::vector<std::string> observable;
+  for (const auto& lane : inst.lane_signals) {
+    for (const std::string& s : lane) {
+      ASSERT_EQ(inst.locate_all(s), scan_placements(inst, s)) << s;
+      observable.push_back(s);
+    }
+  }
+  EXPECT_TRUE(inst.locate_all("no_such_signal").empty());
+  Rng rng(12);
+  std::vector<std::string> current;
+  for (std::size_t turn = 0; turn < 96; ++turn) {
+    std::vector<std::string> signals = current;
+    if (turn % 4 == 0) {
+      signals.clear();
+      for (const auto& lane : inst.lane_signals) {
+        const std::string& s = lane[(turn / 4) % lane.size()];
+        auto trial = signals;
+        trial.push_back(s);
+        if (std::count(signals.begin(), signals.end(), s) == 0 &&
+            inst.try_select_signals(trial).ok()) {
+          signals = std::move(trial);
+        }
+      }
+    } else if (!current.empty()) {
+      for (int draw = 0; draw < 64; ++draw) {
+        auto trial = current;
+        trial[rng.next_below(trial.size())] =
+            observable[rng.next_below(observable.size())];
+        if (inst.try_select_signals(trial).ok()) {
+          signals = std::move(trial);
+          break;
+        }
+      }
+    }
+    ASSERT_FALSE(signals.empty());
+    EXPECT_EQ(inst.select_signals(signals), scan_select(inst, signals))
+        << "turn " << turn;
+    current = std::move(signals);
   }
 }
 

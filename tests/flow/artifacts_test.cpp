@@ -73,6 +73,7 @@ TEST(Artifacts, InstrumentedRoundTrip) {
   EXPECT_EQ(restored.lane_signals, inst.lane_signals);
   EXPECT_EQ(restored.lane_params, inst.lane_params);
   EXPECT_EQ(restored.trace_outputs, inst.trace_outputs);
+  EXPECT_EQ(restored.placement_index, inst.placement_index);
   EXPECT_EQ(restored.netlist.params().size(), inst.netlist.params().size());
 }
 

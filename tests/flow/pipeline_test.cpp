@@ -453,7 +453,7 @@ TEST(ArtifactCache, StoreThenLoadRoundTrips) {
   ASSERT_TRUE(load.value().has_value());
   EXPECT_EQ(load.value()->payload, bytes);
   EXPECT_EQ(load.value()->content_hash, fnv1a(bytes));
-  EXPECT_TRUE(load.value()->mapped);
+  EXPECT_NE(load.value()->backing, nullptr);  // the payload's mapping
   // A different key misses; a wrong-hash store is caught on load.
   EXPECT_FALSE(cache.load("place", 8).value().has_value());
   ASSERT_TRUE(cache.store("place", 9, 0xdeadbeef, bytes).ok());

@@ -4,6 +4,7 @@
 
 #include "logic/truth_table.h"
 #include "support/error.h"
+#include "support/rng.h"
 
 namespace fpgadbg::map {
 namespace {
@@ -82,6 +83,52 @@ TEST(MappedNetlist, LatchRoundTrip) {
   ASSERT_EQ(mn.latches().size(), 1u);
   EXPECT_EQ(mn.latches()[0].init_value, 1);
   EXPECT_EQ(mn.depth(), 1);
+}
+
+/// tcon_source() by cofactoring: every parameter cofactored away, the
+/// residual compared with each candidate as a whole table.
+int reference_source(const TruthTable& f, int nd, std::uint64_t assignment) {
+  TruthTable r = f;
+  for (int v = nd; v < f.num_vars(); ++v) {
+    r = ((assignment >> (v - nd)) & 1) ? r.cofactor1(v) : r.cofactor0(v);
+  }
+  if (r.is_const0()) return kTconConst0;
+  if (r.is_const1()) return kTconConst1;
+  for (int v = 0; v < nd; ++v) {
+    if (r == TruthTable::var(f.num_vars(), v)) return v;
+  }
+  return kTconNotWire;
+}
+
+TEST(TconSource, MatchesCofactoringAtEveryWidth) {
+  // Each assignment gets its own residual: a constant, a plain input, an
+  // inverted input or random logic.  nd = 7 and 8 read two and four words
+  // per residual; nd < 6 reads a slice of one word.
+  Rng rng(23);
+  for (int nd = 0; nd <= 8; ++nd) {
+    for (int np = 1; np <= 3; ++np) {
+      TruthTable f(nd + np);
+      const std::size_t width = std::size_t{1} << nd;
+      for (std::uint64_t a = 0; a < (1ULL << np); ++a) {
+        const auto kind = nd == 0 ? rng.next_below(2) : rng.next_below(5);
+        const int v = nd == 0 ? 0 : static_cast<int>(rng.next_below(
+                                        static_cast<std::uint64_t>(nd)));
+        for (std::size_t x = 0; x < width; ++x) {
+          const bool in = ((x >> v) & 1) != 0;
+          const bool bit = kind == 0   ? false
+                           : kind == 1 ? true
+                           : kind == 2 ? in
+                           : kind == 3 ? !in
+                                       : rng.next_bool();
+          f.set_bit(a * width + x, bit);
+        }
+      }
+      for (std::uint64_t a = 0; a < (1ULL << np); ++a) {
+        EXPECT_EQ(tcon_source(f, nd, a), reference_source(f, nd, a))
+            << "nd " << nd << " np " << np << " assignment " << a;
+      }
+    }
+  }
 }
 
 TEST(MappedNetlist, DuplicateNamesRejected) {

@@ -234,6 +234,106 @@ TEST(CompiledSimulator, MappedBackendsAgree) {
   }
 }
 
+/// A TCON chain, TCONs that select constants, a TLUT, and a LUT, a latch
+/// D-pin and outputs that read TCONs.
+map::MappedNetlist bound_design() {
+  using logic::TruthTable;
+  using map::CellId;
+  using map::MKind;
+  map::MappedNetlist mn("bound");
+  const CellId a = mn.add_source(MKind::kInput, "a");
+  const CellId b = mn.add_source(MKind::kInput, "b");
+  const CellId c = mn.add_source(MKind::kInput, "c");
+  const CellId d = mn.add_source(MKind::kInput, "d");
+  const CellId p0 = mn.add_source(MKind::kParam, "p0");
+  const CellId p1 = mn.add_source(MKind::kParam, "p1");
+  const CellId p2 = mn.add_source(MKind::kParam, "p2");
+  const CellId q = mn.add_latch_source("q", 1);
+  const CellId l_and = mn.add_cell(MKind::kLut, "l_and", {a, b}, {},
+                                   logic::tt_and(2));
+  const CellId l_xor = mn.add_cell(MKind::kLut, "l_xor", {c, q}, {},
+                                   logic::tt_xor(2));
+  // p0 ? l_xor : l_and.
+  const CellId t_mux = mn.add_cell(MKind::kTcon, "t_mux", {l_and, l_xor},
+                                   {p0}, logic::tt_mux21());
+  // A 4:1 mux over (t_mux, d, q, a) selected by (p1, p2): a TCON that reads
+  // a TCON.
+  TruthTable mux4(6);
+  for (std::uint64_t x = 0; x < 64; ++x) {
+    mux4.set_bit(x, ((x >> ((x >> 4) & 3)) & 1) != 0);
+  }
+  const CellId t_chain = mn.add_cell(MKind::kTcon, "t_chain",
+                                     {t_mux, d, q, a}, {p1, p2}, mux4);
+  // Constant 0 when p0 = 0, constant 1 when p1 = 1.
+  const CellId t_zero =
+      mn.add_cell(MKind::kTcon, "t_zero", {t_chain}, {p0},
+                  TruthTable::var(2, 0) & TruthTable::var(2, 1));
+  const CellId t_one =
+      mn.add_cell(MKind::kTcon, "t_one", {b}, {p1},
+                  TruthTable::var(2, 0) | TruthTable::var(2, 1));
+  const CellId tlut =
+      mn.add_cell(MKind::kTlut, "tlut", {t_chain, c}, {p0, p2},
+                  TruthTable::from_bits(0x6d2b9e41c3a5f078ULL, 4));
+  const CellId l_read = mn.add_cell(MKind::kLut, "l_read",
+                                    {t_zero, t_one, tlut}, {},
+                                    logic::tt_xor(3));
+  mn.set_latch_input(0, t_chain);
+  mn.add_output(t_chain, "o_chain");
+  mn.add_output(l_read, "o_read");
+  mn.add_output(t_one, "o_one");
+  mn.check();
+  return mn;
+}
+
+TEST(CompiledSimulator, BoundTconsMatchInterpreterUnderEveryAssignment) {
+  // The compiled engine sweeps only the LUT and the TLUT cells: it binds
+  // every TCON to the source its parameters select and cofactors the TLUT.
+  // Under every parameter assignment, reached from every other one, it must
+  // agree with the interpreter on every cell, TCONs included.
+  const map::MappedNetlist mn = bound_design();
+  EXPECT_EQ(CompiledSimulator(mn).sweep_size(), mn.lut_area());
+  MappedSimulator comp(mn, SimBackend::kCompiled);
+  MappedSimulator interp(mn, SimBackend::kInterpreted);
+  Rng rng(17);
+  for (std::uint32_t from = 0; from < 8; ++from) {
+    for (std::uint32_t to = 0; to < 8; ++to) {
+      for (std::uint32_t assignment : {from, to}) {
+        std::vector<bool> params;
+        for (int i = 0; i < 3; ++i) params.push_back((assignment >> i) & 1);
+        comp.set_params(params);
+        interp.set_params(params);
+        for (int cycle = 0; cycle < 3; ++cycle) {
+          std::vector<bool> inputs;
+          for (int i = 0; i < 4; ++i) inputs.push_back(rng.next_bool());
+          comp.set_inputs(inputs);
+          interp.set_inputs(inputs);
+          comp.eval();
+          interp.eval();
+          for (map::CellId id = 0; id < mn.num_cells(); ++id) {
+            ASSERT_EQ(comp.value(id), interp.value(id))
+                << "assignment " << assignment << " (from " << from
+                << ") cell " << mn.cell(id).name;
+          }
+          ASSERT_EQ(comp.output_values(), interp.output_values());
+          comp.step();
+          interp.step();
+        }
+      }
+    }
+  }
+}
+
+TEST(CompiledSimulator, RejectsTconThatIsNotAWire) {
+  map::MappedNetlist mn("fake");
+  const map::CellId a = mn.add_source(map::MKind::kInput, "a");
+  const map::CellId p = mn.add_source(map::MKind::kParam, "p");
+  // a ^ p is an inverter under p = 1, which routing cannot implement.
+  mn.add_output(mn.add_cell(map::MKind::kTcon, "t", {a}, {p},
+                            logic::tt_xor(2)),
+                "o");
+  EXPECT_THROW(CompiledSimulator{mn}, Error);
+}
+
 TEST(CompiledSimulator, EquivalenceBackendsAgree) {
   genbench::CircuitSpec spec{"eqv", 10, 8, 6, 100, 6, 5, 808};
   const Netlist nl = genbench::generate(spec);

@@ -206,10 +206,10 @@ TEST(Cli, CacheDirIsSharedAcrossProcesses) {
   ASSERT_EQ(second.exit_code, 0) << second.output;
   EXPECT_NE(second.output.find("0 stages executed, 6 from cache"),
             std::string::npos);
-  // The summary reports the mmap path: mmap hits, bytes mapped.
-  const auto pos = second.output.find("mmap hits");
-  ASSERT_NE(pos, std::string::npos) << second.output;
-  EXPECT_EQ(second.output.find("0 mmap hits"), std::string::npos)
+  // The summary reports one cache hit per stage, and the bytes read.
+  EXPECT_NE(second.output.find(", 6 cache hits / "), std::string::npos)
+      << second.output;
+  EXPECT_NE(second.output.find(" bytes read"), std::string::npos)
       << second.output;
   const auto gc_all = run("cache gc --max-bytes 0 --cache-dir " + root);
   ASSERT_EQ(gc_all.exit_code, 0) << gc_all.output;
@@ -335,6 +335,20 @@ TEST(Cli, ProfileWritesTelemetryArtifacts) {
     ASSERT_NE(hist, nullptr) << "missing histogram " << h;
     EXPECT_GE(hist->find("count")->number, 1.0) << h;
   }
+}
+
+TEST(Cli, ProfileCountsReboundCells) {
+  // Turns that change parameters re-bind the DUT's TCONs and TLUTs; the
+  // profile table shows how many cells that touched and how long it took.
+  const std::string blif = write_profile_blif("bind.blif");
+  const auto r = run("profile " + blif +
+                     " --width 2 --turns 3 --cycles 4 --scenarios 0");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const auto pos = r.output.find("sim.bind.cells");
+  ASSERT_NE(pos, std::string::npos) << r.output;
+  const auto value_at = r.output.find_first_not_of(' ', pos + 14);
+  EXPECT_GT(std::stoull(r.output.substr(value_at)), 0u) << r.output;
+  EXPECT_NE(r.output.find("sim.bind_seconds"), std::string::npos) << r.output;
 }
 
 TEST(Cli, LogLevelFlagEnablesInfoLogging) {
