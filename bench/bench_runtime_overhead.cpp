@@ -228,14 +228,13 @@ int main() {
   const double run_serving = timed_run(false);
   const double run_overhead = (run_serving - run_plain) / run_plain * 100.0;
 
-  // And a threaded route negotiation (progress + series at iteration
-  // cadence) with the idle server still up.
+  // And a route negotiation (progress + series at iteration cadence) with
+  // the idle server still up.
   auto timed_route = [&] {
     genbench::CircuitSpec rspec{"introroute", 13, 8, 8, 260, 5, 6, 977};
     const auto rnl = genbench::generate(rspec);
     debug::OfflineOptions ropt;
     ropt.instrument.trace_width = 8;
-    ropt.compile.route.route_threads = 4;
     Stopwatch timer;
     const auto roffline = debug::run_offline(rnl, ropt);
     (void)roffline;
@@ -252,7 +251,7 @@ int main() {
               "on -> %+.2f%% overhead (budget <= 1%%)\n",
               static_cast<unsigned long long>(kCycles), run_plain * 1e3,
               run_serving * 1e3, run_overhead);
-  std::printf("  threaded route+flow:  %.3f s server off, %.3f s server "
+  std::printf("  route+flow:           %.3f s server off, %.3f s server "
               "on -> %+.2f%% apparent overhead (single sample; includes "
               "progress/series reporting)\n",
               route_plain, route_serving, route_overhead);

@@ -2,16 +2,14 @@
 // increasing batch widths, on generated benchmarks of increasing size.
 // Every configuration evaluates the SAME 4096 scenarios (64 scenario blocks
 // x 64 lanes) with the same stateless stimulus function, so outputs must be
-// bit-identical across batch widths and thread counts — verified here with
-// the library campaign's per-scenario signatures (debug::run_scenario_batch
-// at each rung's width and thread count) before any speedup is reported.
-// The timed rungs drive the engine alone, without the campaign's signature
-// fold.  The ladder: 1 block -> 16 blocks -> 64 blocks -> 64 blocks +
-// thread pool.  A final differential rung injects a fault into odd
-// scenarios only and checks that exactly those universes diverge.  Emits
+// bit-identical across batch widths — verified here with the library
+// campaign's per-scenario signatures (debug::run_scenario_batch at each
+// rung's width) before any speedup is reported.  The timed rungs drive the
+// engine alone, without the campaign's signature fold.  The ladder: 1 block
+// -> 16 blocks -> 64 blocks.  A final differential rung injects a fault into
+// odd scenarios only and checks that exactly those universes diverge.  Emits
 // BENCH_scenarios.json; acceptance is >= 12x scenario*cycles per second for
-// the threaded 64-block engine over the 1-block engine on the largest
-// design.
+// the 64-block engine over the 1-block engine on the largest design.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -34,11 +32,9 @@ constexpr std::uint64_t kSeed = 0xba7c4;
 /// Seconds for the SoA engine at B blocks per pass (B*64 scenarios per
 /// program walk) to run the ladder's scenarios.
 double run_batched(const netlist::Netlist& nl, std::size_t blocks_per_pass,
-                   std::size_t threads, std::size_t total_blocks,
-                   std::size_t cycles) {
+                   std::size_t total_blocks, std::size_t cycles) {
   sim::BatchSimOptions opt;
   opt.blocks = blocks_per_pass;
-  opt.num_threads = threads;
   sim::BatchSimulator bs(nl, opt);
   const auto& inputs = bs.program().inputs;
   const std::size_t outputs = bs.program().outputs.size();
@@ -74,7 +70,6 @@ double run_batched(const netlist::Netlist& nl, std::size_t blocks_per_pass,
 struct ConfigRow {
   std::string label;
   std::size_t blocks = 1;
-  std::size_t threads = 1;
   double seconds = 0.0;
   double rate = 0.0;
   double speedup = 1.0;
@@ -85,7 +80,7 @@ struct DesignRow {
   std::string name;
   std::size_t gates = 0;
   std::vector<ConfigRow> configs;
-  double speedup_64blk_threaded = 0.0;
+  double speedup_64blk = 0.0;
   bool identical_outputs = true;
   std::size_t fault_divergent = 0;
   bool fault_clean_intact = true;
@@ -108,8 +103,8 @@ int main() {
   std::printf("=== scenario engine: SoA batch width ladder "
               "(%zu scenarios x %zu cycles) ===\n\n",
               total_blocks * 64, cycles);
-  std::printf("%-9s | %12s | %12s | %12s | %12s | %7s\n", "design",
-              "1 blk", "16 blk", "64 blk", "64 blk+thr", "speedup");
+  std::printf("%-9s | %12s | %12s | %12s | %7s\n", "design", "1 blk",
+              "16 blk", "64 blk", "speedup");
 
   std::vector<DesignRow> rows;
   bool all_ok = true;
@@ -120,35 +115,30 @@ int main() {
     row.gates = spec.num_gates;
 
     // Timed runs (no signature collection on the clock), then an untimed
-    // verification campaign per configuration at the same width and thread
-    // count, whose per-scenario signatures must match the first rung's.
+    // verification campaign per configuration at the same width, whose
+    // per-scenario signatures must match the first rung's.
     struct Cfg {
       const char* label;
-      std::size_t blocks, threads;
+      std::size_t blocks;
     };
     const std::vector<Cfg> cfgs = {
-        {"batch_1blk", 1, 1},
-        {"batch_16blk", 16, 1},
-        {"batch_64blk", 64, 1},
-        // threads = 0 shares the global pool (sized to the hardware); on a
-        // single-core host the sweep degrades to serial by design.
-        {"batch_64blk_threaded", 64, 0},
+        {"batch_1blk", 1},
+        {"batch_16blk", 16},
+        {"batch_64blk", 64},
     };
     std::vector<std::uint64_t> reference;
     for (const Cfg& cfg : cfgs) {
       const double seconds =
-          run_batched(nl, cfg.blocks, cfg.threads, total_blocks, cycles);
+          run_batched(nl, cfg.blocks, total_blocks, cycles);
       debug::ScenarioBatchOptions vopt;
       vopt.scenarios = total_blocks * 64;
       vopt.cycles = cycles;
       vopt.seed = kSeed;
       vopt.blocks_per_pass = cfg.blocks;
-      vopt.num_threads = cfg.threads;
       const auto verify = debug::run_scenario_batch(nl, vopt);
       ConfigRow c;
       c.label = cfg.label;
       c.blocks = cfg.blocks;
-      c.threads = cfg.threads == 0 ? ThreadPool::global().size() : cfg.threads;
       c.seconds = seconds;
       c.rate = static_cast<double>(total_blocks * 64) *
                static_cast<double>(cycles) / seconds;
@@ -162,7 +152,7 @@ int main() {
                                       : c.rate / row.configs.front().rate;
       row.configs.push_back(std::move(c));
     }
-    row.speedup_64blk_threaded = row.configs.back().speedup;
+    row.speedup_64blk = row.configs.back().speedup;
 
     // Differential rung: invert an output-driving node in every odd
     // scenario (the batch mixes 2048 clean and 2048 faulted universes in
@@ -199,10 +189,10 @@ int main() {
       }
     }
 
-    std::printf("%-9s | %10.3fs | %10.3fs | %10.3fs | %10.3fs | %6.1fx%s\n",
+    std::printf("%-9s | %10.3fs | %10.3fs | %10.3fs | %6.1fx%s\n",
                 row.name.c_str(), row.configs[0].seconds,
                 row.configs[1].seconds, row.configs[2].seconds,
-                row.configs[3].seconds, row.speedup_64blk_threaded,
+                row.speedup_64blk,
                 row.identical_outputs ? "" : "  MISMATCH");
     std::printf("%-9s   fault rung: %zu/%zu odd scenarios diverged, even "
                 "scenarios %s\n",
@@ -212,7 +202,7 @@ int main() {
     rows.push_back(std::move(row));
   }
 
-  const double final_speedup = rows.back().speedup_64blk_threaded;
+  const double final_speedup = rows.back().speedup_64blk;
   std::printf("\nlargest design (%s): %.1fx scenario*cycles/sec over the "
               "1-block batch (acceptance: >= 12x) %s\n",
               rows.back().name.c_str(), final_speedup,
@@ -232,7 +222,7 @@ int main() {
       out << "{\"name\": \"" << r.name << "\", \"gates\": " << r.gates
           << ", \"identical_outputs\": "
           << (r.identical_outputs ? "true" : "false")
-          << ", \"speedup_64blk_threaded\": " << r.speedup_64blk_threaded
+          << ", \"speedup_64blk\": " << r.speedup_64blk
           << ",\n     \"fault_divergent\": " << r.fault_divergent
           << ", \"fault_clean_intact\": "
           << (r.fault_clean_intact ? "true" : "false")
@@ -241,8 +231,7 @@ int main() {
         const ConfigRow& cf = r.configs[c];
         out << (c ? ",\n       " : "\n       ");
         out << "{\"label\": \"" << cf.label << "\", \"blocks\": " << cf.blocks
-            << ", \"threads\": " << cf.threads << ", \"seconds\": "
-            << cf.seconds << ", \"scenario_cycles_per_sec\": " << cf.rate
+            << ", \"seconds\": " << cf.seconds << ", \"scenario_cycles_per_sec\": " << cf.rate
             << ", \"speedup\": " << cf.speedup << ", \"identical\": "
             << (cf.identical ? "true" : "false") << "}";
       }

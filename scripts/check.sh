@@ -29,13 +29,11 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j "$(nproc)"
 
 # Under a TSan gate the standalone smokes drop out of ctest (the whole suite
-# is already sanitized), but the batch-engine smoke pins the worst-case
-# sharding configuration (one block per task, every step through the pool),
-# which the gtest suites only approximate — run it explicitly.
+# is already sanitized), but two of them drive cross-thread patterns the
+# gtest suites only approximate — run them explicitly.
 if [ "$SANITIZE" = "thread" ]; then
-  tests/sim/run_batch_tsan_smoke.sh . "$BUILD_DIR/tsan_smoke"
-  # Same for the introspection server: HTTP scrapers against live telemetry
-  # writers is exactly the cross-thread pattern TSan exists to check.
+  # The introspection server: HTTP scrapers against live telemetry writers
+  # is exactly the cross-thread pattern TSan exists to check.
   tests/support/run_introspect_tsan_smoke.sh . "$BUILD_DIR/tsan_smoke"
   # And the sampling profiler: an async-signal handler writing the sample
   # ring on every thread while a reader resolves stacks from it.

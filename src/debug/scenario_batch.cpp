@@ -142,7 +142,6 @@ sim::BatchSimOptions engine_options(const ScenarioBatchOptions& options) {
   engine.blocks = options.blocks_per_pass != 0 ? options.blocks_per_pass
                                                : sim::default_batch_blocks();
   engine.blocks = std::min(engine.blocks, total_blocks);
-  engine.num_threads = options.num_threads;
   return engine;
 }
 
@@ -151,7 +150,7 @@ sim::BatchSimOptions engine_options(const ScenarioBatchOptions& options) {
 std::uint64_t scenario_stimulus_word(std::uint64_t seed, std::size_t input,
                                      std::uint64_t cycle, std::size_t block) {
   // One splitmix draw per (input, cycle, block): stateless, so a scenario's
-  // stimulus never depends on the batch width or the thread count.
+  // stimulus never depends on the batch width.
   return splitmix64(seed ^ (static_cast<std::uint64_t>(input) << 40) ^
                     (cycle << 16) ^ static_cast<std::uint64_t>(block));
 }

@@ -5,8 +5,8 @@
 // reduces every scenario's output trace to a 64-bit signature.  Stimulus
 // bits are a stateless function of (seed, input, cycle, scenario), so the
 // same scenario sees the same stimulus no matter how the campaign is
-// chunked into batch passes or sharded across threads — signatures are
-// comparable across batch widths, thread counts, engines, and processes.
+// chunked into batch passes — signatures are comparable across batch
+// widths, engines, and processes.
 //
 // The signature of scenario s (block s / 64, lane s % 64) is FNV-1a over
 // its output bits: it starts at sim::kSignatureOffsetBasis, and after each
@@ -52,7 +52,8 @@ struct ScenarioBatchOptions {
   /// Scenario blocks evaluated per simulator pass; 0 picks
   /// sim::default_batch_blocks() (FPGADBG_SIM_BATCH_BLOCKS overrides).
   std::size_t blocks_per_pass = 0;
-  /// Worker threads for the block sweep (BatchSimOptions semantics).
+  /// Ignored: campaigns run on the calling thread.  Kept only because
+  /// perfbench/cpp/campaign_ops.cpp assigns it.
   std::size_t num_threads = 1;
   /// Explicit fault list (applied where the target scenario falls).
   std::vector<ScenarioFault> faults;
@@ -70,7 +71,7 @@ struct ScenarioBatchResult {
   std::size_t passes = 0;
   std::size_t faulted_scenarios = 0;
   /// Per-scenario FNV-1a over the output bit trace (defined above),
-  /// comparable across batch widths and thread counts.
+  /// comparable across batch widths.
   std::vector<std::uint64_t> signatures;
   double seconds = 0.0;
   double scenario_cycles_per_sec = 0.0;

@@ -526,9 +526,7 @@ std::uint64_t hash_route_options(const pnr::CompileOptions& o) {
   w.i32(o.route.bb_margin);
   w.boolean(o.route.incremental);
   w.u64(hash_timing_options(o.timing));
-  // route_threads is deliberately NOT hashed: the router guarantees
-  // bit-identical results for every thread count, so a cached route artifact
-  // stays valid when only the parallelism changes.
+  // route_threads is not hashed: the router ignores it.
   return w.content_hash();
 }
 

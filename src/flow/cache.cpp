@@ -87,7 +87,8 @@ std::int64_t read_atime_ns(const std::string& path) {
 }
 
 /// Writes `header + payload` to `path` via a process-unique temp file +
-/// atomic rename.  Returns false on I/O error.
+/// atomic rename.  Returns false on I/O error, with errno set by the step
+/// that failed.
 bool publish_file(const std::string& path, const char* header,
                   std::string_view payload) {
   // Process-unique temp name: concurrent writers of the same entry never
@@ -110,7 +111,11 @@ bool publish_file(const std::string& path, const char* header,
             write_all(payload.data(), payload.size());
   if (::close(fd) != 0) ok = false;
   if (ok && ::rename(tmp.c_str(), path.c_str()) != 0) ok = false;
-  if (!ok) ::unlink(tmp.c_str());
+  if (!ok) {
+    const int err = errno;
+    ::unlink(tmp.c_str());
+    errno = err;
+  }
   return ok;
 }
 
@@ -208,18 +213,25 @@ Status ArtifactCache::store(const std::string& stage, std::uint64_t key,
                             std::string_view bytes) const {
   if (!enabled()) return Status();
   const std::string path = entry_path(stage, key);
-  std::error_code ec;
-  fs::create_directories(fs::path(path).parent_path(), ec);
-  if (ec) {
-    return Status::io_error("cannot create cache directory for " + path +
-                            ": " + ec.message());
-  }
   char header[kEntryHeaderSize];
   encode_header(header,
                 EntryHeader{fnv1a(stage), key, content_hash, bytes.size()});
-  if (!publish_file(path, header, bytes)) {
-    return Status::io_error("cannot publish cache entry " + path + ": " +
-                            std::strerror(errno));
+  // A concurrent gc() removes stage directories it finds empty, so the
+  // directory can vanish between its creation and the temp file's open:
+  // re-create it and retry once.
+  for (int attempt = 0;; ++attempt) {
+    std::error_code ec;
+    fs::create_directories(fs::path(path).parent_path(), ec);
+    if (ec) {
+      return Status::io_error("cannot create cache directory for " + path +
+                              ": " + ec.message());
+    }
+    if (publish_file(path, header, bytes)) break;
+    const int err = errno;
+    if (err != ENOENT || attempt == 1) {
+      return Status::io_error("cannot publish cache entry " + path + ": " +
+                              std::strerror(err));
+    }
   }
   auto& m = telemetry::metrics();
   m.counter("flow.cache.stores").add();
@@ -258,7 +270,17 @@ Result<std::vector<CacheEntryInfo>> ArtifactCache::entries() const {
 
 Result<GcStats> ArtifactCache::gc(std::uint64_t max_bytes) const {
   FPGADBG_ASSIGN_OR_RETURN(std::vector<CacheEntryInfo> all, entries());
-  return gc_sweep(std::move(all), max_bytes);
+  const GcStats stats = gc_sweep(std::move(all), max_bytes);
+  // Drop the stage directories the sweep emptied (and those of stages that
+  // no longer exist).  rmdir() refuses a file and a directory that still
+  // holds an entry or an in-flight temp file, which is the only check
+  // needed.
+  std::error_code ec;
+  for (fs::directory_iterator it(dir_, ec);
+       !ec && it != fs::directory_iterator(); ++it) {
+    ::rmdir(it->path().c_str());
+  }
+  return stats;
 }
 
 }  // namespace fpgadbg::flow

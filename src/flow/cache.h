@@ -85,7 +85,8 @@ class ArtifactCache {
 
   /// Publishes serialized artifact bytes whose FNV-1a hash is
   /// `content_hash`.  Idempotent; concurrent stores of the same entry are
-  /// safe (last rename wins, both files are identical).  Counts
+  /// safe (last rename wins, both files are identical), and so is a
+  /// concurrent gc() that removes the stage directory.  Counts
   /// flow.cache.stores and flow.cache.bytes_written.
   support::Status store(const std::string& stage, std::uint64_t key,
                         std::uint64_t content_hash,
@@ -99,7 +100,7 @@ class ArtifactCache {
   support::Result<std::vector<CacheEntryInfo>> entries() const;
 
   /// LRU-by-atime sweep: removes oldest-accessed entries until the total
-  /// entry size is <= max_bytes.
+  /// entry size is <= max_bytes, then every stage directory left empty.
   support::Result<GcStats> gc(std::uint64_t max_bytes) const;
 
  private:

@@ -1,20 +1,16 @@
 #include "pnr/route.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <unordered_map>
 
 #include "support/error.h"
 #include "support/log.h"
 #include "support/stopwatch.h"
-#include "support/strings.h"
 #include "support/telemetry.h"
-#include "support/thread_pool.h"
 
 namespace fpgadbg::pnr {
 
@@ -71,17 +67,12 @@ struct QueueEntry {
 };
 
 /// Inclusive tile-coordinate rectangle.  The router prunes expansion to the
-/// net's box, and spatially disjoint boxes touch disjoint RR-node sets (a
-/// node is tested against its own (x, y)), which is what makes bin-parallel
-/// routing race-free and deterministic.
+/// net's box: a node is tested against its own (x, y).
 struct BBox {
   int x0 = 0, y0 = 0, x1 = -1, y1 = -1;
 
   bool contains(int x, int y) const {
     return x >= x0 && x <= x1 && y >= y0 && y <= y1;
-  }
-  bool overlaps(const BBox& o) const {
-    return x0 <= o.x1 && o.x0 <= x1 && y0 <= o.y1 && o.y0 <= y1;
   }
   void include(int x, int y) {
     if (x1 < x0) {
@@ -94,10 +85,6 @@ struct BBox {
     y0 = std::min(y0, y);
     y1 = std::max(y1, y);
   }
-  void merge(const BBox& o) {
-    include(o.x0, o.y0);
-    include(o.x1, o.y1);
-  }
   void clamp(int width, int height) {
     x0 = std::max(x0, 0);
     y0 = std::max(y0, 0);
@@ -109,9 +96,8 @@ struct BBox {
   }
 };
 
-/// Per-search scratch state.  One instance per concurrently routing bin;
-/// instances are recycled through a pool (allocating the O(num_nodes)
-/// arrays once per worker, not once per net).
+/// Per-search scratch state, allocated once per route() call and reused by
+/// every net (the O(num_nodes) arrays are reset by stamping, not clearing).
 struct SearchContext {
   explicit SearchContext(std::size_t num_nodes)
       : dist(num_nodes),
@@ -131,32 +117,6 @@ struct SearchContext {
   std::uint64_t tree_token = 0;
 };
 
-class ContextPool {
- public:
-  explicit ContextPool(std::size_t num_nodes) : num_nodes_(num_nodes) {}
-
-  std::unique_ptr<SearchContext> acquire() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!free_.empty()) {
-        auto ctx = std::move(free_.back());
-        free_.pop_back();
-        return ctx;
-      }
-    }
-    return std::make_unique<SearchContext>(num_nodes_);
-  }
-  void release(std::unique_ptr<SearchContext> ctx) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    free_.push_back(std::move(ctx));
-  }
-
- private:
-  std::size_t num_nodes_;
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<SearchContext>> free_;
-};
-
 /// Net terminals in RR space.
 struct Terminals {
   RRNodeId source = 0;
@@ -170,26 +130,7 @@ struct Terminals {
   int source_group = 0;  ///< keyed by driver: all fanout nets share the OPIN
 };
 
-int resolve_threads(const RouteOptions& options) {
-  if (options.route_threads > 0) return options.route_threads;
-  if (const char* env = std::getenv("FPGADBG_THREADS")) {
-    try {
-      const std::size_t n = parse_size(env, "FPGADBG_THREADS");
-      if (n > 0) return static_cast<int>(n);
-    } catch (...) {
-      LOG_WARN << "ignoring invalid FPGADBG_THREADS '" << env << "'";
-    }
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
 /// The negotiation state shared by every net routing of one route() call.
-/// Thread safety: concurrently routed bins have spatially disjoint bounding
-/// boxes, expansion never leaves a net's box, and a node is binned by its
-/// own coordinates — so concurrent bins read and write disjoint slices of
-/// occ / net state.  Everything else is per-SearchContext or read-only
-/// during an iteration (history, pres_fac).
 struct Router {
   Router(const RRGraph& graph, const RouteOptions& opts, RouteResult* res)
       : rr(graph),
@@ -215,8 +156,8 @@ struct Router {
   RouteResult* result = nullptr;
   double pres_fac = 0.0;
 
-  // Timing-driven state, refreshed once per iteration at the sequential
-  // barrier (read-only while bins route concurrently).
+  // Timing-driven state, refreshed once per iteration after every dirty net
+  // has rerouted (read-only while nets route).
   bool timing_driven = false;
   double crit_weight = 1.0;      ///< TimingOptions::route_crit_weight
   double pin_delay_units = 1.0;  ///< pin_ns / segment_ns (wire segment = 1)
@@ -226,8 +167,7 @@ struct Router {
   /// Per-net sink visit order: most critical first, ties by sink index.
   std::vector<std::vector<std::uint32_t>> sink_order;
 
-  std::atomic<std::size_t> heap_pops{0};
-  std::atomic<std::size_t> bbox_expansions{0};
+  std::size_t bbox_expansions = 0;
 
   // Group used by net n on node id: OPINs are keyed by driver (all fanout
   // nets of one driver share the physical pin), everything else by the
@@ -307,7 +247,7 @@ struct Router {
     bb.y1 += net_margin[n];
     bb.clamp(width, height);
     net_bb[n] = bb;
-    bbox_expansions.fetch_add(1, std::memory_order_relaxed);
+    ++bbox_expansions;
   }
 
   /// Routes every sink of net n inside its current bounding box.  Returns
@@ -384,8 +324,7 @@ struct Router {
       if (!reached) {
         net_failed[n] = 1;
         if (!last_resort) {
-          // Retry with a wider box (the caller decides where: inline for
-          // sequential routing, deferred past the barrier for bin routing).
+          // The caller grows the box and retries.
           rip_up(n);
           *pops_out += pops;
           return false;
@@ -414,8 +353,7 @@ struct Router {
   }
 
   /// Routes one net to completion: attempt inside the current box, grow on
-  /// failure, device-wide last resort.  Sequential-context only (box growth
-  /// may escape a bin's territory).
+  /// failure, device-wide last resort.
   void route_net_growing(SearchContext& ctx, std::size_t n,
                          std::size_t* pops_out) {
     for (;;) {
@@ -513,9 +451,9 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
 
   // Timing-driven setup: the STA starts at placed fidelity (no routes yet)
   // and its critical-path estimate becomes the clock budget the slack series
-  // converges against.  Criticalities are refreshed only at the sequential
-  // per-iteration barrier, so the concurrent bins read frozen values and the
-  // result stays bit-identical for every thread count.
+  // converges against.  Criticalities are refreshed once per iteration, after
+  // every dirty net has rerouted, so all nets of one iteration read the same
+  // values.
   std::unique_ptr<TimingAnalyzer> sta;
   auto refresh_criticalities = [&]() {
     for (std::size_t n = 0; n < router.terms.size(); ++n) {
@@ -556,10 +494,7 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
     refresh_criticalities();
   }
 
-  const int threads = resolve_threads(options);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  ContextPool contexts(rr.num_nodes());
+  SearchContext ctx(rr.num_nodes());
 
   static telemetry::Counter& iter_counter =
       telemetry::metrics().counter("pnr.route.iterations");
@@ -585,17 +520,6 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
 
   telemetry::ProgressReporter progress("pnr.route");
   progress.set_total(static_cast<std::uint64_t>(options.max_iterations));
-
-  // One schedulable batch of nets.  Tasks of the same partition level own
-  // spatially disjoint device regions, so they route concurrently; the nets
-  // inside one task route sequentially in ascending net order.
-  struct Task {
-    std::vector<std::size_t> nets;
-    std::vector<std::size_t> deferred;  ///< failed inside the box
-  };
-  constexpr int kMaxDepth = 4;           ///< up to 2^4 leaf regions
-  constexpr int kSubDepth = 3;           ///< strip splits of a cut band
-  constexpr std::size_t kLeafNets = 16;  ///< stop splitting small batches
 
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     telemetry::TraceScope iter_span("pnr.route.iteration");
@@ -625,8 +549,7 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
       // A net can keep routing "successfully" through overused wires when
       // its expansion box holds no free ones, and a box only grows on
       // outright failure.  Break that trap: a net still congested after
-      // several renegotiations gets more room.  Decided here, in the
-      // sequential dirty pass, so box growth stays deterministic.
+      // several renegotiations gets more room.
       if (congested && ++router.congested_reroutes[n] % 3 == 0) {
         router.grow_bb(n);
       }
@@ -634,201 +557,14 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
     result.rerouted_nets += dirty.size();
     rerouted_counter.add(dirty.size());
 
-    // Recursive spatial partition (the nextpnr-router2 schedule): cut the
-    // region along its wider axis; a net whose expansion box lies entirely
-    // on one side recurses into that half.  Cut-crossing nets form a band
-    // that is itself split into strips along the perpendicular axis —
-    // strips of one band are still pairwise disjoint.  Tasks of one phase
-    // own disjoint regions — and a search never leaves its net's box — so
-    // they route concurrently; phases execute most-local-first behind a
-    // barrier because a band overlaps both halves it bridges.  The
-    // schedule is a pure function of the boxes, never of the thread count.
-    std::vector<std::vector<Task>> levels(
-        static_cast<std::size_t>((kMaxDepth + 1) * (kSubDepth + 1)));
-    const auto phase_of = [&](int depth, int sub) {
-      return static_cast<std::size_t>(depth * (kSubDepth + 1) + sub);
-    };
-    // Pick the cut with the fewest crossing boxes (ties: most balanced,
-    // then lowest coordinate — all deterministic).  Candidates stay in the
-    // middle half of the segment so recursion shrinks geometrically.
-    const auto best_cut = [&](const std::vector<std::size_t>& ns, int lo,
-                              int hi, bool axis_x) {
-      const int span = hi - lo;
-      std::vector<int> ends(static_cast<std::size_t>(span) + 1, 0);
-      std::vector<int> starts(static_cast<std::size_t>(span) + 1, 0);
-      for (const std::size_t n : ns) {
-        const BBox& bb = router.net_bb[n];
-        ++ends[std::min((axis_x ? bb.x1 : bb.y1), hi) - lo];
-        ++starts[std::max((axis_x ? bb.x0 : bb.y0), lo) - lo];
-      }
-      const int c_lo = lo + span / 4;
-      const int c_hi = std::max(c_lo, hi - 1 - span / 4);
-      int c_best = c_lo, score_best = -1;
-      int boxes_ending = 0, boxes_starting = 0;
-      const int total = static_cast<int>(ns.size());
-      for (int c = lo; c <= c_hi; ++c) {
-        boxes_ending += ends[c - lo];      // boxes entirely at or below c
-        boxes_starting += starts[c - lo];  // boxes starting at or below c
-        if (c < c_lo) continue;
-        const int cross = boxes_starting - boxes_ending;
-        const int bal = std::abs(boxes_ending - (total - boxes_starting));
-        // The band routes serially and the halves route concurrently, so
-        // the schedule length is ~ max(left, right) + cross, which this
-        // score tracks up to a constant.
-        const int score = 2 * cross + bal;
-        if (score_best < 0 || score < score_best) {
-          score_best = score;
-          c_best = c;
-        }
-      }
-      return c_best;
-    };
-    {
-      struct Frame {
-        BBox region;
-        std::vector<std::size_t> nets;
-        int depth;
-      };
-      std::vector<Frame> stack;
-      stack.push_back(Frame{
-          BBox{0, 0, router.width - 1, router.height - 1}, dirty, 0});
-      while (!stack.empty()) {
-        Frame f = std::move(stack.back());
-        stack.pop_back();
-        const bool wide =
-            f.region.x1 - f.region.x0 >= f.region.y1 - f.region.y0;
-        const int span = wide ? f.region.x1 - f.region.x0
-                              : f.region.y1 - f.region.y0;
-        if (f.depth == kMaxDepth || f.nets.size() <= kLeafNets || span < 4) {
-          levels[phase_of(f.depth, 0)].push_back(Task{std::move(f.nets), {}});
-          continue;
-        }
-        const int cut = wide ? best_cut(f.nets, f.region.x0, f.region.x1, true)
-                             : best_cut(f.nets, f.region.y0, f.region.y1,
-                                        false);
-        Frame lo{f.region, {}, f.depth + 1};
-        Frame hi{f.region, {}, f.depth + 1};
-        if (wide) {
-          lo.region.x1 = cut;
-          hi.region.x0 = cut + 1;
-        } else {
-          lo.region.y1 = cut;
-          hi.region.y0 = cut + 1;
-        }
-        std::vector<std::size_t> own;
-        for (const std::size_t n : f.nets) {
-          const BBox& bb = router.net_bb[n];
-          if (wide ? bb.x1 <= cut : bb.y1 <= cut) {
-            lo.nets.push_back(n);
-          } else if (wide ? bb.x0 > cut : bb.y0 > cut) {
-            hi.nets.push_back(n);
-          } else {
-            own.push_back(n);
-          }
-        }
-        // Strip decomposition of the cut band along the perpendicular axis
-        // (1-D recursion; a net that also spans the strip cut stays at its
-        // segment's phase).
-        struct Seg {
-          int lo, hi, sd;
-          std::vector<std::size_t> nets;
-        };
-        std::vector<Seg> segs;
-        segs.push_back(Seg{wide ? f.region.y0 : f.region.x0,
-                           wide ? f.region.y1 : f.region.x1, 0,
-                           std::move(own)});
-        while (!segs.empty()) {
-          Seg s = std::move(segs.back());
-          segs.pop_back();
-          if (s.nets.empty()) continue;
-          if (s.sd == kSubDepth || s.nets.size() <= kLeafNets ||
-              s.hi - s.lo < 4) {
-            levels[phase_of(f.depth, s.sd)].push_back(
-                Task{std::move(s.nets), {}});
-            continue;
-          }
-          const int scut = best_cut(s.nets, s.lo, s.hi, !wide);
-          Seg a{s.lo, scut, s.sd + 1, {}};
-          Seg b{scut + 1, s.hi, s.sd + 1, {}};
-          std::vector<std::size_t> keep;
-          for (const std::size_t n : s.nets) {
-            const BBox& bb = router.net_bb[n];
-            const int p0 = wide ? bb.y0 : bb.x0;
-            const int p1 = wide ? bb.y1 : bb.x1;
-            if (p1 <= scut) {
-              a.nets.push_back(n);
-            } else if (p0 > scut) {
-              b.nets.push_back(n);
-            } else {
-              keep.push_back(n);
-            }
-          }
-          if (!keep.empty()) {
-            levels[phase_of(f.depth, s.sd)].push_back(Task{std::move(keep), {}});
-          }
-          segs.push_back(std::move(a));
-          segs.push_back(std::move(b));
-        }
-        if (!lo.nets.empty()) stack.push_back(std::move(lo));
-        if (!hi.nets.empty()) stack.push_back(std::move(hi));
-      }
+    // Reroute in ascending net order; a net that fails inside its box grows
+    // it and retries at once.
+    std::size_t iter_pops = 0;
+    for (const std::size_t n : dirty) {
+      router.route_net_growing(ctx, n, &iter_pops);
     }
-
-    std::atomic<std::size_t> pops_total{0};
-    auto route_task = [&](Task& task) {
-      // One span per spatial bin.  Runs on whichever pool worker drains the
-      // task; parallel_for's context capture parents it under the
-      // pnr.route.iteration span, so the fan-out renders causally linked
-      // across thread lanes instead of as disconnected islands.
-      telemetry::TraceScope bin_span("pnr.route.bin");
-      auto ctx = contexts.acquire();
-      std::size_t pops = 0;
-      for (const std::size_t n : task.nets) {
-        const bool last_resort =
-            router.net_bb[n].covers(router.width, router.height);
-        if (!router.route_net(*ctx, n, last_resort, &pops)) {
-          task.deferred.push_back(n);
-        }
-      }
-      pops_total.fetch_add(pops, std::memory_order_relaxed);
-      contexts.release(std::move(ctx));
-    };
-
-    std::size_t num_tasks = 0;
-    for (std::size_t p = levels.size(); p-- > 0;) {
-      std::vector<Task>& level = levels[p];
-      num_tasks += level.size();
-      if (pool && level.size() > 1) {
-        pool->parallel_for(level.size(),
-                           [&](std::size_t t) { route_task(level[t]); });
-      } else {
-        for (Task& task : level) route_task(task);
-      }
-    }
-
-    // Nets that failed inside their box grow it past task territory, so
-    // they reroute sequentially after the barrier, in deterministic net
-    // order.
-    std::vector<std::size_t> deferred;
-    for (const std::vector<Task>& level : levels) {
-      for (const Task& task : level) {
-        deferred.insert(deferred.end(), task.deferred.begin(),
-                        task.deferred.end());
-      }
-    }
-    std::sort(deferred.begin(), deferred.end());
-    if (!deferred.empty()) {
-      auto ctx = contexts.acquire();
-      std::size_t pops = 0;
-      for (const std::size_t n : deferred) {
-        router.grow_bb(n);
-        router.route_net_growing(*ctx, n, &pops);
-      }
-      pops_total.fetch_add(pops, std::memory_order_relaxed);
-      contexts.release(std::move(ctx));
-    }
-    result.heap_pops += pops_total.load(std::memory_order_relaxed);
-    pops_counter.add(pops_total.load(std::memory_order_relaxed));
+    result.heap_pops += iter_pops;
+    pops_counter.add(iter_pops);
 
     // Overuse check + history update.
     bool any_overuse = false;
@@ -848,8 +584,6 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
     // falls iteration over iteration.
     overuse_gauge.set(static_cast<double>(overused_nodes));
     iter_hist.observe(iter_timer.elapsed_seconds());
-    const std::uint64_t iter_pops =
-        pops_total.load(std::memory_order_relaxed);
     overused_series.append(static_cast<double>(overused_nodes));
     rerouted_series.append(static_cast<double>(dirty.size()));
     pops_series.append(static_cast<double>(iter_pops));
@@ -857,7 +591,7 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
     progress.field("overused_nodes", static_cast<double>(overused_nodes));
     progress.field("rerouted_nets", static_cast<double>(dirty.size()));
     progress.field("heap_pops", static_cast<double>(iter_pops));
-    // Timing refresh at the barrier: re-derive routed delays from the routes
+    // Timing refresh: re-derive routed delays from the routes
     // this iteration produced, record the slack trajectory, and hand the next
     // iteration its updated criticalities.  Worst slack is measured against
     // the placed-fidelity budget captured before iteration 1, so the series
@@ -875,8 +609,7 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
       refresh_criticalities();
     }
     LOG_DEBUG << "pathfinder iteration " << iter << ": " << dirty.size()
-              << " nets rerouted in " << num_tasks << " tasks, "
-              << overused_nodes << " overused nodes, pres_fac "
+              << " nets rerouted, " << overused_nodes << " overused nodes, pres_fac "
               << router.pres_fac;
     if (!any_overuse) {
       result.success = true;
@@ -884,8 +617,7 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
     }
     router.pres_fac *= options.pres_fac_mult;
   }
-  result.bbox_expansions =
-      router.bbox_expansions.load(std::memory_order_relaxed);
+  result.bbox_expansions = router.bbox_expansions;
   bbox_counter.add(result.bbox_expansions);
 
   // Final statistics over wires.

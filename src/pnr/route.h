@@ -8,20 +8,20 @@
 // distinct groups per routing resource, not distinct nets.  This is what
 // produces the ~3x wire reduction of §V-C1.
 //
-// The search stack layers four compounding optimisations over the classic
+// The search stack layers three compounding optimisations over the classic
 // algorithm (VPR / nextpnr-router2 lineage, see DESIGN.md "Router"):
 //   * A* wavefront expansion with an admissible geometric lookahead,
-//   * per-net expansion bounding boxes that grow on routing failure,
+//   * per-net expansion bounding boxes that grow on routing failure and
+//     under repeated congestion,
 //   * incremental rip-up: after iteration 1 only nets crossing an overused
-//     node are rerouted,
-//   * parallel routing of spatially disjoint net bins on a thread pool,
-//     bit-identical for every thread count.
+//     node are rerouted.
+// Each iteration reroutes its dirty nets one at a time in ascending net
+// order, so a route is a pure function of its inputs and options.
 //
 // Timing-driven mode (TimingOptions.timing_driven) blends a per-connection
 // criticality term into the node cost — critical sinks buy short wires,
 // non-critical sinks absorb congestion — with the STA refreshed once per
-// iteration at the sequential barrier, so determinism across thread counts
-// is untouched.
+// iteration, after every dirty net has rerouted.
 #pragma once
 
 #include <cstdint>
@@ -46,16 +46,16 @@ struct RouteOptions {
   /// the lookahead entirely (plain Dijkstra).
   double astar_fac = 1.0;
   /// Initial margin (in tiles) added around a net's terminal bounding box.
-  /// The box doubles its margin every time the net fails to route inside it.
+  /// The box doubles its margin every time the net fails to route inside it,
+  /// and on every third reroute the net is still congested.
   /// Negative disables bounding boxes (every net may expand device-wide).
   int bb_margin = 3;
   /// After iteration 1, rip up and reroute only nets whose current route
   /// crosses an overused node.  false restores the classic full rip-up of
   /// every net on every iteration.
   bool incremental = true;
-  /// Worker threads for routing spatially disjoint net bins concurrently.
-  /// 0 = auto: the FPGADBG_THREADS environment variable if set, else the
-  /// hardware concurrency.  The result is bit-identical for every value.
+  /// Ignored: routing runs on the calling thread.  Kept only because
+  /// perfbench/cpp/compile_ops.cpp assigns it.
   int route_threads = 0;
 };
 
@@ -73,7 +73,8 @@ struct RouteResult {
   // runtime_seconds — not part of the serialized route artifact).
   std::size_t rerouted_nets = 0;    ///< net routings summed over iterations
   std::size_t heap_pops = 0;        ///< priority-queue pops over all searches
-  std::size_t bbox_expansions = 0;  ///< bounding-box growths on failure
+  /// Bounding-box growths: on failure, and on every third congested reroute.
+  std::size_t bbox_expansions = 0;
 };
 
 RouteResult route(const arch::RRGraph& rr, const map::MappedNetlist& mn,

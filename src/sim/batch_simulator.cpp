@@ -71,14 +71,6 @@ BatchSimulator::BatchSimulator(SimProgram program, BatchSimOptions options)
 void BatchSimulator::init() {
   FPGADBG_REQUIRE(opts_.blocks >= 1, "batch must have at least one block");
   blocks_ = opts_.blocks;
-  if (opts_.num_threads == 0) {
-    pool_ = &ThreadPool::global();
-  } else if (opts_.num_threads > 1) {
-    own_pool_ = std::make_unique<ThreadPool>(opts_.num_threads);
-    pool_ = own_pool_.get();
-  }
-  if (pool_ && pool_->size() <= 1) pool_ = nullptr;
-  if (opts_.min_blocks_per_task == 0) opts_.min_blocks_per_task = 1;
   values_.assign(prog_.num_slots * blocks_, 0);
   for (std::size_t i = 0; i < prog_.param_values.size(); ++i) {
     std::fill_n(slot_words(prog_.params[i]), blocks_,
@@ -181,34 +173,12 @@ void BatchSimulator::run_blocks(std::size_t b0, std::size_t b1, bool clock) {
   }
 }
 
-template <typename Fn>
-void BatchSimulator::for_block_ranges(const Fn& fn) {
-  const std::size_t min_task = opts_.min_blocks_per_task;
-  if (pool_ == nullptr || blocks_ < 2 * min_task) {
-    fn(std::size_t{0}, blocks_);
-    return;
-  }
-  std::size_t tasks = std::min(pool_->size() * 4, blocks_ / min_task);
-  if (tasks < 2) tasks = 2;
-  const std::size_t chunk = (blocks_ + tasks - 1) / tasks;
-  pool_->parallel_for(tasks, [&](std::size_t t) {
-    // "sim" category: recorded only under a full --trace sink (the span
-    // fires per sweep, which is per emulated cycle).  Parent-links to the
-    // sim.batch.eval/step span through the pool's context capture.
-    telemetry::TraceScope shard_span("sim.batch.shard", "sim");
-    const std::size_t b0 = t * chunk;
-    const std::size_t b1 = std::min(blocks_, b0 + chunk);
-    if (b0 < b1) fn(b0, b1);
-  });
-}
-
 void BatchSimulator::eval() {
   telemetry::TraceScope span("sim.batch.eval", "sim");
   static telemetry::Counter& blocks_swept =
       telemetry::metrics().counter("sim.batch.blocks");
   blocks_swept.add(blocks_);
-  for_block_ranges(
-      [this](std::size_t b0, std::size_t b1) { run_blocks(b0, b1, false); });
+  run_blocks(0, blocks_, false);
 }
 
 void BatchSimulator::step() {
@@ -219,10 +189,7 @@ void BatchSimulator::step() {
       telemetry::metrics().counter("sim.batch.scenario_cycles");
   blocks_swept.add(blocks_);
   scenario_cycles.add(num_scenarios());
-  // One parallel region per step: each task evaluates and clocks its own
-  // block range, so there is no barrier between eval and the latch update.
-  for_block_ranges(
-      [this](std::size_t b0, std::size_t b1) { run_blocks(b0, b1, true); });
+  run_blocks(0, blocks_, true);
   ++cycle_;
 }
 

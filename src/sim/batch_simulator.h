@@ -11,15 +11,14 @@
 // extensions; results are pure bitwise math, so codegen never changes them).
 //
 // Scenario addressing: scenario s lives in block s / 64, lane s % 64.  The
-// mapping is independent of the batch width B and of threading, which is
-// what makes runs bit-identical across widths and thread counts.
+// mapping is independent of the batch width B, which is what makes runs
+// bit-identical across widths.
 //
 // Faults are per-scenario: each injected fault carries a lane mask per
 // block, AND/OR/XOR-ed into the owning op's output words, so one batch can
 // mix clean and faulted universes (differential campaigns diff them after
-// the fact).  Threaded sweeps shard scenario blocks across a thread pool:
-// blocks are embarrassingly parallel, one task walks the whole program for
-// its block range, and there are no barriers inside a step.
+// the fact).  Every sweep walks all B blocks in one pass on the calling
+// thread.
 //
 // The engine runs any lowered program.  Campaigns hand it a mapped design
 // specialized on their parameter assignment (sim_program.h), whose
@@ -29,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -37,19 +35,15 @@
 #include "netlist/netlist.h"
 #include "sim/fault.h"
 #include "sim/sim_program.h"
-#include "support/thread_pool.h"
 
 namespace fpgadbg::sim {
 
 struct BatchSimOptions {
   /// Scenario blocks B; the engine simulates B * 64 scenarios per pass.
   std::size_t blocks = 1;
-  /// 0 shares ThreadPool::global(); 1 forces serial sweeps; N > 1 builds a
-  /// dedicated pool of N workers.  Sharding is by block range, so results
-  /// are identical for every setting.
+  /// Ignored: every sweep runs on the calling thread.  Kept only because
+  /// perfbench/cpp/campaign_ops.cpp assigns it.
   std::size_t num_threads = 1;
-  /// Minimum blocks per task before a sweep is dispatched to the pool.
-  std::size_t min_blocks_per_task = 4;
 };
 
 /// Marks a fault (or stimulus) as applying to every scenario of the batch.
@@ -176,19 +170,13 @@ class BatchSimulator {
     return values_.data() + static_cast<std::size_t>(slot) * blocks_;
   }
   /// Walks the whole program for blocks [b0, b1); clocks latches when
-  /// `clock` is set.  Each concurrent caller owns a disjoint block range.
+  /// `clock` is set.
   void run_blocks(std::size_t b0, std::size_t b1, bool clock);
-  /// Runs fn(b0, b1) over disjoint block ranges, through the pool when wide
-  /// enough.
-  template <typename Fn>
-  void for_block_ranges(const Fn& fn);
   void account_fault(const Fault& fault, std::vector<std::uint64_t> mask);
 
   SimProgram prog_;
   BatchSimOptions opts_;
   std::size_t blocks_ = 1;
-  std::unique_ptr<ThreadPool> own_pool_;
-  ThreadPool* pool_ = nullptr;  ///< null when sweeps are always serial
   std::vector<std::uint64_t> values_;       ///< SoA arena: [slot * B + block]
   std::vector<std::uint64_t> latch_words_;  ///< [latch * B + block]
   std::unordered_map<std::uint32_t, std::vector<BatchFault>> faults_by_op_;

@@ -98,9 +98,9 @@ void log_emit(LogLevel level, const std::string& msg) {
                   ts, level_name(level), thread_id());
     line = head;
     line += support::json_quote(msg);
-    // Causal join key: a line emitted under an active TraceScope (or inside
-    // ThreadPool work the scope fanned out) carries the ids its spans and
-    // journal events carry, so slow-turn logs grep straight to their trace.
+    // Causal join key: a line emitted under an active TraceScope carries the
+    // ids its spans and journal events carry, so slow-turn logs grep straight
+    // to their trace.
     const telemetry::TraceContext ctx = telemetry::current_trace_context();
     if (ctx.active()) {
       char ids[64];

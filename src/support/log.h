@@ -3,7 +3,7 @@
 //
 // Emission is thread-safe: each LOG_* statement renders its message into a
 // private buffer, then writes it to the sink as one line under the sink
-// mutex, so concurrent LOG_* from ThreadPool workers never interleave
+// mutex, so concurrent LOG_* from different threads never interleave
 // partial lines.  Two wire formats:
 //   kText  [fpgadbg info ] message
 //   kJson  {"ts": <unix seconds>, "level": "info", "tid": 3, "msg": "..."}

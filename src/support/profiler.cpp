@@ -94,7 +94,7 @@ void sigprof_handler(int, siginfo_t*, void*) {
 }
 
 /// Timer thread: tick at sample_hz and deliver SIGPROF to every thread of
-/// the process (fresh /proc/self/task scan per tick, so pool workers that
+/// the process (fresh /proc/self/task scan per tick, so threads that
 /// appear mid-run are sampled too).  tgkill targets one kernel thread —
 /// this is the portable spelling of per-thread timer_create.
 void timer_loop(int sample_hz) {

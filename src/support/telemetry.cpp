@@ -626,13 +626,6 @@ std::uint64_t now_ns() {
 
 TraceContext current_trace_context() { return t_trace_context; }
 
-TraceContextScope::TraceContextScope(const TraceContext& ctx)
-    : prev_(t_trace_context) {
-  t_trace_context = ctx;
-}
-
-TraceContextScope::~TraceContextScope() { t_trace_context = prev_; }
-
 bool tracing_enabled() {
   return trace_state().enabled.load(std::memory_order_relaxed);
 }
@@ -709,8 +702,7 @@ TraceScope::TraceScope(const char* name, const char* category)
   }
   active_ = true;
   // Causal identity: become the thread's current span.  A span opened with
-  // no active trace starts a fresh one; nested spans (and, through
-  // ThreadPool's context capture, spans on worker threads) inherit it.
+  // no active trace starts a fresh one; nested spans inherit it.
   prev_ = t_trace_context;
   span_id_ = st.next_span_id.fetch_add(1, std::memory_order_relaxed);
   TraceContext ctx;
@@ -768,19 +760,11 @@ void write_chrome_trace(std::ostream& os) {
   std::sort(events.begin(), events.end(), [](const auto& a, const auto& b) {
     return a.second.start_ns < b.second.start_ns;
   });
-  // span id -> (tid, start_ns) of the owning slice, for flow-event anchors.
-  std::map<std::uint64_t, std::pair<std::uint32_t, std::uint64_t>> by_span;
-  for (const auto& [tid, e] : events) {
-    if (e.span_id != 0) by_span[e.span_id] = {tid, e.start_ns};
-  }
   os << "{\"traceEvents\": [";
   bool first = true;
-  const auto sep = [&] {
+  for (const auto& [tid, e] : events) {
     os << (first ? "\n  " : ",\n  ");
     first = false;
-  };
-  for (const auto& [tid, e] : events) {
-    sep();
     os << "{\"name\": ";
     os << support::json_quote(e.name);
     os << ", \"cat\": ";
@@ -796,23 +780,6 @@ void write_chrome_trace(std::ostream& os) {
          << ", \"parent_id\": " << e.parent_id << "}";
     }
     os << "}";
-    // A parent slice on a different thread means the span crossed a
-    // ThreadPool handoff: draw the causal arrow with a flow-event pair
-    // keyed by the child's span id (unique, so arrows never merge).
-    const auto parent = e.parent_id != 0 ? by_span.find(e.parent_id)
-                                         : by_span.end();
-    if (parent != by_span.end() && parent->second.first != tid) {
-      sep();
-      os << "{\"name\": \"spawn\", \"cat\": \"flow\", \"ph\": \"s\", "
-            "\"id\": " << e.span_id << ", \"ts\": ";
-      write_json_number(os, static_cast<double>(parent->second.second) / 1e3);
-      os << ", \"pid\": 1, \"tid\": " << parent->second.first << "}";
-      sep();
-      os << "{\"name\": \"spawn\", \"cat\": \"flow\", \"ph\": \"f\", "
-            "\"bp\": \"e\", \"id\": " << e.span_id << ", \"ts\": ";
-      write_json_number(os, static_cast<double>(e.start_ns) / 1e3);
-      os << ", \"pid\": 1, \"tid\": " << tid << "}";
-    }
   }
   os << (first ? "" : "\n") << "]}\n";
 }

@@ -38,7 +38,7 @@ namespace fpgadbg::telemetry {
 // ---------------------------------------------------------------------------
 
 /// Monotonic event count.  add() is a single relaxed fetch_add, safe from any
-/// thread, including ThreadPool workers.
+/// thread.
 class Counter {
  public:
   void add(std::uint64_t delta = 1) {
@@ -264,11 +264,8 @@ const char* current_stage();  ///< never nullptr; "" when idle
 ///
 /// Every active TraceScope carries a 64-bit span id; spans opened while
 /// another span is active on the same thread record that span as their
-/// parent.  The trace id groups one logical operation (a debug turn, a
-/// pipeline run) across every thread it fans out to: ThreadPool captures the
-/// submitter's context and adopts it inside each worker task, so spans
-/// opened in a router bin or a batched-sim shard parent-link back to the
-/// span that scheduled them.  Ids are small sequential integers (safe to
+/// parent.  The trace id groups the spans of one logical operation (a debug
+/// turn, a pipeline run).  Ids are small sequential integers (safe to
 /// round-trip through JSON doubles); 0 always means "none".
 struct TraceContext {
   std::uint64_t trace_id = 0;   ///< logical operation (0 = not in a trace)
@@ -281,21 +278,6 @@ struct TraceContext {
 /// TraceScope (including when tracing is entirely off, so log/journal
 /// stamping degrades to "no ids" rather than fabricating them).
 TraceContext current_trace_context();
-
-/// RAII cross-thread adopter: installs a context captured on another thread
-/// (via current_trace_context()) for the current scope and restores the
-/// previous one on destruction.  ThreadPool wraps every queued task in one
-/// of these; spans the task opens then parent-link to the submitting span.
-class TraceContextScope {
- public:
-  explicit TraceContextScope(const TraceContext& ctx);
-  ~TraceContextScope();
-  TraceContextScope(const TraceContextScope&) = delete;
-  TraceContextScope& operator=(const TraceContextScope&) = delete;
-
- private:
-  TraceContext prev_;
-};
 
 /// True between start_tracing() and stop_tracing().
 bool tracing_enabled();
@@ -310,10 +292,7 @@ std::size_t trace_event_count();
 
 /// Chrome-trace JSON ({"traceEvents": [...]} with "X" complete events, ts and
 /// dur in microseconds).  Loadable in chrome://tracing and Perfetto.
-/// Every span carries its trace/span/parent ids in "args"; spans whose
-/// parent completed on a DIFFERENT thread additionally emit a flow-event
-/// pair ("ph":"s" at the parent, "ph":"f" at the child, id = child span id)
-/// so the viewer draws causal arrows across thread lanes.
+/// Every span carries its trace/span/parent ids in "args".
 void write_chrome_trace(std::ostream& os);
 bool write_chrome_trace_file(const std::string& path);
 
@@ -358,8 +337,7 @@ void write_tracez_tree(std::ostream& os);
 /// expressed naturally: spans on one thread that overlap in time render as a
 /// flame graph in the trace viewer.  An active span also installs itself as
 /// the thread's current TraceContext (allocating a fresh trace id when none
-/// is active), so nested spans — and, via ThreadPool's context capture,
-/// spans on worker threads — record it as their parent.
+/// is active), so nested spans record it as their parent.
 class TraceScope {
  public:
   explicit TraceScope(const char* name, const char* category = "flow");

@@ -138,11 +138,11 @@ int usage() {
                " [--radix R] [--replication R] [--select K]\n"
                "  map <design.blif> [--par f.par] [--mapper sm|abc|tcon]"
                " [-k K]\n"
-               "  flow <design.blif> [--width N] [--route-threads N]"
+               "  flow <design.blif> [--width N]"
                " [--astar-fac F] [timing options]\n"
                "  profile <design.blif> [--width N] [--turns T] [--cycles C]"
                " [--scenarios S] [--scenario-cycles C]"
-               " [--route-threads N] [--astar-fac F] [timing options]\n"
+               " [--astar-fac F] [timing options]\n"
                "          [--flame <out>]    sample wall-clock stacks across"
                " all threads; write collapsed stacks (or speedscope JSON"
                " when <out> ends in .json)\n"
@@ -203,7 +203,7 @@ const std::set<std::string>* command_options(const std::string& command) {
   static const std::map<std::string, std::set<std::string>> table = [] {
     // flow and profile: the pipeline's instrument, route and timing knobs.
     const std::set<std::string> compile = {
-        "--width", "--route-threads", "--astar-fac", "--timing-driven",
+        "--width", "--astar-fac", "--timing-driven",
         "--timing-tradeoff", "--crit-exp", "--route-crit-weight",
         "--delay-lut", "--delay-pin", "--delay-segment", "--delay-fanout",
         "--delay-tile"};
@@ -309,13 +309,9 @@ double to_factor(const std::string& s, const char* what) {
               s + "'");
 }
 
-/// Router knobs shared by flow/profile: worker count (0 = hardware
-/// concurrency, capped by FPGADBG_THREADS) and the A* lookahead weight
-/// (0 = plain Dijkstra).
+/// Router knob shared by flow/profile: the A* lookahead weight (0 = plain
+/// Dijkstra).
 void apply_route_options(const Args& args, pnr::RouteOptions& route) {
-  if (auto t = args.option("--route-threads")) {
-    route.route_threads = static_cast<int>(to_count(*t, "--route-threads"));
-  }
   if (auto f = args.option("--astar-fac")) {
     route.astar_fac = to_factor(*f, "--astar-fac");
   }

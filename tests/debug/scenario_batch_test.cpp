@@ -42,22 +42,6 @@ TEST(ScenarioBatch, SignaturesInvariantAcrossBatchWidths) {
   }
 }
 
-TEST(ScenarioBatch, SignaturesInvariantAcrossThreadCounts) {
-  const Netlist nl = campaign_design(2);
-  ScenarioBatchOptions options;
-  options.scenarios = 512;
-  options.cycles = 24;
-  options.blocks_per_pass = 8;
-  options.auto_faults = 2;  // faulted universes must shard identically too
-  options.num_threads = 1;
-  const auto serial = run_scenario_batch(nl, options);
-  options.num_threads = 8;
-  const auto threaded = run_scenario_batch(nl, options);
-  EXPECT_GT(serial.faulted_scenarios, 0u);
-  EXPECT_EQ(serial.faulted_scenarios, threaded.faulted_scenarios);
-  EXPECT_TRUE(diverging_scenarios(serial, threaded).empty());
-}
-
 TEST(ScenarioBatch, FaultDifferentialIsolatesTargetScenarios) {
   const Netlist nl = campaign_design(3);
   ScenarioBatchOptions options;

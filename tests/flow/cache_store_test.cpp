@@ -2,7 +2,7 @@
 // detected from the fixed header, bit flips from the digest, an older
 // header from the magic), the
 // LRU-by-atime GC sweep and its concurrency rules (in-flight temp files are
-// not entries; a vanished entry is a miss).
+// not entries; a vanished entry is a miss; emptied stage directories go).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -220,6 +220,34 @@ TEST(DirCacheStore, GcSkipsInFlightTempFiles) {
   EXPECT_EQ(stats.value().removed_entries, 1u);
   EXPECT_FALSE(fs::exists(store.entry_path("route", 1)));
   EXPECT_TRUE(fs::exists(temp));
+}
+
+TEST(DirCacheStore, GcRemovesEmptiedStageDirectories) {
+  TempRoot root("dir_gc_rmdir");
+  const ArtifactCache store(root.path);
+  const std::string bytes(100, 'd');
+  ASSERT_TRUE(store.store("place", 1, fnv1a(bytes), bytes).ok());
+  ASSERT_TRUE(store.store("route", 1, fnv1a(bytes), bytes).ok());
+  set_atime(store.entry_path("place", 1), 1000);
+  set_atime(store.entry_path("route", 1), 2000);
+  // pack/ holds only another process's in-flight store; rr-graph/ is an
+  // empty directory of a stage that no longer exists.
+  fs::create_directories(root.path + "/pack");
+  const std::string temp = store.entry_path("pack", 1) + ".tmp.4242";
+  std::ofstream(temp) << std::string(500, 'p');
+  fs::create_directories(root.path + "/rr-graph");
+
+  auto stats = store.gc(64 + bytes.size());  // keep the route entry
+  ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+  EXPECT_EQ(stats.value().removed_entries, 1u);
+  EXPECT_FALSE(fs::exists(root.path + "/place"));
+  EXPECT_FALSE(fs::exists(root.path + "/rr-graph"));
+  EXPECT_TRUE(fs::exists(store.entry_path("route", 1)));
+  EXPECT_TRUE(fs::exists(temp));
+
+  // The next store re-creates the directory the sweep removed.
+  ASSERT_TRUE(store.store("place", 1, fnv1a(bytes), bytes).ok());
+  EXPECT_TRUE(store.load("place", 1).value().has_value());
 }
 
 // --- sharing ----------------------------------------------------------------

@@ -196,7 +196,7 @@ TEST(Pipeline, LeftoverRRGraphEntryIsIgnoredAndSwept) {
   ASSERT_TRUE(swept.ok()) << swept.status().to_string();
   EXPECT_EQ(swept.value().scanned_entries, 7u);
   EXPECT_EQ(swept.value().removed_entries, 7u);
-  EXPECT_TRUE(std::filesystem::is_empty(cache.path + "/rr-graph"));
+  EXPECT_FALSE(std::filesystem::exists(cache.path + "/rr-graph"));
 }
 
 TEST(Pipeline, PlaceOptionChangeRerunsOnlyDownstream) {

@@ -1,12 +1,10 @@
 // Router determinism and cache-interaction tests.
 //
-// The parallel router promises bit-identical results for every thread
-// count: nets are partitioned into spatially disjoint bounding-box bins, a
-// bin's nets route sequentially in net order, and concurrent bins touch
-// disjoint RR-node sets.  These tests pin that contract, plus the artifact
-// cache's view of it: a warm run still reuses the cached route artifact
-// (route_threads is not part of the options hash), while any cost-shaping
-// RouteOptions change invalidates exactly route -> pconf-build.
+// The router reroutes each iteration's dirty nets in ascending net order, so
+// a route is a pure function of its inputs and options.  These tests pin
+// that for timing-driven mode, compare the full search stack against plain
+// Dijkstra, and check the artifact cache's view of the route options: any
+// cost-shaping RouteOptions change invalidates exactly route -> pconf-build.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -58,45 +56,18 @@ Placed placed_design(std::uint64_t seed, std::size_t gates = 80) {
   return p;
 }
 
-RouteResult route_with_threads(const Placed& p, int threads) {
-  RouteOptions options;
-  options.route_threads = threads;
-  return route(*p.rr, p.net, p.packing, p.nets, p.placement, options);
-}
-
-TEST(RouteDeterminism, BitIdenticalAcrossThreadCounts) {
-  const Placed p = placed_design(21);
-  const RouteResult r1 = route_with_threads(p, 1);
-  ASSERT_TRUE(r1.success);
-
-  for (const int threads : {2, 8}) {
-    const RouteResult rt = route_with_threads(p, threads);
-    EXPECT_EQ(rt.success, r1.success) << threads << " threads";
-    EXPECT_EQ(rt.iterations, r1.iterations) << threads << " threads";
-    EXPECT_EQ(rt.routes, r1.routes) << threads << " threads";
-    EXPECT_EQ(rt.wire_nodes_used, r1.wire_nodes_used) << threads << " threads";
-    EXPECT_EQ(rt.total_wirelength, r1.total_wirelength)
-        << threads << " threads";
-    // Even the search effort is deterministic: identical bins, identical
-    // per-net searches, only their interleaving differs.
-    EXPECT_EQ(rt.heap_pops, r1.heap_pops) << threads << " threads";
-    EXPECT_EQ(rt.rerouted_nets, r1.rerouted_nets) << threads << " threads";
-  }
-}
-
 TEST(RouteDeterminism, FullStackMatchesDijkstraRoutability) {
   const Placed p = placed_design(22);
 
-  // Pre-PR baseline: sequential, heuristic-free, full rip-up, unbounded.
+  // Classic PathFinder baseline: heuristic-free, full rip-up, unbounded.
   RouteOptions baseline;
   baseline.astar_fac = 0.0;
   baseline.bb_margin = -1;
   baseline.incremental = false;
-  baseline.route_threads = 1;
   const RouteResult rb =
       route(*p.rr, p.net, p.packing, p.nets, p.placement, baseline);
 
-  const RouteResult rf = route_with_threads(p, 8);
+  const RouteResult rf = route(*p.rr, p.net, p.packing, p.nets, p.placement);
   ASSERT_TRUE(rb.success);
   ASSERT_TRUE(rf.success);
   // A* with an admissible lookahead finds minimum-cost paths too, so the
@@ -116,56 +87,27 @@ struct TempCacheDir {
   std::string path;
 };
 
-TEST(RouteDeterminism, WarmCacheReusesRouteAcrossThreadCounts) {
-  TempCacheDir cache("warm");
-  genbench::CircuitSpec spec{"rdc1", 8, 6, 4, 36, 3, 5, 31};
-  const auto user = genbench::generate(spec);
-
-  debug::OfflineOptions options;
-  options.instrument.trace_width = 6;
-  options.cache_dir = cache.path;
-  options.compile.route.route_threads = 1;
-  {
-    auto cold = flow::Pipeline(options).run(user);
-    ASSERT_TRUE(cold.ok()) << cold.status().to_string();
-    ASSERT_EQ(cold.value().stages_executed, 6u);
-  }
-
-  // Changing only the thread count must not invalidate the route artifact:
-  // results are bit-identical, and route_threads is excluded from the hash.
-  options.compile.route.route_threads = 8;
-  auto warm = flow::Pipeline(options).run(user);
-  ASSERT_TRUE(warm.ok()) << warm.status().to_string();
-  EXPECT_EQ(warm.value().stages_executed, 0u);
-  EXPECT_EQ(warm.value().stages_from_cache, 6u);
-}
-
 TEST(RouteDeterminism, TimingDrivenBitIdenticalAcrossThreadCounts) {
-  // The criticality-blended node costs add a shared STA refreshed at the
-  // sequential per-iteration barrier; thread count must still not leak into
-  // the result.
+  // The criticality-blended node costs add an STA refreshed once per
+  // iteration; two runs on the same placed design must still agree exactly,
+  // search effort included.
   const Placed p = placed_design(23);
   TimingOptions timing;
   timing.timing_driven = true;
 
-  auto route_threads = [&](int threads) {
-    RouteOptions options;
-    options.route_threads = threads;
-    return route(*p.rr, p.net, p.packing, p.nets, p.placement, options,
-                 timing);
+  auto route_timed = [&] {
+    return route(*p.rr, p.net, p.packing, p.nets, p.placement,
+                 RouteOptions{}, timing);
   };
-  const RouteResult r1 = route_threads(1);
+  const RouteResult r1 = route_timed();
   ASSERT_TRUE(r1.success);
-  for (const int threads : {2, 8}) {
-    const RouteResult rt = route_threads(threads);
-    EXPECT_EQ(rt.success, r1.success) << threads << " threads";
-    EXPECT_EQ(rt.iterations, r1.iterations) << threads << " threads";
-    EXPECT_EQ(rt.routes, r1.routes) << threads << " threads";
-    EXPECT_EQ(rt.total_wirelength, r1.total_wirelength)
-        << threads << " threads";
-    EXPECT_EQ(rt.heap_pops, r1.heap_pops) << threads << " threads";
-    EXPECT_EQ(rt.rerouted_nets, r1.rerouted_nets) << threads << " threads";
-  }
+  const RouteResult r2 = route_timed();
+  EXPECT_EQ(r2.success, r1.success);
+  EXPECT_EQ(r2.iterations, r1.iterations);
+  EXPECT_EQ(r2.routes, r1.routes);
+  EXPECT_EQ(r2.total_wirelength, r1.total_wirelength);
+  EXPECT_EQ(r2.heap_pops, r1.heap_pops);
+  EXPECT_EQ(r2.rerouted_nets, r1.rerouted_nets);
 }
 
 TEST(RouteDeterminism, DelayKnobInvalidatesExactlyPlaceRoutePconf) {

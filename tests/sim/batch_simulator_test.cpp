@@ -177,41 +177,6 @@ TEST(BatchSimulator, PerScenarioFaultTouchesExactlyOneLane) {
   EXPECT_TRUE(diverged) << "invert on an output driver never observed";
 }
 
-TEST(BatchSimulator, ThreadCountIsBitInvisible) {
-  // Same design, same stimulus, 1 worker vs an 8-worker pool with the
-  // sharding threshold forced to 1 block: every output word of every block
-  // identical on every cycle.  (The pool spawns real threads even on a
-  // single-core host, so this exercises genuine concurrent sweeps.)
-  const Netlist nl = genbench::generate(small_spec(9));
-  BatchSimulator serial(
-      nl, BatchSimOptions{.blocks = 16, .num_threads = 1});
-  BatchSimulator threaded(
-      nl, BatchSimOptions{
-              .blocks = 16, .num_threads = 8, .min_blocks_per_task = 1});
-  const Fault fault{nl.topo_order().back(), FaultType::kInvert, 0};
-  std::vector<std::uint64_t> odd(16, 0xaaaaaaaaaaaaaaaaULL);
-  serial.inject_fault_masked(fault, odd);
-  threaded.inject_fault_masked(fault, odd);
-  Rng rng(17);
-  for (int cycle = 0; cycle < 24; ++cycle) {
-    for (NodeId in : nl.inputs()) {
-      for (std::size_t b = 0; b < 16; ++b) {
-        const std::uint64_t w = rng.next_u64();
-        serial.set_input_word(in, b, w);
-        threaded.set_input_word(in, b, w);
-      }
-    }
-    serial.step();
-    threaded.step();
-    for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-      for (std::size_t b = 0; b < 16; ++b) {
-        ASSERT_EQ(serial.output_word(o, b), threaded.output_word(o, b))
-            << "cycle " << cycle << " output " << o << " block " << b;
-      }
-    }
-  }
-}
-
 TEST(BatchSimulator, SnapshotRoundTripReplays) {
   const Netlist nl = genbench::generate(small_spec(3));
   BatchSimulator batch(nl, BatchSimOptions{.blocks = kBlocks});

@@ -18,7 +18,6 @@ BIN="$WORK/tsan_smoke"
   "$SRC/tests/sim/tsan_smoke.cpp" \
   "$SRC/src/support/log.cpp" \
   "$SRC/src/support/telemetry.cpp" \
-  "$SRC/src/support/thread_pool.cpp" \
   -lpthread -o "$BIN"
 
 exec "$BIN"

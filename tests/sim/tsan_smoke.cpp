@@ -1,17 +1,17 @@
 // ThreadSanitizer smoke test for the observability layer.  Built
 // standalone by run_tsan_smoke.sh with -fsanitize=thread (the main build
 // stays unsanitized).  It hammers the telemetry registry (counters,
-// histograms, gauges), the span tracer, and the logger from every pool
-// thread while a reader concurrently snapshots and exports — the exact
-// concurrency pattern the instrumented pipeline produces.  Threaded
-// simulation is covered by sim_batch_tsan_smoke.
+// histograms, gauges), the span tracer, and the logger from four threads
+// while some of them concurrently snapshot and export — the pattern of the
+// introspection server scraping a running pipeline.
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "support/log.h"
 #include "support/telemetry.h"
-#include "support/thread_pool.h"
 
 namespace {
 
@@ -29,9 +29,9 @@ int run_telemetry_hammer() {
   telemetry::Gauge& gauge = telemetry::metrics().gauge("tsan.gauge");
   constexpr std::size_t kJobs = 256;
   constexpr int kOpsPerJob = 100;
+  constexpr std::size_t kThreads = 4;
 
-  ThreadPool pool(4);
-  pool.parallel_for(kJobs, [&](std::size_t i) {
+  const auto job = [&](std::size_t i) {
     telemetry::TraceScope span("tsan.span", "test");
     for (int k = 0; k < kOpsPerJob; ++k) {
       counter.add(1);
@@ -51,7 +51,14 @@ int run_telemetry_hammer() {
       std::ostringstream ts;
       telemetry::write_chrome_trace(ts);
     }
-  });
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&job, t] {
+      for (std::size_t i = t; i < kJobs; i += kThreads) job(i);
+    });
+  }
+  for (std::thread& th : threads) th.join();
 
   telemetry::stop_tracing();
   set_log_stream(nullptr);

@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/thread_pool.h"
 #include "testutil/json_lite.h"
 
 namespace fpgadbg {
@@ -172,13 +171,7 @@ TEST(Profiler, SamplesPoolWorkersToo) {
   prof::ProfilerOptions opt;
   opt.sample_hz = 997;
   ASSERT_TRUE(prof::start_profiler(opt).ok());
-  ThreadPool pool(4);
-  for (int round = 0; round < 20; ++round) {
-    pool.parallel_for(64, [&](std::size_t) {
-      volatile double x = 1.0;
-      for (int i = 0; i < 40000; ++i) x = x * 1.0000001 + 1e-9;
-    });
-  }
+  spin_threads(4, std::chrono::milliseconds(300));
   prof::stop_profiler();
   std::ostringstream os;
   prof::write_speedscope(os);

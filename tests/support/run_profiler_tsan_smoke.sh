@@ -23,7 +23,6 @@ BIN="$WORK/profiler_tsan_smoke"
   "$SRC/src/support/profiler.cpp" \
   "$SRC/src/support/status.cpp" \
   "$SRC/src/support/telemetry.cpp" \
-  "$SRC/src/support/thread_pool.cpp" \
   -lpthread -ldl -o "$BIN"
 
 exec "$BIN"

@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/thread_pool.h"
 #include "testutil/json_lite.h"
 
 namespace fpgadbg {
@@ -21,13 +20,26 @@ using telemetry::TraceScope;
 using testutil::JsonValue;
 using testutil::parse_json;
 
+/// Runs fn(i) for every i in [0, jobs) on four threads (job i on thread
+/// i % 4) and joins them.
+template <typename Fn>
+void run_on_threads(std::size_t jobs, const Fn& fn) {
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&fn, jobs, t] {
+      for (std::size_t i = t; i < jobs; i += kThreads) fn(i);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+}
+
 TEST(Metrics, CounterConcurrentIncrements) {
   telemetry::Counter& c = metrics().counter("test.concurrent_counter");
   c.reset();
-  ThreadPool pool(4);
   constexpr std::size_t kJobs = 64;
   constexpr std::size_t kPerJob = 1000;
-  pool.parallel_for(kJobs, [&](std::size_t) {
+  run_on_threads(kJobs, [&](std::size_t) {
     for (std::size_t i = 0; i < kPerJob; ++i) c.add(1);
   });
   EXPECT_EQ(c.value(), kJobs * kPerJob);
@@ -81,8 +93,7 @@ TEST(Metrics, HistogramPercentilesApproximate) {
 TEST(Metrics, HistogramConcurrentObserve) {
   telemetry::Histogram& h = metrics().histogram("test.hist_mt");
   h.reset();
-  ThreadPool pool(4);
-  pool.parallel_for(32, [&](std::size_t) {
+  run_on_threads(32, [&](std::size_t) {
     for (int i = 0; i < 500; ++i) h.observe(1.0);
   });
   const auto s = h.summary();
@@ -193,8 +204,7 @@ TEST(Metrics, GaugeSetMaxKeepsHighWaterMark) {
   g.set_max(7.5);
   EXPECT_DOUBLE_EQ(g.value(), 7.5);
   // Racing writers must converge on the maximum.
-  ThreadPool pool(4);
-  pool.parallel_for(64, [&](std::size_t i) {
+  run_on_threads(64, [&](std::size_t i) {
     g.set_max(static_cast<double>(i));
   });
   EXPECT_DOUBLE_EQ(g.value(), 63.0);
@@ -503,8 +513,7 @@ TEST(Trace, RingOnlyModeSkipsPerCycleSimSpans) {
 TEST(Trace, ManySpansFromPoolThreads) {
   telemetry::clear_trace();
   telemetry::start_tracing();
-  ThreadPool pool(4);
-  pool.parallel_for(64, [&](std::size_t) {
+  run_on_threads(64, [&](std::size_t) {
     TraceScope span("trace_test.pool_span", "test");
   });
   telemetry::stop_tracing();
@@ -563,87 +572,6 @@ TEST(TraceContext, SiblingRootsGetDistinctTraceIds) {
   telemetry::stop_tracing();
   EXPECT_NE(first.trace_id, second.trace_id);
   EXPECT_NE(first.span_id, second.span_id);
-}
-
-TEST(TraceContext, AdoptedContextParentsCrossThreadSpans) {
-  telemetry::clear_trace();
-  telemetry::start_tracing();
-  telemetry::TraceContext parent;
-  {
-    TraceScope outer("ctx_test.adopt_parent", "test");
-    parent = telemetry::current_trace_context();
-    std::thread t([&] {
-      telemetry::TraceContextScope adopt(parent);
-      TraceScope child("ctx_test.adopted_child", "test");
-      const telemetry::TraceContext ctx = telemetry::current_trace_context();
-      EXPECT_EQ(ctx.trace_id, parent.trace_id);
-      EXPECT_EQ(ctx.parent_id, parent.span_id);
-    });
-    t.join();
-  }
-  telemetry::stop_tracing();
-
-  // The export carries the causal ids and a cross-thread flow pair linking
-  // parent to child.
-  const JsonValue doc = parse_json(exported_trace());
-  const JsonValue* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  double child_span_id = -1.0;
-  for (const JsonValue& e : events->array) {
-    if (e.find("ph")->str != "X") continue;
-    const JsonValue* args = e.find("args");
-    ASSERT_NE(args, nullptr) << "X event without causal args";
-    ASSERT_NE(args->find("trace_id"), nullptr);
-    ASSERT_NE(args->find("span_id"), nullptr);
-    ASSERT_NE(args->find("parent_id"), nullptr);
-    EXPECT_EQ(args->find("trace_id")->number,
-              static_cast<double>(parent.trace_id));
-    if (e.find("name")->str == "ctx_test.adopted_child") {
-      child_span_id = args->find("span_id")->number;
-      EXPECT_EQ(args->find("parent_id")->number,
-                static_cast<double>(parent.span_id));
-    }
-  }
-  ASSERT_GE(child_span_id, 0.0);
-  bool flow_start = false, flow_end = false;
-  for (const JsonValue& e : events->array) {
-    const std::string ph = e.find("ph")->str;
-    if (ph != "s" && ph != "f") continue;
-    EXPECT_EQ(e.find("id")->number, child_span_id);
-    if (ph == "s") flow_start = true;
-    if (ph == "f") flow_end = true;
-  }
-  EXPECT_TRUE(flow_start) << "missing flow-start at the parent slice";
-  EXPECT_TRUE(flow_end) << "missing flow-finish at the child slice";
-}
-
-TEST(TraceContext, PoolParallelForLinksWorkerSpans) {
-  telemetry::clear_trace();
-  telemetry::start_tracing();
-  ThreadPool pool(4);
-  telemetry::TraceContext parent;
-  {
-    TraceScope outer("ctx_test.pool_parent", "test");
-    parent = telemetry::current_trace_context();
-    pool.parallel_for(32, [&](std::size_t) {
-      TraceScope task("ctx_test.pool_task", "test");
-    });
-  }
-  telemetry::stop_tracing();
-  const JsonValue doc = parse_json(exported_trace());
-  std::size_t linked = 0;
-  for (const JsonValue& e : doc.find("traceEvents")->array) {
-    if (e.find("ph")->str != "X") continue;
-    if (e.find("name")->str != "ctx_test.pool_task") continue;
-    const JsonValue* args = e.find("args");
-    ASSERT_NE(args, nullptr);
-    EXPECT_EQ(args->find("trace_id")->number,
-              static_cast<double>(parent.trace_id));
-    EXPECT_EQ(args->find("parent_id")->number,
-              static_cast<double>(parent.span_id));
-    ++linked;
-  }
-  EXPECT_EQ(linked, 32u);
 }
 
 TEST(Trace, DroppedSpanCounterAndTracezTree) {

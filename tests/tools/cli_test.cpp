@@ -772,6 +772,15 @@ TEST(Cli, IntrospectServesLiveEndpointsAndQuits) {
   EXPECT_NE(metrics.find("fpgadbg_"), std::string::npos);
   const std::string statusz = http_get(port, "/statusz");
   EXPECT_NE(statusz.find("uptime_seconds:"), std::string::npos);
+  // /progressz lists the loops the command body has run, so wait for the
+  // body to finish (the linger announcement) before reading it; a slow
+  // build (e.g. under ThreadSanitizer) is still inside the body here.
+  for (int i = 0; i < 200; ++i) {
+    if (read_file(err).find("introspect: lingering") != std::string::npos) {
+      break;
+    }
+    ::usleep(50 * 1000);
+  }
   const std::string progressz = http_get(port, "/progressz");
   EXPECT_NE(progressz.find("\"tasks\""), std::string::npos);
   // The instrumented loops registered under their canonical names.
