@@ -152,18 +152,19 @@ void BM_CompiledSimulatorStep(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledSimulatorStep)->Arg(100)->Arg(1000)->Arg(10000);
 
+// The session's turn: one loaded configuration rewritten in place, back
+// and forth between two signal selections.
 void BM_ScgSpecializeIncremental(benchmark::State& state) {
   auto& offline = OfflineFixture::get().offline;
   const auto& inst = offline.instrumented;
-  const auto a = inst.select_signals({inst.lane_signals[0][0]});
-  const auto b = inst.select_signals({inst.lane_signals[0][1]});
-  auto base = offline.pconf->specialize(a);
+  const BitVec a = inst.select_params({inst.lane_signals[0][0]});
+  const BitVec b = inst.select_params({inst.lane_signals[0][1]});
+  bitstream::ConfigMemory loaded = offline.pconf->specialize(a).memory;
   bool flip = false;
   for (auto _ : state) {
-    base = offline.pconf->specialize_incremental(base, flip ? b : a,
-                                                 flip ? a : b);
+    benchmark::DoNotOptimize(
+        offline.pconf->respecialize(loaded, flip ? b : a, flip ? a : b));
     flip = !flip;
-    benchmark::DoNotOptimize(base);
   }
 }
 BENCHMARK(BM_ScgSpecializeIncremental);

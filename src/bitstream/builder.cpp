@@ -208,6 +208,10 @@ PConf build_pconf(const pnr::CompiledDesign& design, PconfBuildStats* stats) {
     }
   }
 
+  // About half the arena is intermediate nodes of the conditions above
+  // that no function reaches; the artifact and every warm load would carry
+  // them.
+  pconf.drop_unreachable_nodes();
   return pconf;
 }
 

@@ -6,6 +6,16 @@
 
 namespace fpgadbg::bitstream {
 
+namespace {
+
+telemetry::Counter& frame_writes() {
+  static telemetry::Counter& writes =
+      telemetry::metrics().counter("icap.frame_writes");
+  return writes;
+}
+
+}  // namespace
+
 void FrameChurn::bump(std::size_t frame, std::uint64_t by) {
   if (frame >= counts_.size()) counts_.resize(frame + 1, 0);
   counts_[frame] += by;
@@ -15,13 +25,13 @@ void FrameChurn::bump(std::size_t frame, std::uint64_t by) {
 void FrameChurn::record_full(std::size_t num_frames) {
   for (std::size_t f = 0; f < num_frames; ++f) bump(f);
   ++reconfigs_;
-  telemetry::metrics().counter("icap.frame_writes").add(num_frames);
+  frame_writes().add(num_frames);
 }
 
 void FrameChurn::record_partial(const std::vector<std::size_t>& frames) {
   for (std::size_t f : frames) bump(f);
   ++reconfigs_;
-  telemetry::metrics().counter("icap.frame_writes").add(frames.size());
+  frame_writes().add(frames.size());
 }
 
 std::size_t FrameChurn::frames_touched() const {

@@ -1,6 +1,7 @@
 #include "bitstream/pconf.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "support/error.h"
@@ -12,14 +13,19 @@ namespace fpgadbg::bitstream {
 namespace {
 
 /// One batched registry update per SCG invocation (the per-bit loops stay
-/// free of atomics).
-void record_scg(const char* path, std::size_t bits_evaluated,
+/// free of atomics).  `runs` is the calling path's own counter.
+void record_scg(telemetry::Counter& runs, std::size_t bits_evaluated,
                 std::size_t bdd_nodes_visited, double eval_seconds) {
-  telemetry::MetricsRegistry& m = telemetry::metrics();
-  m.counter(path).add(1);
-  m.counter("scg.bits_reevaluated").add(bits_evaluated);
-  m.counter("scg.bdd_nodes_visited").add(bdd_nodes_visited);
-  m.histogram("scg.eval_seconds").observe(eval_seconds);
+  static telemetry::Counter& bits =
+      telemetry::metrics().counter("scg.bits_reevaluated");
+  static telemetry::Counter& nodes =
+      telemetry::metrics().counter("scg.bdd_nodes_visited");
+  static telemetry::Histogram& seconds =
+      telemetry::metrics().histogram("scg.eval_seconds");
+  runs.add(1);
+  bits.add(bits_evaluated);
+  nodes.add(bdd_nodes_visited);
+  seconds.observe(eval_seconds);
 }
 
 }  // namespace
@@ -160,12 +166,12 @@ BitVec PConf::values_from(
   return values;
 }
 
-PConf::Specialization PConf::specialize(
-    const std::unordered_map<std::string, bool>& assignment) const {
+PConf::Specialization PConf::specialize(const BitVec& values) const {
+  FPGADBG_REQUIRE(values.size() == num_params(),
+                  "parameter vector has the wrong size");
   telemetry::TraceScope span("scg.specialize_full", "scg");
   Specialization result;
   Stopwatch timer;
-  const BitVec values = values_from(assignment);
   result.memory = constant_;
   std::size_t visited = 0;
   const FunctionView view = functions();
@@ -174,16 +180,30 @@ PConf::Specialization PConf::specialize(
     ++result.bits_evaluated;
   }
   result.eval_seconds = timer.elapsed_seconds();
-  record_scg("scg.full_specializations", result.bits_evaluated, visited,
-             result.eval_seconds);
+  static telemetry::Counter& runs =
+      telemetry::metrics().counter("scg.full_specializations");
+  record_scg(runs, result.bits_evaluated, visited, result.eval_seconds);
   return result;
+}
+
+PConf::Specialization PConf::specialize(
+    const std::unordered_map<std::string, bool>& assignment) const {
+  return specialize(values_from(assignment));
 }
 
 const PConf::IncrementalIndex& PConf::incremental_index() const {
   if (index_) return *index_;
   const FunctionView view = functions();
   const logic::BddManager::Node* arena = bdd_.arena().data();
-  IncrementalIndex index;
+  FPGADBG_REQUIRE(total_bits() <= 0xffffffffu,
+                  "configuration too large for the incremental SCG");
+  // Build-time only: per group, the table positions of its functions and
+  // the arena nodes they reach.
+  struct GroupBuild {
+    std::vector<std::uint32_t> fns;
+    std::vector<std::uint32_t> nodes;
+  };
+  std::vector<GroupBuild> builds;
   // One DFS per distinct root collects the nodes it reaches and its
   // support; functions that share a root share its group.  Stamps (table
   // position + 1, group + 1) stand in for per-walk sets.
@@ -219,8 +239,8 @@ const PConf::IncrementalIndex& PConf::incremental_index() const {
       }
       std::sort(support.begin(), support.end());
       const auto [it, inserted] = group_of_support.try_emplace(
-          support, static_cast<std::uint32_t>(index.groups.size()));
-      if (inserted) index.groups.emplace_back();
+          support, static_cast<std::uint32_t>(builds.size()));
+      if (inserted) builds.emplace_back();
       const std::uint32_t g = it->second;
       group_of_root[root] = g;
       for (const std::uint32_t r : reached) {
@@ -228,18 +248,41 @@ const PConf::IncrementalIndex& PConf::incremental_index() const {
         // shared between groups can still be appended twice; deduped below.
         if (group_stamp[r] == g + 1) continue;
         group_stamp[r] = g + 1;
-        index.groups[g].nodes.push_back(r);
+        builds[g].nodes.push_back(r);
       }
     }
-    index.groups[group_of_root[root]].fns.push_back(
-        static_cast<std::uint32_t>(i));
+    builds[group_of_root[root]].fns.push_back(static_cast<std::uint32_t>(i));
   }
-  // Ascending node ids are a topological order: the arena keeps children
-  // before parents (make_node appends; load_arena checks it).
-  for (SupportGroup& group : index.groups) {
-    std::sort(group.nodes.begin(), group.nodes.end());
-    group.nodes.erase(std::unique(group.nodes.begin(), group.nodes.end()),
-                      group.nodes.end());
+
+  IncrementalIndex index;
+  index.groups.resize(builds.size());
+  // Arena id -> id within the group being lowered.  A group's node list is
+  // closed under children, so every child read below was set for the same
+  // group.
+  std::vector<std::uint32_t> local(bdd_.size(), 0);
+  local[1] = 1;
+  for (std::size_t g = 0; g < builds.size(); ++g) {
+    GroupBuild& build = builds[g];
+    // Ascending node ids are a topological order: the arena keeps children
+    // before parents (make_node appends; load_arena checks it).
+    std::sort(build.nodes.begin(), build.nodes.end());
+    build.nodes.erase(std::unique(build.nodes.begin(), build.nodes.end()),
+                      build.nodes.end());
+    for (std::size_t k = 0; k < build.nodes.size(); ++k) {
+      local[build.nodes[k]] = static_cast<std::uint32_t>(k + 2);
+    }
+    SupportGroup& group = index.groups[g];
+    group.nodes.reserve(build.nodes.size());
+    for (const std::uint32_t r : build.nodes) {
+      const logic::BddManager::Node& n = arena[r];
+      group.nodes.push_back({n.var, local[n.low], local[n.high]});
+    }
+    group.fns.reserve(build.fns.size());
+    for (const std::uint32_t i : build.fns) {
+      group.fns.push_back({static_cast<std::uint32_t>(view.bits[i]),
+                           local[view.refs[i]]});
+    }
+    index.max_group_nodes = std::max(index.max_group_nodes, group.nodes.size());
   }
   index.groups_of_param.resize(param_names_.size());
   for (const auto& [vars, g] : group_of_support) {
@@ -248,58 +291,61 @@ const PConf::IncrementalIndex& PConf::incremental_index() const {
   return index_.emplace(std::move(index));
 }
 
-PConf::Specialization PConf::specialize_incremental(
-    const Specialization& previous,
-    const std::unordered_map<std::string, bool>& previous_assignment,
-    const std::unordered_map<std::string, bool>& assignment) const {
-  FPGADBG_REQUIRE(previous.memory.total_bits() == total_bits(),
-                  "previous specialization has the wrong geometry");
+PConf::Respecialization PConf::respecialize(ConfigMemory& config,
+                                            const BitVec& from,
+                                            const BitVec& to) const {
+  FPGADBG_REQUIRE(config.total_bits() == total_bits(),
+                  "configuration memory has the wrong geometry");
+  FPGADBG_REQUIRE(from.size() == num_params() && to.size() == num_params(),
+                  "parameter vector has the wrong size");
   telemetry::TraceScope span("scg.specialize_incremental", "scg");
-  Specialization result;
+  Respecialization result;
   Stopwatch timer;
-  const BitVec old_values = values_from(previous_assignment);
-  const BitVec new_values = values_from(assignment);
   const IncrementalIndex& index = incremental_index();
 
   // Flag every group that reads a changed parameter, once.
-  std::vector<std::uint8_t> param_value(param_names_.size());
   std::vector<std::uint8_t> flagged(index.groups.size(), 0);
   std::vector<std::uint32_t> dirty;
-  for (std::size_t p = 0; p < param_value.size(); ++p) {
-    param_value[p] = new_values.get(p);
-    if (old_values.get(p) == new_values.get(p)) continue;
-    for (const std::uint32_t g : index.groups_of_param[p]) {
-      if (!flagged[g]) {
-        flagged[g] = 1;
-        dirty.push_back(g);
+  for (std::size_t w = 0; w < to.word_count(); ++w) {
+    for (std::uint64_t diff = from.word(w) ^ to.word(w); diff != 0;
+         diff &= diff - 1) {
+      const std::size_t p = w * 64 + static_cast<std::size_t>(
+                                         std::countr_zero(diff));
+      for (const std::uint32_t g : index.groups_of_param[p]) {
+        if (!flagged[g]) {
+          flagged[g] = 1;
+          dirty.push_back(g);
+        }
       }
     }
   }
+  std::vector<std::uint8_t> param_value(num_params());
+  for (std::size_t p = 0; p < param_value.size(); ++p) {
+    param_value[p] = to.get(p);
+  }
 
-  result.memory = previous.memory;
-  BitVec& memory = result.memory.bits();
-  const FunctionView view = functions();
-  const logic::BddManager::Node* arena = bdd_.arena().data();
-  // Node values of this call.  A group's node list holds every node its
-  // functions reach, children first, so each read below hits a node this
-  // sweep already wrote (or a constant).
-  std::vector<std::uint8_t> value(bdd_.size(), 0);
+  BitVec& memory = config.bits();
+  // Node values of one group's program, by local id.  The program lists
+  // children first, so each read below hits a node this sweep already
+  // wrote (or a constant).
+  std::vector<std::uint8_t> value(index.max_group_nodes + 2, 0);
   value[1] = 1;
   std::size_t visited = 0;
   for (const std::uint32_t g : dirty) {
     const SupportGroup& group = index.groups[g];
-    for (const std::uint32_t r : group.nodes) {
-      const logic::BddManager::Node& n = arena[r];
+    const logic::BddManager::Node* nodes = group.nodes.data();
+    const std::size_t count = group.nodes.size();
+    for (std::size_t k = 0; k < count; ++k) {
+      const logic::BddManager::Node& n = nodes[k];
       // Branch-free select: a parameter's value is no predictable branch.
       const std::uint32_t high = 0u - param_value[n.var];
-      value[r] = value[n.low ^ ((n.low ^ n.high) & high)];
+      value[k + 2] = value[n.low ^ ((n.low ^ n.high) & high)];
     }
-    visited += group.nodes.size();
-    for (const std::uint32_t i : group.fns) {
-      const std::size_t bit = static_cast<std::size_t>(view.bits[i]);
-      if (((memory.word(bit >> 6) >> (bit & 63)) & 1) != value[view.refs[i]]) {
-        memory.flip(bit);
-        result.changed_bits.push_back(bit);
+    visited += count;
+    for (const GroupFunction& f : group.fns) {
+      if (((memory.word(f.bit >> 6) >> (f.bit & 63)) & 1) != value[f.root]) {
+        memory.flip(f.bit);
+        result.changed_bits.push_back(f.bit);
       }
     }
     result.bits_evaluated += group.fns.size();
@@ -307,9 +353,52 @@ PConf::Specialization PConf::specialize_incremental(
   // Groups interleave in the table, so their flipped bits do too.
   std::sort(result.changed_bits.begin(), result.changed_bits.end());
   result.eval_seconds = timer.elapsed_seconds();
-  record_scg("scg.incremental_specializations", result.bits_evaluated, visited,
-             result.eval_seconds);
+  static telemetry::Counter& runs =
+      telemetry::metrics().counter("scg.incremental_specializations");
+  record_scg(runs, result.bits_evaluated, visited, result.eval_seconds);
   return result;
+}
+
+PConf::Specialization PConf::specialize_incremental(
+    const Specialization& previous,
+    const std::unordered_map<std::string, bool>& previous_assignment,
+    const std::unordered_map<std::string, bool>& assignment) const {
+  Specialization result;
+  result.memory = previous.memory;
+  Respecialization delta = respecialize(
+      result.memory, values_from(previous_assignment), values_from(assignment));
+  result.bits_evaluated = delta.bits_evaluated;
+  result.changed_bits = std::move(delta.changed_bits);
+  result.eval_seconds = delta.eval_seconds;
+  return result;
+}
+
+void PConf::drop_unreachable_nodes() {
+  sync_functions();
+  const std::vector<logic::BddManager::Node>& arena = bdd_.arena();
+  std::vector<std::uint8_t> live(arena.size(), 0);
+  live[0] = live[1] = 1;
+  for (const std::uint32_t root : fn_refs_) live[root] = 1;
+  // Parents sit after their children, so one descending pass reaches every
+  // node below a live root.
+  for (std::size_t r = arena.size(); r-- > 2;) {
+    if (live[r]) live[arena[r].low] = live[arena[r].high] = 1;
+  }
+  std::vector<logic::BddRef> renumbered(arena.size(), 0);
+  std::vector<logic::BddManager::Node> kept;
+  kept.reserve(static_cast<std::size_t>(
+      std::count(live.begin(), live.end(), std::uint8_t{1})));
+  for (std::size_t r = 0; r < arena.size(); ++r) {
+    if (!live[r]) continue;
+    renumbered[r] = static_cast<logic::BddRef>(kept.size());
+    logic::BddManager::Node n = arena[r];
+    if (r >= 2) n = {n.var, renumbered[n.low], renumbered[n.high]};
+    kept.push_back(n);
+  }
+  for (std::uint32_t& root : fn_refs_) root = renumbered[root];
+  const support::Status loaded = bdd_.load_arena(std::move(kept));
+  FPGADBG_ASSERT(loaded.ok(), "compacted BDD arena breaks its invariants");
+  index_.reset();
 }
 
 }  // namespace fpgadbg::bitstream

@@ -90,21 +90,42 @@ class PConf {
     double eval_seconds = 0.0;  ///< measured SCG evaluation time
   };
 
+  /// What respecialize() did to the configuration memory it rewrote.
+  struct Respecialization {
+    std::size_t bits_evaluated = 0;
+    std::vector<std::size_t> changed_bits;  ///< the bits it flipped, ascending
+    double eval_seconds = 0.0;              ///< measured SCG evaluation time
+  };
+
+  /// Parameter values in param_names() order from an assignment by name
+  /// (missing names are false).  Throws on a name that is no parameter.
+  BitVec values_from(
+      const std::unordered_map<std::string, bool>& assignment) const;
+
   /// The Specialized Configuration Generator: evaluate all parameterized
-  /// bits under `assignment` (by parameter name; missing names default to
-  /// false).  One independent BDD walk per bit: the reference the
-  /// incremental SCG is checked against.
+  /// bits under `values` (one per parameter, in param_names() order).  One
+  /// independent BDD walk per bit: the reference the incremental SCG is
+  /// checked against.
+  Specialization specialize(const BitVec& values) const;
+  /// specialize() of an assignment by parameter name (missing names
+  /// default to false).
   Specialization specialize(
       const std::unordered_map<std::string, bool>& assignment) const;
 
-  /// Incremental SCG: given the previous specialization and its assignment,
-  /// re-evaluate ONLY the functions whose support contains a changed
+  /// Incremental SCG, in place: `config` holds the specialization for the
+  /// parameter values `from`; rewrite it into the one for `to`,
+  /// re-evaluating ONLY the functions whose support contains a changed
   /// parameter.  Functions are grouped by support set; each group that
-  /// reads a changed parameter has its BDD nodes swept once, children
-  /// before parents, and every function reads its value at its root.  The
-  /// embedded-processor optimization behind the paper's microsecond-scale
-  /// turns on large PConfs.  The memory is bit-identical to
-  /// specialize(assignment), and `changed_bits` lists the bits that flipped.
+  /// reads a changed parameter runs its program once (its nodes, children
+  /// before parents, then every function reads its value at its root) and
+  /// only the bits that differ are flipped.  The embedded-processor
+  /// optimization behind the paper's microsecond-scale turns on large
+  /// PConfs.  Afterwards `config` is bit-identical to specialize(to).memory.
+  Respecialization respecialize(ConfigMemory& config, const BitVec& from,
+                                const BitVec& to) const;
+
+  /// respecialize() on a copy of `previous.memory`, with both assignments
+  /// by parameter name.
   Specialization specialize_incremental(
       const Specialization& previous,
       const std::unordered_map<std::string, bool>& previous_assignment,
@@ -116,22 +137,38 @@ class PConf {
   /// the index; the next call rebuilds it.
   void prepare_incremental() const { (void)incremental_index(); }
 
+  /// Compacts the BDD arena to the nodes some function reaches, keeping
+  /// their order (children before parents), and renumbers the function
+  /// table to match.  Every other BddRef into the arena becomes invalid.
+  /// build_pconf calls it last, so no stored or loaded arena carries the
+  /// intermediate nodes of the build.
+  void drop_unreachable_nodes();
+
  private:
-  /// The incremental SCG's index: the function table grouped by support
-  /// set.  Holds function-table positions, so any rebuild of the flat table
-  /// invalidates it.
-  struct SupportGroup {
-    std::vector<std::uint32_t> fns;    ///< function-table positions
-    std::vector<std::uint32_t> nodes;  ///< arena nodes they reach, ascending
+  /// One support group as a straight-line program: the arena nodes its
+  /// functions reach, in ascending arena order and renumbered from 2 (0
+  /// and 1 are the constants, so every child id is local too), then its
+  /// functions as (bit address, local root).  Copied out of the arena, so
+  /// the sweep reads nothing but the group's own two arrays.
+  struct GroupFunction {
+    std::uint32_t bit;
+    std::uint32_t root;
   };
+  struct SupportGroup {
+    std::vector<logic::BddManager::Node> nodes;
+    std::vector<GroupFunction> fns;
+  };
+  /// The incremental SCG's index: the function table grouped by support
+  /// set.  Holds copies of table entries and arena nodes, so every edit of
+  /// the table and every compaction drops it.
   struct IncrementalIndex {
     std::vector<SupportGroup> groups;
     /// Per parameter, the groups whose support contains it.
     std::vector<std::vector<std::uint32_t>> groups_of_param;
+    /// Node count of the largest group (sizes the sweep's value scratch).
+    std::size_t max_group_nodes = 0;
   };
 
-  BitVec values_from(
-      const std::unordered_map<std::string, bool>& assignment) const;
   /// Lazily built support-group index over the current function table.
   const IncrementalIndex& incremental_index() const;
 

@@ -11,6 +11,33 @@ namespace fpgadbg::debug {
 using map::CellId;
 using map::MappedNetlist;
 
+namespace {
+
+/// A turn hands its parameter values around as one bit vector, so the
+/// instrumenter's lane_params (flattened, lane 0 first), the instrumented
+/// netlist's params(), the mapped netlist's params() and the PConf's
+/// param_names() must name the same parameters in the same order.  The
+/// instrument and pconf-build artifacts can come from the cache separately.
+void check_param_order(const OfflineResult& offline) {
+  std::vector<std::string> order;
+  for (const auto& lane : offline.instrumented.lane_params) {
+    order.insert(order.end(), lane.begin(), lane.end());
+  }
+  const netlist::Netlist& nl = offline.instrumented.netlist;
+  const MappedNetlist& mn = offline.mapping.netlist;
+  bool same = nl.params().size() == order.size() &&
+              mn.params().size() == order.size();
+  for (std::size_t i = 0; same && i < order.size(); ++i) {
+    same = nl.name(nl.params()[i]) == order[i] &&
+           mn.cell(mn.params()[i]).name == order[i];
+  }
+  FPGADBG_REQUIRE(same, "the netlists' params() differ from lane_params");
+  FPGADBG_REQUIRE(!offline.pconf || offline.pconf->param_names() == order,
+                  "the PConf's parameters differ from lane_params");
+}
+
+}  // namespace
+
 DebugSession::DebugSession(const OfflineResult& offline,
                            bitstream::IcapModel icap, std::size_t trace_depth,
                            sim::SimBackend backend)
@@ -20,6 +47,7 @@ DebugSession::DebugSession(const OfflineResult& offline,
       lanes_(offline.instrumented.trace_outputs.size()),
       trace_(lanes_, trace_depth),
       last_sample_(lanes_) {
+  check_param_order(offline_);
   const MappedNetlist& mn = offline_.mapping.netlist;
   lane_cells_.resize(lanes_);
   for (std::size_t l = 0; l < lanes_; ++l) {
@@ -77,7 +105,19 @@ void DebugSession::flush_cycle_batch() const {
 }
 
 TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
-  telemetry::MetricsRegistry& m = telemetry::metrics();
+  static telemetry::Counter& bits_changed =
+      telemetry::metrics().counter("debug.bits_changed");
+  static telemetry::Histogram& reconfig_seconds =
+      telemetry::metrics().histogram("debug.reconfig_seconds");
+  static telemetry::Counter& turns = telemetry::metrics().counter("debug.turns");
+  static telemetry::Histogram& turn_seconds =
+      telemetry::metrics().histogram("debug.turn_seconds");
+  static telemetry::Gauge& coverage_observed =
+      telemetry::metrics().gauge("debug.coverage.observed");
+  static telemetry::Gauge& coverage_observable =
+      telemetry::metrics().gauge("debug.coverage.observable");
+  static telemetry::Gauge& coverage_fraction =
+      telemetry::metrics().gauge("debug.coverage.fraction");
   telemetry::TraceScope turn_span("debug.turn");
   flush_cycle_batch();
   if (journal_.enabled()) {
@@ -87,44 +127,45 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
     journal_event(std::move(e));
   }
   TurnReport report;
-  const auto assignment = offline_.instrumented.select_signals(signals);
-  report.observed = offline_.instrumented.observed_under(assignment);
+  // One value per parameter, in params() order: the constructor checked
+  // that the netlists and the PConf agree on it.
+  const BitVec params = offline_.instrumented.select_params(signals);
+  report.observed = offline_.instrumented.observed_under(params);
 
   if (offline_.pconf) {
+    const bitstream::PConf& pconf = *offline_.pconf;
     std::vector<std::size_t> changed_frames;  ///< partial turns only
     std::size_t bits_evaluated = 0;
-    bool full = false;
-    if (current_spec_) {
-      // Incremental SCG: re-evaluate only the bits whose parameters changed.
-      auto spec = [&] {
+    const bool full = !config_;
+    if (!full) {
+      // Incremental SCG: rewrite only the bits whose parameters changed,
+      // in the loaded configuration itself.
+      const auto delta = [&] {
         telemetry::TraceScope scg_span("debug.scg");
-        return offline_.pconf->specialize_incremental(
-            *current_spec_, current_assignment_, assignment);
+        return pconf.respecialize(*config_, config_params_, params);
       }();
-      report.scg_eval_seconds = spec.eval_seconds;
-      bits_evaluated = spec.bits_evaluated;
+      report.scg_eval_seconds = delta.eval_seconds;
+      bits_evaluated = delta.bits_evaluated;
       // Only re-evaluated bits can differ, and the SCG lists the ones that
       // flipped (ascending), so the frame diff needs no scan of the memory.
-      for (std::size_t bit : spec.changed_bits) {
+      for (std::size_t bit : delta.changed_bits) {
         const std::size_t frame = bit / arch::FrameGeometry::kFrameBits;
         if (changed_frames.empty() || changed_frames.back() != frame) {
           changed_frames.push_back(frame);
         }
       }
       report.frames_reconfigured = changed_frames.size();
-      report.bits_changed = spec.changed_bits.size();
+      report.bits_changed = delta.changed_bits.size();
       {
         telemetry::TraceScope dpr_span("debug.dpr");
         report.reconfig_seconds = icap_.partial_seconds(changed_frames.size());
       }
       churn_.record_partial(changed_frames);
-      current_spec_ = std::move(spec);
     } else {
       // First load: full evaluation + full configuration.
-      full = true;
       auto spec = [&] {
         telemetry::TraceScope scg_span("debug.scg");
-        return offline_.pconf->specialize(assignment);
+        return pconf.specialize(params);
       }();
       report.scg_eval_seconds = spec.eval_seconds;
       bits_evaluated = spec.bits_evaluated;
@@ -135,11 +176,11 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
         report.reconfig_seconds = icap_.full_seconds(spec.memory.num_frames());
       }
       churn_.record_full(spec.memory.num_frames());
-      current_spec_ = std::move(spec);
+      config_ = std::move(spec.memory);
     }
-    current_assignment_ = assignment;
-    m.counter("debug.bits_changed").add(report.bits_changed);
-    m.histogram("debug.reconfig_seconds").observe(report.reconfig_seconds);
+    config_params_ = params;
+    bits_changed.add(report.bits_changed);
+    reconfig_seconds.observe(report.reconfig_seconds);
     if (journal_.enabled()) {
       SessionEvent scg;
       scg.kind = SessionEventKind::kScgEval;
@@ -157,10 +198,9 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
       journal_event(std::move(icap));
     }
   }
-  m.counter("debug.turns").add(1);
+  turns.add(1);
   report.turn_seconds =
-      m.histogram("debug.turn_seconds")
-          .observe(report.scg_eval_seconds + report.reconfig_seconds);
+      turn_seconds.observe(report.scg_eval_seconds + report.reconfig_seconds);
   LOG_INFO << "debug turn " << summary_.turns + 1 << ": "
            << report.bits_changed << " bits over "
            << report.frames_reconfigured << " frames, SCG "
@@ -170,20 +210,17 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
   // Apply the parameters to the emulated DUT (the effect the partial
   // reconfiguration has on real hardware): the DUT re-binds the TCONs and
   // TLUTs that read a parameter that changed.
-  const MappedNetlist& mn = offline_.mapping.netlist;
-  for (CellId p : mn.params()) {
-    const auto it = assignment.find(mn.cell(p).name);
-    sim_.set_param(p, it != assignment.end() && it->second);
+  const std::vector<CellId>& dut_params = offline_.mapping.netlist.params();
+  for (std::size_t i = 0; i < dut_params.size(); ++i) {
+    sim_.set_param(dut_params[i], params.get(i));
   }
   sim_.bind();
   observed_ = report.observed;
 
   const double coverage = coverage_.note_turn(report.observed);
-  m.gauge("debug.coverage.observed")
-      .set(static_cast<double>(coverage_.observed()));
-  m.gauge("debug.coverage.observable")
-      .set(static_cast<double>(coverage_.observable()));
-  m.gauge("debug.coverage.fraction").set(coverage);
+  coverage_observed.set(static_cast<double>(coverage_.observed()));
+  coverage_observable.set(static_cast<double>(coverage_.observable()));
+  coverage_fraction.set(coverage);
   if (journal_.enabled()) {
     SessionEvent e;
     e.kind = SessionEventKind::kTurnEnd;

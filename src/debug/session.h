@@ -11,7 +11,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bitstream/churn.h"
@@ -123,10 +122,12 @@ class DebugSession {
   sim::TraceBuffer trace_;
   std::vector<map::CellId> lane_cells_;  ///< trace output cell per lane
   std::vector<std::string> observed_;
-  /// Last specialization + its assignment: enables the incremental SCG
-  /// (only parameter-touched bits are re-evaluated on later turns).
-  std::optional<bitstream::PConf::Specialization> current_spec_;
-  std::unordered_map<std::string, bool> current_assignment_;
+  /// The loaded configuration and the parameter values it was specialized
+  /// for, in select_params() order.  Every turn after the first rewrites
+  /// it in place with the incremental SCG (only parameter-touched bits are
+  /// re-evaluated).
+  std::optional<bitstream::ConfigMemory> config_;
+  BitVec config_params_;
   SessionSummary summary_;
   BitVec last_sample_;
   /// Flight recorder + analytics.  Mutable: const entry points (snapshot)

@@ -67,7 +67,13 @@ Instrumented::Placements Instrumented::locate_all(
   return it == placement_index.end() ? Placements{} : it->second;
 }
 
-std::unordered_map<std::string, bool> Instrumented::select_signals(
+std::size_t Instrumented::num_params() const {
+  std::size_t n = 0;
+  for (const auto& lane : lane_params) n += lane.size();
+  return n;
+}
+
+BitVec Instrumented::select_params(
     const std::vector<std::string>& signals) const {
   // Bipartite matching (Kuhn's augmenting paths): signals on the left,
   // lanes on the right; an edge wherever a replica of the signal lives.
@@ -106,34 +112,62 @@ std::unordered_map<std::string, bool> Instrumented::select_signals(
     }
   }
 
-  std::unordered_map<std::string, bool> assignment;
-  for (const auto& lane : lane_params) {
-    for (const auto& p : lane) assignment[p] = false;
-  }
-  for (std::size_t lane = 0; lane < lane_match.size(); ++lane) {
-    if (lane_match[lane] < 0) continue;
-    for (std::size_t b = 0; b < lane_params[lane].size(); ++b) {
-      assignment[lane_params[lane][b]] = ((lane_index[lane] >> b) & 1) != 0;
+  BitVec params(num_params());
+  std::size_t first = 0;  // lane's first parameter in the vector
+  for (std::size_t lane = 0; lane < lane_params.size(); ++lane) {
+    const std::size_t width = lane_params[lane].size();
+    if (lane_match[lane] >= 0) {
+      for (std::size_t b = 0; b < width; ++b) {
+        params.set(first + b, ((lane_index[lane] >> b) & 1) != 0);
+      }
     }
+    first += width;
+  }
+  return params;
+}
+
+std::unordered_map<std::string, bool> Instrumented::select_signals(
+    const std::vector<std::string>& signals) const {
+  const BitVec params = select_params(signals);
+  std::unordered_map<std::string, bool> assignment;
+  std::size_t i = 0;
+  for (const auto& lane : lane_params) {
+    for (const std::string& p : lane) assignment[p] = params.get(i++);
   }
   return assignment;
 }
 
 std::vector<std::string> Instrumented::observed_under(
-    const std::unordered_map<std::string, bool>& params) const {
+    const BitVec& params) const {
+  FPGADBG_REQUIRE(params.size() == num_params(),
+                  "parameter vector has the wrong size");
   std::vector<std::string> observed;
   observed.reserve(lane_signals.size());
+  std::size_t first = 0;
   for (std::size_t l = 0; l < lane_signals.size(); ++l) {
     std::size_t index = 0;
     for (std::size_t b = 0; b < lane_params[l].size(); ++b) {
-      const auto it = params.find(lane_params[l][b]);
-      if (it != params.end() && it->second) index |= std::size_t{1} << b;
+      if (params.get(first + b)) index |= std::size_t{1} << b;
     }
+    first += lane_params[l].size();
     // Padded slots duplicate signal 0.
     observed.push_back(index < lane_signals[l].size() ? lane_signals[l][index]
                                                       : lane_signals[l][0]);
   }
   return observed;
+}
+
+std::vector<std::string> Instrumented::observed_under(
+    const std::unordered_map<std::string, bool>& params) const {
+  BitVec values(num_params());
+  std::size_t i = 0;
+  for (const auto& lane : lane_params) {
+    for (const std::string& p : lane) {
+      const auto it = params.find(p);
+      values.set(i++, it != params.end() && it->second);
+    }
+  }
+  return observed_under(values);
 }
 
 Instrumented parameterize_signals(const Netlist& nl,

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "netlist/netlist.h"
+#include "support/bitvec.h"
 #include "support/status.h"
 
 namespace fpgadbg::debug {
@@ -77,11 +78,19 @@ struct Instrumented {
   /// lanes ascending, the first slot of the signal within each lane.
   Placements locate_all(const std::string& signal) const;
 
-  /// Parameter assignment (param name -> value) that makes the requested
-  /// signals simultaneously visible, one per lane.  Lanes are chosen by
-  /// bipartite matching over each signal's replicated placements; lanes not
-  /// used keep index 0.  Throws if a name is unobservable or no conflict-free
-  /// lane assignment exists.
+  /// Number of select parameters over all lanes.
+  std::size_t num_params() const;
+
+  /// Parameter values that make the requested signals simultaneously
+  /// visible, one per lane, in lane_params order flattened (lane 0 first,
+  /// each lane LSB-first).  The instrumenter creates the parameters in that
+  /// order, so it is also the netlist's params() order.  Lanes are chosen
+  /// by bipartite matching over each signal's replicated placements; lanes
+  /// not used keep index 0.  Throws if a name is unobservable or no
+  /// conflict-free lane assignment exists.
+  BitVec select_params(const std::vector<std::string>& signals) const;
+
+  /// select_params() with each value named by its parameter.
   std::unordered_map<std::string, bool> select_signals(
       const std::vector<std::string>& signals) const;
 
@@ -90,7 +99,11 @@ struct Instrumented {
   support::Result<std::unordered_map<std::string, bool>> try_select_signals(
       const std::vector<std::string>& signals) const;
 
-  /// The signal each lane shows under a parameter assignment.
+  /// The signal each lane shows under parameter values in select_params()
+  /// order.
+  std::vector<std::string> observed_under(const BitVec& params) const;
+  /// observed_under() of an assignment by parameter name (missing names
+  /// are false).
   std::vector<std::string> observed_under(
       const std::unordered_map<std::string, bool>& params) const;
 };

@@ -42,7 +42,7 @@ TEST(PConf, ConstantBitsSurviveSpecialization) {
   PConf pconf(kFrameBits, {"p0", "p1"});
   pconf.set_constant(3, true);
   pconf.set_constant(100, true);
-  const auto spec = pconf.specialize({});
+  const auto spec = pconf.specialize(BitVec(pconf.num_params()));
   EXPECT_TRUE(spec.memory.get(3));
   EXPECT_TRUE(spec.memory.get(100));
   EXPECT_FALSE(spec.memory.get(4));
@@ -73,7 +73,7 @@ TEST(PConf, ConstantFunctionFoldsIntoConstantPlane) {
   PConf pconf(kFrameBits, {"p0"});
   pconf.set_function(7, pconf.bdd().one());
   EXPECT_EQ(pconf.num_parameterized_bits(), 0u);
-  EXPECT_TRUE(pconf.specialize({}).memory.get(7));
+  EXPECT_TRUE(pconf.specialize(BitVec(pconf.num_params())).memory.get(7));
 }
 
 TEST(PConf, SpecializationIdempotent) {
@@ -111,6 +111,73 @@ TEST(PConf, UnknownParameterThrows) {
   EXPECT_THROW(pconf.specialize({{"zzz", true}}), Error);
   EXPECT_THROW(pconf.param_index("zzz"), Error);
   EXPECT_EQ(pconf.param_index("p"), 0);
+}
+
+/// Number of arena nodes some function of `pconf` reaches (constants
+/// excluded), by a DFS from every root.
+std::size_t reachable_nodes(const PConf& pconf) {
+  const auto& arena = pconf.bdd().arena();
+  std::vector<bool> seen(arena.size(), false);
+  const FunctionView view = pconf.functions();
+  std::vector<logic::BddRef> stack(view.refs, view.refs + view.count);
+  std::size_t reached = 0;
+  while (!stack.empty()) {
+    const logic::BddRef r = stack.back();
+    stack.pop_back();
+    if (r < 2 || seen[r]) continue;
+    seen[r] = true;
+    ++reached;
+    stack.push_back(arena[r].low);
+    stack.push_back(arena[r].high);
+  }
+  return reached;
+}
+
+TEST(PConf, DropUnreachableNodesKeepsSpecializations) {
+  PConf pconf(kFrameBits * 2, {"a", "b", "c", "d"});
+  auto& bdd = pconf.bdd();
+  Rng rng(23);
+  auto var = [&] { return static_cast<int>(rng.next_below(4)); };
+  // Conditions built from intermediate terms, as build_pconf builds them:
+  // many terms end up in no function.
+  for (std::size_t bit = 0; bit < 120; ++bit) {
+    logic::BddRef f = bdd.var(var());
+    for (int k = 0; k < 3; ++k) {
+      const logic::BddRef g = bdd.bdd_xor(bdd.var(var()), bdd.nvar(var()));
+      (void)bdd.bdd_or(bdd.bdd_and(g, bdd.var(var())), bdd.nvar(var()));
+      f = rng.next_bool() ? bdd.bdd_and(f, g) : bdd.bdd_or(f, g);
+    }
+    pconf.set_function(kFrameBits - 60 + bit, f);
+  }
+  // A function replaced after the fact leaves its old root unreachable.
+  pconf.set_function(kFrameBits - 60, bdd.bdd_and(bdd.var(0), bdd.var(3)));
+  std::vector<BitVec> values;
+  std::vector<ConfigMemory> memories;
+  for (std::uint64_t a = 0; a < 16; ++a) {
+    BitVec v(4);
+    for (std::size_t p = 0; p < 4; ++p) v.set(p, ((a >> p) & 1) != 0);
+    memories.push_back(pconf.specialize(v).memory);
+    values.push_back(std::move(v));
+  }
+  const std::size_t before = bdd.size();
+  ASSERT_LT(reachable_nodes(pconf), before - 2) << "no dead node to drop";
+
+  pconf.drop_unreachable_nodes();
+  const std::size_t after = pconf.bdd().size();
+  EXPECT_LT(after, before);
+  EXPECT_EQ(reachable_nodes(pconf), after - 2);
+  for (std::size_t a = 0; a < values.size(); ++a) {
+    EXPECT_EQ(pconf.specialize(values[a]).memory, memories[a]) << a;
+  }
+  // The incremental SCG runs on the compacted arena too.
+  ConfigMemory loaded = memories[0];
+  for (std::size_t a = 1; a < values.size(); ++a) {
+    pconf.respecialize(loaded, values[a - 1], values[a]);
+    EXPECT_EQ(loaded, memories[a]) << a;
+  }
+  // A compact arena has nothing left to drop.
+  pconf.drop_unreachable_nodes();
+  EXPECT_EQ(pconf.bdd().size(), after);
 }
 
 TEST(Icap, CalibratedToPaperConstants) {
@@ -178,9 +245,17 @@ TEST_F(BuiltPconf, SpecializationIsFastAndSmall) {
   // configuration.
   EXPECT_LT(spec.bits_evaluated, offline_->pconf->total_bits() / 10);
   // Frame diff against another specialization touches few frames.
-  const auto spec0 = offline_->pconf->specialize({});
+  const auto spec0 =
+      offline_->pconf->specialize(BitVec(offline_->pconf->num_params()));
   const auto frames = spec0.memory.changed_frames(spec.memory);
   EXPECT_LT(frames.size(), spec.memory.num_frames());
+}
+
+TEST_F(BuiltPconf, ArenaHoldsOnlyReachableNodes) {
+  // build_pconf drops the intermediate nodes of its conditions: every
+  // decision node left is reached from some function.
+  const PConf& pconf = *offline_->pconf;
+  EXPECT_EQ(reachable_nodes(pconf), pconf.bdd().size() - 2);
 }
 
 TEST_F(BuiltPconf, BuildStatsAreConsistent) {

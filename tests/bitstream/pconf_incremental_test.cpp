@@ -50,20 +50,30 @@ std::size_t dependent_functions(const PConf& pconf, const Assignment& a,
 
 /// One incremental step from `prev_asg` to `asg`, checked against the
 /// independent per-bit walk of specialize(): the memory, the bits that
-/// flipped and the number of functions re-evaluated.
+/// flipped and the number of functions re-evaluated.  The same step also
+/// runs in place on `loaded`, which holds the specialization for
+/// `prev_asg` and is left holding the one for `asg`.
 PConf::Specialization checked_step(const PConf& pconf,
                                    const PConf::Specialization& prev,
+                                   ConfigMemory& loaded,
                                    const Assignment& prev_asg,
                                    const Assignment& asg,
                                    const std::string& where) {
   auto incr = pconf.specialize_incremental(prev, prev_asg, asg);
   const auto before = pconf.specialize(prev_asg);
   const auto after = pconf.specialize(asg);
+  const std::vector<std::size_t> flipped =
+      differing_bits(before.memory, after.memory);
+  const std::size_t dependent = dependent_functions(pconf, prev_asg, asg);
   EXPECT_EQ(incr.memory, after.memory) << where;
-  EXPECT_EQ(incr.changed_bits, differing_bits(before.memory, after.memory))
-      << where;
-  EXPECT_EQ(incr.bits_evaluated, dependent_functions(pconf, prev_asg, asg))
-      << where;
+  EXPECT_EQ(incr.changed_bits, flipped) << where;
+  EXPECT_EQ(incr.bits_evaluated, dependent) << where;
+
+  const auto delta = pconf.respecialize(loaded, pconf.values_from(prev_asg),
+                                        pconf.values_from(asg));
+  EXPECT_EQ(loaded, after.memory) << where << " (in place)";
+  EXPECT_EQ(delta.changed_bits, flipped) << where << " (in place)";
+  EXPECT_EQ(delta.bits_evaluated, dependent) << where << " (in place)";
   return incr;
 }
 
@@ -98,10 +108,11 @@ TEST(PConfIncremental, MatchesFullSpecialization) {
 
   Assignment prev{{"a", false}, {"b", true}};
   auto base = pconf.specialize(prev);
+  ConfigMemory loaded = base.memory;
   for (int trial = 0; trial < 20; ++trial) {
     Assignment next;
     for (const char* p : {"a", "b", "c", "d"}) next[p] = rng.next_bool();
-    base = checked_step(pconf, base, prev, next,
+    base = checked_step(pconf, base, loaded, prev, next,
                         "trial " + std::to_string(trial));
     prev = next;
   }
@@ -111,7 +122,7 @@ TEST(PConfIncremental, MatchesFullSpecialization) {
     Assignment next = prev;
     const char* p = params[trial % 4];
     next[p] = !next[p];
-    base = checked_step(pconf, base, prev, next,
+    base = checked_step(pconf, base, loaded, prev, next,
                         std::string("flip ") + p);
     prev = next;
   }
@@ -126,6 +137,13 @@ TEST(PConfIncremental, NoChangeEvaluatesNothing) {
   const auto same = pconf.specialize_incremental(base, asg, asg);
   EXPECT_EQ(same.bits_evaluated, 0u);
   EXPECT_EQ(same.memory, base.memory);
+
+  ConfigMemory loaded = base.memory;
+  const BitVec values = pconf.values_from(asg);
+  const auto delta = pconf.respecialize(loaded, values, values);
+  EXPECT_EQ(delta.bits_evaluated, 0u);
+  EXPECT_TRUE(delta.changed_bits.empty());
+  EXPECT_EQ(loaded, base.memory);
 }
 
 TEST(PConfIncremental, OnlyAffectedBitsEvaluated) {
@@ -157,6 +175,12 @@ TEST(PConfIncremental, IndexFollowsTableEdits) {
   EXPECT_EQ(incr.memory, pconf.specialize(c).memory);
   EXPECT_EQ(incr.bits_evaluated, 1u);
   EXPECT_EQ(incr.changed_bits, (std::vector<std::size_t>{20}));
+  ConfigMemory loaded = base.memory;
+  auto delta =
+      pconf.respecialize(loaded, pconf.values_from(a), pconf.values_from(c));
+  EXPECT_EQ(loaded, incr.memory);
+  EXPECT_EQ(delta.bits_evaluated, 1u);
+  EXPECT_EQ(delta.changed_bits, (std::vector<std::size_t>{20}));
 
   // A bit turned constant after an incremental step is no longer evaluated.
   pconf.set_function(3, bdd.one());
@@ -166,6 +190,11 @@ TEST(PConfIncremental, IndexFollowsTableEdits) {
   EXPECT_EQ(incr.bits_evaluated, 10u);
   EXPECT_EQ(incr.changed_bits,
             (std::vector<std::size_t>{0, 1, 2, 4, 5, 6, 7, 8, 9, 20}));
+  loaded = base.memory;
+  delta = pconf.respecialize(loaded, pconf.values_from(a), pconf.values_from(b));
+  EXPECT_EQ(loaded, incr.memory);
+  EXPECT_EQ(delta.bits_evaluated, 10u);
+  EXPECT_EQ(delta.changed_bits, incr.changed_bits);
 }
 
 TEST(PConfIncremental, RealFlowTurnByTurn) {
@@ -178,6 +207,7 @@ TEST(PConfIncremental, RealFlowTurnByTurn) {
 
   auto prev_asg = inst.select_signals({});
   auto prev = pconf.specialize(prev_asg);
+  ConfigMemory loaded = prev.memory;
   const std::size_t full_evals = prev.bits_evaluated;
   Rng rng(21);
   std::size_t dense_turns = 0;
@@ -198,7 +228,7 @@ TEST(PConfIncremental, RealFlowTurnByTurn) {
       if (signals.size() == inst.lane_signals.size()) ++dense_turns;
     }
     const auto asg = inst.select_signals(signals);
-    prev = checked_step(pconf, prev, prev_asg, asg,
+    prev = checked_step(pconf, prev, loaded, prev_asg, asg,
                         "turn " + std::to_string(turn));
     EXPECT_LE(prev.bits_evaluated, full_evals);
     prev_asg = asg;

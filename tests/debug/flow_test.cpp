@@ -10,6 +10,7 @@
 #include "sim/compiled_simulator.h"
 #include "sim/equivalence.h"
 #include "sim/simulator.h"
+#include "support/error.h"
 #include "support/rng.h"
 #include "support/telemetry.h"
 
@@ -289,6 +290,65 @@ TEST(Session, TurnRebindsOnlyCellsReadingChangedParams) {
   const std::uint64_t before = rebound.value();
   session.observe(dense);
   EXPECT_EQ(rebound.value(), before);
+}
+
+TEST(Session, ParameterOrderAgreesAcrossArtifacts) {
+  // A turn's parameter values travel as one bit vector in lane_params
+  // order (flattened, lane 0 first); the instrumented netlist, the mapped
+  // netlist and the PConf keep that order at both mux radixes, with and
+  // without replication.
+  for (const int radix : {2, 4}) {
+    for (const int replication : {1, 3}) {
+      OfflineOptions options = small_options();
+      options.instrument.mux_radix = radix;
+      options.instrument.replication = replication;
+      const auto offline = run_offline(small_user(12), options);
+      const std::string where = "radix " + std::to_string(radix) +
+                                ", replication " + std::to_string(replication);
+      std::vector<std::string> order;
+      for (const auto& lane : offline.instrumented.lane_params) {
+        order.insert(order.end(), lane.begin(), lane.end());
+      }
+      const netlist::Netlist& nl = offline.instrumented.netlist;
+      const map::MappedNetlist& mn = offline.mapping.netlist;
+      std::vector<std::string> netlist_order, mapped_order;
+      for (const auto p : nl.params()) netlist_order.push_back(nl.name(p));
+      for (const auto p : mn.params()) mapped_order.push_back(mn.cell(p).name);
+      EXPECT_EQ(netlist_order, order) << where;
+      EXPECT_EQ(mapped_order, order) << where;
+      ASSERT_TRUE(offline.pconf);
+      EXPECT_EQ(offline.pconf->param_names(), order) << where;
+
+      DebugSession session(offline);
+      const std::string sig = offline.instrumented.lane_signals[1].back();
+      const auto report = session.observe({sig});
+      EXPECT_NE(std::find(report.observed.begin(), report.observed.end(), sig),
+                report.observed.end())
+          << where;
+    }
+  }
+}
+
+TEST(Session, PermutedLaneParamsThrow) {
+  // Two lanes' parameter lists swapped: the names no longer line up with
+  // the netlists' params(), with or without a PConf.
+  for (const bool pnr : {true, false}) {
+    OfflineOptions options = small_options();
+    options.run_pnr = pnr;
+    auto offline = run_offline(small_user(13), options);
+    EXPECT_NO_THROW(DebugSession{offline});
+    auto& lane_params = offline.instrumented.lane_params;
+    ASSERT_GE(lane_params.size(), 2u);
+    std::swap(lane_params[0], lane_params[1]);
+    EXPECT_THROW(DebugSession{offline}, Error) << "run_pnr " << pnr;
+  }
+  // A PConf whose parameters come in another order than the netlists'.
+  auto offline = run_offline(small_user(13), small_options());
+  std::vector<std::string> names = offline.pconf->param_names();
+  std::swap(names.front(), names.back());
+  offline.pconf = std::make_unique<bitstream::PConf>(
+      offline.pconf->total_bits(), std::move(names));
+  EXPECT_THROW(DebugSession{offline}, Error);
 }
 
 TEST(Session, ReobservationWithoutRecompile) {

@@ -200,10 +200,25 @@ std::unordered_map<std::string, bool> scan_select(
   return assignment;
 }
 
+/// Names each value of a select_params() vector by its parameter: the
+/// vector runs over lane_params flattened, lane 0 first.
+std::unordered_map<std::string, bool> name_params(const Instrumented& inst,
+                                                  const BitVec& params) {
+  std::unordered_map<std::string, bool> named;
+  std::size_t i = 0;
+  for (const auto& lane : inst.lane_params) {
+    for (const std::string& p : lane) named[p] = params.get(i++);
+  }
+  EXPECT_EQ(i, params.size());
+  return named;
+}
+
 TEST(SignalParam, IndexedSelectionMatchesLaneScan) {
   // The placement index answers what a scan of every lane answers, in the
   // same order, so matching picks the same lanes: over a turn plan of dense
   // windows and sparse one-signal swaps, every assignment is unchanged.
+  // The bit-vector selection names the same assignment, and both forms of
+  // observed_under agree on it.
   InstrumentOptions opt;
   opt.trace_width = 8;
   const Instrumented inst = parameterize_signals(user_circuit(12, 160), opt);
@@ -242,8 +257,16 @@ TEST(SignalParam, IndexedSelectionMatchesLaneScan) {
       }
     }
     ASSERT_FALSE(signals.empty());
-    EXPECT_EQ(inst.select_signals(signals), scan_select(inst, signals))
-        << "turn " << turn;
+    const auto named = inst.select_signals(signals);
+    EXPECT_EQ(named, scan_select(inst, signals)) << "turn " << turn;
+    const BitVec params = inst.select_params(signals);
+    EXPECT_EQ(name_params(inst, params), named) << "turn " << turn;
+    const auto observed = inst.observed_under(params);
+    EXPECT_EQ(observed, inst.observed_under(named)) << "turn " << turn;
+    for (const std::string& s : signals) {
+      EXPECT_NE(std::find(observed.begin(), observed.end(), s), observed.end())
+          << "turn " << turn << ": no lane shows " << s;
+    }
     current = std::move(signals);
   }
 }
