@@ -3,7 +3,7 @@
 // with incremental rip-up — on generated benchmarks of increasing size.
 // Verifies that the full stack is a drop-in replacement (same routability,
 // negotiation converging within one iteration) and reports the wall-clock
-// speedup ladder.  Emits BENCH_route.json.
+// speedup ladder with each rung's total wirelength.  Emits BENCH_route.json.
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -102,8 +102,9 @@ int main() {
   };
   if (std::getenv("FPGADBG_QUICK")) cases.resize(2);
 
-  std::printf("%-9s | %9s | %9s | %9s | %7s | %7s\n", "design", "dijkstra",
-              "+astar", "+incr/bb", "speedup", "iters");
+  std::printf("%-9s | %9s | %9s | %9s | %7s | %7s | %13s\n", "design",
+              "dijkstra", "+astar", "+incr/bb", "speedup", "iters",
+              "wirelength");
 
   bool all_ok = true;
   double final_speedup = 0.0;
@@ -130,9 +131,11 @@ int main() {
         std::abs(f.result.iterations - base.result.iterations) <= 1;
     all_ok = all_ok && routable && iters_close && f.result.success;
 
-    std::printf("%-9s | %8.3fs | %8.3fs | %8.3fs | %6.2fx | %d/%d%s\n",
+    std::printf("%-9s | %8.3fs | %8.3fs | %8.3fs | %6.2fx | %3d/%-3d | "
+                "%6zu/%-6zu%s\n",
                 p.name.c_str(), base.seconds, a.seconds, f.seconds, speedup,
                 base.result.iterations, f.result.iterations,
+                base.result.total_wirelength, f.result.total_wirelength,
                 (routable && iters_close) ? "" : "  MISMATCH");
 
     record(spec.name + ".dijkstra_seconds", base.seconds);
@@ -143,6 +146,10 @@ int main() {
            static_cast<double>(base.result.heap_pops));
     record(spec.name + ".heap_pops_full",
            static_cast<double>(f.result.heap_pops));
+    record(spec.name + ".wirelength_baseline",
+           static_cast<double>(base.result.total_wirelength));
+    record(spec.name + ".wirelength_full",
+           static_cast<double>(f.result.total_wirelength));
     record(spec.name + ".rerouted_nets_full",
            static_cast<double>(f.result.rerouted_nets));
     record(spec.name + ".bbox_expansions_full",

@@ -233,3 +233,21 @@ grep -q "dropped samples" "$SMOKE_DIR/profiler.out" || {
   exit 1
 }
 echo "profiler smoke: OK ($(wc -l < "$FLAME") collapsed stacks, port $PORT)"
+
+# Router smoke (unsanitized gate only: the Dijkstra baseline alone takes
+# most of its ~15 s without a sanitizer).  bench_route routes route150 and
+# route400 with the heuristic-free Dijkstra baseline and with the full
+# search stack, and exits non-zero unless both routes are legal and the
+# full stack converges within one iteration of the baseline, so a router
+# change that loses routability fails the gate.  It runs in the smoke
+# directory, where it leaves its BENCH_route.json.
+if [ -z "$SANITIZE" ]; then
+  BENCH_ROUTE="$(cd "$BUILD_DIR" && pwd)/bench/bench_route"
+  if ! (cd "$SMOKE_DIR" && FPGADBG_QUICK=1 "$BENCH_ROUTE" \
+        > "$SMOKE_DIR/bench_route.out" 2>&1); then
+    cat "$SMOKE_DIR/bench_route.out" >&2
+    echo "route smoke: bench_route failed its routability checks" >&2
+    exit 1
+  fi
+  echo "route smoke: OK ($(grep -c '^route' "$SMOKE_DIR/bench_route.out") designs)"
+fi

@@ -225,10 +225,11 @@ BddRef BddManager::from_truth_table(const TruthTable& tt,
   const TruthTable f0 = tt.cofactor0(0);
   const TruthTable f1 = tt.cofactor1(0);
   std::vector<int> rest(var_map.begin() + 1, var_map.end());
-  // Rebase the cofactors so variable 1.. become 0.. for the recursive call.
+  // Rebase the cofactors so variable 1.. become 0.. for the recursive call;
+  // the cofactored variable 0 goes to the top, where it is dropped.
   const int n = tt.num_vars();
   std::vector<int> down(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) down[static_cast<std::size_t>(v)] = v == 0 ? 0 : v - 1;
+  for (int v = 0; v < n; ++v) down[static_cast<std::size_t>(v)] = v == 0 ? n - 1 : v - 1;
   const int new_n = std::max(1, n - 1);
   const BddRef lo = from_truth_table(f0.permuted(down, new_n),
                                      rest.empty() ? std::vector<int>{0} : rest);

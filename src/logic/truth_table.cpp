@@ -1,5 +1,7 @@
 #include "logic/truth_table.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 
 #include "support/error.h"
@@ -223,19 +225,75 @@ TruthTable TruthTable::permuted(const std::vector<int>& perm,
                                 int new_num_vars) const {
   FPGADBG_REQUIRE(static_cast<int>(perm.size()) == num_vars_,
                   "permutation arity mismatch");
-  TruthTable t(new_num_vars);
-  const std::size_t bits = t.num_bits();
-  for (std::size_t idx = 0; idx < bits; ++idx) {
-    // Gather the source assignment from the destination assignment.
-    std::uint64_t src = 0;
-    for (int v = 0; v < num_vars_; ++v) {
-      FPGADBG_ASSERT(perm[v] >= 0 && perm[v] < new_num_vars,
-                     "permutation target out of range");
-      if ((idx >> perm[v]) & 1U) src |= 1ULL << v;
-    }
-    if (bit(static_cast<std::size_t>(src))) t.set_bit(idx, true);
+  const int width = std::max(num_vars_, new_num_vars);
+  FPGADBG_REQUIRE(new_num_vars >= 0 && width <= kMaxVars,
+                  "permutation width out of range");
+  // dest[v]: final position of working variable v.  Variables num_vars_..
+  // are the irrelevant ones extended_to() adds; they fill the positions no
+  // current variable claims, in ascending order.
+  std::array<int, kMaxVars> dest{};
+  std::array<bool, kMaxVars> taken{};
+  for (int v = 0; v < num_vars_; ++v) {
+    const int d = perm[v];
+    FPGADBG_REQUIRE(d >= 0 && d < width && !taken[d],
+                    "permutation targets must be distinct and in range");
+    dest[v] = d;
+    taken[d] = true;
   }
+  for (int v = num_vars_, free = 0; v < width; ++v, ++free) {
+    while (taken[free]) ++free;
+    dest[v] = free;
+  }
+
+  // Bubble the variables into place: one adjacent swap per inversion.
+  TruthTable t = extended_to(width);
+  std::array<int, kMaxVars> at{};  // working variable at each position
+  for (int p = 0; p < width; ++p) at[p] = p;
+  for (bool swapped = true; swapped;) {
+    swapped = false;
+    for (int j = 0; j + 1 < width; ++j) {
+      if (dest[at[j]] < dest[at[j + 1]]) continue;
+      t.swap_adjacent(j);
+      std::swap(at[j], at[j + 1]);
+      swapped = true;
+    }
+  }
+  if (new_num_vars == width) return t;
+  // Drop the top variables: they were mapped at or above new_num_vars.
+  t.words_.resize(words_for(new_num_vars));
+  t.num_vars_ = new_num_vars;
+  t.mask_tail();
   return t;
+}
+
+void TruthTable::swap_adjacent(int j) {
+  if (j + 1 < 6) {
+    // Inside each word: bits with x_j = 1, x_{j+1} = 0 trade places with
+    // bits with x_j = 0, x_{j+1} = 1, which sit 2^j positions higher.
+    const std::uint64_t up = kVarMask[j] & ~kVarMask[j + 1];
+    const std::uint64_t down = ~kVarMask[j] & kVarMask[j + 1];
+    const int shift = 1 << j;
+    for (auto& w : words_) {
+      w = (w & ~(up | down)) | ((w & up) << shift) | ((w & down) >> shift);
+    }
+  } else if (j == 5) {
+    // x6 picks the odd word of each pair: the high half of the even word
+    // (x5 = 1, x6 = 0) trades with the low half of the odd one.
+    for (std::size_t w = 0; w < words_.size(); w += 2) {
+      const std::uint64_t even = words_[w];
+      const std::uint64_t odd = words_[w + 1];
+      words_[w] = (even & 0x00000000ffffffffULL) | (odd << 32);
+      words_[w + 1] = (odd & 0xffffffff00000000ULL) | (even >> 32);
+    }
+  } else {
+    // Both variables select whole words.
+    const std::size_t stride = std::size_t{1} << (j - 6);
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      if ((w & stride) != 0 && (w & (stride << 1)) == 0) {
+        std::swap(words_[w], words_[w + stride]);
+      }
+    }
+  }
 }
 
 bool TruthTable::is_mux(int sel, int hi, int lo) const {

@@ -70,7 +70,11 @@ class TruthTable {
   TruthTable extended_to(int num_vars) const;
 
   /// Remap variables: new_function(x_perm[0], ..) == old(x0, ..). perm must
-  /// be a list of distinct destination indices, one per current variable.
+  /// be a list of distinct destination indices, one per current variable,
+  /// each below max(num_vars(), new_num_vars).  A variable sent at or above
+  /// new_num_vars is dropped, so the function must not depend on it.
+  /// Works on whole words: the table is extended, then each variable moves
+  /// into place by adjacent-variable swaps.
   TruthTable permuted(const std::vector<int>& perm, int new_num_vars) const;
 
   /// True iff f == (s ? a : b) for input roles (sel, hi, lo); i.e. f is a
@@ -90,6 +94,8 @@ class TruthTable {
 
  private:
   void mask_tail();
+  /// Exchanges variables j and j + 1 in place.
+  void swap_adjacent(int j);
 
   int num_vars_ = 0;
   std::vector<std::uint64_t> words_;

@@ -1,9 +1,11 @@
 #include "map/cuts.h"
 
 #include <algorithm>
+#include <array>
 
 #include "map/mapped_netlist.h"
 #include "support/error.h"
+#include "support/stopwatch.h"
 #include "support/telemetry.h"
 
 namespace fpgadbg::map {
@@ -15,56 +17,139 @@ using netlist::NodeKind;
 
 namespace {
 
-/// Merge two sorted id lists; returns false if the union exceeds `limit`.
-bool merge_sorted(const std::vector<NodeId>& a, const std::vector<NodeId>& b,
-                  std::size_t limit, std::vector<NodeId>* out) {
-  out->clear();
-  std::size_t i = 0, j = 0;
-  while (i < a.size() || j < b.size()) {
+/// Merges two sorted leaf runs into `out`; returns false if the union
+/// exceeds `limit`.
+bool merge_sorted(const NodeId* a, std::size_t na, const NodeId* b,
+                  std::size_t nb, std::size_t limit, NodeId* out,
+                  std::size_t* count) {
+  std::size_t i = 0, j = 0, n = 0;
+  while (i < na || j < nb) {
     NodeId next;
-    if (j >= b.size() || (i < a.size() && a[i] <= b[j])) {
+    if (j >= nb || (i < na && a[i] <= b[j])) {
       next = a[i];
-      if (j < b.size() && b[j] == a[i]) ++j;
+      if (j < nb && b[j] == a[i]) ++j;
       ++i;
     } else {
       next = b[j];
       ++j;
     }
-    if (out->size() == limit) return false;
-    out->push_back(next);
+    if (n == limit) return false;
+    out[n++] = next;
   }
+  *count = n;
   return true;
 }
 
-int index_of(const std::vector<NodeId>& sorted, NodeId id) {
-  const auto it = std::lower_bound(sorted.begin(), sorted.end(), id);
-  FPGADBG_ASSERT(it != sorted.end() && *it == id, "cut leaf lookup failed");
-  return static_cast<int>(it - sorted.begin());
+/// Bit (id % 64) of every leaf: a cut whose signature has a bit another's
+/// lacks cannot be a subset of it.
+std::uint64_t signature(const NodeId* leaves, std::size_t n) {
+  std::uint64_t sig = 0;
+  for (std::size_t i = 0; i < n; ++i) sig |= 1ULL << (leaves[i] % 64);
+  return sig;
+}
+
+int index_of(const NodeId* first, const NodeId* last, NodeId id) {
+  const NodeId* it = std::lower_bound(first, last, id);
+  FPGADBG_ASSERT(it != last && *it == id, "cut leaf lookup failed");
+  return static_cast<int>(it - first);
+}
+
+/// A merged leaf set whose function is not built yet: data leaves then
+/// parameter leaves, each run sorted, held inline.  Pruning and ranking read
+/// only this; the function is built for the cuts that survive.
+struct Candidate {
+  std::array<NodeId, TruthTable::kMaxVars> leaves{};
+  std::uint8_t num_data = 0;
+  std::uint8_t num_params = 0;
+  std::uint64_t sig = 0;
+  int arrival = 0;
+  std::uint32_t parent0 = 0;  ///< index into the first fanin's cut list
+  std::uint32_t parent1 = 0;  ///< index into the second (or the same) list
+
+  int size() const { return num_data + num_params; }
+  const NodeId* data_begin() const { return leaves.data(); }
+  const NodeId* data_end() const { return leaves.data() + num_data; }
+  const NodeId* params_end() const { return data_end() + num_params; }
+
+  /// True when this cut's leaves are a subset of `o`'s (this dominates o).
+  bool dominates(const Candidate& o) const {
+    if (num_data > o.num_data || num_params > o.num_params ||
+        (sig & ~o.sig) != 0) {
+      return false;
+    }
+    return std::includes(o.data_begin(), o.data_end(), data_begin(),
+                         data_end()) &&
+           std::includes(o.data_end(), o.params_end(), data_end(),
+                         params_end());
+  }
+};
+
+/// Merges the leaf sets of cuts a and b into `out` (all but its arrival and
+/// parents); false when the union breaks a leaf limit.  Every limit is also
+/// capped by max_total_vars, the size of the inline array.
+bool merge_leaves(const Cut& a, const Cut& b, const CutConfig& config,
+                  Candidate* out) {
+  const auto total_limit =
+      static_cast<std::size_t>(std::max(config.max_total_vars, 0));
+  std::size_t nd = 0, np = 0;
+  if (!merge_sorted(a.data_leaves.data(), a.data_leaves.size(),
+                    b.data_leaves.data(), b.data_leaves.size(),
+                    std::min(static_cast<std::size_t>(config.lut_size),
+                             total_limit),
+                    out->leaves.data(), &nd)) {
+    return false;
+  }
+  if (!merge_sorted(a.param_leaves.data(), a.param_leaves.size(),
+                    b.param_leaves.data(), b.param_leaves.size(),
+                    std::min(static_cast<std::size_t>(config.max_param_leaves),
+                             total_limit - nd),
+                    out->leaves.data() + nd, &np)) {
+    return false;
+  }
+  if (nd + np == 0) return false;
+  out->num_data = static_cast<std::uint8_t>(nd);
+  out->num_params = static_cast<std::uint8_t>(np);
+  out->sig = signature(out->leaves.data(), nd + np);
+  return true;
 }
 
 /// Extend a child cut function onto the merged leaf space.
-TruthTable extend_function(const Cut& child, const Cut& merged) {
-  const int total =
-      merged.num_data() + merged.num_params();
+TruthTable extend_function(const Cut& child, const Candidate& merged) {
   std::vector<int> perm;
-  perm.reserve(child.function.num_vars() == 0
-                   ? 0
-                   : static_cast<std::size_t>(child.function.num_vars()));
+  perm.reserve(child.data_leaves.size() + child.param_leaves.size());
   for (NodeId leaf : child.data_leaves) {
-    perm.push_back(index_of(merged.data_leaves, leaf));
+    perm.push_back(index_of(merged.data_begin(), merged.data_end(), leaf));
   }
   for (NodeId leaf : child.param_leaves) {
-    perm.push_back(merged.num_data() + index_of(merged.param_leaves, leaf));
+    perm.push_back(merged.num_data +
+                   index_of(merged.data_end(), merged.params_end(), leaf));
   }
-  return child.function.permuted(perm, total);
+  return child.function.permuted(perm, merged.size());
 }
 
-/// True when cut a's leaves are a subset of cut b's (a dominates b).
-bool dominates(const Cut& a, const Cut& b) {
-  return std::includes(b.data_leaves.begin(), b.data_leaves.end(),
-                       a.data_leaves.begin(), a.data_leaves.end()) &&
-         std::includes(b.param_leaves.begin(), b.param_leaves.end(),
-                       a.param_leaves.begin(), a.param_leaves.end());
+/// The kept cut of `cand`: its leaves, and the root function g (over fanin0,
+/// fanin1) applied to the parents' functions, one word at a time.
+Cut build_cut(const Candidate& cand, const Cut& a, const Cut& b,
+              const TruthTable& g) {
+  Cut cut;
+  cut.data_leaves.assign(cand.data_begin(), cand.data_end());
+  cut.param_leaves.assign(cand.data_end(), cand.params_end());
+  const TruthTable fa = extend_function(a, cand);
+  const TruthTable fb = extend_function(b, cand);
+  const std::uint64_t m0 = g.bit(0) ? ~0ULL : 0;
+  const std::uint64_t m1 = g.bit(1) ? ~0ULL : 0;
+  const std::uint64_t m2 = g.bit(2) ? ~0ULL : 0;
+  const std::uint64_t m3 = g.bit(3) ? ~0ULL : 0;
+  const std::vector<std::uint64_t>& wa = fa.words();
+  const std::vector<std::uint64_t>& wb = fb.words();
+  std::vector<std::uint64_t> words(wa.size());
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    const std::uint64_t x = wa[w];
+    const std::uint64_t y = wb[w];
+    words[w] = (m0 & ~x & ~y) | (m1 & x & ~y) | (m2 & ~x & y) | (m3 & x & y);
+  }
+  cut.function = TruthTable::from_words(cand.size(), std::move(words));
+  return cut;
 }
 
 }  // namespace
@@ -86,6 +171,7 @@ CutEnumerator::CutEnumerator(const Netlist& nl, const CutConfig& config)
   cuts_.resize(nl.num_nodes());
   est_arrival_.assign(nl.num_nodes(), 0);
   telemetry::TraceScope span("map.cut_enumeration", "map");
+  Stopwatch timer;
   std::size_t kept = 0;
   for (NodeId id : nl.topo_order()) {
     enumerate(id);
@@ -95,12 +181,14 @@ CutEnumerator::CutEnumerator(const Netlist& nl, const CutConfig& config)
   m.counter("map.cuts_enumerated").add(generated_cuts_);
   m.counter("map.cuts_kept").add(kept);
   m.counter("map.nodes_enumerated").add(nl.topo_order().size());
+  m.histogram("map.cut_enumeration_seconds").observe(timer.elapsed_seconds());
 }
 
-int CutEnumerator::cut_arrival(const Cut& cut) const {
+int CutEnumerator::cut_arrival(const NodeId* data_begin,
+                               const NodeId* data_end) const {
   int worst = 0;
-  for (NodeId leaf : cut.data_leaves) {
-    worst = std::max(worst, nl_.is_source(leaf) ? 0 : est_arrival_[leaf]);
+  for (const NodeId* leaf = data_begin; leaf != data_end; ++leaf) {
+    worst = std::max(worst, nl_.is_source(*leaf) ? 0 : est_arrival_[*leaf]);
   }
   return worst + 1;  // parameters are configuration; they add no level
 }
@@ -116,41 +204,10 @@ Cut CutEnumerator::leaf_cut(NodeId node) const {
   return c;
 }
 
-bool CutEnumerator::merge(const Cut& a, const Cut& b, const TruthTable& g,
-                          Cut* out) const {
-  if (!merge_sorted(a.data_leaves, b.data_leaves,
-                    static_cast<std::size_t>(config_.lut_size),
-                    &out->data_leaves)) {
-    return false;
-  }
-  if (!merge_sorted(a.param_leaves, b.param_leaves,
-                    static_cast<std::size_t>(config_.max_param_leaves),
-                    &out->param_leaves)) {
-    return false;
-  }
-  const int total = out->num_data() + out->num_params();
-  if (total > config_.max_total_vars) return false;
-  if (total == 0) return false;
-
-  const TruthTable fa = extend_function(a, *out);
-  const TruthTable fb = extend_function(b, *out);
-  // g is the 2-input root function over (fanin0, fanin1).
-  TruthTable result = TruthTable::zero(total);
-  for (std::uint64_t m = 0; m < 4; ++m) {
-    if (!g.bit(m)) continue;
-    TruthTable term = (m & 1) ? fa : ~fa;
-    term = term & ((m & 2) ? fb : ~fb);
-    result = result | term;
-  }
-  out->function = std::move(result);
-  return true;
-}
-
 void CutEnumerator::enumerate(NodeId node) {
   const auto& fanins = nl_.fanins(node);
   FPGADBG_REQUIRE(fanins.size() <= 2,
                   "cut enumeration requires a decomposed (arity<=2) network");
-  std::vector<Cut> result;
 
   const auto* mask = config_.debug_layer;
   const bool node_is_debug =
@@ -166,63 +223,76 @@ void CutEnumerator::enumerate(NodeId node) {
     return false;
   };
 
-  if (fanins.empty()) {
-    // Constant node: single cut with the constant function over one dummy
-    // leaf (itself), handled by the trivial cut below.
-  } else if (fanins.size() == 1) {
-    const TruthTable& g1 = nl_.function(node);
-    // Treat as a 2-input g with an irrelevant second input.
-    const TruthTable g = g1.extended_to(2);
-    const std::vector<Cut>* in_cuts = &cuts_[fanins[0]];
-    std::vector<Cut> leaf_only;
-    if (leaf_only_view(fanins[0])) {
-      leaf_only.push_back(leaf_cut(fanins[0]));
-      in_cuts = &leaf_only;
-    }
-    Cut merged;
-    for (const Cut& c : *in_cuts) {
-      if (merge(c, c, g, &merged)) result.push_back(merged);
-    }
-  } else {
-    const TruthTable& g = nl_.function(node);
-    std::vector<Cut> leaf0, leaf1;
-    const std::vector<Cut>* cuts0 = &cuts_[fanins[0]];
-    const std::vector<Cut>* cuts1 = &cuts_[fanins[1]];
+  // The parent cut lists.  A one-fanin node merges each cut with itself
+  // (both lists are its fanin's) under a 2-input g whose second input is
+  // irrelevant.  The leaf-only views live here until the kept cuts'
+  // functions are built from them.
+  std::vector<Cut> leaf0, leaf1;
+  const std::vector<Cut>* cuts0 = nullptr;
+  const std::vector<Cut>* cuts1 = nullptr;
+  TruthTable g;
+  if (!fanins.empty()) {
+    cuts0 = &cuts_[fanins[0]];
     if (leaf_only_view(fanins[0])) {
       leaf0.push_back(leaf_cut(fanins[0]));
       cuts0 = &leaf0;
     }
+  }
+  if (fanins.size() == 1) {
+    g = nl_.function(node).extended_to(2);
+    cuts1 = cuts0;
+  } else if (fanins.size() == 2) {
+    g = nl_.function(node);
+    cuts1 = &cuts_[fanins[1]];
     if (leaf_only_view(fanins[1])) {
       leaf1.push_back(leaf_cut(fanins[1]));
       cuts1 = &leaf1;
     }
-    Cut merged;
-    for (const Cut& c0 : *cuts0) {
-      for (const Cut& c1 : *cuts1) {
-        if (merge(c0, c1, g, &merged)) result.push_back(merged);
+  }
+
+  // Merge leaf sets only; a constant node has none and keeps only the
+  // trivial cut below.
+  std::vector<Candidate> cands;
+  Candidate merged;
+  auto add = [&](const Cut& a, const Cut& b, std::size_t i, std::size_t j) {
+    if (!merge_leaves(a, b, config_, &merged)) return;
+    merged.arrival = cut_arrival(merged.data_begin(), merged.data_end());
+    merged.parent0 = static_cast<std::uint32_t>(i);
+    merged.parent1 = static_cast<std::uint32_t>(j);
+    cands.push_back(merged);
+  };
+  if (fanins.size() == 1) {
+    cands.reserve(cuts0->size());
+    for (std::size_t i = 0; i < cuts0->size(); ++i) {
+      add((*cuts0)[i], (*cuts0)[i], i, i);
+    }
+  } else if (fanins.size() == 2) {
+    cands.reserve(cuts0->size() * cuts1->size());
+    for (std::size_t i = 0; i < cuts0->size(); ++i) {
+      for (std::size_t j = 0; j < cuts1->size(); ++j) {
+        add((*cuts0)[i], (*cuts1)[j], i, j);
       }
     }
   }
-
-  generated_cuts_ += result.size();
+  generated_cuts_ += cands.size();
 
   // Dominance pruning: remove any cut whose leaves are a superset of
   // another's.
-  std::vector<bool> keep(result.size(), true);
-  for (std::size_t i = 0; i < result.size(); ++i) {
-    for (std::size_t j = 0; j < result.size() && keep[i]; ++j) {
+  std::vector<bool> keep(cands.size(), true);
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    for (std::size_t j = 0; j < cands.size() && keep[i]; ++j) {
       if (i == j || !keep[j]) continue;
       // j knocks out i when j's leaves are a subset; exact duplicates keep
       // the earlier index.
-      if (dominates(result[j], result[i]) &&
-          !(dominates(result[i], result[j]) && j > i)) {
+      if (cands[j].dominates(cands[i]) &&
+          !(cands[i].dominates(cands[j]) && j > i)) {
         keep[i] = false;
       }
     }
   }
-  std::vector<Cut> pruned;
-  for (std::size_t i = 0; i < result.size(); ++i) {
-    if (keep[i]) pruned.push_back(std::move(result[i]));
+  std::vector<std::size_t> pruned;
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    if (keep[i]) pruned.push_back(i);
   }
 
   // Priority: split the budget between delay-best cuts (they let the cover
@@ -231,46 +301,48 @@ void CutEnumerator::enumerate(NodeId node) {
   // merges keep succeeding on the way up a decomposition tree).  Keeping
   // only one flavor loses either depth or coverage.
   std::stable_sort(pruned.begin(), pruned.end(),
-                   [this](const Cut& x, const Cut& y) {
-                     const int ax = cut_arrival(x);
-                     const int ay = cut_arrival(y);
-                     if (ax != ay) return ax < ay;
-                     return x.num_data() + x.num_params() <
-                            y.num_data() + y.num_params();
+                   [&cands](std::size_t x, std::size_t y) {
+                     const Candidate& cx = cands[x];
+                     const Candidate& cy = cands[y];
+                     if (cx.arrival != cy.arrival) {
+                       return cx.arrival < cy.arrival;
+                     }
+                     return cx.size() < cy.size();
                    });
-  if (pruned.size() > static_cast<std::size_t>(config_.cut_limit)) {
-    const std::size_t limit = static_cast<std::size_t>(config_.cut_limit);
-    const std::size_t delay_slots = (limit + 1) / 2;
-    std::vector<Cut> kept(pruned.begin(),
-                          pruned.begin() + static_cast<std::ptrdiff_t>(
-                                               delay_slots));
-    std::stable_sort(pruned.begin() + static_cast<std::ptrdiff_t>(delay_slots),
-                     pruned.end(), [this](const Cut& x, const Cut& y) {
-                       const int sx = x.num_data() + x.num_params();
-                       const int sy = y.num_data() + y.num_params();
-                       if (sx != sy) return sx < sy;
-                       return cut_arrival(x) < cut_arrival(y);
+  const auto limit = static_cast<std::size_t>(config_.cut_limit);
+  if (pruned.size() > limit) {
+    const auto delay_slots = static_cast<std::ptrdiff_t>((limit + 1) / 2);
+    std::stable_sort(pruned.begin() + delay_slots, pruned.end(),
+                     [&cands](std::size_t x, std::size_t y) {
+                       const Candidate& cx = cands[x];
+                       const Candidate& cy = cands[y];
+                       if (cx.size() != cy.size()) {
+                         return cx.size() < cy.size();
+                       }
+                       return cx.arrival < cy.arrival;
                      });
-    for (std::size_t i = delay_slots;
-         i < pruned.size() && kept.size() < limit; ++i) {
-      kept.push_back(std::move(pruned[i]));
-    }
-    pruned = std::move(kept);
+    pruned.resize(limit);
   }
-  int best_arrival = pruned.empty() ? 1 : cut_arrival(pruned.front());
-  for (const Cut& c : pruned) {
-    best_arrival = std::min(best_arrival, cut_arrival(c));
+  // The delay-best cut leads: the second sort never moves the first slot.
+  est_arrival_[node] = pruned.empty() ? 1 : cands[pruned.front()].arrival;
+
+  // Only now build the kept cuts' functions.
+  std::vector<Cut> result;
+  result.reserve(pruned.size() + 1);
+  for (std::size_t i : pruned) {
+    const Candidate& cand = cands[i];
+    result.push_back(
+        build_cut(cand, (*cuts0)[cand.parent0], (*cuts1)[cand.parent1], g));
   }
-  est_arrival_[node] = best_arrival;
 
   // Trivial cut last (always available as a fallback and as the leaf view
   // for fanout merging).
   Cut trivial;
   trivial.data_leaves = {node};
   trivial.function = TruthTable::var(1, 0);
-  pruned.push_back(std::move(trivial));
+  result.push_back(std::move(trivial));
 
-  cuts_[node] = std::move(pruned);
+  cuts_[node] = std::move(result);
 }
 
 }  // namespace fpgadbg::map

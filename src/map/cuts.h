@@ -58,10 +58,12 @@ class CutEnumerator {
   const CutConfig& config() const { return config_; }
 
  private:
+  /// Merges the fanins' leaf sets, prunes and ranks them, and builds the
+  /// functions of only the cuts it keeps.
   void enumerate(netlist::NodeId node);
   Cut leaf_cut(netlist::NodeId node) const;
-  bool merge(const Cut& a, const Cut& b, const logic::TruthTable& g, Cut* out) const;
-  int cut_arrival(const Cut& cut) const;
+  int cut_arrival(const netlist::NodeId* data_begin,
+                  const netlist::NodeId* data_end) const;
 
   const netlist::Netlist& nl_;
   CutConfig config_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <queue>
@@ -63,7 +64,12 @@ struct QueueEntry {
   double f;  ///< g + astar_fac * lookahead (== g under plain Dijkstra)
   double g;  ///< accumulated path cost
   RRNodeId node;
-  bool operator>(const QueueEntry& o) const { return f > o.f; }
+  /// Min-heap order on f; among equal f the deeper node (larger g) pops
+  /// first, so a search runs down one shortest path instead of widening
+  /// over every node of equal f.
+  bool operator>(const QueueEntry& o) const {
+    return f > o.f || (f == o.f && g < o.g);
+  }
 };
 
 /// Inclusive tile-coordinate rectangle.  The router prunes expansion to the
@@ -203,10 +209,12 @@ struct Router {
   }
 
   /// Admissible A* lookahead: the minimum number of RR nodes still to be
-  /// entered before the target tile, times `scale` — the cheapest possible
+  /// entered to reach the target, times `scale` — the cheapest possible
   /// per-node cost of the current search (1.0 in wirelength mode, where
-  /// every node costs at least 1.0).  A channel wire borders two tiles, so
-  /// its distance is the min over both; that keeps the estimate a true lower
+  /// every node costs at least 1.0).  That is the wires still to enter
+  /// before the target tile, plus the target IPIN itself for every node
+  /// that is not an IPIN.  A channel wire borders two tiles, so its
+  /// distance is the min over both; that keeps the estimate a true lower
   /// bound and consistent (it drops by at most 1 per edge while every
   /// entered node costs at least `scale`).
   double lookahead(RRNodeId id, int tx, int ty, double scale) const {
@@ -218,6 +226,7 @@ struct Router {
     } else if (nd.kind == RRKind::kChanY) {
       d = std::min(d, std::abs(nd.x - tx) + std::abs(nd.y + 1 - ty));
     }
+    if (nd.kind != RRKind::kIpin) ++d;
     return options.astar_fac * scale * static_cast<double>(d);
   }
 
@@ -237,8 +246,10 @@ struct Router {
     result->routes[n].clear();
   }
 
-  /// Widens net n's box by doubling its margin (clamped to the device).
+  /// Widens net n's box by doubling its margin (clamped to the device).  A
+  /// box that already covers the device stays as it is.
   void grow_bb(std::size_t n) {
+    if (net_bb[n].covers(width, height)) return;
     net_margin[n] = std::max(net_margin[n] * 2, 1);
     BBox bb = term_bb[n];
     bb.x0 -= net_margin[n];
@@ -521,15 +532,28 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
   telemetry::ProgressReporter progress("pnr.route");
   progress.set_total(static_cast<std::uint64_t>(options.max_iterations));
 
+  // Incremental rip-up can stall: the dirty nets need wires that nets with
+  // legal routes hold, and those nets are never rerouted, so the overuse
+  // only moves from node to node.  After kStallIterations iterations without
+  // a new lowest overused-node count, one iteration reroutes every net,
+  // with the history costs gathered so far.
+  constexpr int kStallIterations = 5;
+  std::size_t best_overused = SIZE_MAX;
+  int stalled = 0;
+
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     telemetry::TraceScope iter_span("pnr.route.iteration");
     Stopwatch iter_timer;
     iter_counter.add(1);
     result.iterations = iter;
 
-    // Dirty set: iteration 1 (or non-incremental mode) reroutes everything;
-    // afterwards only nets crossing an overused node or with an unreached
-    // sink renegotiate.  Ascending net ids keep the order deterministic.
+    // Dirty set: iteration 1 (or non-incremental mode, or a stalled
+    // negotiation) reroutes everything; afterwards only nets crossing an
+    // overused node or with an unreached sink renegotiate.  Ascending net
+    // ids keep the order deterministic.
+    const bool full_ripup =
+        iter == 1 || !options.incremental || stalled >= kStallIterations;
+    if (stalled >= kStallIterations) stalled = 0;
     std::vector<std::size_t> dirty;
     for (std::size_t n = 0; n < nets.nets.size(); ++n) {
       if (router.terms[n].sinks.empty()) continue;
@@ -542,10 +566,7 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
           }
         }
       }
-      if (iter == 1 || !options.incremental || router.net_failed[n] ||
-          congested) {
-        dirty.push_back(n);
-      }
+      if (full_ripup || router.net_failed[n] || congested) dirty.push_back(n);
       // A net can keep routing "successfully" through overused wires when
       // its expansion box holds no free ones, and a box only grows on
       // outright failure.  Break that trap: a net still congested after
@@ -579,6 +600,12 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
     }
     for (std::size_t n = 0; n < nets.nets.size(); ++n) {
       if (router.net_failed[n]) any_overuse = true;
+    }
+    if (overused_nodes < best_overused) {
+      best_overused = overused_nodes;
+      stalled = 0;
+    } else {
+      ++stalled;
     }
     // Congestion trajectory: the negotiation is converging when this gauge
     // falls iteration over iteration.

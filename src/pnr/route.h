@@ -14,7 +14,7 @@
 //   * per-net expansion bounding boxes that grow on routing failure and
 //     under repeated congestion,
 //   * incremental rip-up: after iteration 1 only nets crossing an overused
-//     node are rerouted.
+//     node are rerouted, unless the negotiation has stalled.
 // Each iteration reroutes its dirty nets one at a time in ascending net
 // order, so a route is a pure function of its inputs and options.
 //
@@ -40,19 +40,23 @@ struct RouteOptions {
   double pres_fac_init = 0.6;
   double pres_fac_mult = 1.6;
   double hist_fac = 0.4;
-  /// Weight on the A* geometric lookahead.  1.0 keeps the heuristic
-  /// admissible (search returns the same minimum-cost paths as Dijkstra);
-  /// larger values trade path optimality for fewer heap pops; 0 disables
-  /// the lookahead entirely (plain Dijkstra).
+  /// Weight on the A* lookahead (the geometric distance to the sink's tile
+  /// plus the sink pin).  1.0 keeps the heuristic admissible: each search
+  /// returns a path of the same minimum cost as Dijkstra's, though ties may
+  /// pick a different one.  Larger values trade path optimality for fewer
+  /// heap pops; 0 disables the lookahead entirely (plain Dijkstra).
   double astar_fac = 1.0;
   /// Initial margin (in tiles) added around a net's terminal bounding box.
   /// The box doubles its margin every time the net fails to route inside it,
   /// and on every third reroute the net is still congested.
-  /// Negative disables bounding boxes (every net may expand device-wide).
+  /// Negative disables bounding boxes (every net may expand device-wide, and
+  /// growths leave that box as it is).
   int bb_margin = 3;
   /// After iteration 1, rip up and reroute only nets whose current route
-  /// crosses an overused node.  false restores the classic full rip-up of
-  /// every net on every iteration.
+  /// crosses an overused node; when the overused-node count has not reached
+  /// a new low for five iterations, the next iteration reroutes every net.
+  /// false restores the classic full rip-up of every net on every
+  /// iteration.
   bool incremental = true;
   /// Ignored: routing runs on the calling thread.  Kept only because
   /// perfbench/cpp/compile_ops.cpp assigns it.

@@ -115,10 +115,13 @@ class Decomposer {
                    ~TruthTable::var(1, 0));
     }
     if (supp.size() == 2) {
-      // Compact to a 2-input truth table.
-      std::vector<int> perm(static_cast<std::size_t>(f.num_vars()), 0);
-      perm[static_cast<std::size_t>(supp[0])] = 0;
-      perm[static_cast<std::size_t>(supp[1])] = 1;
+      // Compact to a 2-input truth table: the support moves to variables 0
+      // and 1, the irrelevant rest goes above them and is dropped.
+      std::vector<int> perm(static_cast<std::size_t>(f.num_vars()));
+      for (int v = 0, dropped = 2; v < f.num_vars(); ++v) {
+        perm[static_cast<std::size_t>(v)] =
+            v == supp[0] ? 0 : v == supp[1] ? 1 : dropped++;
+      }
       const TruthTable g = f.permuted(perm, 2);
       return emit2({leaves[static_cast<std::size_t>(supp[0])],
                     leaves[static_cast<std::size_t>(supp[1])]},

@@ -71,10 +71,14 @@ Netlist sweep(const Netlist& nl, SweepStats* stats) {
       for (std::size_t j = 0; j < keep.size(); ++j) {
         new_fanins.push_back(fanins[static_cast<std::size_t>(keep[j])]);
       }
-      // permuted() needs a destination for every current var; irrelevant
-      // variables can map anywhere (use 0).
-      for (std::size_t j = 0; j < keep.size(); ++j) {
-        perm[static_cast<std::size_t>(keep[j])] = static_cast<int>(j);
+      // permuted() needs a distinct destination for every current var: the
+      // irrelevant ones go above the kept ones, where they are dropped.
+      std::size_t j = 0;
+      int dropped = static_cast<int>(keep.size());
+      for (int v = 0; v < f.num_vars(); ++v) {
+        const bool kept = j < keep.size() && keep[j] == v;
+        perm[static_cast<std::size_t>(v)] =
+            kept ? static_cast<int>(j++) : dropped++;
       }
       g = f.permuted(perm, std::max<int>(1, static_cast<int>(keep.size())));
       if (keep.empty()) {

@@ -605,10 +605,19 @@ support::Result<int> cmd_profile(const Args& args) {
     std::printf("  %-28s %12.4f\n", name, snap.gauge(name));
   };
 
+  // Each stage with its parts indented below it, so a cold compile shows
+  // where its time goes (a stage replayed from the cache has no parts).
+  const double map_s = snap.histogram("offline.map_seconds").sum;
+  const double cuts_s = snap.histogram("map.cut_enumeration_seconds").sum;
   std::printf("offline stage times:\n");
   row_s("instrument", snap.histogram("offline.instrument_seconds").sum);
-  row_s("map", snap.histogram("offline.map_seconds").sum);
+  row_s("map", map_s);
+  row_s("  cut enumeration", cuts_s);
+  row_s("  synthesis + cover", map_s - cuts_s);
   row_s("pnr", snap.histogram("offline.pnr_seconds").sum);
+  row_s("  pack", snap.histogram("pnr.pack_seconds").sum);
+  row_s("  place", snap.histogram("pnr.place_seconds").sum);
+  row_s("  route", snap.histogram("pnr.route_seconds").sum);
   row_s("bitstream", snap.histogram("offline.bitstream_seconds").sum);
   row_s("total", snap.histogram("offline.total_seconds").sum);
 
@@ -626,6 +635,7 @@ support::Result<int> cmd_profile(const Args& args) {
   row_c("flow.cache.stores");
   row_c("flow.cache.bytes_read");
   row_c("map.cuts_enumerated");
+  row_c("map.cuts_kept");
   row_c("map.cells.lut");
   row_c("map.cells.tlut");
   row_c("map.cells.tcon");

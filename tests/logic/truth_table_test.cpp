@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "support/error.h"
 #include "support/rng.h"
 
@@ -136,6 +139,81 @@ TEST(TruthTable, PermutedRelabelsVariables) {
     const bool x2 = (y >> 1) & 1;
     EXPECT_EQ(g.evaluate(y), x0 && !x2);
   }
+}
+
+/// permuted() by its definition, one bit at a time: each destination
+/// assignment gathers its source assignment.
+TruthTable permuted_bit_loop(const TruthTable& f, const std::vector<int>& perm,
+                             int new_num_vars) {
+  TruthTable t(new_num_vars);
+  for (std::size_t idx = 0; idx < t.num_bits(); ++idx) {
+    std::uint64_t src = 0;
+    for (int v = 0; v < f.num_vars(); ++v) {
+      if ((idx >> perm[static_cast<std::size_t>(v)]) & 1U) src |= 1ULL << v;
+    }
+    t.set_bit(idx, f.bit(static_cast<std::size_t>(src)));
+  }
+  return t;
+}
+
+/// A random injective map of n variables into m (m >= n), increasing when
+/// `monotone`.
+std::vector<int> random_injection(int n, int m, bool monotone, Rng& rng) {
+  std::vector<int> slots(static_cast<std::size_t>(m));
+  for (int i = 0; i < m; ++i) slots[static_cast<std::size_t>(i)] = i;
+  rng.shuffle(slots);
+  std::vector<int> perm(slots.begin(), slots.begin() + n);
+  if (monotone) std::sort(perm.begin(), perm.end());
+  return perm;
+}
+
+TEST(TruthTable, PermutedMatchesBitLoop) {
+  // Every swap kind is exercised: inside a word (both variables < 6), across
+  // the half-words of a word pair (5 <-> 6) and between whole words.
+  Rng rng(0x9e41);
+  for (int trial = 0; trial < 600; ++trial) {
+    const int n = static_cast<int>(rng.next_in(0, 12));
+    const int m = static_cast<int>(rng.next_in(std::max(n, 1), 12));
+    const bool monotone = trial % 2 == 0;
+    const std::vector<int> perm = random_injection(n, m, monotone, rng);
+    const TruthTable f = random_tt(n, rng);
+    ASSERT_EQ(f.permuted(perm, m), permuted_bit_loop(f, perm, m))
+        << "trial " << trial << ": " << n << " -> " << m << " vars, "
+        << (monotone ? "monotone" : "shuffled");
+  }
+}
+
+TEST(TruthTable, PermutedDropsVariablesMappedAboveTheNewWidth) {
+  // Spread a random k-variable g over n variables, then gather it back: the
+  // n - k irrelevant variables go at or above k and are dropped.
+  Rng rng(0x5eed);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = static_cast<int>(rng.next_in(1, 12));
+    const int k = static_cast<int>(rng.next_in(0, n));
+    const TruthTable g = random_tt(k, rng);
+    const std::vector<int> spread = random_injection(k, n, trial % 2 == 0, rng);
+    const TruthTable f = permuted_bit_loop(g, spread, n);
+    std::vector<int> gather(static_cast<std::size_t>(n), -1);
+    for (int i = 0; i < k; ++i) {
+      gather[static_cast<std::size_t>(spread[static_cast<std::size_t>(i)])] = i;
+    }
+    std::vector<int> dropped;
+    for (int i = k; i < n; ++i) dropped.push_back(i);
+    rng.shuffle(dropped);
+    for (int& d : gather) {
+      if (d < 0) {
+        d = dropped.back();
+        dropped.pop_back();
+      }
+    }
+    ASSERT_EQ(f.permuted(gather, k), g) << "trial " << trial;
+  }
+}
+
+TEST(TruthTable, PermutedRejectsCollidingTargets) {
+  const TruthTable f = tt_and(2);
+  EXPECT_THROW(f.permuted({0, 0}, 2), Error);
+  EXPECT_THROW(f.permuted({0, 2}, 2), Error);
 }
 
 TEST(TruthTable, MuxDetection) {

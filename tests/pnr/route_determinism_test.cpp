@@ -3,12 +3,15 @@
 // The router reroutes each iteration's dirty nets in ascending net order, so
 // a route is a pure function of its inputs and options.  These tests pin
 // that for timing-driven mode, compare the full search stack against plain
-// Dijkstra, and check the artifact cache's view of the route options: any
-// cost-shaping RouteOptions change invalidates exactly route -> pconf-build.
+// Dijkstra (whole designs, and one connection at a time), bound the A*
+// search's pops, check the bounding-box and stall rules, and check the
+// artifact cache's view of the route options: any cost-shaping RouteOptions
+// change invalidates exactly route -> pconf-build.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -75,6 +78,124 @@ TEST(RouteDeterminism, FullStackMatchesDijkstraRoutability) {
   EXPECT_NEAR(rf.iterations, rb.iterations, 1);
   // The full stack does strictly less search work.
   EXPECT_LT(rf.heap_pops, rb.heap_pops);
+}
+
+TEST(RouteDeterminism, DeviceWideBoxesStayDeviceWide) {
+  // bb_margin < 0 means every net may expand device-wide, on every reroute:
+  // neither a failed search nor a thrice-congested net may shrink its box.
+  const Placed p = placed_design(22);
+  RouteOptions baseline;
+  baseline.astar_fac = 0.0;
+  baseline.bb_margin = -1;
+  baseline.incremental = false;
+  const RouteResult r =
+      route(*p.rr, p.net, p.packing, p.nets, p.placement, baseline);
+  ASSERT_TRUE(r.success);
+  EXPECT_EQ(r.bbox_expansions, 0u);
+}
+
+TEST(RouteDeterminism, StalledNegotiationReroutesEveryNet) {
+  // perfbench's 150-gate design at seed 205 (W = 32).  With incremental
+  // rip-up alone, one overused node moves between nets that cannot leave it
+  // from iteration 11 on, and the route ends illegal after 40 iterations.
+  // Five iterations without a new low trigger one full rip-up, after which
+  // the negotiation converges (17 iterations).
+  const genbench::CircuitSpec spec{"c150", 12, 10, 8, 150, 4, 6,
+                                   0x197bb0ed3964ecdaULL};
+  debug::OfflineOptions options;
+  options.instrument.trace_width = 8;
+  options.compile.arch.channel_width = 32;
+  auto run = flow::Pipeline(options).run(genbench::generate(spec));
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  const CompileReport& report = run.value().offline.compiled->report;
+  EXPECT_TRUE(report.route_success);
+  EXPECT_LT(report.route_iterations, 25);
+}
+
+/// One net, driver to one of its sinks, as its own extraction.
+NetExtraction one_connection(const PhysNet& net, std::size_t sink) {
+  NetExtraction one;
+  PhysNet conn;
+  conn.driver = net.driver;
+  conn.sinks = {net.sinks[sink]};
+  one.nets.push_back(conn);
+  return one;
+}
+
+std::pair<int, int> sink_pos(const Placed& p, const NetSink& sink) {
+  switch (sink.kind) {
+    case SinkKind::kCellPin:
+      return p.placement.cell_pos(p.net, p.packing, sink.cell);
+    case SinkKind::kPrimaryOutput:
+      return p.placement.io_of_output[sink.index];
+    case SinkKind::kTraceBuffer:
+      return p.placement.bram_of_lane[sink.index];
+  }
+  return {0, 0};
+}
+
+TEST(Route, AStarPathsCostWhatDijkstraPathsCost) {
+  // Alone on an empty device in wirelength mode every entered node costs
+  // 1.0, so a minimum-cost path is a minimum-node path.  The A* lookahead
+  // (sink pin included) and its tie rule may pick a different path than
+  // Dijkstra, but never a longer one.
+  const Placed p = placed_design(24);
+  RouteOptions astar;
+  astar.astar_fac = 1.0;
+  RouteOptions dijkstra;
+  dijkstra.astar_fac = 0.0;
+  std::size_t compared = 0;
+  for (const PhysNet& net : p.nets.nets) {
+    for (std::size_t s = 0; s < net.sinks.size(); ++s) {
+      const NetExtraction one = one_connection(net, s);
+      const RouteResult a =
+          route(*p.rr, p.net, p.packing, one, p.placement, astar);
+      const RouteResult d =
+          route(*p.rr, p.net, p.packing, one, p.placement, dijkstra);
+      ASSERT_TRUE(a.success);
+      ASSERT_TRUE(d.success);
+      ASSERT_EQ(a.routes[0].size(), d.routes[0].size())
+          << "net driven by cell " << net.driver << ", sink " << s;
+      EXPECT_LE(a.heap_pops, d.heap_pops);
+      if (!a.routes[0].empty()) ++compared;
+    }
+  }
+  EXPECT_GT(compared, 50u);
+}
+
+TEST(Route, SearchPopsStayNearTheShortestPath) {
+  // The longest two-terminal connection of a placed design (14 tiles, a
+  // 16-node route), alone on an empty W = 32 device.  With the sink pin in
+  // the lookahead and ties going to the deeper node, the search pops 465
+  // nodes.  Without the pin, every node one short of the sink's f ties
+  // below it, so the search pops that whole plateau, on all 32 tracks,
+  // before the sink: 4,460 pops.
+  const Placed p = placed_design(22);
+  ASSERT_EQ(p.device->params().channel_width, 32);
+  const PhysNet* longest = nullptr;
+  std::size_t longest_sink = 0;
+  int longest_dist = -1;
+  for (const PhysNet& net : p.nets.nets) {
+    const auto from = p.placement.cell_pos(p.net, p.packing, net.driver);
+    for (std::size_t s = 0; s < net.sinks.size(); ++s) {
+      const auto to = sink_pos(p, net.sinks[s]);
+      const int dist =
+          std::abs(from.first - to.first) + std::abs(from.second - to.second);
+      if (dist > longest_dist) {
+        longest = &net;
+        longest_sink = s;
+        longest_dist = dist;
+      }
+    }
+  }
+  ASSERT_NE(longest, nullptr);
+  ASSERT_GE(longest_dist, 8);
+  const NetExtraction one = one_connection(*longest, longest_sink);
+  const RouteResult r =
+      route(*p.rr, p.net, p.packing, one, p.placement, RouteOptions{});
+  ASSERT_TRUE(r.success);
+  EXPECT_EQ(r.routes[0].size(), 16u);
+  EXPECT_LE(r.heap_pops, 500u);
 }
 
 /// Fresh per-test cache directory (removed on destruction).

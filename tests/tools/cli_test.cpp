@@ -337,6 +337,40 @@ TEST(Cli, ProfileWritesTelemetryArtifacts) {
   }
 }
 
+/// The value of a `label  <seconds> s` row of the profile table (labels of
+/// a stage's parts carry their two-space indent); -1 when absent.
+double profile_row(const std::string& output, const std::string& label) {
+  const std::string key = "\n  " + label + " ";
+  const auto pos = output.find(key);
+  if (pos == std::string::npos) return -1.0;
+  return std::stod(output.substr(pos + key.size()));
+}
+
+TEST(Cli, ProfilePrintsCompileSplit) {
+  // A cold compile splits map into cut enumeration and the rest, and pnr
+  // into pack, place and route; no part exceeds its stage.
+  const std::string blif = write_profile_blif("split.blif");
+  const auto r = run("profile " + blif +
+                     " --width 2 --turns 1 --cycles 4 --scenarios 0");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const double map = profile_row(r.output, "map");
+  const double pnr = profile_row(r.output, "pnr");
+  ASSERT_GT(map, 0.0) << r.output;
+  ASSERT_GT(pnr, 0.0) << r.output;
+  for (const char* part : {"  cut enumeration", "  synthesis + cover"}) {
+    const double v = profile_row(r.output, part);
+    EXPECT_GE(v, 0.0) << part << "\n" << r.output;
+    EXPECT_LE(v, map) << part << "\n" << r.output;
+  }
+  EXPECT_GT(profile_row(r.output, "  cut enumeration"), 0.0) << r.output;
+  for (const char* part : {"  pack", "  place", "  route"}) {
+    const double v = profile_row(r.output, part);
+    EXPECT_GT(v, 0.0) << part << "\n" << r.output;
+    EXPECT_LE(v, pnr) << part << "\n" << r.output;
+  }
+  EXPECT_NE(r.output.find("map.cuts_kept"), std::string::npos) << r.output;
+}
+
 TEST(Cli, ProfileCountsReboundCells) {
   // Turns that change parameters re-bind the DUT's TCONs and TLUTs; the
   // profile table shows how many cells that touched and how long it took.
