@@ -114,17 +114,17 @@ int main() {
       {"small90", 12, 8, 8, 90, 4, 6, 203},
   };
 
-  std::printf("%-8s | %10s | %13s | %13s | %12s | %7s\n", "design",
-              "CLBs c/p", "wires c/p", "wirelen c/p", "P&R s c/p", "routed");
+  std::printf("%-8s | %10s | %13s | %13s | %15s | %7s\n", "design",
+              "CLBs c/p", "wires c/p", "wirelen c/p", "P&R ms c/p", "routed");
   double wl_ratio = 1.0, clb_ratio = 1.0, time_ratio = 1.0;
   for (const auto& spec : specs) {
     const Row row = run_one(spec);
-    std::printf("%-8s | %4zu %5zu | %6zu %6zu | %6zu %6zu | %5.2f %5.2f | %s/%s\n",
+    std::printf("%-8s | %4zu %5zu | %6zu %6zu | %6zu %6zu | %7.1f %7.1f | %s/%s\n",
                 row.name.c_str(), row.conv.clbs_used, row.prop.clbs_used,
                 row.conv.wire_nodes_used, row.prop.wire_nodes_used,
                 row.conv.total_wirelength, row.prop.total_wirelength,
-                row.conv.place_seconds + row.conv.route_seconds,
-                row.prop.place_seconds + row.prop.route_seconds,
+                1e3 * (row.conv.place_seconds + row.conv.route_seconds),
+                1e3 * (row.prop.place_seconds + row.prop.route_seconds),
                 row.conv.route_success ? "ok" : "FAIL",
                 row.prop.route_success ? "ok" : "FAIL");
     wl_ratio *= static_cast<double>(row.conv.total_wirelength) /

@@ -60,6 +60,18 @@ for needle in "per-turn breakdown" "paper bound" "signal coverage" \
     exit 1
   fi
 done
+# One "turn" event per debugging turn (the constructor's turn plus the four
+# profile turns), and none of the per-turn kinds of the older layout.
+TURN_EVENTS=$(grep -c '"ev":"turn"' "$SMOKE_DIR/session.jsonl" || true)
+if [ "$TURN_EVENTS" != 5 ]; then
+  echo "schema smoke: journal holds $TURN_EVENTS turn events, expected 5" >&2
+  exit 1
+fi
+if grep -Eq '"ev":"(turn_start|scg_eval|icap_write|turn_end|trigger_fire|trace_window)"' \
+     "$SMOKE_DIR/session.jsonl"; then
+  echo "schema smoke: journal holds an event kind of the older layout" >&2
+  exit 1
+fi
 grep -q '^fpgadbg_debug_turns_total ' "$SMOKE_DIR/metrics.prom" || {
   echo "schema smoke: prometheus exposition is missing fpgadbg_debug_turns_total" >&2
   exit 1

@@ -20,13 +20,9 @@ namespace fpgadbg::debug {
 const char* to_string(SessionEventKind kind) {
   switch (kind) {
     case SessionEventKind::kSessionStart: return "session_start";
-    case SessionEventKind::kTurnStart: return "turn_start";
-    case SessionEventKind::kScgEval: return "scg_eval";
-    case SessionEventKind::kIcapWrite: return "icap_write";
-    case SessionEventKind::kTurnEnd: return "turn_end";
+    case SessionEventKind::kTurn: return "turn";
     case SessionEventKind::kCycleBatch: return "cycle_batch";
-    case SessionEventKind::kTriggerFire: return "trigger_fire";
-    case SessionEventKind::kTraceWindow: return "trace_window";
+    case SessionEventKind::kTrigger: return "trigger";
     case SessionEventKind::kSnapshot: return "snapshot";
     case SessionEventKind::kRestore: return "restore";
     case SessionEventKind::kReset: return "reset";
@@ -38,13 +34,9 @@ std::optional<SessionEventKind> parse_session_event_kind(
     const std::string& name) {
   static const std::map<std::string, SessionEventKind> kKinds = {
       {"session_start", SessionEventKind::kSessionStart},
-      {"turn_start", SessionEventKind::kTurnStart},
-      {"scg_eval", SessionEventKind::kScgEval},
-      {"icap_write", SessionEventKind::kIcapWrite},
-      {"turn_end", SessionEventKind::kTurnEnd},
+      {"turn", SessionEventKind::kTurn},
       {"cycle_batch", SessionEventKind::kCycleBatch},
-      {"trigger_fire", SessionEventKind::kTriggerFire},
-      {"trace_window", SessionEventKind::kTraceWindow},
+      {"trigger", SessionEventKind::kTrigger},
       {"snapshot", SessionEventKind::kSnapshot},
       {"restore", SessionEventKind::kRestore},
       {"reset", SessionEventKind::kReset},
@@ -89,45 +81,40 @@ void SessionJournal::write_event(std::ostream& os, const SessionEvent& e) {
     case SessionEventKind::kSessionStart:
       os << ",\"lanes\":" << e.count;
       break;
-    case SessionEventKind::kTurnStart:
-      write_strings(os, "signals", e.signals);
-      break;
-    case SessionEventKind::kScgEval:
-      os << ",\"bits_changed\":" << e.bits_changed
-         << ",\"bits_evaluated\":" << e.bits_evaluated << ",\"incremental\":"
-         << (e.incremental ? "true" : "false") << ",\"eval_s\":";
-      write_double(os, e.scg_eval_seconds);
-      break;
-    case SessionEventKind::kIcapWrite:
-      os << ",\"frames\":" << e.frames << ",\"full\":"
-         << (e.full ? "true" : "false") << ",\"reconfig_s\":";
-      write_double(os, e.reconfig_seconds);
-      if (!e.full) {
+    case SessionEventKind::kTurn: {
+      const TurnReport& r = e.report;
+      write_strings(os, "requested", r.requested);
+      write_strings(os, "observed", r.observed);
+      os << ",\"bits_changed\":" << r.bits_changed
+         << ",\"bits_evaluated\":" << r.bits_evaluated
+         << ",\"frames\":" << r.frames_reconfigured
+         << ",\"full\":" << (r.full ? "true" : "false");
+      if (!r.full) {
         os << ",\"frame_ids\":[";
-        for (std::size_t i = 0; i < e.frame_ids.size(); ++i) {
+        for (std::size_t i = 0; i < r.frame_ids.size(); ++i) {
           if (i) os << ',';
-          os << e.frame_ids[i];
+          os << r.frame_ids[i];
         }
         os << ']';
       }
-      break;
-    case SessionEventKind::kTurnEnd:
-      write_strings(os, "signals", e.signals);
-      os << ",\"bits_changed\":" << e.bits_changed
-         << ",\"frames\":" << e.frames << ",\"turn_s\":";
-      write_double(os, e.turn_seconds);
+      os << ",\"eval_s\":";
+      write_double(os, r.scg_eval_seconds);
+      os << ",\"reconfig_s\":";
+      write_double(os, r.reconfig_seconds);
+      os << ",\"turn_s\":";
+      write_double(os, r.turn_seconds);
       os << ",\"coverage\":";
-      write_double(os, e.coverage);
+      write_double(os, r.coverage);
+      break;
+    }
+    case SessionEventKind::kTrigger:
+      os << ",\"fire_cycle\":" << e.count << ",\"frozen\":" << e.frozen;
+      write_strings(os, "samples", e.samples);
       break;
     case SessionEventKind::kCycleBatch:
-    case SessionEventKind::kTriggerFire:
     case SessionEventKind::kSnapshot:
     case SessionEventKind::kRestore:
       os << ",\"count\":" << e.count;
-      break;
-    case SessionEventKind::kTraceWindow:
-      os << ",\"count\":" << e.count;
-      write_strings(os, "samples", e.samples);
       break;
     case SessionEventKind::kReset:
       break;
@@ -222,6 +209,29 @@ std::vector<std::string> get_strings(const support::JsonValue& obj,
   return out;
 }
 
+TurnReport get_turn(const support::JsonValue& obj) {
+  TurnReport r;
+  r.requested = get_strings(obj, "requested");
+  r.observed = get_strings(obj, "observed");
+  r.bits_changed = get_u64(obj, "bits_changed");
+  r.bits_evaluated = get_u64(obj, "bits_evaluated");
+  r.frames_reconfigured = get_u64(obj, "frames");
+  r.full = get_bool(obj, "full");
+  if (const support::JsonValue* ids = obj.find("frame_ids");
+      ids && ids->is_array()) {
+    for (const support::JsonValue& id : ids->array) {
+      if (id.is_number() && id.number >= 0.0) {
+        r.frame_ids.push_back(static_cast<std::size_t>(id.number));
+      }
+    }
+  }
+  r.scg_eval_seconds = get_double(obj, "eval_s");
+  r.reconfig_seconds = get_double(obj, "reconfig_s");
+  r.turn_seconds = get_double(obj, "turn_s");
+  r.coverage = get_double(obj, "coverage");
+  return r;
+}
+
 }  // namespace
 
 support::Result<SessionJournal> SessionJournal::load(std::istream& in) {
@@ -255,28 +265,26 @@ support::Result<SessionJournal> SessionJournal::load(std::istream& in) {
     e.cycle = get_u64(obj, "cycle");
     e.trace_id = get_u64(obj, "trace_id");
     e.span_id = get_u64(obj, "span_id");
-    e.bits_changed = get_u64(obj, "bits_changed");
-    e.bits_evaluated = get_u64(obj, "bits_evaluated");
-    e.incremental = get_bool(obj, "incremental");
-    e.scg_eval_seconds = get_double(obj, "eval_s");
-    e.frames = get_u64(obj, "frames");
-    e.full = get_bool(obj, "full");
-    e.reconfig_seconds = get_double(obj, "reconfig_s");
-    if (const support::JsonValue* ids = obj.find("frame_ids");
-        ids && ids->is_array()) {
-      for (const support::JsonValue& id : ids->array) {
-        if (id.is_number() && id.number >= 0.0) {
-          e.frame_ids.push_back(static_cast<std::uint64_t>(id.number));
-        }
-      }
+    switch (e.kind) {
+      case SessionEventKind::kSessionStart:
+        e.count = get_u64(obj, "lanes");
+        break;
+      case SessionEventKind::kTurn:
+        e.report = get_turn(obj);
+        break;
+      case SessionEventKind::kTrigger:
+        e.count = get_u64(obj, "fire_cycle");
+        e.frozen = get_u64(obj, "frozen");
+        e.samples = get_strings(obj, "samples");
+        break;
+      case SessionEventKind::kCycleBatch:
+      case SessionEventKind::kSnapshot:
+      case SessionEventKind::kRestore:
+        e.count = get_u64(obj, "count");
+        break;
+      case SessionEventKind::kReset:
+        break;
     }
-    e.turn_seconds = get_double(obj, "turn_s");
-    e.coverage = get_double(obj, "coverage");
-    e.signals = get_strings(obj, "signals");
-    e.count = e.kind == SessionEventKind::kSessionStart
-                  ? get_u64(obj, "lanes")
-                  : get_u64(obj, "count");
-    e.samples = get_strings(obj, "samples");
     // Insert directly (not via append()): the recorded seq numbers are
     // preserved and telemetry counters are not charged for re-ingestion.
     journal.next_seq_ = std::max(journal.next_seq_, e.seq + 1);
@@ -301,26 +309,6 @@ support::Result<SessionJournal> SessionJournal::load_file(
 
 namespace {
 
-struct RecordedTurn {
-  const SessionEvent* start = nullptr;
-  const SessionEvent* icap = nullptr;
-  const SessionEvent* end = nullptr;
-};
-
-std::map<std::uint64_t, RecordedTurn> index_turns(
-    const SessionJournal& journal) {
-  std::map<std::uint64_t, RecordedTurn> turns;
-  for (const SessionEvent& e : journal.events()) {
-    switch (e.kind) {
-      case SessionEventKind::kTurnStart: turns[e.turn].start = &e; break;
-      case SessionEventKind::kIcapWrite: turns[e.turn].icap = &e; break;
-      case SessionEventKind::kTurnEnd: turns[e.turn].end = &e; break;
-      default: break;
-    }
-  }
-  return turns;
-}
-
 std::string join(const std::vector<std::string>& names) {
   std::string out;
   for (const std::string& n : names) {
@@ -332,22 +320,21 @@ std::string join(const std::vector<std::string>& names) {
 
 /// Compares a recorded turn against its replayed counterpart on every
 /// deterministic field; returns "" on match.
-std::string compare_turns(const RecordedTurn& recorded,
-                          const RecordedTurn& replayed) {
+std::string compare_turns(const TurnReport& recorded,
+                          const TurnReport& replayed) {
   std::ostringstream why;
-  if (recorded.end->signals != replayed.end->signals) {
-    why << "observed [" << join(recorded.end->signals) << "] != ["
-        << join(replayed.end->signals) << "]";
-  } else if (recorded.end->bits_changed != replayed.end->bits_changed) {
-    why << "bits_changed " << recorded.end->bits_changed << " != "
-        << replayed.end->bits_changed;
-  } else if (recorded.end->frames != replayed.end->frames) {
-    why << "frames " << recorded.end->frames << " != "
-        << replayed.end->frames;
-  } else if (recorded.icap && replayed.icap &&
-             recorded.icap->frame_ids != replayed.icap->frame_ids) {
-    why << "frame set differs (" << recorded.icap->frame_ids.size() << " vs "
-        << replayed.icap->frame_ids.size() << " frames)";
+  if (recorded.observed != replayed.observed) {
+    why << "observed [" << join(recorded.observed) << "] != ["
+        << join(replayed.observed) << "]";
+  } else if (recorded.bits_changed != replayed.bits_changed) {
+    why << "bits_changed " << recorded.bits_changed << " != "
+        << replayed.bits_changed;
+  } else if (recorded.frames_reconfigured != replayed.frames_reconfigured) {
+    why << "frames " << recorded.frames_reconfigured << " != "
+        << replayed.frames_reconfigured;
+  } else if (recorded.frame_ids != replayed.frame_ids) {
+    why << "frame set differs (" << recorded.frame_ids.size() << " vs "
+        << replayed.frame_ids.size() << " frames)";
   }
   return why.str();
 }
@@ -357,39 +344,34 @@ std::string compare_turns(const RecordedTurn& recorded,
 ReplayResult replay(const OfflineResult& offline,
                     const SessionJournal& recorded) {
   ReplayResult result;
-  const auto turns = index_turns(recorded);
-  if (turns.empty()) return result;
+  std::vector<const SessionEvent*> turns;
+  for (const SessionEvent& e : recorded.events()) {
+    if (e.kind == SessionEventKind::kTurn) turns.push_back(&e);
+  }
+  for (std::size_t i = 0; i < turns.size(); ++i) {
+    if (turns[i]->turn == i) continue;
+    result.checks.push_back(
+        {turns[i]->turn, false,
+         "journal incomplete (expected turn " + std::to_string(i) +
+             "; ring eviction?)"});
+    ++result.mismatches;
+    ++result.turns_checked;
+  }
+  if (turns.empty() || result.mismatches) return result;
 
   // A fresh session re-executes turn 0 (the constructor's initial full
-  // configuration) implicitly; the recorded turns >= 1 are re-driven with
-  // their recorded signal requests.
+  // configuration) itself; the recorded turns >= 1 are re-driven with their
+  // recorded signal requests.  The replay compares observe()'s reports, so
+  // it needs no journal of its own after turn 0.
   DebugSession session(offline);
-  std::uint64_t expect = 0;
-  for (const auto& [turn, rec] : turns) {
-    if (turn != expect || !rec.start || !rec.end) {
-      result.checks.push_back(
-          {turn, false,
-           "journal incomplete (missing turn events; ring eviction?)"});
-      ++result.mismatches;
-      ++result.turns_checked;
-      ++expect;
-      continue;
-    }
-    ++expect;
-    if (turn > 0) session.observe(rec.start->signals);
-  }
-  if (result.mismatches) return result;
-
-  const auto replayed = index_turns(session.journal());
-  for (const auto& [turn, rec] : turns) {
+  TurnReport replayed = session.journal().events().back().report;
+  session.journal().set_enabled(false);
+  for (std::size_t i = 0; i < turns.size(); ++i) {
+    const TurnReport& rec = turns[i]->report;
+    if (i > 0) replayed = session.observe(rec.requested);
     ReplayTurnCheck check;
-    check.turn = turn;
-    const auto it = replayed.find(turn);
-    if (it == replayed.end() || !it->second.end) {
-      check.detail = "turn missing from replayed journal";
-    } else {
-      check.detail = compare_turns(rec, it->second);
-    }
+    check.turn = i;
+    check.detail = compare_turns(rec, replayed);
     check.match = check.detail.empty();
     result.mismatches += !check.match;
     ++result.turns_checked;

@@ -1,11 +1,13 @@
 // Debug-session flight recorder.
 //
-// Every DebugSession event — turn start/end, SCG evaluation, ICAP frame
-// writes, emulated-cycle batches, trigger fires, trace-window freezes,
-// snapshot/restore, resets — is appended as one typed SessionEvent to an
-// in-memory ring and, when installed, streamed to a JSONL sink (one JSON
-// object per line).  The journal is the session's replayable record:
-// replay() re-drives the recorded turn sequence against the same
+// Every DebugSession event — session start, debugging turns, emulated-cycle
+// batches, trigger fires, snapshot/restore, resets — is appended as one
+// typed SessionEvent to an in-memory ring and, when installed, streamed to a
+// JSONL sink (one JSON object per line).  A debugging turn is one kTurn
+// event holding the TurnReport that observe() returned: the requested and
+// observed signals, the SCG's bits and time, and the partial
+// reconfiguration's frames.  The journal is the session's replayable
+// record: replay() re-drives the recorded turn sequence against the same
 // OfflineResult and checks that every deterministic turn outcome (observed
 // signals, bits changed, frames written) reproduces exactly.  Timing fields
 // are re-measured on replay, never compared — wall-clock is not part of the
@@ -30,15 +32,31 @@ namespace fpgadbg::debug {
 
 struct OfflineResult;
 
+/// One debugging turn: what DebugSession::observe() returns and what its
+/// kTurn journal event records.  A session without a PConf runs no SCG and
+/// writes no frames, so its turns leave the bit, frame and time fields 0.
+struct TurnReport {
+  std::vector<std::string> requested;    ///< signals asked for
+  std::vector<std::string> observed;     ///< signal shown per lane
+  std::size_t bits_changed = 0;          ///< configuration bits rewritten
+  std::size_t bits_evaluated = 0;        ///< bits the SCG evaluated
+  std::size_t frames_reconfigured = 0;   ///< DPR frame count
+  /// The session's first configuration: the SCG specialized the whole
+  /// PConf and every frame was written, so frame_ids stays empty.
+  bool full = false;
+  std::vector<std::size_t> frame_ids;    ///< partial: frames, ascending
+  double scg_eval_seconds = 0.0;         ///< measured Boolean evaluation time
+  double reconfig_seconds = 0.0;         ///< modeled HWICAP transfer time
+  double turn_seconds = 0.0;             ///< eval + reconfig
+  double coverage = 0.0;  ///< signal-coverage fraction after the turn
+};
+
 enum class SessionEventKind : std::uint8_t {
   kSessionStart,  ///< session constructed: count = trace lanes
-  kTurnStart,     ///< observe() entered: signals = requested names
-  kScgEval,       ///< SCG evaluated: bits/eval time, incremental flag
-  kIcapWrite,     ///< DPR charged: frames (+ frame_ids when partial)
-  kTurnEnd,       ///< observe() done: signals = per-lane observed, coverage
+  kTurn,          ///< observe() done: report = the turn's TurnReport
   kCycleBatch,    ///< count emulated cycles since the previous boundary
-  kTriggerFire,   ///< trigger matched: count = trigger-relative fire cycle
-  kTraceWindow,   ///< trace freeze: samples = captured window (newest last)
+  kTrigger,       ///< trigger matched: count = trigger-relative fire cycle,
+                  ///< frozen/samples = the frozen trace window
   kSnapshot,      ///< DUT state captured at `cycle`
   kRestore,       ///< DUT state restored at `cycle`
   kReset,         ///< session reset
@@ -52,13 +70,9 @@ std::optional<SessionEventKind> parse_session_event_kind(
 /// unused fields stay value-initialized and are omitted from the JSONL form.
 struct SessionEvent {
   SessionEventKind kind = SessionEventKind::kSessionStart;
-  // The flags share the padding after `kind`: the ring holds up to 65,536
-  // events, so every byte of the record counts.
-  bool incremental = false;  ///< kScgEval / kTurnEnd: incremental SCG
-  bool full = false;         ///< kIcapWrite / kTurnEnd: full configuration
-                             ///< (frame_ids omitted)
   std::uint64_t seq = 0;    ///< monotonic per session (assigned on append)
-  std::uint64_t turn = 0;   ///< owning turn index (turn-scoped events)
+  std::uint64_t turn = 0;   ///< turns completed before the event (kTurn:
+                            ///< the turn's own index)
   std::uint64_t cycle = 0;  ///< session cycles emulated when emitted
 
   /// Causal join keys: the telemetry::TraceContext active when the event was
@@ -68,30 +82,19 @@ struct SessionEvent {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
 
-  // kScgEval / kTurnEnd
-  std::uint64_t bits_changed = 0;
-  std::uint64_t bits_evaluated = 0;
-  double scg_eval_seconds = 0.0;
-
-  // kIcapWrite / kTurnEnd
-  std::uint64_t frames = 0;  ///< frames written by this reconfiguration
-  double reconfig_seconds = 0.0;
-  std::vector<std::uint64_t> frame_ids;  ///< partial: frame addresses
-
-  // kTurnEnd
-  double turn_seconds = 0.0;
-  double coverage = 0.0;  ///< signal-coverage fraction after the turn
-
-  /// kTurnStart: requested signals; kTurnEnd: observed signal per lane.
-  std::vector<std::string> signals;
-
-  /// kSessionStart: lanes; kCycleBatch: cycles in the batch; kTriggerFire:
-  /// trigger-relative fire cycle; kTraceWindow: samples stored in the frozen
-  /// window (may exceed samples.size()); kSnapshot/kRestore: DUT cycle.
+  /// kSessionStart: lanes; kCycleBatch: cycles in the batch; kTrigger:
+  /// trigger-relative fire cycle; kSnapshot/kRestore: DUT cycle.
   std::uint64_t count = 0;
 
-  /// kTraceWindow: one '0'/'1' string per sample, lane 0 first, newest last.
+  /// kTrigger: samples stored in the frozen window (may exceed
+  /// samples.size()).
+  std::uint64_t frozen = 0;
+  /// kTrigger: the window's newest samples, one '0'/'1' string each, lane 0
+  /// first, newest last.
   std::vector<std::string> samples;
+
+  /// kTurn: the turn's outcome.
+  TurnReport report;
 };
 
 class SessionJournal {
@@ -163,7 +166,7 @@ class SessionJournal {
   /// dropped (counted in dropped_events()).  The ring's storage is reserved
   /// up front and its pages are touched as events arrive.  The JSONL sink,
   /// once attached, sees every event regardless of ring eviction.
-  explicit SessionJournal(std::size_t capacity = 1u << 16);
+  explicit SessionJournal(std::size_t capacity = 1u << 15);
 
   bool enabled() const { return enabled_; }
   /// Disabling stops recording entirely (events are neither ringed nor
@@ -227,11 +230,12 @@ struct ReplayResult {
   bool ok() const { return mismatches == 0; }
 };
 
-/// Re-drives the journal's turn sequence (the requested signal sets, in
+/// Re-drives the journal's kTurn sequence (the requested signal sets, in
 /// order) on a fresh DebugSession over the same OfflineResult and compares
 /// each turn's deterministic outcome — observed signals, bits changed,
 /// frames reconfigured, and (for partial turns) the exact frame set —
-/// against the recording.  The SCG being a pure function of the parameter
+/// against the recording.  A journal whose turns do not run 0, 1, 2, ...
+/// (the ring evicted the first ones) is reported incomplete, not replayed.  The SCG being a pure function of the parameter
 /// assignment, any mismatch means the offline artifacts or the SCG changed
 /// since the recording.
 ReplayResult replay(const OfflineResult& offline,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/batch_simulator.h"
-#include "sim/sim_backend.h"
 #include "support/error.h"
 #include "support/stopwatch.h"
 #include "support/telemetry.h"
@@ -139,8 +138,7 @@ sim::BatchSimOptions engine_options(const ScenarioBatchOptions& options) {
   const std::size_t total_blocks =
       std::max<std::size_t>(1, (options.scenarios + kLanes - 1) / kLanes);
   sim::BatchSimOptions engine;
-  engine.blocks = options.blocks_per_pass != 0 ? options.blocks_per_pass
-                                               : sim::default_batch_blocks();
+  engine.blocks = options.blocks_per_pass != 0 ? options.blocks_per_pass : 64;
   engine.blocks = std::min(engine.blocks, total_blocks);
   return engine;
 }

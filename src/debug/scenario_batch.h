@@ -49,8 +49,7 @@ struct ScenarioBatchOptions {
   std::size_t cycles = 256;
   /// Seed of the stateless stimulus function.
   std::uint64_t seed = 0x5eed;
-  /// Scenario blocks evaluated per simulator pass; 0 picks
-  /// sim::default_batch_blocks() (FPGADBG_SIM_BATCH_BLOCKS overrides).
+  /// Scenario blocks evaluated per simulator pass; 0 means 64.
   std::size_t blocks_per_pass = 0;
   /// Ignored: campaigns run on the calling thread.  Kept only because
   /// perfbench/cpp/campaign_ops.cpp assigns it.

@@ -120,13 +120,8 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
       telemetry::metrics().gauge("debug.coverage.fraction");
   telemetry::TraceScope turn_span("debug.turn");
   flush_cycle_batch();
-  if (journal_.enabled()) {
-    SessionEvent e;
-    e.kind = SessionEventKind::kTurnStart;
-    e.signals = signals;
-    journal_event(std::move(e));
-  }
   TurnReport report;
+  report.requested = signals;
   // One value per parameter, in params() order: the constructor checked
   // that the netlists and the PConf agree on it.
   const BitVec params = offline_.instrumented.select_params(signals);
@@ -134,10 +129,8 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
 
   if (offline_.pconf) {
     const bitstream::PConf& pconf = *offline_.pconf;
-    std::vector<std::size_t> changed_frames;  ///< partial turns only
-    std::size_t bits_evaluated = 0;
-    const bool full = !config_;
-    if (!full) {
+    report.full = !config_;
+    if (!report.full) {
       // Incremental SCG: rewrite only the bits whose parameters changed,
       // in the loaded configuration itself.
       const auto delta = [&] {
@@ -145,22 +138,21 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
         return pconf.respecialize(*config_, config_params_, params);
       }();
       report.scg_eval_seconds = delta.eval_seconds;
-      bits_evaluated = delta.bits_evaluated;
+      report.bits_evaluated = delta.bits_evaluated;
       // Only re-evaluated bits can differ, and the SCG lists the ones that
       // flipped (ascending), so the frame diff needs no scan of the memory.
+      std::vector<std::size_t>& frames = report.frame_ids;
       for (std::size_t bit : delta.changed_bits) {
         const std::size_t frame = bit / arch::FrameGeometry::kFrameBits;
-        if (changed_frames.empty() || changed_frames.back() != frame) {
-          changed_frames.push_back(frame);
-        }
+        if (frames.empty() || frames.back() != frame) frames.push_back(frame);
       }
-      report.frames_reconfigured = changed_frames.size();
+      report.frames_reconfigured = frames.size();
       report.bits_changed = delta.changed_bits.size();
       {
         telemetry::TraceScope dpr_span("debug.dpr");
-        report.reconfig_seconds = icap_.partial_seconds(changed_frames.size());
+        report.reconfig_seconds = icap_.partial_seconds(frames.size());
       }
-      churn_.record_partial(changed_frames);
+      churn_.record_partial(frames);
     } else {
       // First load: full evaluation + full configuration.
       auto spec = [&] {
@@ -168,7 +160,7 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
         return pconf.specialize(params);
       }();
       report.scg_eval_seconds = spec.eval_seconds;
-      bits_evaluated = spec.bits_evaluated;
+      report.bits_evaluated = spec.bits_evaluated;
       report.frames_reconfigured = spec.memory.num_frames();
       report.bits_changed = spec.memory.bits().count();
       {
@@ -181,22 +173,6 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
     config_params_ = params;
     bits_changed.add(report.bits_changed);
     reconfig_seconds.observe(report.reconfig_seconds);
-    if (journal_.enabled()) {
-      SessionEvent scg;
-      scg.kind = SessionEventKind::kScgEval;
-      scg.bits_changed = report.bits_changed;
-      scg.bits_evaluated = bits_evaluated;
-      scg.incremental = !full;
-      scg.scg_eval_seconds = report.scg_eval_seconds;
-      journal_event(std::move(scg));
-      SessionEvent icap;
-      icap.kind = SessionEventKind::kIcapWrite;
-      icap.frames = report.frames_reconfigured;
-      icap.full = full;
-      icap.reconfig_seconds = report.reconfig_seconds;
-      icap.frame_ids.assign(changed_frames.begin(), changed_frames.end());
-      journal_event(std::move(icap));
-    }
   }
   turns.add(1);
   report.turn_seconds =
@@ -217,18 +193,14 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
   sim_.bind();
   observed_ = report.observed;
 
-  const double coverage = coverage_.note_turn(report.observed);
+  report.coverage = coverage_.note_turn(report.observed);
   coverage_observed.set(static_cast<double>(coverage_.observed()));
   coverage_observable.set(static_cast<double>(coverage_.observable()));
-  coverage_fraction.set(coverage);
+  coverage_fraction.set(report.coverage);
   if (journal_.enabled()) {
     SessionEvent e;
-    e.kind = SessionEventKind::kTurnEnd;
-    e.signals = report.observed;
-    e.bits_changed = report.bits_changed;
-    e.frames = report.frames_reconfigured;
-    e.turn_seconds = report.turn_seconds;
-    e.coverage = coverage;
+    e.kind = SessionEventKind::kTurn;
+    e.report = report;
     journal_event(std::move(e));
   }
 
@@ -308,15 +280,12 @@ std::pair<std::uint64_t, bool> DebugSession::run(
   auto finish = [&](std::uint64_t cycles_run, bool fired) {
     flush_cycle_batch();
     if (fired && journal_.enabled()) {
-      SessionEvent fire;
-      fire.kind = SessionEventKind::kTriggerFire;
-      fire.count = trigger.fire_cycle();
-      journal_event(std::move(fire));
-      SessionEvent window;
-      window.kind = SessionEventKind::kTraceWindow;
-      window.count = trace_.samples_stored();
-      window.samples = tail_samples(trace_);
-      journal_event(std::move(window));
+      SessionEvent e;
+      e.kind = SessionEventKind::kTrigger;
+      e.count = trigger.fire_cycle();
+      e.frozen = trace_.samples_stored();
+      e.samples = tail_samples(trace_);
+      journal_event(std::move(e));
     }
     return std::pair<std::uint64_t, bool>{cycles_run, fired};
   };

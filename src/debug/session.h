@@ -26,15 +26,6 @@
 
 namespace fpgadbg::debug {
 
-struct TurnReport {
-  std::vector<std::string> observed;     ///< signal shown per lane
-  std::size_t bits_changed = 0;          ///< configuration bits rewritten
-  std::size_t frames_reconfigured = 0;   ///< DPR frame count
-  double scg_eval_seconds = 0.0;         ///< measured Boolean evaluation time
-  double reconfig_seconds = 0.0;         ///< modeled HWICAP transfer time
-  double turn_seconds = 0.0;             ///< eval + reconfig
-};
-
 struct SessionSummary {
   std::size_t turns = 0;
   std::size_t cycles_emulated = 0;
@@ -74,6 +65,7 @@ class DebugSession {
   const bitstream::FrameChurn& churn() const { return churn_; }
 
   /// One debugging turn: select new signals (others default to index 0).
+  /// Journals the returned report as one kTurn event.
   TurnReport observe(const std::vector<std::string>& signals);
 
   /// Reset the emulated DUT and clear the trace window.

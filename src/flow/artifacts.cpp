@@ -506,11 +506,6 @@ std::uint64_t hash_place_options(const pnr::CompileOptions& o) {
   ByteWriter w;
   w.u64(hash_device_options(o));
   w.u64(o.place.seed);
-  w.f64(o.place.moves_per_cell);
-  w.f64(o.place.initial_accept);
-  w.f64(o.place.exit_temperature);
-  w.boolean(o.place.analytic_seed);
-  w.i32(o.place.seed_iterations);
   w.u64(hash_timing_options(o.timing));
   return w.content_hash();
 }
@@ -518,10 +513,6 @@ std::uint64_t hash_place_options(const pnr::CompileOptions& o) {
 std::uint64_t hash_route_options(const pnr::CompileOptions& o) {
   ByteWriter w;
   w.u64(hash_device_options(o));
-  w.i32(o.route.max_iterations);
-  w.f64(o.route.pres_fac_init);
-  w.f64(o.route.pres_fac_mult);
-  w.f64(o.route.hist_fac);
   w.f64(o.route.astar_fac);
   w.i32(o.route.bb_margin);
   w.boolean(o.route.incremental);

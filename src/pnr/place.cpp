@@ -43,6 +43,14 @@ std::pair<int, int> Placement::cell_pos(const MappedNetlist& mn,
 
 namespace {
 
+/// Centroid iterations of the analytic seed.
+constexpr int kSeedIterations = 30;
+/// Moves per temperature step = kMovesPerCell * sqrt(#clusters).
+constexpr double kMovesPerCell = 10.0;
+/// The anneal stops once the temperature falls below this fraction of the
+/// average net cost.
+constexpr double kExitTemperature = 0.005;
+
 struct NetGeom {
   // Endpoint = either a movable cluster (index >= 0) or a fixed position.
   std::vector<int> clusters;                  // movable endpoints
@@ -291,18 +299,10 @@ Placement place(const MappedNetlist& mn, const Packing& packing,
   }
 
   // --- initial cluster placement -----------------------------------------
-  std::vector<std::pair<int, int>> slots = device.clb_positions();
-  if (options.analytic_seed && packing.num_clusters() > 0) {
-    const auto desired =
-        analytic_positions(geoms, nets_of_cluster, net_weight, device,
-                           options.seed_iterations);
-    pl.cluster_pos = legalize(desired, slots);
-  } else {
-    rng.shuffle(slots);
-    pl.cluster_pos.assign(packing.num_clusters(), {0, 0});
-    for (std::size_t c = 0; c < packing.num_clusters(); ++c) {
-      pl.cluster_pos[c] = slots[c];
-    }
+  if (packing.num_clusters() > 0) {
+    const auto desired = analytic_positions(geoms, nets_of_cluster, net_weight,
+                                            device, kSeedIterations);
+    pl.cluster_pos = legalize(desired, device.clb_positions());
   }
 
   auto final_hpwl = [&]() {
@@ -388,20 +388,17 @@ Placement place(const MappedNetlist& mn, const Packing& packing,
     if (b >= 0) pl.cluster_pos[static_cast<std::size_t>(b)] = target;
     ++samples;
   }
-  // A cold random start needs enough heat to escape it; the analytic seed is
-  // already in a good basin, so the anneal starts at a quarter of that and
-  // refines instead of scrambling.
-  const double heat = options.analytic_seed ? 0.5 : 2.0;
-  const double floor = options.analytic_seed ? 0.25 : 1.0;
+  // The analytic seed is already in a good basin, so the anneal starts at
+  // half the mean move delta and refines instead of scrambling.
   double temperature =
-      samples > 0 ? std::max(floor, heat * sum_abs / samples) : floor;
+      samples > 0 ? std::max(0.25, 0.5 * sum_abs / samples) : 0.25;
 
   const std::size_t moves_per_step = std::max<std::size_t>(
       16, static_cast<std::size_t>(
-              options.moves_per_cell *
+              kMovesPerCell *
               std::sqrt(static_cast<double>(packing.num_clusters()))));
 
-  while (temperature > options.exit_temperature *
+  while (temperature > kExitTemperature *
                            std::max(1.0, total /
                                              std::max<std::size_t>(
                                                  1, geoms.size()))) {

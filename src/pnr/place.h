@@ -24,17 +24,6 @@ namespace fpgadbg::pnr {
 
 struct PlaceOptions {
   std::uint64_t seed = 1;
-  /// Moves per temperature step = moves_per_cell * sqrt(#clusters).
-  double moves_per_cell = 10.0;
-  double initial_accept = 0.8;  ///< target initial acceptance ratio
-  double exit_temperature = 0.005;
-  /// Seed the annealer with the analytic (centroid-iteration + legalize)
-  /// placement instead of a random shuffle.  The anneal then starts at a
-  /// quarter of the cold-start temperature: the seed is already good, so the
-  /// schedule refines rather than scrambles.
-  bool analytic_seed = true;
-  /// Centroid iterations of the analytic pass.
-  int seed_iterations = 30;
 };
 
 struct Placement {

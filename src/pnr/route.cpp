@@ -24,6 +24,15 @@ using map::MappedNetlist;
 
 namespace {
 
+/// PathFinder's negotiation schedule: at most kMaxIterations iterations; the
+/// present-congestion factor starts at kPresFacInit and grows by
+/// kPresFacMult per iteration; each iteration adds kHistFac times a node's
+/// overuse to its history cost.
+constexpr int kMaxIterations = 40;
+constexpr double kPresFacInit = 0.6;
+constexpr double kPresFacMult = 1.6;
+constexpr double kHistFac = 0.4;
+
 /// Group-aware occupancy of one RR node: a short list of (group, count).
 /// Ungrouped nets use unique synthetic group ids so each counts separately.
 struct NodeOcc {
@@ -431,7 +440,7 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
   router.net_nodes.resize(nets.nets.size());
   router.net_failed.assign(nets.nets.size(), 0);
   router.congested_reroutes.assign(nets.nets.size(), 0);
-  router.pres_fac = options.pres_fac_init;
+  router.pres_fac = kPresFacInit;
 
   // Initial per-net expansion boxes: the terminal bounding box plus the
   // configured margin; bb_margin < 0 disables pruning (device-wide boxes).
@@ -530,7 +539,7 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
       telemetry::metrics().series("pnr.route.iteration.heap_pops");
 
   telemetry::ProgressReporter progress("pnr.route");
-  progress.set_total(static_cast<std::uint64_t>(options.max_iterations));
+  progress.set_total(static_cast<std::uint64_t>(kMaxIterations));
 
   // Incremental rip-up can stall: the dirty nets need wires that nets with
   // legal routes hold, and those nets are never rerouted, so the overuse
@@ -541,7 +550,7 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
   std::size_t best_overused = SIZE_MAX;
   int stalled = 0;
 
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
+  for (int iter = 1; iter <= kMaxIterations; ++iter) {
     telemetry::TraceScope iter_span("pnr.route.iteration");
     Stopwatch iter_timer;
     iter_counter.add(1);
@@ -595,7 +604,7 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
       if (over > 0) {
         any_overuse = true;
         ++overused_nodes;
-        router.history[id] += options.hist_fac * over;
+        router.history[id] += kHistFac * over;
       }
     }
     for (std::size_t n = 0; n < nets.nets.size(); ++n) {
@@ -642,7 +651,7 @@ RouteResult route(const RRGraph& rr, const MappedNetlist& mn,
       result.success = true;
       break;
     }
-    router.pres_fac *= options.pres_fac_mult;
+    router.pres_fac *= kPresFacMult;
   }
   result.bbox_expansions = router.bbox_expansions;
   bbox_counter.add(result.bbox_expansions);

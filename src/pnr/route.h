@@ -36,10 +36,6 @@
 namespace fpgadbg::pnr {
 
 struct RouteOptions {
-  int max_iterations = 40;
-  double pres_fac_init = 0.6;
-  double pres_fac_mult = 1.6;
-  double hist_fac = 0.4;
   /// Weight on the A* lookahead (the geometric distance to the sink's tile
   /// plus the sink pin).  1.0 keeps the heuristic admissible: each search
   /// returns a path of the same minimum cost as Dijkstra's, though ties may

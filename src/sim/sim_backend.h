@@ -20,10 +20,4 @@ enum class SimBackend : std::uint8_t {
 
 std::string to_string(SimBackend backend);
 
-/// Scenario blocks per BatchSimulator pass (each block is 64 scenarios).
-/// 64 unless the FPGADBG_SIM_BATCH_BLOCKS environment variable overrides;
-/// larger values are clamped to 4096.  Throws fpgadbg::Error naming the
-/// variable when it is not a whole number >= 1.
-std::size_t default_batch_blocks();
-
 }  // namespace fpgadbg::sim

@@ -854,73 +854,37 @@ support::Result<int> cmd_report(const Args& args) {
   using debug::SessionEvent;
   using debug::SessionEventKind;
 
-  struct TurnRow {
-    std::vector<std::string> requested;
-    std::uint64_t bits = 0;
-    std::uint64_t frames = 0;
-    bool incremental = false;
-    double scg_seconds = 0.0;
-    double dpr_seconds = 0.0;
-    double coverage = 0.0;
-    bool ended = false;
-  };
-  std::map<std::uint64_t, TurnRow> turns;
+  std::vector<const SessionEvent*> turns, fires;
   std::vector<double> scg_samples, dpr_partial_samples;
   bitstream::FrameChurn churn;
   std::uint64_t cycles = 0;
   std::uint64_t full_configs = 0, full_frames = 0;
   double full_seconds = 0.0;
-  struct Fire {
-    std::uint64_t turn, cycle, fire_cycle, window = 0;
-  };
-  std::vector<Fire> fires;
 
   for (const SessionEvent& e : journal.events()) {
     switch (e.kind) {
-      case SessionEventKind::kTurnStart:
-        turns[e.turn].requested = e.signals;
-        break;
-      case SessionEventKind::kScgEval: {
-        TurnRow& row = turns[e.turn];
-        row.bits = e.bits_changed;
-        row.incremental = e.incremental;
-        row.scg_seconds = e.scg_eval_seconds;
-        // The paper's ~50 us bound covers the per-turn (incremental)
-        // specialization; the one-off full evaluation is setup cost.
-        if (e.incremental) scg_samples.push_back(e.scg_eval_seconds);
-        break;
-      }
-      case SessionEventKind::kIcapWrite: {
-        TurnRow& row = turns[e.turn];
-        row.frames = e.frames;
-        row.dpr_seconds = e.reconfig_seconds;
-        if (e.full) {
+      case SessionEventKind::kTurn: {
+        turns.push_back(&e);
+        const debug::TurnReport& t = e.report;
+        if (t.full) {
           ++full_configs;
-          full_frames = e.frames;
-          full_seconds = e.reconfig_seconds;
-          churn.record_full(e.frames);
+          full_frames = t.frames_reconfigured;
+          full_seconds = t.reconfig_seconds;
+          churn.record_full(t.frames_reconfigured);
         } else {
-          std::vector<std::size_t> ids(e.frame_ids.begin(),
-                                       e.frame_ids.end());
-          churn.record_partial(ids);
-          dpr_partial_samples.push_back(e.reconfig_seconds);
+          // The paper's ~50 us bound covers the per-turn (incremental)
+          // specialization; the one-off full evaluation is setup cost.
+          scg_samples.push_back(t.scg_eval_seconds);
+          churn.record_partial(t.frame_ids);
+          dpr_partial_samples.push_back(t.reconfig_seconds);
         }
-        break;
-      }
-      case SessionEventKind::kTurnEnd: {
-        TurnRow& row = turns[e.turn];
-        row.coverage = e.coverage;
-        row.ended = true;
         break;
       }
       case SessionEventKind::kCycleBatch:
         cycles += e.count;
         break;
-      case SessionEventKind::kTriggerFire:
-        fires.push_back({e.turn, e.cycle, e.count, 0});
-        break;
-      case SessionEventKind::kTraceWindow:
-        if (!fires.empty()) fires.back().window = e.count;
+      case SessionEventKind::kTrigger:
+        fires.push_back(&e);
         break;
       default:
         break;
@@ -937,14 +901,15 @@ support::Result<int> cmd_report(const Args& args) {
   appendf(out, "\nper-turn breakdown:\n");
   appendf(out, "  %4s %-5s %10s %8s %10s %10s %9s\n", "turn", "mode", "bits",
               "frames", "scg[us]", "dpr[us]", "coverage");
-  for (const auto& [turn, row] : turns) {
+  for (const SessionEvent* e : turns) {
+    const debug::TurnReport& t = e->report;
     appendf(out, "  %4llu %-5s %10llu %8llu %10.1f %10.1f %8.1f%%\n",
-                static_cast<unsigned long long>(turn),
-                row.incremental ? "incr" : "full",
-                static_cast<unsigned long long>(row.bits),
-                static_cast<unsigned long long>(row.frames),
-                row.scg_seconds * 1e6, row.dpr_seconds * 1e6,
-                row.coverage * 100.0);
+                static_cast<unsigned long long>(e->turn),
+                t.full ? "full" : "incr",
+                static_cast<unsigned long long>(t.bits_changed),
+                static_cast<unsigned long long>(t.frames_reconfigured),
+                t.scg_eval_seconds * 1e6, t.reconfig_seconds * 1e6,
+                t.coverage * 100.0);
   }
 
   // Paper §V-C2: SCG evaluation stays within ~50 us, and partial
@@ -982,23 +947,20 @@ support::Result<int> cmd_report(const Args& args) {
   }
 
   // Coverage curve: the fraction of the observable-signal universe seen at
-  // least once, after each completed turn.
-  std::vector<double> curve;
-  for (const auto& [turn, row] : turns) {
-    if (row.ended) curve.push_back(row.coverage);
-  }
-  if (!curve.empty()) {
-    appendf(out, "\nsignal coverage after %zu turns: %.1f%%\n", curve.size(),
-                curve.back() * 100.0);
+  // least once, after each turn.
+  if (!turns.empty()) {
+    const double last = turns.back()->report.coverage;
+    appendf(out, "\nsignal coverage after %zu turns: %.1f%%\n", turns.size(),
+                last * 100.0);
     appendf(out, "  curve:");
     const std::size_t max_points = 16;
     const std::size_t stride =
-        curve.size() > max_points ? (curve.size() + max_points - 1) / max_points
+        turns.size() > max_points ? (turns.size() + max_points - 1) / max_points
                                   : 1;
-    for (std::size_t i = 0; i < curve.size(); i += stride) {
-      appendf(out, " %.1f%%", curve[i] * 100.0);
+    for (std::size_t i = 0; i < turns.size(); i += stride) {
+      appendf(out, " %.1f%%", turns[i]->report.coverage * 100.0);
     }
-    if (stride > 1) appendf(out, " ... %.1f%%", curve.back() * 100.0);
+    if (stride > 1) appendf(out, " ... %.1f%%", last * 100.0);
     appendf(out, "\n");
   }
 
@@ -1020,13 +982,13 @@ support::Result<int> cmd_report(const Args& args) {
 
   if (!fires.empty()) {
     appendf(out, "\ntrigger timeline:\n");
-    for (const Fire& f : fires) {
+    for (const SessionEvent* f : fires) {
       appendf(out, "  turn %llu: fired at run cycle %llu (session cycle "
                   "%llu, %llu samples frozen)\n",
-                  static_cast<unsigned long long>(f.turn),
-                  static_cast<unsigned long long>(f.fire_cycle),
-                  static_cast<unsigned long long>(f.cycle),
-                  static_cast<unsigned long long>(f.window));
+                  static_cast<unsigned long long>(f->turn),
+                  static_cast<unsigned long long>(f->count),
+                  static_cast<unsigned long long>(f->cycle),
+                  static_cast<unsigned long long>(f->frozen));
     }
   }
 

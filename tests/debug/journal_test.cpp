@@ -69,11 +69,9 @@ TEST(Journal, RecordsTheSessionEventStream) {
   const SessionJournal& j = session.journal();
   // Constructor turn + 3 driven turns + the flush turn.
   EXPECT_EQ(count_kind(j, SessionEventKind::kSessionStart), 1u);
-  EXPECT_EQ(count_kind(j, SessionEventKind::kTurnStart), 5u);
-  EXPECT_EQ(count_kind(j, SessionEventKind::kScgEval), 5u);
-  EXPECT_EQ(count_kind(j, SessionEventKind::kIcapWrite), 5u);
-  EXPECT_EQ(count_kind(j, SessionEventKind::kTurnEnd), 5u);
+  EXPECT_EQ(count_kind(j, SessionEventKind::kTurn), 5u);
   EXPECT_EQ(count_kind(j, SessionEventKind::kCycleBatch), 3u);
+  EXPECT_EQ(j.size(), 9u);
 
   // Cycle batches account for every emulated cycle.
   std::uint64_t batched = 0;
@@ -186,6 +184,7 @@ TEST(Journal, JsonlRoundTripIsExact) {
   const auto& events = loaded.value().events();
   const auto& original = session.journal().events();
   ASSERT_EQ(events.size(), original.size());
+  std::size_t turns = 0, partial_turns = 0, triggers = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const SessionEvent& a = original[i];
     const SessionEvent& b = events[i];
@@ -193,31 +192,39 @@ TEST(Journal, JsonlRoundTripIsExact) {
     EXPECT_EQ(a.seq, b.seq);
     EXPECT_EQ(a.turn, b.turn);
     EXPECT_EQ(a.cycle, b.cycle);
-    EXPECT_EQ(a.signals, b.signals);
-    EXPECT_EQ(a.frame_ids, b.frame_ids);
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.frozen, b.frozen);
     EXPECT_EQ(a.samples, b.samples);
-    switch (a.kind) {
-      case SessionEventKind::kScgEval:
-        EXPECT_EQ(a.bits_changed, b.bits_changed);
-        EXPECT_EQ(a.bits_evaluated, b.bits_evaluated);
-        EXPECT_EQ(a.incremental, b.incremental);
-        // %.17g writes doubles bit-exactly.
-        EXPECT_EQ(a.scg_eval_seconds, b.scg_eval_seconds);
-        break;
-      case SessionEventKind::kIcapWrite:
-        EXPECT_EQ(a.frames, b.frames);
-        EXPECT_EQ(a.full, b.full);
-        EXPECT_EQ(a.reconfig_seconds, b.reconfig_seconds);
-        break;
-      case SessionEventKind::kTurnEnd:
-        EXPECT_EQ(a.bits_changed, b.bits_changed);
-        EXPECT_EQ(a.frames, b.frames);
-        EXPECT_EQ(a.turn_seconds, b.turn_seconds);
-        EXPECT_EQ(a.coverage, b.coverage);
-        break;
-      default:
-        EXPECT_EQ(a.count, b.count);
-        break;
+    const TurnReport& ra = a.report;
+    const TurnReport& rb = b.report;
+    EXPECT_EQ(ra.requested, rb.requested) << "event " << i;
+    EXPECT_EQ(ra.observed, rb.observed);
+    EXPECT_EQ(ra.bits_changed, rb.bits_changed);
+    EXPECT_EQ(ra.bits_evaluated, rb.bits_evaluated);
+    EXPECT_EQ(ra.frames_reconfigured, rb.frames_reconfigured);
+    EXPECT_EQ(ra.full, rb.full);
+    EXPECT_EQ(ra.frame_ids, rb.frame_ids);
+    // %.17g writes doubles bit-exactly.
+    EXPECT_EQ(ra.scg_eval_seconds, rb.scg_eval_seconds);
+    EXPECT_EQ(ra.reconfig_seconds, rb.reconfig_seconds);
+    EXPECT_EQ(ra.turn_seconds, rb.turn_seconds);
+    EXPECT_EQ(ra.coverage, rb.coverage);
+    turns += a.kind == SessionEventKind::kTurn;
+    partial_turns += a.kind == SessionEventKind::kTurn && !ra.full &&
+                     !ra.frame_ids.empty();
+    triggers += a.kind == SessionEventKind::kTrigger;
+  }
+  // The comparison covered real payloads: every turn, partial frame sets,
+  // and the trigger's frozen window.
+  EXPECT_EQ(turns, 4u);  // constructor turn + 3 driven
+  EXPECT_GT(partial_turns, 0u);
+  ASSERT_EQ(triggers, 1u);
+  for (const SessionEvent& e : events) {
+    if (e.kind != SessionEventKind::kTurn) continue;
+    EXPECT_FALSE(e.report.observed.empty());
+    EXPECT_GT(e.report.coverage, 0.0);
+    if (e.report.full) {
+      EXPECT_GT(e.report.bits_evaluated, 0u);
     }
   }
 }
@@ -233,7 +240,7 @@ TEST(Journal, TraceIdsRoundTripAndStampUnderActiveSpan) {
     const telemetry::TraceContext ctx = telemetry::current_trace_context();
     ASSERT_TRUE(ctx.active());
     SessionEvent e;
-    e.kind = SessionEventKind::kTurnStart;
+    e.kind = SessionEventKind::kTurn;
     e.trace_id = ctx.trace_id;
     e.span_id = ctx.span_id;
     j.append(e);
@@ -275,33 +282,75 @@ TEST(Journal, SessionTurnEventsCarryTheTurnSpanIds) {
   drive_session(session, offline, 2, 4);
   telemetry::stop_tracing();
   telemetry::clear_trace();
-  // Every turn-scoped event carries the same nonzero trace id within one
-  // turn (observe() opens the debug.turn span before journaling).
-  std::uint64_t turn_trace = 0;
+  // Every turn event carries the ids of its own debug.turn span (observe()
+  // journals the turn before the span closes).
+  std::vector<std::uint64_t> span_ids;
   for (const SessionEvent& e : session.journal().events()) {
-    if (e.kind == SessionEventKind::kTurnStart) {
-      EXPECT_NE(e.trace_id, 0u);
-      turn_trace = e.trace_id;
-    }
-    if (e.kind == SessionEventKind::kScgEval ||
-        e.kind == SessionEventKind::kTurnEnd) {
-      EXPECT_EQ(e.trace_id, turn_trace);
-    }
+    if (e.kind != SessionEventKind::kTurn) continue;
+    EXPECT_NE(e.trace_id, 0u);
+    EXPECT_NE(e.span_id, 0u);
+    span_ids.push_back(e.span_id);
   }
+  ASSERT_EQ(span_ids.size(), 3u);  // constructor turn + 2 driven
+  std::sort(span_ids.begin(), span_ids.end());
+  EXPECT_EQ(std::unique(span_ids.begin(), span_ids.end()), span_ids.end());
 }
 
 TEST(Journal, MalformedLineIsAParseError) {
-  std::istringstream in("{\"ev\":\"turn_start\",\"seq\":0}\nnot json\n");
-  const auto loaded = SessionJournal::load(in);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), support::StatusCode::kParseError);
+  // A retired kind name is as malformed as a line that is not JSON: the
+  // load stops at whichever comes first.
+  for (const char* bad : {"not json", "{\"ev\":\"turn_start\",\"seq\":1}"}) {
+    std::istringstream in(std::string("{\"ev\":\"turn\",\"seq\":0}\n") + bad +
+                          "\n{\"ev\":\"reset\",\"seq\":2}\n");
+    const auto loaded = SessionJournal::load(in);
+    ASSERT_FALSE(loaded.ok()) << bad;
+    EXPECT_EQ(loaded.status().code(), support::StatusCode::kParseError);
+    EXPECT_EQ(loaded.status().line(), 2) << bad;
+  }
 }
 
 TEST(Journal, UnknownEventKindIsAParseError) {
-  std::istringstream in("{\"ev\":\"warp_drive\",\"seq\":0}\n");
-  const auto loaded = SessionJournal::load(in);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), support::StatusCode::kParseError);
+  // The six kinds that the `turn` and `trigger` events replaced are unknown
+  // now; no reader is kept for them.
+  for (const char* retired : {"turn_start", "scg_eval", "icap_write",
+                              "turn_end", "trigger_fire", "trace_window"}) {
+    std::istringstream in(std::string("{\"ev\":\"") + retired +
+                          "\",\"seq\":0}\n");
+    const auto loaded = SessionJournal::load(in);
+    ASSERT_FALSE(loaded.ok()) << retired;
+    EXPECT_EQ(loaded.status().code(), support::StatusCode::kParseError);
+    EXPECT_EQ(loaded.status().line(), 1);
+    EXPECT_NE(loaded.status().message().find(retired), std::string::npos)
+        << loaded.status().message();
+  }
+}
+
+TEST(Journal, EachObserveAppendsOneTurnEvent) {
+  const auto offline = run_offline(small_user(10), small_options());
+  DebugSession session(offline);
+  const std::uint64_t before = session.journal().total_events();
+  const auto& lanes = offline.instrumented.lane_signals;
+  constexpr std::size_t kTurns = 6;
+  std::vector<TurnReport> reports;
+  for (std::size_t t = 0; t < kTurns; ++t) {
+    const auto& lane = lanes[t % lanes.size()];
+    reports.push_back(session.observe({lane[(t + 1) % lane.size()]}));
+  }
+  const SessionJournal& j = session.journal();
+  ASSERT_EQ(j.total_events(), before + kTurns);
+  for (std::size_t t = 0; t < kTurns; ++t) {
+    const SessionEvent& e = j.events()[before + t];
+    ASSERT_EQ(e.kind, SessionEventKind::kTurn);
+    EXPECT_EQ(e.turn, t + 1);  // turn 0 is the constructor's
+    // The event holds the report observe() returned.
+    EXPECT_EQ(e.report.requested, reports[t].requested);
+    EXPECT_EQ(e.report.observed, reports[t].observed);
+    EXPECT_EQ(e.report.bits_changed, reports[t].bits_changed);
+    EXPECT_EQ(e.report.frame_ids, reports[t].frame_ids);
+    EXPECT_EQ(e.report.frames_reconfigured, e.report.frame_ids.size());
+    EXPECT_EQ(e.report.coverage, reports[t].coverage);
+    EXPECT_FALSE(e.report.full);
+  }
 }
 
 TEST(Replay, ReproducesTheRecordedSession) {
@@ -338,8 +387,8 @@ TEST(Replay, DetectsATamperedRecording) {
   // Forge the recording: inflate one turn's frame count.
   SessionJournal forged;
   for (SessionEvent e : session.journal().events()) {
-    if (e.kind == SessionEventKind::kTurnEnd && e.turn == 1) {
-      e.frames += 1;
+    if (e.kind == SessionEventKind::kTurn && e.turn == 1) {
+      e.report.frames_reconfigured += 1;
     }
     forged.append(std::move(e));
   }
@@ -353,9 +402,10 @@ TEST(Replay, FlagsARingEvictedRecordingAsIncomplete) {
   DebugSession session(offline);
   drive_session(session, offline, 2, 0);
 
-  // Keep only the last few events: turn 0 is gone, so the turn sequence no
-  // longer starts at 0 and replay must refuse rather than mis-align.
-  SessionJournal truncated(3);
+  // Keep only the last two events (turns 1 and 2): turn 0 is gone, so the
+  // turn sequence no longer starts at 0 and replay must refuse rather than
+  // mis-align.
+  SessionJournal truncated(2);
   for (SessionEvent e : session.journal().events()) {
     truncated.append(std::move(e));
   }
@@ -379,15 +429,12 @@ TEST(Journal, TriggerFireEventCarriesTheFireCycle) {
   EXPECT_EQ(cycles, 4u);
 
   const SessionJournal& j = session.journal();
-  ASSERT_EQ(count_kind(j, SessionEventKind::kTriggerFire), 1u);
-  ASSERT_EQ(count_kind(j, SessionEventKind::kTraceWindow), 1u);
+  ASSERT_EQ(count_kind(j, SessionEventKind::kTrigger), 1u);
   for (const SessionEvent& e : j.events()) {
-    if (e.kind == SessionEventKind::kTriggerFire) {
+    if (e.kind == SessionEventKind::kTrigger) {
       EXPECT_EQ(e.count, trigger.fire_cycle());
-      EXPECT_EQ(e.cycle, 4u);  // session cycles when the run stopped
-    }
-    if (e.kind == SessionEventKind::kTraceWindow) {
-      EXPECT_EQ(e.count, 4u);  // frozen samples
+      EXPECT_EQ(e.cycle, 4u);   // session cycles when the run stopped
+      EXPECT_EQ(e.frozen, 4u);  // frozen samples
       ASSERT_EQ(e.samples.size(), 4u);
       for (const std::string& s : e.samples) {
         EXPECT_EQ(s.size(), session.num_lanes());

@@ -339,7 +339,7 @@ TEST(Artifacts, OptionHashesSeparateConcerns) {
   EXPECT_EQ(hash_device_options(base), hash_device_options(seeded));
 
   pnr::CompileOptions rerouted = base;
-  rerouted.route.max_iterations += 5;
+  rerouted.route.astar_fac += 0.5;
   EXPECT_EQ(hash_place_options(base), hash_place_options(rerouted));
   EXPECT_NE(hash_route_options(base), hash_route_options(rerouted));
 

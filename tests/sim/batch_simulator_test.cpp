@@ -10,12 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "genbench/genbench.h"
-#include "sim/sim_backend.h"
 #include "sim/simulator.h"
 #include "support/error.h"
 #include "support/rng.h"
@@ -364,27 +362,6 @@ TEST(BatchSimulator, FaultOnSourceIsNoOp) {
     EXPECT_EQ(batch.output_value(0, lane), ref.output(0)) << va << vb;
     EXPECT_EQ(batch.output_value(0, lane), va != vb);
   }
-}
-
-TEST(SimBackend, BatchBlocksEnvRejectsGarbage) {
-  // Anything but a whole number >= 1 is an error that names the variable.
-  for (const char* bad : {"abc", "0", "-3", "64k"}) {
-    setenv("FPGADBG_SIM_BATCH_BLOCKS", bad, 1);
-    try {
-      (void)default_batch_blocks();
-      ADD_FAILURE() << "FPGADBG_SIM_BATCH_BLOCKS=" << bad << " was accepted";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("FPGADBG_SIM_BATCH_BLOCKS"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-  setenv("FPGADBG_SIM_BATCH_BLOCKS", "16", 1);
-  EXPECT_EQ(default_batch_blocks(), 16u);
-  setenv("FPGADBG_SIM_BATCH_BLOCKS", "100000", 1);
-  EXPECT_EQ(default_batch_blocks(), 4096u);
-  unsetenv("FPGADBG_SIM_BATCH_BLOCKS");
-  EXPECT_EQ(default_batch_blocks(), 64u);
 }
 
 }  // namespace

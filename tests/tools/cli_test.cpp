@@ -464,7 +464,7 @@ TEST(Cli, JournalFlagStreamsSessionEvents) {
   // session, starting with the constructor's session_start.
   std::istringstream lines(read_file(journal_path));
   std::string line;
-  std::size_t events = 0, turn_starts = 0;
+  std::size_t events = 0, turns = 0;
   while (std::getline(lines, line)) {
     const JsonValue e = parse_json(line);
     ASSERT_NE(e.find("ev"), nullptr) << line;
@@ -473,10 +473,10 @@ TEST(Cli, JournalFlagStreamsSessionEvents) {
     if (events == 0) {
       EXPECT_EQ(e.find("ev")->str, "session_start");
     }
-    turn_starts += e.find("ev")->str == "turn_start";
+    turns += e.find("ev")->str == "turn";
     ++events;
   }
-  EXPECT_EQ(turn_starts, 3u);  // constructor turn + 2 profile turns
+  EXPECT_EQ(turns, 3u);  // constructor turn + 2 profile turns
 }
 
 // Satellite of the causal-tracing work: one debugging turn observed through
@@ -491,15 +491,15 @@ TEST(Cli, TraceJournalAndJsonLogShareTraceIds) {
                      " --width 2 --turns 2 --cycles 8 --scenarios 0");
   ASSERT_EQ(r.exit_code, 0) << r.output;
 
-  // Trace ids of every turn-scoped journal event.
+  // Trace ids of every turn event.
   std::vector<double> journal_ids;
   std::istringstream lines(read_file(journal_path));
   std::string line;
   while (std::getline(lines, line)) {
     const JsonValue e = parse_json(line);
     const JsonValue* tid = e.find("trace_id");
-    if (e.find("ev")->str == "turn_start") {
-      ASSERT_NE(tid, nullptr) << "turn_start without trace_id: " << line;
+    if (e.find("ev")->str == "turn") {
+      ASSERT_NE(tid, nullptr) << "turn without trace_id: " << line;
       journal_ids.push_back(tid->number);
     }
   }
