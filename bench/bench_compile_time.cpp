@@ -55,7 +55,8 @@ Row run_one(const genbench::CircuitSpec& spec) {
 /// a cold cache, a warm cache (all six stages hit) and a warm cache after a
 /// place-option change (only place/route/pconf-build re-run).  Timings are
 /// recorded as bench.cache.* histograms so they land in the JSON dump.
-void run_cache_section() {
+/// Returns false when a run fails or routes illegally.
+bool run_cache_section() {
   std::printf("\n=== staged pipeline: artifact-cache incrementality ===\n");
   const std::string cache_dir =
       "/tmp/fpgadbg_bench_cache_" + std::to_string(::getpid());
@@ -67,6 +68,7 @@ void run_cache_section() {
   options.instrument.trace_width = 8;
   options.cache_dir = cache_dir;
 
+  bool ok = true;
   auto timed_run = [&](const char* label, const char* metric) {
     Stopwatch timer;
     auto result = flow::Pipeline(options).run(user);
@@ -74,8 +76,16 @@ void run_cache_section() {
                                .histogram(metric)
                                .observe(timer.elapsed_seconds());
     if (!result.ok()) {
-      std::printf("  %-24s FAILED: %s\n", label,
-                  result.status().to_string().c_str());
+      std::fprintf(stderr, "%s: %s\n", label,
+                   result.status().to_string().c_str());
+      ok = false;
+      return std::make_pair(seconds, std::size_t{0});
+    }
+    const pnr::CompiledDesign& compiled = *result.value().offline.compiled;
+    if (!compiled.routing.success) {
+      std::fprintf(stderr, "%s: route is illegal (%s)\n", label,
+                   compiled.report.device.c_str());
+      ok = false;
       return std::make_pair(seconds, std::size_t{0});
     }
     std::printf("  %-24s %8.3f s  (%zu stages executed, %zu from cache)\n",
@@ -92,13 +102,16 @@ void run_cache_section() {
   const auto [inval_s, inval_exec] =
       timed_run("place-option change", "bench.cache.invalidated_seconds");
 
-  std::printf("  warm speedup over cold: %.0fx (%zu -> %zu stage "
-              "executions)\n",
-              cold_s / std::max(1e-9, warm_s), cold_exec, warm_exec);
-  std::printf("  place change re-runs %zu/6 stages in %.0f%% of the cold "
-              "time\n",
-              inval_exec, 100.0 * inval_s / std::max(1e-9, cold_s));
+  if (ok) {
+    std::printf("  warm speedup over cold: %.0fx (%zu -> %zu stage "
+                "executions)\n",
+                cold_s / std::max(1e-9, warm_s), cold_exec, warm_exec);
+    std::printf("  place change re-runs %zu/6 stages in %.0f%% of the cold "
+                "time\n",
+                inval_exec, 100.0 * inval_s / std::max(1e-9, cold_s));
+  }
   std::filesystem::remove_all(cache_dir);
+  return ok;
 }
 
 }  // namespace
@@ -114,19 +127,25 @@ int main() {
       {"small90", 12, 8, 8, 90, 4, 6, 203},
   };
 
-  std::printf("%-8s | %10s | %13s | %13s | %15s | %7s\n", "design",
-              "CLBs c/p", "wires c/p", "wirelen c/p", "P&R ms c/p", "routed");
+  std::printf("%-8s | %10s | %13s | %13s | %15s\n", "design", "CLBs c/p",
+              "wires c/p", "wirelen c/p", "P&R ms c/p");
   double wl_ratio = 1.0, clb_ratio = 1.0, time_ratio = 1.0;
   for (const auto& spec : specs) {
     const Row row = run_one(spec);
-    std::printf("%-8s | %4zu %5zu | %6zu %6zu | %6zu %6zu | %7.1f %7.1f | %s/%s\n",
+    // An illegal route's wires and P&R time are not the flow's numbers.
+    for (const pnr::CompileReport* report : {&row.conv, &row.prop}) {
+      if (report->route_success) continue;
+      std::fprintf(stderr, "%s: %s route is illegal (%s)\n", row.name.c_str(),
+                   report == &row.conv ? "conventional" : "proposed",
+                   report->device.c_str());
+      return 1;
+    }
+    std::printf("%-8s | %4zu %5zu | %6zu %6zu | %6zu %6zu | %7.1f %7.1f\n",
                 row.name.c_str(), row.conv.clbs_used, row.prop.clbs_used,
                 row.conv.wire_nodes_used, row.prop.wire_nodes_used,
                 row.conv.total_wirelength, row.prop.total_wirelength,
                 1e3 * (row.conv.place_seconds + row.conv.route_seconds),
-                1e3 * (row.prop.place_seconds + row.prop.route_seconds),
-                row.conv.route_success ? "ok" : "FAIL",
-                row.prop.route_success ? "ok" : "FAIL");
+                1e3 * (row.prop.place_seconds + row.prop.route_seconds));
     wl_ratio *= static_cast<double>(row.conv.total_wirelength) /
                 static_cast<double>(row.prop.total_wirelength);
     clb_ratio *= static_cast<double>(row.conv.clbs_used) /
@@ -141,7 +160,7 @@ int main() {
               std::pow(clb_ratio, 1.0 / n));
   std::printf("geomean P&R runtime ratio (conv/prop): %.2fx (paper: up to 3x faster)\n",
               std::pow(time_ratio, 1.0 / n));
-  run_cache_section();
+  if (!run_cache_section()) return 1;
   fpgadbg::bench::dump_metrics("compile_time");
   return 0;
 }

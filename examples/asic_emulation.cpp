@@ -23,6 +23,12 @@ int main() {
   debug::OfflineOptions options;
   options.instrument.trace_width = 6;
   const auto offline = debug::run_offline(golden_design, options);
+  if (!offline.compiled->routing.success) {
+    std::fprintf(stderr, "%s: route is illegal at W = %d\n",
+                 spec.name.c_str(),
+                 offline.compiled->device->params().channel_width);
+    return 1;
+  }
   debug::DebugSession session(offline);
   sim::NetlistSimulator golden(golden_design);
 

@@ -31,6 +31,12 @@ int main() {
   debug::OfflineOptions options;
   options.instrument.trace_width = 4;  // 4 trace-buffer lanes
   const auto offline = debug::run_offline(design, options);
+  if (!offline.compiled->routing.success) {
+    std::fprintf(stderr, "%s: route is illegal at W = %d\n",
+                 design.model_name().c_str(),
+                 offline.compiled->device->params().channel_width);
+    return 1;
+  }
 
   std::printf("offline stage:\n");
   std::printf("  observable signals : %zu\n",

@@ -25,6 +25,12 @@ int main() {
   debug::OfflineOptions options;
   options.instrument.trace_width = 8;
   const auto offline = debug::run_offline(design, options);
+  if (!offline.compiled->routing.success) {
+    std::fprintf(stderr, "%s: route is illegal at W = %d\n",
+                 spec.name.c_str(),
+                 offline.compiled->device->params().channel_width);
+    return 1;
+  }
   debug::DebugSession session(offline);
 
   std::printf("design has %zu observable nets; trace buffer width is %zu\n",

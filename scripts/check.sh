@@ -262,4 +262,16 @@ if [ -z "$SANITIZE" ]; then
     exit 1
   fi
   echo "route smoke: OK ($(grep -c '^route' "$SMOKE_DIR/bench_route.out") designs)"
+
+  # Harness smoke: the §V-C1 table and the mux-radix ablation exit non-zero
+  # when any route they report is illegal (about 0.5 s together).
+  for HARNESS in bench_compile_time bench_ablation_mux_arity; do
+    HARNESS_BIN="$(cd "$BUILD_DIR" && pwd)/bench/$HARNESS"
+    if ! (cd "$SMOKE_DIR" && "$HARNESS_BIN" > "$SMOKE_DIR/$HARNESS.out" 2>&1); then
+      cat "$SMOKE_DIR/$HARNESS.out" >&2
+      echo "harness smoke: $HARNESS failed" >&2
+      exit 1
+    fi
+  done
+  echo "harness smoke: OK (bench_compile_time, bench_ablation_mux_arity)"
 fi

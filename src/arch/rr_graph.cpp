@@ -48,6 +48,8 @@ RRGraph::RRGraph(const Device& device)
 
   // Collect edges in construction order, then pack them into CSR form:
   // counting sort by source node, preserving insertion order within a node.
+  // min_nodes_to_ipin (rr_graph.h) is the closed-form distance over exactly
+  // these edges; a change to the wiring changes it too.
   std::vector<RREdge> raw;
   raw.reserve(nwires * 10);
   const auto add_edge = [&](RRNodeId from, RRNodeId to) {

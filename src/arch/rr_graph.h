@@ -14,7 +14,9 @@
 //   CHANX/Y(x,y,t)  -> IPIN(x,y), IPIN of the adjacent tile
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "arch/device.h"
@@ -98,6 +100,44 @@ class RRGraph {
   RRNodeId ipin_at(int x, int y) const;
   RRNodeId chanx_at(int x, int y, int track) const;
   RRNodeId chany_at(int x, int y, int track) const;
+
+  /// The exact number of RR nodes a path from `from` must still enter to
+  /// reach the IPIN of tile (tx, ty), that IPIN included: the breadth-first
+  /// distance on the empty fabric over the edges the constructor builds,
+  /// never through another IPIN, in closed form.  A wire borders two
+  /// tiles, so along its own channel it is `span` hops from a wire that
+  /// enters IPIN(tx, ty); off the target's row (CHANX) or column (CHANY) it
+  /// runs to the target's column (row) and turns there, one node more.
+  /// Track choice never matters: every track turns and every IPIN accepts
+  /// every track.  An IPIN reads 0: the router enters no IPIN but its
+  /// target.
+  int min_nodes_to_ipin(RRNodeId from, int tx, int ty) const {
+    const RRNode& nd = nodes_[from];
+    // Hops along one channel from coordinate v to a wire bordering tile t,
+    // i.e. to coordinate t - 1 or t.
+    const auto span = [](int v, int t) {
+      return std::max({0, t - 1 - v, v - t});
+    };
+    const auto chanx = [&](int x, int y) {
+      return y == ty ? span(x, tx) + 1
+                     : std::abs(x - tx) + span(y, ty) + 2;
+    };
+    const auto chany = [&](int x, int y) {
+      return x == tx ? span(y, ty) + 1
+                     : std::abs(y - ty) + span(x, tx) + 2;
+    };
+    switch (nd.kind) {
+      case RRKind::kChanX:
+        return chanx(nd.x, nd.y);
+      case RRKind::kChanY:
+        return chany(nd.x, nd.y);
+      case RRKind::kOpin:
+        return 1 + std::min(chanx(nd.x, nd.y), chany(nd.x, nd.y));
+      case RRKind::kIpin:
+        break;
+    }
+    return 0;
+  }
 
  private:
   const Device& device_;

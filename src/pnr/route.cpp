@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <queue>
 #include <unordered_map>
@@ -149,13 +148,13 @@ struct Terminals {
 struct Router {
   Router(const RRGraph& graph, const RouteOptions& opts, RouteResult* res)
       : rr(graph),
-        options(opts),
+        astar_fac(std::max(opts.astar_fac, 0.0)),
         width(graph.device().width()),
         height(graph.device().height()),
         result(res) {}
 
   const RRGraph& rr;
-  const RouteOptions& options;
+  double astar_fac;  ///< RouteOptions::astar_fac; a negative weight acts as 0
   int width;
   int height;
 
@@ -217,26 +216,17 @@ struct Router {
     return (1.0 - crit) * congestion + crit * crit_weight * delay_units(id);
   }
 
-  /// Admissible A* lookahead: the minimum number of RR nodes still to be
-  /// entered to reach the target, times `scale` — the cheapest possible
-  /// per-node cost of the current search (1.0 in wirelength mode, where
-  /// every node costs at least 1.0).  That is the wires still to enter
-  /// before the target tile, plus the target IPIN itself for every node
-  /// that is not an IPIN.  A channel wire borders two tiles, so its
-  /// distance is the min over both; that keeps the estimate a true lower
-  /// bound and consistent (it drops by at most 1 per edge while every
-  /// entered node costs at least `scale`).
+  /// Exact A* lookahead: the number of RR nodes still to be entered to
+  /// reach the target on the empty fabric (target IPIN included), times
+  /// `scale` — the cheapest possible per-node cost of the current search
+  /// (1.0 in wirelength mode, where every node costs at least 1.0).  A true
+  /// shortest distance keeps the estimate admissible and consistent (it
+  /// drops by at most 1 per edge while every entered node costs at least
+  /// `scale`); on an uncongested fabric it is the path's own cost, so each
+  /// search pops only its path.
   double lookahead(RRNodeId id, int tx, int ty, double scale) const {
-    if (options.astar_fac <= 0.0) return 0.0;
-    const RRNode& nd = rr.node(id);
-    int d = std::abs(nd.x - tx) + std::abs(nd.y - ty);
-    if (nd.kind == RRKind::kChanX) {
-      d = std::min(d, std::abs(nd.x + 1 - tx) + std::abs(nd.y - ty));
-    } else if (nd.kind == RRKind::kChanY) {
-      d = std::min(d, std::abs(nd.x - tx) + std::abs(nd.y + 1 - ty));
-    }
-    if (nd.kind != RRKind::kIpin) ++d;
-    return options.astar_fac * scale * static_cast<double>(d);
+    return astar_fac * scale *
+           static_cast<double>(rr.min_nodes_to_ipin(id, tx, ty));
   }
 
   /// Lower bound on node_cost() over every node kind for a sink of

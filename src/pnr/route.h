@@ -10,7 +10,9 @@
 //
 // The search stack layers three compounding optimisations over the classic
 // algorithm (VPR / nextpnr-router2 lineage, see DESIGN.md "Router"):
-//   * A* wavefront expansion with an admissible geometric lookahead,
+//   * A* wavefront expansion with an exact lookahead: the empty fabric's
+//     shortest distance to the sink pin (RRGraph::min_nodes_to_ipin), so
+//     an uncongested search pops only its path,
 //   * per-net expansion bounding boxes that grow on routing failure and
 //     under repeated congestion,
 //   * incremental rip-up: after iteration 1 only nets crossing an overused
@@ -36,11 +38,12 @@
 namespace fpgadbg::pnr {
 
 struct RouteOptions {
-  /// Weight on the A* lookahead (the geometric distance to the sink's tile
-  /// plus the sink pin).  1.0 keeps the heuristic admissible: each search
-  /// returns a path of the same minimum cost as Dijkstra's, though ties may
-  /// pick a different one.  Larger values trade path optimality for fewer
-  /// heap pops; 0 disables the lookahead entirely (plain Dijkstra).
+  /// Weight on the A* lookahead (the number of RR nodes still to enter to
+  /// reach the sink pin on the empty fabric, RRGraph::min_nodes_to_ipin).
+  /// 1.0 keeps the heuristic admissible: each search returns a path of the
+  /// same minimum cost as Dijkstra's, though ties may pick a different one.
+  /// Larger values trade path optimality for fewer heap pops; 0 (or a
+  /// negative value) disables the lookahead entirely (plain Dijkstra).
   double astar_fac = 1.0;
   /// Initial margin (in tiles) added around a net's terminal bounding box.
   /// The box doubles its margin every time the net fails to route inside it,

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "arch/device.h"
 #include "arch/frames.h"
 #include "arch/rr_graph.h"
@@ -110,6 +113,57 @@ TEST(RRGraph, OpinReachesNeighbourIpin) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(RRGraph, MinNodesToIpinIsTheBreadthFirstDistance) {
+  // The router's A* lookahead is exact only while min_nodes_to_ipin stays
+  // the closed form of the edges the constructor builds.  For every IPIN,
+  // a breadth-first search backwards over the real edges (never through
+  // another IPIN) must give the function's value at every other node.
+  std::size_t checked = 0;
+  for (const std::size_t min_clbs : {4u, 100u}) {
+    for (const int width : {2, 5}) {
+      ArchParams params;
+      params.channel_width = width;
+      Device dev(params, min_clbs);
+      RRGraph rr(dev);
+      if (min_clbs == 100) {
+        ASSERT_GT(dev.num_brams(), 0u);
+      }
+      std::vector<std::vector<RRNodeId>> in_edges(rr.num_nodes());
+      for (RREdgeId e = 0; e < rr.num_edges(); ++e) {
+        in_edges[rr.edge(e).to].push_back(rr.edge(e).from);
+      }
+      std::vector<int> dist(rr.num_nodes());
+      for (int ty = 0; ty < dev.height(); ++ty) {
+        for (int tx = 0; tx < dev.width(); ++tx) {
+          const RRNodeId target = rr.ipin_at(tx, ty);
+          std::fill(dist.begin(), dist.end(), -1);
+          dist[target] = 0;
+          std::vector<RRNodeId> frontier{target};
+          for (std::size_t head = 0; head < frontier.size(); ++head) {
+            const RRNodeId cur = frontier[head];
+            if (cur != target && rr.node(cur).kind == RRKind::kIpin) continue;
+            for (const RRNodeId from : in_edges[cur]) {
+              if (dist[from] >= 0) continue;
+              dist[from] = dist[cur] + 1;
+              frontier.push_back(from);
+            }
+          }
+          for (RRNodeId id = 0; id < rr.num_nodes(); ++id) {
+            if (rr.node(id).kind == RRKind::kIpin) continue;
+            ASSERT_EQ(rr.min_nodes_to_ipin(id, tx, ty), dist[id])
+                << "node " << id << " (kind "
+                << static_cast<int>(rr.node(id).kind) << " at "
+                << rr.node(id).x << "," << rr.node(id).y << ") to IPIN "
+                << tx << "," << ty << ", W = " << width;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 100000u);
 }
 
 TEST(FrameGeometry, FrameAlignedColumns) {
