@@ -27,6 +27,13 @@ int main() {
     options.instrument.max_observed =
         std::max<std::size_t>(1, observable * static_cast<std::size_t>(percent) / 100);
     const auto offline = debug::run_offline(user, options);
+    // An illegal route's PConf is not the flow's.
+    if (!offline.compiled->routing.success) {
+      std::fprintf(stderr, "%s at %d%%: route is illegal at W = %d\n",
+                   spec.name.c_str(), percent,
+                   offline.compiled->device->params().channel_width);
+      return 1;
+    }
     std::printf("%8d%% | %8zu | %7zu | %9zu | %7zu | %11zu | %12zu\n", percent,
                 offline.instrumented.num_observable(),
                 offline.instrumented.netlist.params().size(),

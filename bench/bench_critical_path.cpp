@@ -5,6 +5,8 @@
 // levels on the path.  Table II measures depth; this harness weights the
 // actual placed-and-routed netlist with a LUT/pin/wire delay model.
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "debug/signal_param.h"
 #include "genbench/genbench.h"
@@ -16,16 +18,31 @@ using namespace fpgadbg;
 
 namespace {
 
-pnr::CompiledDesign compile_variant(const netlist::Netlist& user,
+/// Compiles one variant of `design`; exits 1, naming the design, the variant
+/// and W, when its route is illegal: an illegal route's delays are not the
+/// flow's.
+pnr::CompiledDesign compile_variant(const std::string& design,
+                                    const char* variant,
+                                    const netlist::Netlist& user,
                                     const debug::Instrumented* inst,
                                     bool param_aware) {
+  pnr::CompiledDesign compiled;
   if (inst == nullptr) {
     auto mapping = map::abc_map(user);
-    return pnr::compile(std::move(mapping.netlist), {}, {});
+    compiled = pnr::compile(std::move(mapping.netlist), {}, {});
+  } else {
+    auto mapping = param_aware ? map::tcon_map(inst->netlist)
+                               : map::abc_map(inst->netlist);
+    compiled =
+        pnr::compile(std::move(mapping.netlist), inst->trace_outputs, {});
   }
-  auto mapping = param_aware ? map::tcon_map(inst->netlist)
-                             : map::abc_map(inst->netlist);
-  return pnr::compile(std::move(mapping.netlist), inst->trace_outputs, {});
+  if (!compiled.routing.success) {
+    std::fprintf(stderr, "%s (%s): route is illegal at W = %d\n",
+                 design.c_str(), variant,
+                 compiled.device->params().channel_width);
+    std::exit(1);
+  }
+  return compiled;
 }
 
 }  // namespace
@@ -46,9 +63,12 @@ int main() {
     opt.trace_width = 8;
     const auto inst = debug::parameterize_signals(user, opt);
 
-    const auto orig = pnr::analyze_timing(compile_variant(user, nullptr, false));
-    const auto prop = pnr::analyze_timing(compile_variant(user, &inst, true));
-    const auto conv = pnr::analyze_timing(compile_variant(user, &inst, false));
+    const auto orig = pnr::analyze_timing(
+        compile_variant(spec.name, "original", user, nullptr, false));
+    const auto prop = pnr::analyze_timing(
+        compile_variant(spec.name, "proposed", user, &inst, true));
+    const auto conv = pnr::analyze_timing(
+        compile_variant(spec.name, "conventional", user, &inst, false));
     std::printf("%-9s | %12.2f | %12.2f | %12.2f | %9.2fx\n", spec.name.c_str(),
                 orig.critical_path_ns, prop.critical_path_ns,
                 conv.critical_path_ns,

@@ -7,9 +7,11 @@
 //     even after ~5000 debugging turns (the amortization series).
 // It also times the emulation hot path: DebugSession::run() per cycle
 // against the bare engine's set_inputs() + step() loop on the session's
-// backend, whose ratio has a <= 1.2x target.
+// backend, watching the session's lane cells under the session's parameters
+// so both sweep the same cone; the ratio has a <= 1.2x target.
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "bitstream/icap.h"
@@ -67,6 +69,13 @@ int main() {
   debug::OfflineOptions options;
   options.instrument.trace_width = 8;
   const auto offline = debug::run_offline(user, options);
+  // An illegal route's design is not the flow's; no number comes from it.
+  if (!offline.compiled->routing.success) {
+    std::fprintf(stderr, "%s: route is illegal at W = %d\n",
+                 spec.name.c_str(),
+                 offline.compiled->device->params().channel_width);
+    return 1;
+  }
   std::printf("design: %zu gates -> %zu LUTs + %zu TCONs, %zu parameters, "
               "%zu-frame device\n",
               spec.num_gates, offline.mapping.stats.lut_area,
@@ -171,45 +180,71 @@ int main() {
               without_journal * 1e3, with_journal * 1e3, overhead);
 
   // The hot path's target: run(), journal off, costs at most 1.2x the bare
-  // engine of the session's own backend.  The two alternate run by run, so a
-  // slow stretch of a shared host slows both alike.
+  // engine of the session's own backend.  The bare engine watches the lane
+  // cells under the session's parameters, so both legs sweep the same cone
+  // and the ratio is run()'s own per-cycle cost.  The two alternate run by
+  // run, so a slow stretch of a shared host slows both alike.
   const sim::SimBackend backend = session.dut().backend();
-  sim::MappedSimulator bare(offline.mapping.netlist, backend);
+  const map::MappedNetlist& mn = offline.mapping.netlist;
+  sim::MappedSimulator bare(mn, backend);
+  for (map::CellId p : mn.params()) bare.set_param(p, session.dut().value(p));
+  bare.set_watched(session.lane_cells());
+  // Ops per eval() of each leg, from the engine's own counters.
+  const telemetry::Counter& evals = telemetry::metrics().counter("sim.evals");
+  const telemetry::Counter& swept =
+      telemetry::metrics().counter("sim.sweep.ops");
+  struct Sweeps {
+    std::uint64_t ops = 0;
+    std::uint64_t evals = 0;
+    double per_eval() const {
+      return evals == 0 ? 0.0 : static_cast<double>(ops) / evals;
+    }
+  };
+  auto counted = [&](Sweeps& sweeps, auto&& leg) {
+    const std::uint64_t ops0 = swept.value();
+    const std::uint64_t evals0 = evals.value();
+    const double seconds = leg();
+    sweeps.ops += swept.value() - ops0;
+    sweeps.evals += evals.value() - evals0;
+    return seconds;
+  };
+  Sweeps bare_sweeps, run_sweeps;
   session.journal().set_enabled(false);
   double bare_best = 1e9;
   double run_best = 1e9;
   for (int rep = 0; rep < kRepeats; ++rep) {
-    bare_best = std::min(bare_best, bare_run_seconds(bare));
-    run_best = std::min(run_best, session_run_seconds());
+    bare_best = std::min(bare_best, counted(bare_sweeps, [&] {
+                           return bare_run_seconds(bare);
+                         }));
+    run_best = std::min(run_best, counted(run_sweeps, session_run_seconds));
   }
   session.journal().set_enabled(true);
   const double run_ns = run_best / kCycles * 1e9;
   const double bare_ns = bare_best / kCycles * 1e9;
   const double run_ratio = run_ns / bare_ns;
-  std::printf("\nemulation hot path (best of %d runs of %llu cycles):\n",
-              kRepeats, static_cast<unsigned long long>(kCycles));
+  std::printf("\nemulation hot path (best of %d runs of %llu cycles; the "
+              "whole design is %zu ops):\n",
+              kRepeats, static_cast<unsigned long long>(kCycles),
+              bare.sweep_size());
   const std::string bare_label =
       "bare " + sim::to_string(backend) + " engine (set_inputs + step):";
-  std::printf("  %-44s %8.1f ns/cycle\n", bare_label.c_str(), bare_ns);
-  std::printf("  %-44s %8.1f ns/cycle\n", "DebugSession::run(), journal off:",
-              run_ns);
+  std::printf("  %-44s %8.1f ns/cycle %8.1f ops/sweep\n", bare_label.c_str(),
+              bare_ns, bare_sweeps.per_eval());
+  std::printf("  %-44s %8.1f ns/cycle %8.1f ops/sweep\n",
+              "DebugSession::run(), journal off:", run_ns,
+              run_sweeps.per_eval());
   std::printf("  run() / bare engine: %.2fx (target <= 1.2x)\n", run_ratio);
   telemetry::metrics().gauge("bench.emulation.bare_ns_per_cycle").set(bare_ns);
   telemetry::metrics().gauge("bench.emulation.run_ns_per_cycle").set(run_ns);
   telemetry::metrics().gauge("bench.emulation.run_vs_bare_ratio").set(run_ratio);
 
-  // The emulated DUT behind the session: compiled levelized engine vs the
-  // per-cell interpreter it replaced.  The session's backend was timed
-  // above; only the other one runs here.
-  auto bare_seconds = [&](sim::SimBackend b) {
-    return b == backend ? bare_best
-                        : emulation_seconds(offline.mapping.netlist, b);
-  };
+  // The two engines behind the session, each sweeping the whole design
+  // (the interpreter has no watched cone).
   const double interp_rate =
-      kCycles / bare_seconds(sim::SimBackend::kInterpreted);
+      kCycles / emulation_seconds(mn, sim::SimBackend::kInterpreted);
   const double compiled_rate =
-      kCycles / bare_seconds(sim::SimBackend::kCompiled);
-  std::printf("\nDUT emulation throughput (scalar stimulus):\n");
+      kCycles / emulation_seconds(mn, sim::SimBackend::kCompiled);
+  std::printf("\nDUT emulation throughput (scalar stimulus, whole design):\n");
   std::printf("  interpreted backend: %10.0f cycles/s\n", interp_rate);
   std::printf("  compiled backend:    %10.0f cycles/s (%.1fx)\n",
               compiled_rate, compiled_rate / interp_rate);
@@ -235,10 +270,18 @@ int main() {
     const auto rnl = genbench::generate(rspec);
     debug::OfflineOptions ropt;
     ropt.instrument.trace_width = 8;
+    // W = 32 leaves this design's route illegal; 40 routes it.
+    ropt.compile.arch.channel_width = 40;
     Stopwatch timer;
     const auto roffline = debug::run_offline(rnl, ropt);
-    (void)roffline;
-    return timer.elapsed_seconds();
+    const double seconds = timer.elapsed_seconds();
+    if (!roffline.compiled->routing.success) {
+      std::fprintf(stderr, "%s: route is illegal at W = %d\n",
+                   rspec.name.c_str(),
+                   roffline.compiled->device->params().channel_width);
+      std::exit(1);
+    }
+    return seconds;
   };
   const double route_serving = timed_route();
   introspect.value()->stop();

@@ -3,13 +3,15 @@
 // fidelity STA's modeled Fmax on generated benchmarks of increasing size.
 //
 // Acceptance: the full timing-driven flow improves modeled Fmax over the
-// wirelength baseline on a majority of the designs while keeping every
-// configuration routable.  Emits BENCH_timing.json.
+// wirelength baseline on a majority of the designs.  Every leg must route
+// legally: the harness exits 1 on the first illegal route, before printing
+// its numbers.  Emits BENCH_timing.json.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -114,32 +116,33 @@ int main() {
   };
   if (std::getenv("FPGADBG_QUICK")) cases.resize(2);
 
-  std::printf("%-9s | %11s | %11s | %11s | %8s | %s\n", "design",
-              "base MHz", "t-place MHz", "t-full MHz", "gain", "routed");
+  std::printf("%-9s | %11s | %11s | %11s | %8s\n", "design", "base MHz",
+              "t-place MHz", "t-full MHz", "gain");
 
   int improved = 0;
-  bool routable_ok = true;
   for (const auto& c : cases) {
     const Prepared p = prepare(c.spec, c.channel_width);
 
     const Leg base = run_leg(p, false, false);
     const Leg tplace = run_leg(p, true, false);
     const Leg tfull = run_leg(p, true, true);
+    // An illegal route's Fmax and wirelength are not the flow's numbers.
+    for (const auto& [leg, name] :
+         {std::pair{&base, "baseline"}, std::pair{&tplace, "timing-place"},
+          std::pair{&tfull, "timing-full"}}) {
+      if (leg->routed) continue;
+      std::fprintf(stderr, "%s: %s route is illegal at W = %d\n",
+                   p.name.c_str(), name, c.channel_width);
+      return 1;
+    }
 
     const double gain =
         base.fmax_mhz > 0.0 ? tfull.fmax_mhz / base.fmax_mhz : 0.0;
     if (tfull.fmax_mhz > base.fmax_mhz) ++improved;
-    // Routability must not regress: every leg that the baseline routes, the
-    // timing-driven legs route too.
-    const bool routed_ok =
-        (!base.routed || (tplace.routed && tfull.routed));
-    routable_ok = routable_ok && routed_ok;
 
-    std::printf("%-9s | %11.1f | %11.1f | %11.1f | %7.3fx | %s%s\n",
+    std::printf("%-9s | %11.1f | %11.1f | %11.1f | %7.3fx\n",
                 p.name.c_str(), base.fmax_mhz, tplace.fmax_mhz,
-                tfull.fmax_mhz, gain,
-                tfull.routed ? "yes" : "NO",
-                routed_ok ? "" : "  REGRESSION");
+                tfull.fmax_mhz, gain);
 
     record(c.spec.name + ".baseline_fmax_mhz", base.fmax_mhz);
     record(c.spec.name + ".timing_place_fmax_mhz", tplace.fmax_mhz);
@@ -160,8 +163,6 @@ int main() {
   std::printf("\ntiming-driven flow improves modeled Fmax on %d/%zu designs "
               "(acceptance: majority) — %s\n",
               improved, cases.size(), majority ? "ok" : "MISS");
-  std::printf("routability: %s\n", routable_ok ? "no regressions" :
-              "REGRESSION");
   fpgadbg::bench::dump_metrics("timing");
-  return (majority && routable_ok) ? 0 : 1;
+  return majority ? 0 : 1;
 }

@@ -263,9 +263,11 @@ if [ -z "$SANITIZE" ]; then
   fi
   echo "route smoke: OK ($(grep -c '^route' "$SMOKE_DIR/bench_route.out") designs)"
 
-  # Harness smoke: the §V-C1 table and the mux-radix ablation exit non-zero
-  # when any route they report is illegal (about 0.5 s together).
-  for HARNESS in bench_compile_time bench_ablation_mux_arity; do
+  # Harness smoke: the §V-C1 table, the mux-radix ablation, the §V-B
+  # critical-path table and the signal-fraction ablation exit non-zero when
+  # any route they report is illegal (about 1 s together).
+  for HARNESS in bench_compile_time bench_ablation_mux_arity \
+      bench_critical_path bench_ablation_signal_fraction; do
     HARNESS_BIN="$(cd "$BUILD_DIR" && pwd)/bench/$HARNESS"
     if ! (cd "$SMOKE_DIR" && "$HARNESS_BIN" > "$SMOKE_DIR/$HARNESS.out" 2>&1); then
       cat "$SMOKE_DIR/$HARNESS.out" >&2
@@ -273,5 +275,6 @@ if [ -z "$SANITIZE" ]; then
       exit 1
     fi
   done
-  echo "harness smoke: OK (bench_compile_time, bench_ablation_mux_arity)"
+  echo "harness smoke: OK (bench_compile_time, bench_ablation_mux_arity," \
+       "bench_critical_path, bench_ablation_signal_fraction)"
 fi

@@ -58,6 +58,9 @@ DebugSession::DebugSession(const OfflineResult& offline,
     lane_cells_[l] =
         mn.outputs()[static_cast<std::size_t>(it - names.begin())];
   }
+  // step() reads only the lanes each cycle, so the DUT sweeps only what
+  // they and the latches read; any other read sweeps the rest on demand.
+  sim_.set_watched(lane_cells_);
   {
     // The coverage universe: every signal wired into any lane (replication
     // places a signal in several lanes; the tracker dedups).

@@ -50,6 +50,8 @@ class DebugSession {
   const sim::TraceBuffer& trace() const { return trace_; }
   const std::vector<std::string>& observed() const { return observed_; }
   sim::MappedSimulator& dut() { return sim_; }
+  /// The mapped cell each trace lane reads: the DUT's watched list.
+  const std::vector<map::CellId>& lane_cells() const { return lane_cells_; }
 
   /// The session flight recorder.  Enabled by default (in-memory ring only);
   /// attach a JSONL sink with journal().set_sink() to persist it, or

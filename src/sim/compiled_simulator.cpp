@@ -16,6 +16,14 @@ namespace {
 
 constexpr std::uint32_t kArity = SimProgram::kMaxOpArity;
 
+bool is_source(const SimProgram& prog, std::uint32_t slot) {
+  if (slot >= prog.num_design_nodes) return false;
+  const SimProgram::SlotKind kind = prog.node_kind[slot];
+  return kind == SimProgram::SlotKind::kInput ||
+         kind == SimProgram::SlotKind::kParam ||
+         kind == SimProgram::SlotKind::kLatchOut;
+}
+
 /// The low 2^k bits of `mask` (a k-input table) repeated across all 64.
 std::uint64_t widen(std::uint64_t mask, std::uint32_t k) {
   if (k < kArity) mask &= (std::uint64_t{1} << (1u << k)) - 1;
@@ -63,6 +71,7 @@ void CompiledSimulator::init() {
       w.fanins[j] = j < k ? f[j] : (k != 0 ? f[0] : op.out);
     }
   }
+  in_rest_.assign(slots, 0);
   out_slots_ = prog_.outputs;
   latch_in_slots_.clear();
   for (const SimLatch& latch : prog_.latches) {
@@ -201,12 +210,15 @@ void CompiledSimulator::rebind_dirty() {
         // Parameters are the top variables: assignment a's residual is
         // bits [a * 2^nd, (a + 1) * 2^nd) of the table.
         const std::size_t begin = std::size_t{a} << c.num_data;
-        broadcast_ops_[c.op].mask = widen(
+        const std::uint64_t mask = widen(
             tlut_words_[c.table + begin / 64] >> (begin % 64), c.num_data);
+        cone_stale_ |= broadcast_ops_[c.op].mask != mask;
+        broadcast_ops_[c.op].mask = mask;
         continue;
       }
       const std::uint32_t slot = slot_of_[tcon_sources_[c.table + a]];
       if (slot == slot_of_[c.cell]) continue;
+      cone_stale_ = true;
       slot_of_[c.cell] = slot;
       for (const std::uint32_t* s = tcon_sites_.row_begin(b);
            s != tcon_sites_.row_end(b); ++s) {
@@ -277,14 +289,51 @@ void CompiledSimulator::set_params(const std::vector<bool>& values) {
   }
 }
 
-void CompiledSimulator::eval() {
-  bind();
-  telemetry::TraceScope span("sim.eval", "sim");
-  static telemetry::Counter& evals = telemetry::metrics().counter("sim.evals");
-  evals.add(1);
-  for (std::size_t i = 0; i < prog_.latches.size(); ++i) {
-    values_[prog_.latches[i].out_slot] = latch_words_[i];
+void CompiledSimulator::set_watched(std::vector<std::uint32_t> ids) {
+  for (std::uint32_t id : ids) {
+    FPGADBG_REQUIRE(id < prog_.num_design_nodes,
+                    "watched node is not in the design");
   }
+  watched_ = std::move(ids);
+  cone_stale_ = true;
+}
+
+void CompiledSimulator::split_program() {
+  // The cone: walking the ops backwards, an op is in it when a watched
+  // node, a latch D-pin or an op already in it reads the op's output.  No
+  // op reads the output of one after it, so once the walk is done,
+  // needed[op.out] says whether op is in the cone.
+  std::vector<std::uint8_t> needed(values_.size(), watched_.empty() ? 1 : 0);
+  for (std::uint32_t id : watched_) needed[slot_of_[id]] = 1;
+  for (std::uint32_t slot : latch_in_slots_) needed[slot] = 1;
+  for (auto op = broadcast_ops_.rbegin(); op != broadcast_ops_.rend(); ++op) {
+    if (needed[op->out] == 0) continue;
+    for (std::uint32_t f : op->fanins) needed[f] = 1;
+  }
+  cone_ops_.clear();
+  rest_ops_.clear();
+  saved_slots_.clear();
+  std::vector<std::uint8_t> saved(values_.size(), 0);
+  for (const BroadcastOp& op : broadcast_ops_) {
+    in_rest_[op.out] = needed[op.out] == 0 ? 1 : 0;
+    if (needed[op.out] != 0) {
+      cone_ops_.push_back(op);
+      continue;
+    }
+    rest_ops_.push_back(op);
+    for (std::uint32_t f : op.fanins) {
+      if (saved[f] == 0 && is_source(prog_, f)) {
+        saved[f] = 1;
+        saved_slots_.push_back(f);
+      }
+    }
+  }
+  saved_words_.resize(saved_slots_.size());
+  cone_stale_ = false;
+}
+
+void CompiledSimulator::sweep(const std::vector<BroadcastOp>& ops,
+                              std::uint64_t* vals) {
   // Every slot is a broadcast word, so an op's result is one mask bit,
   // indexed by lane 0 of its fanins.  The ops are sorted by level, so one
   // pass in program order sees every fanin settled.  With every op widened
@@ -292,18 +341,51 @@ void CompiledSimulator::eval() {
   // the sweep's speed hinge on how much of the program's arity sequence the
   // branch predictor held, and it swung by up to 1.3 times from one run to
   // the next.
-  const BroadcastOp* ops = broadcast_ops_.data();
-  const std::size_t n = broadcast_ops_.size();
-  std::uint64_t* vals = values_.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const BroadcastOp& op = ops[i];
+  for (const BroadcastOp& op : ops) {
     const std::uint32_t* f = op.fanins;
     const std::uint64_t idx =
         (vals[f[0]] & 1) | (vals[f[1]] & 1) << 1 | (vals[f[2]] & 1) << 2 |
         (vals[f[3]] & 1) << 3 | (vals[f[4]] & 1) << 4 | (vals[f[5]] & 1) << 5;
     vals[op.out] = broadcast((op.mask >> idx) & 1);
   }
+}
+
+void CompiledSimulator::eval() {
+  bind();
+  telemetry::TraceScope span("sim.eval", "sim");
+  if (cone_stale_) split_program();
+  static telemetry::Counter& evals = telemetry::metrics().counter("sim.evals");
+  static telemetry::Counter& swept =
+      telemetry::metrics().counter("sim.sweep.ops");
+  evals.add(1);
+  swept.add(cone_ops_.size());
+  for (std::size_t i = 0; i < prog_.latches.size(); ++i) {
+    values_[prog_.latches[i].out_slot] = latch_words_[i];
+  }
+  for (std::size_t i = 0; i < saved_slots_.size(); ++i) {
+    saved_words_[i] = values_[saved_slots_[i]];
+  }
+  sweep(cone_ops_, values_.data());
+  rest_current_ = rest_ops_.empty();
   values_current_ = true;
+}
+
+void CompiledSimulator::sweep_rest() const {
+  // Inputs, latch outputs and parameters may have moved since eval(); the
+  // rest reads them as eval() did.  Everything else it reads is a constant
+  // or an op's output: the cone's, which only eval() writes, or its own,
+  // written earlier in this pass.
+  for (std::size_t i = 0; i < saved_slots_.size(); ++i) {
+    std::swap(values_[saved_slots_[i]], saved_words_[i]);
+  }
+  sweep(rest_ops_, values_.data());
+  for (std::size_t i = 0; i < saved_slots_.size(); ++i) {
+    std::swap(values_[saved_slots_[i]], saved_words_[i]);
+  }
+  rest_current_ = true;
+  static telemetry::Counter& deferred =
+      telemetry::metrics().counter("sim.sweep.deferred_ops");
+  deferred.add(rest_ops_.size());
 }
 
 void CompiledSimulator::step() {
@@ -317,13 +399,13 @@ void CompiledSimulator::step() {
 
 bool CompiledSimulator::output(std::size_t index) const {
   FPGADBG_REQUIRE(index < out_slots_.size(), "output index out of range");
-  return values_[out_slots_[index]] & 1;
+  return read(out_slots_[index]);
 }
 
 std::vector<bool> CompiledSimulator::output_values() const {
   std::vector<bool> out;
   out.reserve(out_slots_.size());
-  for (std::uint32_t slot : out_slots_) out.push_back(values_[slot] & 1);
+  for (std::uint32_t slot : out_slots_) out.push_back(read(slot));
   return out;
 }
 

@@ -16,6 +16,24 @@
 // only the cells that read that parameter; the sweep itself is one op per
 // LUT/TLUT.
 //
+// The watched cone.  A caller that reads only a few nodes per cycle names
+// them with set_watched(); eval() then sweeps only the ops that those nodes
+// and every latch D-pin depend on under the current binding, kept as a
+// contiguous copy of its ops in program order.  The other ops, the rest,
+// live in a second copy and are swept only when value(), output() or
+// output_values() reads a node that one of them computes: once per eval(),
+// however many reads follow.  That deferred sweep reads the sources (inputs,
+// latch outputs, and the parameter slots an op reads, as the cascade of a
+// TLUT with more than six data inputs does) as the last eval() saved them,
+// under the binding that eval() swept with: re-binding edits only the
+// master program, and the two copies are cut from it again at the first
+// eval() after the watched list changes, a TCON's source moves or a TLUT
+// mask is rewritten.  So value() means "as of the last sweep" across
+// set_input*, set_param*, reset(), restore() and bind(), exactly as on an
+// engine that watches nothing (its cone is every op).  A read can sweep, so
+// value() and the other const reads write the engine's state: reading one
+// engine from two threads is no safer than calling eval() from two.
+//
 // This is the debug session's emulation engine (behind MappedSimulator).
 // Word-parallel work, many stimulus streams and faults run on
 // BatchSimulator.
@@ -52,12 +70,19 @@ class CompiledSimulator {
   void set_param(std::uint32_t id, bool value);
   void set_params(const std::vector<bool>& values);
 
+  /// Sweeps only the watched cone from the next eval() on: the ops that the
+  /// design nodes `ids` and every latch D-pin depend on.  An empty list (the
+  /// default) watches every op.  Reads of other nodes stay exact; they
+  /// sweep the rest of the program on demand (see the file comment).
+  void set_watched(std::vector<std::uint32_t> ids);
+
   /// Re-binds the cells that read a parameter whose value changed since
   /// the last binding (mapped netlists; a no-op when none did).  eval()
   /// calls it first, so calling it early only moves when the work is done.
   void bind();
 
-  /// Propagate combinationally (does not advance latches).  Always sweeps.
+  /// Propagate combinationally (does not advance latches).  Always sweeps
+  /// the watched cone, and only it (counter sim.sweep.ops).
   void eval();
   /// Clock all latches with the values of the current sources.  Sweeps
   /// first only when the values are stale: eval() makes them current, and
@@ -67,14 +92,17 @@ class CompiledSimulator {
   void step();
 
   /// The value of design node `id` as of the last sweep (a TCON reads the
-  /// source it is bound to).
-  bool value(std::uint32_t id) const { return values_[slot_of_[id]] & 1; }
+  /// source it is bound to).  A node outside the watched cone first sweeps
+  /// the rest of the program, once per eval() (counter
+  /// sim.sweep.deferred_ops).
+  bool value(std::uint32_t id) const { return read(slot_of_[id]); }
   bool output(std::size_t index) const;
   std::vector<bool> output_values() const;
 
   std::uint64_t cycle() const { return cycle_; }
 
-  /// Ops per sweep (one per LUT/TLUT of a mapped netlist with K <= 6).
+  /// Ops in the whole program (one per LUT/TLUT of a mapped netlist with
+  /// K <= 6): the ops per eval() of an engine that watches nothing.
   std::size_t sweep_size() const { return broadcast_ops_.size(); }
 
   /// Sequential state (latch words + cycle counter).  The version and lane
@@ -101,6 +129,17 @@ class CompiledSimulator {
   /// The slot id stored at a reference site (see tcon_sites_).
   std::uint32_t& site(std::uint32_t s);
   bool set_source(std::uint32_t slot, bool value);
+  /// Cuts cone_ops_ and rest_ops_ from the master program (see the file
+  /// comment) and lists the sources the rest reads.
+  void split_program();
+  /// The value in `slot`, sweeping the rest first if it computes the slot
+  /// and has not been swept since the last eval().
+  bool read(std::uint32_t slot) const {
+    if (!rest_current_ && in_rest_[slot]) sweep_rest();
+    return values_[slot] & 1;
+  }
+  /// Sweeps rest_ops_ on the sources the last eval() saved.
+  void sweep_rest() const;
 
   /// An op widened to kMaxOpArity fanins for the sweep.  The fanins it
   /// lacks repeat its first one (a constant op, with none, reads its own
@@ -111,6 +150,8 @@ class CompiledSimulator {
     std::uint32_t out = 0;
     std::uint32_t fanins[SimProgram::kMaxOpArity] = {};
   };
+  /// One pass over `ops` in program order, reading and writing `vals`.
+  static void sweep(const std::vector<BroadcastOp>& ops, std::uint64_t* vals);
 
   /// A cell whose parameter inputs choose its behaviour.  TCONs come first
   /// in bound_, in topological order, so a TCON's index is its rank.
@@ -139,14 +180,31 @@ class CompiledSimulator {
   };
 
   SimProgram prog_;
-  std::vector<BroadcastOp> broadcast_ops_;  ///< the sweep
+  /// The master program: every op, under the current binding.  Re-binding
+  /// edits it; the sweeps read the two copies cut from it.
+  std::vector<BroadcastOp> broadcast_ops_;
   /// Per slot: the slot its value is read from.  The identity, except that
   /// a bound TCON reads its source; two extra slots hold constants 0 and 1.
   std::vector<std::uint32_t> slot_of_;
   std::vector<std::uint32_t> out_slots_;       ///< per output
   std::vector<std::uint32_t> latch_in_slots_;  ///< per latch D-pin
-  std::vector<std::uint64_t> values_;          ///< broadcast word per slot
+  /// Broadcast word per slot.  Mutable: a const read may sweep the rest.
+  mutable std::vector<std::uint64_t> values_;
   std::vector<std::uint64_t> latch_words_;
+
+  // --- the watched cone ---
+  std::vector<std::uint32_t> watched_;    ///< design node ids; empty: all
+  std::vector<BroadcastOp> cone_ops_;     ///< eval()'s sweep, program order
+  std::vector<BroadcastOp> rest_ops_;     ///< the other ops, program order
+  std::vector<std::uint8_t> in_rest_;     ///< per slot: a rest op writes it
+  std::vector<std::uint32_t> saved_slots_;  ///< the sources the rest reads
+  /// Their values at the last eval(); the deferred sweep swaps them in and
+  /// back out.
+  mutable std::vector<std::uint64_t> saved_words_;
+  /// The copies no longer match the master program or the watched list.
+  bool cone_stale_ = true;
+  /// The rest holds the values of the last eval() (or there is none).
+  mutable bool rest_current_ = true;
 
   // --- parameter binding (mapped netlists only) ---
   std::vector<BoundCell> bound_;

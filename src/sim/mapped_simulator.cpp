@@ -82,6 +82,10 @@ void MappedSimulator::set_params(const std::vector<bool>& values) {
   }
 }
 
+void MappedSimulator::set_watched(const std::vector<CellId>& ids) {
+  if (engine_) engine_->set_watched(ids);
+}
+
 void MappedSimulator::bind() {
   if (engine_) engine_->bind();
 }

@@ -8,6 +8,15 @@
 // per-cell interpreter (the oracle) and the compiled levelized engine
 // (CompiledSimulator), the default, which lowers the mapped netlist once at
 // construction and re-binds its TCONs and TLUTs when parameters change.
+//
+// set_watched() names the cells a caller reads every cycle.  The compiled
+// engine then sweeps in eval() only the ops those cells and the latch
+// D-pins depend on, and sweeps the rest when a read needs it, once per
+// eval() (CompiledSimulator's watched cone); the interpreter ignores the
+// list.
+// Either way value(), output() and output_values() return the values as of
+// the last sweep.  Those const reads may sweep, so one engine is no safer
+// to read from two threads than to eval() from two.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +44,9 @@ class MappedSimulator {
   void set_inputs(const std::vector<bool>& values);
   void set_param(map::CellId id, bool value);
   void set_params(const std::vector<bool>& values);
+  /// The cells read every cycle (CompiledSimulator::set_watched(); the
+  /// interpreter sweeps every cell and ignores it).
+  void set_watched(const std::vector<map::CellId>& ids);
   /// Applies the parameter writes since the last eval() now instead of in
   /// the next eval() (CompiledSimulator::bind(); the interpreter reads its
   /// parameters as it goes and has nothing to do).
@@ -54,6 +66,11 @@ class MappedSimulator {
   std::vector<bool> output_values() const;
 
   std::uint64_t cycle() const { return engine_ ? engine_->cycle() : cycle_; }
+
+  /// Ops (compiled) or cells (interpreter) in one sweep of the whole design.
+  std::size_t sweep_size() const {
+    return engine_ ? engine_->sweep_size() : topo_.size();
+  }
 
   /// Sequential state snapshot (latch contents + cycle counter).  Emulators
   /// support state readback/restore so a debug run can rewind to just before

@@ -653,6 +653,16 @@ support::Result<int> cmd_profile(const Args& args) {
   row_c("debug.journal.events");
   row_c("debug.journal.dropped_events");
   row_c("sim.evals");
+  row_c("sim.sweep.ops");
+  row_c("sim.sweep.deferred_ops");
+  // The session's DUT sweeps only the cone its trace lanes and latches
+  // read; against the whole program that is the saving per cycle.
+  if (const std::uint64_t evals = snap.counter("sim.evals"); evals > 0) {
+    std::printf("  %-28s %12.1f of %zu\n", "sim.sweep.ops per eval",
+                static_cast<double>(snap.counter("sim.sweep.ops")) /
+                    static_cast<double>(evals),
+                session.dut().sweep_size());
+  }
   row_c("sim.bind.cells");
   row_c("sim.batch.blocks");
   row_c("sim.batch.scenario_cycles");

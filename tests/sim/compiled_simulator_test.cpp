@@ -1,15 +1,18 @@
 // Randomized differential tests pinning the compiled engine to the
 // NetlistSimulator oracle: for every random netlist, stimulus stream and
 // latch init, CompiledSimulator must agree bit-for-bit with it.  Plus the
-// one-sweep-per-cycle contract of step() and the checks on stimulus targets
-// and snapshots.
+// one-sweep-per-cycle contract of step(), the watched cone against the full
+// sweep, and the checks on stimulus targets and snapshots.
 #include "sim/compiled_simulator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <optional>
 #include <set>
 
+#include "debug/signal_param.h"
 #include "genbench/genbench.h"
 #include "map/mappers.h"
 #include "sim/equivalence.h"
@@ -427,6 +430,273 @@ TEST(CompiledSimulator, StepAfterEvalSweepsOnce) {
   EXPECT_EQ(evals.value() - before, 32u);
   comp.step();
   EXPECT_EQ(evals.value() - before, 33u);
+}
+
+/// `user` with its first `params` inputs turned into parameters, so the
+/// TCON mapper covers the logic that reads them with TLUTs (at K = 8 some
+/// of more than six data inputs, whose cascades read parameter slots).
+Netlist with_params(const Netlist& user, std::size_t params) {
+  Netlist nl;
+  std::vector<NodeId> to(user.num_nodes(), kNullNode);
+  for (std::size_t i = 0; i < user.inputs().size(); ++i) {
+    const NodeId in = user.inputs()[i];
+    to[in] = i < params ? nl.add_param(user.name(in))
+                        : nl.add_input(user.name(in));
+  }
+  for (const auto& latch : user.latches()) {
+    to[latch.output] =
+        nl.add_latch(user.name(latch.output), kNullNode, latch.init_value);
+  }
+  for (NodeId id : user.topo_order()) {
+    if (user.kind(id) != netlist::NodeKind::kLogic) continue;
+    std::vector<NodeId> fanins;
+    for (NodeId f : user.fanins(id)) fanins.push_back(to[f]);
+    to[id] = nl.add_logic(user.name(id), fanins, user.function(id));
+  }
+  for (std::size_t i = 0; i < user.latches().size(); ++i) {
+    nl.set_latch_input(i, to[user.latches()[i].input]);
+  }
+  for (std::size_t o = 0; o < user.outputs().size(); ++o) {
+    nl.add_output(to[user.outputs()[o]], user.output_names()[o]);
+  }
+  return nl;
+}
+
+/// The first cell whose value() or output differs between the two engines,
+/// or "" when they read alike.
+std::string first_difference(const map::MappedNetlist& mn,
+                             const CompiledSimulator& got,
+                             const CompiledSimulator& want) {
+  for (map::CellId id = 0; id < mn.num_cells(); ++id) {
+    if (got.value(id) != want.value(id)) return "cell " + mn.cell(id).name;
+  }
+  for (std::size_t o = 0; o < mn.outputs().size(); ++o) {
+    if (got.output(o) != want.output(o)) return "output " + std::to_string(o);
+  }
+  if (got.output_values() != want.output_values()) return "output_values()";
+  return "";
+}
+
+std::string first_difference(const map::MappedNetlist& mn,
+                             const CompiledSimulator& got,
+                             const MappedSimulator& want) {
+  for (map::CellId id = 0; id < mn.num_cells(); ++id) {
+    if (got.value(id) != want.value(id)) return "cell " + mn.cell(id).name;
+  }
+  return "";
+}
+
+TEST(CompiledSimulator, WatchedSweepMatchesFullSweep) {
+  // A watched engine sweeps its cone in eval() and the rest of the program
+  // only when a read needs it, on the sources eval() saw and under the
+  // binding eval() swept with.  After every action it must read, on every
+  // node and every output, what an engine that watches nothing reads; after
+  // every eval() and step() both must read what the interpreter reads.
+  // Designs: two instrumented ones (TCONs, like the session's) and two with
+  // TLUTs, at K = 6 and K = 8.
+  std::vector<map::MappedNetlist> designs;
+  for (std::uint64_t seed : {1u, 2u}) {
+    genbench::CircuitSpec spec{"wi" + std::to_string(seed), 8, 6, 5, 70, 4,
+                               5, seed};
+    debug::InstrumentOptions opt;
+    opt.trace_width = 3;
+    designs.push_back(
+        map::tcon_map(debug::parameterize_signals(genbench::generate(spec), opt)
+                          .netlist)
+            .netlist);
+  }
+  for (int k : {6, 8}) {
+    genbench::CircuitSpec spec{"wt" + std::to_string(k), 10, 6, 5, 70, 4, 5, 4};
+    designs.push_back(
+        map::tcon_map(with_params(genbench::generate(spec), 3), k).netlist);
+  }
+  {
+    // The K = 8 design: a TLUT of more than six data inputs keeps its
+    // generic cascade, whose ops read parameter slots.
+    const map::MappedNetlist& wide = designs.back();
+    const CompiledSimulator lowered(wide);
+    const SimProgram& prog = lowered.program();
+    ASSERT_TRUE(std::any_of(prog.fanins.begin(), prog.fanins.end(),
+                            [&](std::uint32_t f) {
+                              return f < prog.num_design_nodes &&
+                                     prog.node_kind[f] ==
+                                         SimProgram::SlotKind::kParam;
+                            }));
+    bool wide_tlut = false;
+    for (map::CellId id = 0; id < wide.num_cells(); ++id) {
+      wide_tlut |= wide.cell(id).kind == map::MKind::kTlut &&
+                   wide.cell(id).data_inputs.size() > SimProgram::kMaxOpArity;
+    }
+    ASSERT_TRUE(wide_tlut);
+  }
+  ASSERT_GT(designs[0].count(map::MKind::kTcon), 0u);
+
+  const telemetry::Counter& swept = telemetry::metrics().counter("sim.sweep.ops");
+  const telemetry::Counter& deferred =
+      telemetry::metrics().counter("sim.sweep.deferred_ops");
+  const std::uint64_t deferred_before = deferred.value();
+  Rng rng(29);
+  for (std::size_t d = 0; d < designs.size(); ++d) {
+    const map::MappedNetlist& mn = designs[d];
+    std::vector<map::CellId> tcons;
+    for (map::CellId id = 0; id < mn.num_cells(); ++id) {
+      if (mn.cell(id).kind == map::MKind::kTcon) tcons.push_back(id);
+    }
+    auto random_inputs = [&] {
+      std::vector<bool> bits(mn.inputs().size());
+      for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = rng.next_bool();
+      return bits;
+    };
+    auto random_list = [&] {
+      std::vector<std::uint32_t> ids(1 + rng.next_below(3));
+      for (std::uint32_t& id : ids) {
+        id = static_cast<std::uint32_t>(rng.next_below(mn.num_cells()));
+      }
+      return ids;
+    };
+    // Watched lists: none, one that holds a TCON, and two random ones.
+    for (int list = 0; list < 4; ++list) {
+      std::vector<std::uint32_t> watched;
+      if (list >= 1) watched = random_list();
+      if (list == 1 && !tcons.empty()) {
+        watched.push_back(tcons[rng.next_below(tcons.size())]);
+      }
+      const std::string where = "design " + std::to_string(d) + " list " +
+                                std::to_string(list);
+      CompiledSimulator full(mn);
+      CompiledSimulator part(mn);
+      part.set_watched(watched);
+      MappedSimulator interp(mn, SimBackend::kInterpreted);
+      auto flip_param = [&] {
+        const map::CellId p = mn.params()[rng.next_below(mn.params().size())];
+        const bool bit = !full.value(p);
+        full.set_param(p, bit);
+        part.set_param(p, bit);
+        interp.set_param(p, bit);
+      };
+      auto set_inputs = [&] {
+        const std::vector<bool> bits = random_inputs();
+        full.set_inputs(bits);
+        part.set_inputs(bits);
+        interp.set_inputs(bits);
+      };
+      auto eval = [&] {
+        full.eval();
+        part.eval();
+        interp.eval();
+      };
+
+      // The cases a random sequence may miss, each read straight from the
+      // watched engine: a read after set_inputs, after a parameter write
+      // and after a re-binding, each before the next eval(); then two reads
+      // in a row, of which only the first sweeps the rest.
+      set_inputs();
+      eval();
+      set_inputs();
+      ASSERT_EQ(first_difference(mn, part, full), "")
+          << where << ": read after set_inputs";
+      eval();
+      flip_param();
+      ASSERT_EQ(first_difference(mn, part, full), "")
+          << where << ": read after set_param";
+      eval();
+      flip_param();
+      full.bind();
+      part.bind();
+      ASSERT_EQ(first_difference(mn, part, full), "")
+          << where << ": read after bind";
+      const std::uint64_t swept_before = swept.value();
+      eval();
+      const std::uint64_t cone =
+          swept.value() - swept_before - full.sweep_size();
+      if (watched.empty()) {
+        EXPECT_EQ(cone, full.sweep_size()) << where;
+      }
+      const std::uint64_t first_read = deferred.value();
+      ASSERT_EQ(first_difference(mn, part, full), "") << where << ": read";
+      ASSERT_EQ(deferred.value() - first_read, full.sweep_size() - cone)
+          << where << ": the first read sweeps the rest";
+      ASSERT_EQ(first_difference(mn, part, full), "")
+          << where << ": second read";
+      ASSERT_EQ(deferred.value() - first_read, full.sweep_size() - cone)
+          << where << ": the second read sweeps nothing";
+
+      // A random sequence.  Reads go to a copy of the watched engine, so
+      // the engine itself keeps its rest unswept into the next action,
+      // except after the actions that also read it directly.
+      std::optional<CompiledSimulator::Snapshot> snap_full, snap_part;
+      std::optional<MappedSimulator::Snapshot> snap_interp;
+      for (int action = 0; action < 80; ++action) {
+        const std::uint64_t kind = rng.next_below(10);
+        std::string what;
+        switch (kind) {
+          case 0:
+          case 1:
+            set_inputs();
+            what = "set_inputs";
+            break;
+          case 2:
+            eval();
+            what = "eval";
+            break;
+          case 3:
+          case 4:
+            full.step();
+            part.step();
+            interp.step();
+            what = "step";
+            break;
+          case 5:
+            flip_param();
+            what = "set_param";
+            break;
+          case 6:
+            full.bind();
+            part.bind();
+            what = "bind";
+            break;
+          case 7:
+            full.reset();
+            part.reset();
+            interp.reset();
+            what = "reset";
+            break;
+          case 8:
+            if (!snap_full || rng.next_bool()) {
+              snap_full = full.snapshot();
+              snap_part = part.snapshot();
+              snap_interp = interp.snapshot();
+              ASSERT_EQ(snap_part->latch_words, snap_full->latch_words);
+              what = "snapshot";
+            } else {
+              full.restore(*snap_full);
+              part.restore(*snap_part);
+              interp.restore(*snap_interp);
+              what = "restore";
+            }
+            break;
+          default:
+            part.set_watched(rng.next_bool() ? std::vector<std::uint32_t>{}
+                                             : random_list());
+            what = "set_watched";
+            break;
+        }
+        const std::string when =
+            where + " action " + std::to_string(action) + " (" + what + ")";
+        const CompiledSimulator probe = part;
+        ASSERT_EQ(first_difference(mn, probe, full), "") << when;
+        if (rng.next_below(4) == 0) {
+          ASSERT_EQ(first_difference(mn, part, full), "") << when;
+        }
+        if (kind == 2 || kind == 3 || kind == 4) {
+          ASSERT_EQ(first_difference(mn, probe, interp), "")
+              << when << " against the interpreter";
+        }
+      }
+    }
+  }
+  // Some read had something to sweep.
+  EXPECT_GT(deferred.value(), deferred_before);
 }
 
 /// o = q' = a ^ p ^ q: every mutation below changes the latch's next state.

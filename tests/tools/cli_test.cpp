@@ -385,6 +385,30 @@ TEST(Cli, ProfileCountsReboundCells) {
   EXPECT_NE(r.output.find("sim.bind_seconds"), std::string::npos) << r.output;
 }
 
+TEST(Cli, ProfileCountsSweptOps) {
+  // The session's DUT sweeps only the cone that its trace lanes and latches
+  // read; the profile table counts the ops eval() swept and those a read
+  // swept later, and sets the ops per eval against the whole program.
+  const std::string blif = write_profile_blif("sweep.blif");
+  const auto r = run("profile " + blif +
+                     " --width 2 --turns 3 --cycles 4 --scenarios 0");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("sim.sweep.ops "), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("sim.sweep.deferred_ops"), std::string::npos)
+      << r.output;
+  const std::string key = "sim.sweep.ops per eval";
+  const auto pos = r.output.find(key);
+  ASSERT_NE(pos, std::string::npos) << r.output;
+  std::istringstream row(r.output.substr(pos + key.size()));
+  double per_eval = 0.0;
+  std::string of;
+  std::size_t sweep_size = 0;
+  row >> per_eval >> of >> sweep_size;
+  ASSERT_EQ(of, "of") << r.output;
+  EXPECT_GT(per_eval, 0.0) << r.output;
+  EXPECT_LT(per_eval, static_cast<double>(sweep_size)) << r.output;
+}
+
 TEST(Cli, LogLevelFlagEnablesInfoLogging) {
   const std::string blif = write_profile_blif("log.blif");
   const std::string base = "profile " + blif + " --width 2 --turns 1"
