@@ -8,7 +8,12 @@
 // It also times the emulation hot path: DebugSession::run() per cycle
 // against the bare engine's set_inputs() + step() loop on the session's
 // backend, watching the session's lane cells under the session's parameters
-// so both sweep the same cone; the ratio has a <= 1.2x target.
+// so both sweep the same cone; the ratio has a <= 1.2x target.  A run right
+// after a debugging turn, in perfbench's shape (a sparse observe(), reset(),
+// a 48-cycle run()), is timed next to the steady state, so a per-turn cost
+// of the emulator shows.  The journal, server and sampler overhead rows are
+// bench::Trial A/B legs, judged against their budgets only when their
+// spread can resolve them.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -29,11 +34,26 @@ using namespace fpgadbg;
 
 namespace {
 
-// Every emulation timing below is the best of kRepeats runs of kCycles
-// cycles, each drawing fresh random stimulus per cycle, so run() and the
-// bare engine compare directly.
+// The hot-path and throughput timings below are the best of kRepeats runs
+// of kCycles cycles, each drawing fresh random stimulus per cycle, so run()
+// and the bare engine compare directly.  Each overhead row is kPairs
+// alternated pairs of one such run per leg.
 constexpr std::uint64_t kCycles = 20000;
 constexpr int kRepeats = 5;
+constexpr int kPairs = 15;
+// perfbench's session turn: 48 emulated cycles after each observe().
+constexpr std::uint64_t kTurnCycles = 48;
+constexpr int kTurns = 400;
+
+/// "<what>: A ms <a_label>, B ms <b_label> -> overhead (MAD, budget: verdict)"
+void print_trial(const char* what, const char* a_label, const char* b_label,
+                 const bench::Trial& t, double budget_pct) {
+  std::printf("  %s: %.3f ms %s, %.3f ms %s -> %+.2f%% overhead (MAD "
+              "%.2f%%, budget <= %.0f%%: %s)\n",
+              what, t.a_seconds * 1e3, a_label, t.b_seconds * 1e3, b_label,
+              t.overhead_pct, t.mad_pct, budget_pct,
+              t.verdict(budget_pct).c_str());
+}
 
 /// Seconds for one run of kCycles cycles of a bare DUT.
 double bare_run_seconds(sim::MappedSimulator& simulator) {
@@ -158,26 +178,22 @@ int main() {
         kCycles);
     return timer.elapsed_seconds();
   };
-  auto timed_run = [&](bool journal_enabled) {
-    session.journal().set_enabled(journal_enabled);
-    double best = 1e9;
-    for (int rep = 0; rep < kRepeats; ++rep) {
-      best = std::min(best, session_run_seconds());
-    }
-    return best;
+  auto journal_run = [&](bool enabled) {
+    return [&session, &session_run_seconds, enabled] {
+      session.journal().set_enabled(enabled);
+      return session_run_seconds();
+    };
   };
-  timed_run(false);  // warm-up
-  const double without_journal = timed_run(false);
-  const double with_journal = timed_run(true);
+  const std::string run_label =
+      "run() of " + std::to_string(kCycles) + " cycles";
+  session_run_seconds();  // warm-up
+  const bench::Trial journal =
+      bench::Trial::run(kPairs, journal_run(false), journal_run(true));
   session.journal().set_enabled(true);
-  const double overhead =
-      (with_journal - without_journal) / without_journal * 100.0;
   std::printf("\nsession flight recorder (journal, in-memory ring, no "
-              "sink):\n");
-  std::printf("  run() of %llu cycles: %.3f ms journal off, %.3f ms journal "
-              "on -> %+.2f%% overhead (budget <= 5%%)\n",
-              static_cast<unsigned long long>(kCycles),
-              without_journal * 1e3, with_journal * 1e3, overhead);
+              "sink; median of %d alternated pairs):\n",
+              kPairs);
+  print_trial(run_label.c_str(), "journal off", "journal on", journal, 5.0);
 
   // The hot path's target: run(), journal off, costs at most 1.2x the bare
   // engine of the session's own backend.  The bare engine watches the lane
@@ -249,19 +265,87 @@ int main() {
   std::printf("  compiled backend:    %10.0f cycles/s (%.1fx)\n",
               compiled_rate, compiled_rate / interp_rate);
 
+  // A run right after a turn, in perfbench's shape: a sparse observe()
+  // (one lane's signal swapped), reset(), then a kTurnCycles run().  The
+  // first run pays what the turn left to the emulator (its cone re-walk, a
+  // cache the turn cooled); a second run on the same turn is the steady
+  // state.
+  {
+    session.journal().set_enabled(false);
+    Rng trng(23);
+    std::vector<std::vector<bool>> rows(
+        kTurnCycles, std::vector<bool>(mn.inputs().size()));
+    for (auto& row : rows) {
+      for (std::size_t i = 0; i < row.size(); ++i) row[i] = trng.next_bool();
+    }
+    auto turn_run_ns = [&] {
+      session.reset();
+      sim::Trigger trig(std::string(session.num_lanes(), 'x'), kTurnCycles);
+      Stopwatch timer;
+      session.run(
+          trig, [&rows](std::uint64_t c) { return rows[c]; }, kTurnCycles);
+      return timer.elapsed_seconds() / kTurnCycles * 1e9;
+    };
+    std::vector<std::size_t> pick(lanes.size(), 0);
+    std::vector<double> first_ns, steady_ns;
+    for (int t = 0; t < kTurns; ++t) {
+      std::vector<std::size_t> trial = pick;
+      const std::size_t l = trng.next_below(lanes.size());
+      trial[l] = trng.next_below(lanes[l].size());
+      std::vector<std::string> signals;
+      for (std::size_t k = 0; k < lanes.size(); ++k) {
+        signals.push_back(lanes[k][trial[k]]);
+      }
+      std::sort(signals.begin(), signals.end());
+      signals.erase(std::unique(signals.begin(), signals.end()),
+                    signals.end());
+      if (!offline.instrumented.try_select_signals(signals).ok()) continue;
+      pick = trial;
+      session.observe(signals);
+      first_ns.push_back(turn_run_ns());
+      steady_ns.push_back(turn_run_ns());
+    }
+    session.journal().set_enabled(true);
+    const double first = bench::median(first_ns);
+    const double steady = bench::median(steady_ns);
+    std::printf("\nemulation after a debugging turn (sparse observe(), "
+                "reset(), %llu-cycle run(); median of %zu turns):\n",
+                static_cast<unsigned long long>(kTurnCycles),
+                first_ns.size());
+    std::printf("  first run after the turn: %8.1f ns/cycle\n", first);
+    std::printf("  second run (steady state): %7.1f ns/cycle\n", steady);
+    std::printf("  the turn's cost to the run: %6.2f us\n",
+                (first - steady) * kTurnCycles * 1e-3);
+    telemetry::metrics()
+        .gauge("bench.emulation.first_run_ns_per_cycle")
+        .set(first);
+    telemetry::metrics()
+        .gauge("bench.emulation.steady_run_ns_per_cycle")
+        .set(steady);
+  }
+
   // Live introspection cost on the same hot paths: the server thread sits
   // in poll() and progress reporting is iteration-cadence, so running with
   // --introspect but no client attached must stay within a ~1% budget.
-  const double run_plain = timed_run(false);
-  auto introspect =
-      support::IntrospectServer::start(support::IntrospectOptions{});
-  if (!introspect.ok()) {
-    std::fprintf(stderr, "introspect server failed to start: %s\n",
-                 introspect.status().to_string().c_str());
-    return 1;
-  }
-  const double run_serving = timed_run(false);
-  const double run_overhead = (run_serving - run_plain) / run_plain * 100.0;
+  // Leg B starts a server, runs, and stops it.
+  auto start_server = [] {
+    auto started =
+        support::IntrospectServer::start(support::IntrospectOptions{});
+    if (!started.ok()) {
+      std::fprintf(stderr, "introspect server failed to start: %s\n",
+                   started.status().to_string().c_str());
+      std::exit(1);
+    }
+    return std::move(started.value());
+  };
+  session.journal().set_enabled(false);
+  const bench::Trial server =
+      bench::Trial::run(kPairs, session_run_seconds, [&] {
+        const auto serving = start_server();
+        const double seconds = session_run_seconds();
+        serving->stop();
+        return seconds;
+      });
 
   // And a route negotiation (progress + series at iteration cadence) with
   // the idle server still up.
@@ -283,17 +367,20 @@ int main() {
     }
     return seconds;
   };
-  const double route_serving = timed_route();
-  introspect.value()->stop();
+  double route_serving = 0.0;
+  {
+    const auto serving = start_server();
+    route_serving = timed_route();
+    serving->stop();
+  }
   const double route_plain = timed_route();
   const double route_overhead =
       (route_serving - route_plain) / route_plain * 100.0;
 
-  std::printf("\nlive introspection server (idle, no client connected):\n");
-  std::printf("  run() of %llu cycles: %.3f ms server off, %.3f ms server "
-              "on -> %+.2f%% overhead (budget <= 1%%)\n",
-              static_cast<unsigned long long>(kCycles), run_plain * 1e3,
-              run_serving * 1e3, run_overhead);
+  std::printf("\nlive introspection server (idle, no client connected; "
+              "median of %d alternated pairs):\n",
+              kPairs);
+  print_trial(run_label.c_str(), "server off", "server on", server, 1.0);
   std::printf("  route+flow:           %.3f s server off, %.3f s server "
               "on -> %+.2f%% apparent overhead (single sample; includes "
               "progress/series reporting)\n",
@@ -302,29 +389,49 @@ int main() {
   // Sampling-profiler cost on the emulation hot path: a SIGPROF per thread
   // per tick interrupts the levelized sweep mid-flight, so the 99 Hz
   // default must stay within a 2% budget to be usable on live sessions.
+  // Leg B starts the sampler, runs, and stops it; each start keeps its
+  // predecessor's ring (the handler may still hold it), so the ring is
+  // small.  The first tick comes a full period after the start, later than
+  // one run ends, so each leg is kSamplerRuns runs: a few ticks.
   const int sample_hz = 99;
-  const double prof_off = timed_run(false);
-  const auto prof_started =
-      prof::start_profiler(prof::ProfilerOptions{sample_hz, 1u << 16});
-  if (!prof_started.ok()) {
-    std::fprintf(stderr, "profiler failed to start: %s\n",
-                 prof_started.to_string().c_str());
-    return 1;
-  }
-  const double prof_on = timed_run(false);
-  prof::stop_profiler();
-  const prof::ProfilerStats pstats = prof::profiler_stats();
-  const double prof_overhead = (prof_on - prof_off) / prof_off * 100.0;
-  std::printf("\nsampling profiler (%d Hz wall-clock, all threads):\n",
-              sample_hz);
-  std::printf("  run() of %llu cycles: %.3f ms sampler off, %.3f ms sampler "
-              "on -> %+.2f%% overhead (budget <= 2%%)\n",
-              static_cast<unsigned long long>(kCycles), prof_off * 1e3,
-              prof_on * 1e3, prof_overhead);
+  constexpr int kSamplerRuns = 5;
+  auto sampler_leg_seconds = [&] {
+    double seconds = 0.0;
+    for (int r = 0; r < kSamplerRuns; ++r) seconds += session_run_seconds();
+    return seconds;
+  };
+  prof::ProfilerStats pstats;
+  const bench::Trial sampler =
+      bench::Trial::run(kPairs, sampler_leg_seconds, [&] {
+        const auto started =
+            prof::start_profiler(prof::ProfilerOptions{sample_hz, 1u << 10});
+        if (!started.ok()) {
+          std::fprintf(stderr, "profiler failed to start: %s\n",
+                       started.to_string().c_str());
+          std::exit(1);
+        }
+        const double seconds = sampler_leg_seconds();
+        prof::stop_profiler();
+        const prof::ProfilerStats leg = prof::profiler_stats();
+        pstats.samples += leg.samples;
+        pstats.dropped += leg.dropped;
+        return seconds;
+      });
+  session.journal().set_enabled(true);
+  std::printf("\nsampling profiler (%d Hz wall-clock, all threads; median "
+              "of %d alternated pairs):\n",
+              sample_hz, kPairs);
+  const std::string sampler_label =
+      std::to_string(kSamplerRuns) + " run() calls of " +
+      std::to_string(kCycles) + " cycles";
+  print_trial(sampler_label.c_str(), "sampler off", "sampler on", sampler,
+              2.0);
   std::printf("  %llu samples captured, %llu dropped\n",
               static_cast<unsigned long long>(pstats.samples),
               static_cast<unsigned long long>(pstats.dropped));
-  telemetry::metrics().gauge("bench.profiler.overhead_pct").set(prof_overhead);
+  telemetry::metrics()
+      .gauge("bench.profiler.overhead_pct")
+      .set(sampler.overhead_pct);
   telemetry::metrics()
       .gauge("bench.profiler.sample_hz")
       .set(static_cast<double>(sample_hz));

@@ -1,5 +1,6 @@
 #include "common.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -99,6 +100,44 @@ double geomean(const std::vector<BenchmarkRun>& runs,
   double log_sum = 0.0;
   for (const auto& run : runs) log_sum += std::log(ratio(run));
   return std::exp(log_sum / static_cast<double>(runs.size()));
+}
+
+double median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
+Trial Trial::run(int pairs, const std::function<double()>& a,
+                 const std::function<double()>& b) {
+  std::vector<double> as, bs, overheads;
+  for (int p = 0; p < pairs; ++p) {
+    double ta = 0.0, tb = 0.0;
+    if (p % 2 == 0) {
+      ta = a();
+      tb = b();
+    } else {
+      tb = b();
+      ta = a();
+    }
+    as.push_back(ta);
+    bs.push_back(tb);
+    overheads.push_back((tb - ta) / ta * 100.0);
+  }
+  Trial t;
+  t.a_seconds = median(as);
+  t.b_seconds = median(bs);
+  t.overhead_pct = median(overheads);
+  std::vector<double> deviations;
+  for (double o : overheads) deviations.push_back(std::abs(o - t.overhead_pct));
+  t.mad_pct = median(deviations);
+  return t;
+}
+
+std::string Trial::verdict(double budget_pct) const {
+  if (mad_pct > budget_pct) return "unresolved";
+  return overhead_pct <= budget_pct ? "within budget" : "over budget";
 }
 
 }  // namespace fpgadbg::bench

@@ -8,6 +8,7 @@
 // the sweep to the small circuits (useful while iterating).
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,5 +45,27 @@ std::string dump_results(const std::string& name,
 
 /// Metrics-only variant for harnesses that don't produce BenchmarkRun rows.
 std::string dump_metrics(const std::string& name);
+
+/// The median of `v` (the mean of the middle two when even); 0 when empty.
+double median(std::vector<double> v);
+
+/// An A/B timing on a shared host.  run() times the two legs (each returns
+/// its seconds) interleaved, `pairs` times, switching which leg goes first
+/// every pair, so a slow stretch of the host slows both alike.  Each pair
+/// gives B's overhead over A in percent; a budget is judged on their median
+/// only when their spread, the MAD (median absolute deviation), is within
+/// it.
+struct Trial {
+  double a_seconds = 0.0;     ///< median of leg A
+  double b_seconds = 0.0;     ///< median of leg B
+  double overhead_pct = 0.0;  ///< median of the per-pair (B - A) / A
+  double mad_pct = 0.0;       ///< MAD of the per-pair overheads
+
+  static Trial run(int pairs, const std::function<double()>& a,
+                   const std::function<double()>& b);
+  /// "within budget", "over budget", or "unresolved" when the MAD exceeds
+  /// the budget: an overhead of that size would not show.
+  std::string verdict(double budget_pct) const;
+};
 
 }  // namespace fpgadbg::bench

@@ -264,10 +264,13 @@ if [ -z "$SANITIZE" ]; then
   echo "route smoke: OK ($(grep -c '^route' "$SMOKE_DIR/bench_route.out") designs)"
 
   # Harness smoke: the §V-C1 table, the mux-radix ablation, the §V-B
-  # critical-path table and the signal-fraction ablation exit non-zero when
-  # any route they report is illegal (about 1 s together).
+  # critical-path table, the signal-fraction ablation and the §V-C2
+  # run-time overhead harness exit non-zero when any route they report is
+  # illegal (about 5 s together; the last also drives a debugging session,
+  # its emulator and the introspection server and sampler).
   for HARNESS in bench_compile_time bench_ablation_mux_arity \
-      bench_critical_path bench_ablation_signal_fraction; do
+      bench_critical_path bench_ablation_signal_fraction \
+      bench_runtime_overhead; do
     HARNESS_BIN="$(cd "$BUILD_DIR" && pwd)/bench/$HARNESS"
     if ! (cd "$SMOKE_DIR" && "$HARNESS_BIN" > "$SMOKE_DIR/$HARNESS.out" 2>&1); then
       cat "$SMOKE_DIR/$HARNESS.out" >&2
@@ -276,5 +279,6 @@ if [ -z "$SANITIZE" ]; then
     fi
   done
   echo "harness smoke: OK (bench_compile_time, bench_ablation_mux_arity," \
-       "bench_critical_path, bench_ablation_signal_fraction)"
+       "bench_critical_path, bench_ablation_signal_fraction," \
+       "bench_runtime_overhead)"
 fi

@@ -11,9 +11,10 @@
 //
 // set_watched() names the cells a caller reads every cycle.  The compiled
 // engine then sweeps in eval() only the ops those cells and the latch
-// D-pins depend on, and sweeps the rest when a read needs it, once per
-// eval() (CompiledSimulator's watched cone); the interpreter ignores the
-// list.
+// D-pins depend on: the latches' fan-in that no binding reaches, cut once,
+// and the rest of that cone, re-walked after a binding or watched-list
+// change.  It sweeps the other ops when a read needs them, once per eval()
+// (see CompiledSimulator); the interpreter ignores the list.
 // Either way value(), output() and output_values() return the values as of
 // the last sweep.  Those const reads may sweep, so one engine is no safer
 // to read from two threads than to eval() from two.

@@ -663,6 +663,18 @@ support::Result<int> cmd_profile(const Args& args) {
                     static_cast<double>(evals),
                 session.dut().sweep_size());
   }
+  // Of that cone, the static part is cut once; a turn that moves the
+  // binding re-walks only the rest of it at the next eval.
+  row_c("sim.cone.static_ops");
+  row_c("sim.cone.rewalks");
+  row_c("sim.cone.rewalked_ops");
+  if (const std::uint64_t walks = snap.counter("sim.cone.rewalks");
+      walks > 0) {
+    std::printf("  %-28s %12.1f of %zu\n", "sim.cone.ops per rewalk",
+                static_cast<double>(snap.counter("sim.cone.rewalked_ops")) /
+                    static_cast<double>(walks),
+                session.dut().sweep_size());
+  }
   row_c("sim.bind.cells");
   row_c("sim.batch.blocks");
   row_c("sim.batch.scenario_cycles");

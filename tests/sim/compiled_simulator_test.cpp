@@ -2,7 +2,8 @@
 // NetlistSimulator oracle: for every random netlist, stimulus stream and
 // latch init, CompiledSimulator must agree bit-for-bit with it.  Plus the
 // one-sweep-per-cycle contract of step(), the watched cone against the full
-// sweep, and the checks on stimulus targets and snapshots.
+// sweep, what a rebinding re-walks, and the checks on stimulus targets and
+// snapshots.
 #include "sim/compiled_simulator.h"
 
 #include <gtest/gtest.h>
@@ -70,9 +71,9 @@ TEST(CompiledSimulator, MatchesInterpreterOnRandomNetlists) {
 }
 
 TEST(CompiledSimulator, BroadcastLoopMatchesOracleAtEveryArity) {
-  // The broadcast loop widens every op to six fanins; one random function
-  // per arity 0..6, all over the same inputs, checked at every input
-  // combination, pins the padding and the replicated masks.
+  // The sweep runs one loop per arity over runs of ops of that arity; one
+  // random function per arity 0..6, all over the same inputs, checked at
+  // every input combination, pins each loop and the runs between them.
   Rng rng(41);
   Netlist nl;
   std::vector<NodeId> ins;
@@ -288,6 +289,54 @@ map::MappedNetlist bound_design() {
   return mn;
 }
 
+/// Latches whose fan-in crosses the debug layer, and one whose fan-in does
+/// not: q0's D-pin is a LUT that reads a TLUT, q1's D-pin is a TCON, q2's
+/// D-pin is a LUT that reads that TCON, and q3's fan-in is plain LUTs only
+/// (the static cone).  One LUT feeds only an output.
+map::MappedNetlist latch_cone_design() {
+  using logic::TruthTable;
+  using map::CellId;
+  using map::MKind;
+  map::MappedNetlist mn("latch_cone");
+  const CellId a = mn.add_source(MKind::kInput, "a");
+  const CellId b = mn.add_source(MKind::kInput, "b");
+  const CellId c = mn.add_source(MKind::kInput, "c");
+  const CellId p0 = mn.add_source(MKind::kParam, "p0");
+  const CellId p1 = mn.add_source(MKind::kParam, "p1");
+  const CellId q0 = mn.add_latch_source("q0", 0);
+  const CellId q1 = mn.add_latch_source("q1", 1);
+  const CellId q2 = mn.add_latch_source("q2", 0);
+  const CellId q3 = mn.add_latch_source("q3", 1);
+  const CellId l_static = mn.add_cell(MKind::kLut, "l_static", {a, q0}, {},
+                                      logic::tt_xor(2));
+  const CellId tlut =
+      mn.add_cell(MKind::kTlut, "tlut", {l_static, b, q2}, {p0},
+                  TruthTable::from_bits(0xc3a5, 4));
+  const CellId l_tlut = mn.add_cell(MKind::kLut, "l_tlut", {tlut, c, q1}, {},
+                                    TruthTable::from_bits(0xb4, 3));
+  const CellId l_and = mn.add_cell(MKind::kLut, "l_and", {q1, b}, {},
+                                   logic::tt_and(2));
+  // p1 ? c : l_and.
+  const CellId t_mux = mn.add_cell(MKind::kTcon, "t_mux", {l_and, c}, {p1},
+                                   logic::tt_mux21());
+  const CellId l_tail = mn.add_cell(MKind::kLut, "l_tail",
+                                    {l_static, t_mux, q3}, {},
+                                    logic::tt_xor(3));
+  const CellId l_pure = mn.add_cell(MKind::kLut, "l_pure", {l_static, q3, b},
+                                    {}, TruthTable::from_bits(0x6c, 3));
+  const CellId l_out = mn.add_cell(MKind::kLut, "l_out", {a, b, c}, {},
+                                   TruthTable::from_bits(0xb7, 3));
+  mn.set_latch_input(0, l_tlut);
+  mn.set_latch_input(1, t_mux);
+  mn.set_latch_input(2, l_tail);
+  mn.set_latch_input(3, l_pure);
+  mn.add_output(l_out, "o_rest");
+  mn.add_output(t_mux, "o_mux");
+  mn.add_output(l_tail, "o_tail");
+  mn.check();
+  return mn;
+}
+
 TEST(CompiledSimulator, BoundTconsMatchInterpreterUnderEveryAssignment) {
   // The compiled engine sweeps only the LUT and the TLUT cells: it binds
   // every TCON to the source its parameters select and cofactors the TLUT.
@@ -492,8 +541,9 @@ TEST(CompiledSimulator, WatchedSweepMatchesFullSweep) {
   // binding eval() swept with.  After every action it must read, on every
   // node and every output, what an engine that watches nothing reads; after
   // every eval() and step() both must read what the interpreter reads.
-  // Designs: two instrumented ones (TCONs, like the session's) and two with
-  // TLUTs, at K = 6 and K = 8.
+  // Designs: two instrumented ones (TCONs, like the session's), two with
+  // TLUTs, at K = 6 and K = 8, and two built by hand whose latches read a
+  // TCON or a TLUT through their D-pins.
   std::vector<map::MappedNetlist> designs;
   for (std::uint64_t seed : {1u, 2u}) {
     genbench::CircuitSpec spec{"wi" + std::to_string(seed), 8, 6, 5, 70, 4,
@@ -530,6 +580,8 @@ TEST(CompiledSimulator, WatchedSweepMatchesFullSweep) {
     ASSERT_TRUE(wide_tlut);
   }
   ASSERT_GT(designs[0].count(map::MKind::kTcon), 0u);
+  designs.push_back(bound_design());
+  designs.push_back(latch_cone_design());
 
   const telemetry::Counter& swept = telemetry::metrics().counter("sim.sweep.ops");
   const telemetry::Counter& deferred =
@@ -620,6 +672,21 @@ TEST(CompiledSimulator, WatchedSweepMatchesFullSweep) {
           << where << ": second read";
       ASSERT_EQ(deferred.value() - first_read, full.sweep_size() - cone)
           << where << ": the second read sweeps nothing";
+      // A read after an eval() that re-walked the cone, under a new binding
+      // and under a new watched list: each re-cuts the rest.
+      for (int turn = 0; turn < 4; ++turn) {
+        flip_param();
+        set_inputs();
+        eval();
+        ASSERT_EQ(first_difference(mn, part, full), "")
+            << where << ": read after a rebinding";
+      }
+      part.set_watched(random_list());
+      set_inputs();
+      eval();
+      ASSERT_EQ(first_difference(mn, part, full), "")
+          << where << ": read after set_watched";
+      part.set_watched(watched);
 
       // A random sequence.  Reads go to a copy of the watched engine, so
       // the engine itself keeps its rest unswept into the next action,
@@ -697,6 +764,82 @@ TEST(CompiledSimulator, WatchedSweepMatchesFullSweep) {
   }
   // Some read had something to sweep.
   EXPECT_GT(deferred.value(), deferred_before);
+}
+
+TEST(CompiledSimulator, RebindingRewalksOnlyTheDynamicCone) {
+  // On an instrumented design watched at its trace lanes, like a debug
+  // session's DUT: the static cone (the latches' fan-in that no binding
+  // reaches) is cut once, at construction, and each turn that moves the
+  // binding re-walks only the rest of the cone, fewer ops than the
+  // program holds outside the static cone.
+  genbench::CircuitSpec spec{"rewalk", 10, 6, 6, 160, 5, 6, 7};
+  debug::InstrumentOptions opt;
+  opt.trace_width = 4;
+  const debug::Instrumented inst =
+      debug::parameterize_signals(genbench::generate(spec), opt);
+  const map::MappedNetlist mn = map::tcon_map(inst.netlist).netlist;
+  std::vector<std::uint32_t> lanes;
+  for (const std::string& name : inst.trace_outputs) {
+    const auto& names = mn.output_names();
+    const auto it = std::find(names.begin(), names.end(), name);
+    ASSERT_NE(it, names.end()) << name;
+    lanes.push_back(mn.outputs()[static_cast<std::size_t>(it - names.begin())]);
+  }
+  const telemetry::Counter& static_ops =
+      telemetry::metrics().counter("sim.cone.static_ops");
+  const telemetry::Counter& rewalks =
+      telemetry::metrics().counter("sim.cone.rewalks");
+  const telemetry::Counter& rewalked =
+      telemetry::metrics().counter("sim.cone.rewalked_ops");
+  const std::uint64_t static_before = static_ops.value();
+  CompiledSimulator sim(mn);
+  const std::uint64_t cut = static_ops.value() - static_before;
+  ASSERT_GT(cut, 0u);
+  ASSERT_LT(cut, sim.sweep_size());
+  sim.set_watched(lanes);
+  MappedSimulator interp(mn, SimBackend::kInterpreted);
+  Rng rng(31);
+  std::uint64_t turns_rewalked = 0;
+  std::uint64_t ops_rewalked = 0;
+  for (int turn = 0; turn < 60; ++turn) {
+    for (int flips = 1 + static_cast<int>(rng.next_below(3)); flips > 0;
+         --flips) {
+      const map::CellId p = mn.params()[rng.next_below(mn.params().size())];
+      const bool bit = rng.next_bool();
+      sim.set_param(p, bit);
+      interp.set_param(p, bit);
+    }
+    sim.bind();
+    const std::uint64_t walks0 = rewalks.value();
+    const std::uint64_t ops0 = rewalked.value();
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      std::vector<bool> inputs(mn.inputs().size());
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        inputs[i] = rng.next_bool();
+      }
+      sim.set_inputs(inputs);
+      interp.set_inputs(inputs);
+      sim.eval();
+      interp.eval();
+      for (std::uint32_t lane : lanes) {
+        ASSERT_EQ(sim.value(lane), interp.value(lane))
+            << "turn " << turn << " lane " << mn.cell(lane).name;
+      }
+      sim.step();
+      interp.step();
+    }
+    const std::uint64_t walks = rewalks.value() - walks0;
+    ASSERT_LE(walks, 1u) << "turn " << turn;
+    if (walks == 1) {
+      const std::uint64_t ops = rewalked.value() - ops0;
+      EXPECT_LT(ops, sim.sweep_size() - cut) << "turn " << turn;
+      ++turns_rewalked;
+      ops_rewalked += ops;
+    }
+  }
+  EXPECT_EQ(static_ops.value() - static_before, cut) << "cut once";
+  EXPECT_GT(turns_rewalked, 30u);
+  EXPECT_GT(ops_rewalked, 0u);
 }
 
 /// o = q' = a ^ p ^ q: every mutation below changes the latch's next state.

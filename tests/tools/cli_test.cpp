@@ -388,7 +388,9 @@ TEST(Cli, ProfileCountsReboundCells) {
 TEST(Cli, ProfileCountsSweptOps) {
   // The session's DUT sweeps only the cone that its trace lanes and latches
   // read; the profile table counts the ops eval() swept and those a read
-  // swept later, and sets the ops per eval against the whole program.
+  // swept later, and sets the ops per eval against the whole program.  Of
+  // the cone, the static part (the latches' fan-in that no binding
+  // reaches) is cut once; each re-walk covers only the rest of the cone.
   const std::string blif = write_profile_blif("sweep.blif");
   const auto r = run("profile " + blif +
                      " --width 2 --turns 3 --cycles 4 --scenarios 0");
@@ -396,17 +398,37 @@ TEST(Cli, ProfileCountsSweptOps) {
   EXPECT_NE(r.output.find("sim.sweep.ops "), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("sim.sweep.deferred_ops"), std::string::npos)
       << r.output;
-  const std::string key = "sim.sweep.ops per eval";
-  const auto pos = r.output.find(key);
-  ASSERT_NE(pos, std::string::npos) << r.output;
-  std::istringstream row(r.output.substr(pos + key.size()));
+  // "<key> <x> of <n>", as the profile prints a per-event row.
+  auto ratio_row = [&](const std::string& key, double& x, std::size_t& n) {
+    const auto pos = r.output.find(key);
+    ASSERT_NE(pos, std::string::npos) << key << "\n" << r.output;
+    std::istringstream row(r.output.substr(pos + key.size()));
+    std::string of;
+    row >> x >> of >> n;
+    ASSERT_EQ(of, "of") << key << "\n" << r.output;
+  };
+  auto count_row = [&](const std::string& key) -> std::uint64_t {
+    const auto pos = r.output.find(key + " ");
+    if (pos == std::string::npos) return 0;
+    return std::stoull(r.output.substr(pos + key.size()));
+  };
   double per_eval = 0.0;
-  std::string of;
   std::size_t sweep_size = 0;
-  row >> per_eval >> of >> sweep_size;
-  ASSERT_EQ(of, "of") << r.output;
+  ratio_row("sim.sweep.ops per eval", per_eval, sweep_size);
   EXPECT_GT(per_eval, 0.0) << r.output;
   EXPECT_LT(per_eval, static_cast<double>(sweep_size)) << r.output;
+  const std::uint64_t static_ops = count_row("sim.cone.static_ops");
+  EXPECT_GT(static_ops, 0u) << r.output;
+  EXPECT_LE(static_cast<double>(static_ops), per_eval) << r.output;
+  EXPECT_GT(count_row("sim.cone.rewalks"), 0u) << r.output;
+  EXPECT_NE(r.output.find("sim.cone.rewalked_ops"), std::string::npos)
+      << r.output;
+  double per_walk = 0.0;
+  std::size_t of_size = 0;
+  ratio_row("sim.cone.ops per rewalk", per_walk, of_size);
+  EXPECT_EQ(of_size, sweep_size) << r.output;
+  EXPECT_LT(per_walk, static_cast<double>(sweep_size - static_ops))
+      << r.output;
 }
 
 TEST(Cli, LogLevelFlagEnablesInfoLogging) {
