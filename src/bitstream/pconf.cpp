@@ -15,17 +15,40 @@ namespace {
 /// One batched registry update per SCG invocation (the per-bit loops stay
 /// free of atomics).  `runs` is the calling path's own counter.
 void record_scg(telemetry::Counter& runs, std::size_t bits_evaluated,
-                std::size_t bdd_nodes_visited, double eval_seconds) {
+                std::size_t bdd_nodes_visited, std::size_t table_rows_read,
+                double eval_seconds) {
   static telemetry::Counter& bits =
       telemetry::metrics().counter("scg.bits_reevaluated");
   static telemetry::Counter& nodes =
       telemetry::metrics().counter("scg.bdd_nodes_visited");
+  static telemetry::Counter& rows =
+      telemetry::metrics().counter("scg.table_rows_read");
   static telemetry::Histogram& seconds =
       telemetry::metrics().histogram("scg.eval_seconds");
   runs.add(1);
   bits.add(bits_evaluated);
   nodes.add(bdd_nodes_visited);
+  rows.add(table_rows_read);
   seconds.observe(eval_seconds);
+}
+
+/// Within one 64-code word, the codes whose bit i (i < 6) is set.
+constexpr std::uint64_t kCodeBitPattern[6] = {
+    0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
+    0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull};
+
+/// Transposes a 64 x 64 bit matrix in place: bit j of m[i] moves to bit i
+/// of m[j].  Six rounds, each swapping the off-diagonal blocks of every
+/// 2j x 2j tile (Hacker's Delight, 7-3).
+void transpose64(std::uint64_t* m) {
+  std::uint64_t mask = 0x00000000ffffffffull;
+  for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((m[k] >> j) ^ m[k | j]) & mask;
+      m[k] ^= t << j;
+      m[k | j] ^= t;
+    }
+  }
 }
 
 }  // namespace
@@ -182,7 +205,7 @@ PConf::Specialization PConf::specialize(const BitVec& values) const {
   result.eval_seconds = timer.elapsed_seconds();
   static telemetry::Counter& runs =
       telemetry::metrics().counter("scg.full_specializations");
-  record_scg(runs, result.bits_evaluated, visited, result.eval_seconds);
+  record_scg(runs, result.bits_evaluated, visited, 0, result.eval_seconds);
   return result;
 }
 
@@ -197,9 +220,10 @@ const PConf::IncrementalIndex& PConf::incremental_index() const {
   const logic::BddManager::Node* arena = bdd_.arena().data();
   FPGADBG_REQUIRE(total_bits() <= 0xffffffffu,
                   "configuration too large for the incremental SCG");
-  // Build-time only: per group, the table positions of its functions and
-  // the arena nodes they reach.
+  // Build-time only: per group, its support, the table positions of its
+  // functions and the arena nodes they reach.
   struct GroupBuild {
+    std::vector<std::uint32_t> vars;
     std::vector<std::uint32_t> fns;
     std::vector<std::uint32_t> nodes;
   };
@@ -240,7 +264,7 @@ const PConf::IncrementalIndex& PConf::incremental_index() const {
       std::sort(support.begin(), support.end());
       const auto [it, inserted] = group_of_support.try_emplace(
           support, static_cast<std::uint32_t>(builds.size()));
-      if (inserted) builds.emplace_back();
+      if (inserted) builds.push_back({support, {}, {}});
       const std::uint32_t g = it->second;
       group_of_root[root] = g;
       for (const std::uint32_t r : reached) {
@@ -256,13 +280,53 @@ const PConf::IncrementalIndex& PConf::incremental_index() const {
 
   IncrementalIndex index;
   index.groups.resize(builds.size());
+  index.groups_of_param.resize(param_names_.size());
   // Arena id -> id within the group being lowered.  A group's node list is
   // closed under children, so every child read below was set for the same
   // group.
   std::vector<std::uint32_t> local(bdd_.size(), 0);
   local[1] = 1;
+  // Arena id -> root number within the group, valid where root_stamp holds
+  // the group + 1.
+  std::vector<std::uint32_t> root_of(bdd_.size(), 0);
+  std::vector<std::uint32_t> root_stamp(bdd_.size(), 0);
+  std::vector<std::uint32_t> roots;
+  // Parameter -> its code bit within the group being tabled.
+  std::vector<std::uint32_t> code_bit(param_names_.size(), 0);
+  // Truth tables over the group's codes, one word per 64 codes per node.
+  std::vector<std::uint64_t> tt;
   for (std::size_t g = 0; g < builds.size(); ++g) {
     GroupBuild& build = builds[g];
+    SupportGroup& group = index.groups[g];
+    const std::uint32_t gs = static_cast<std::uint32_t>(g + 1);
+    for (const std::uint32_t v : build.vars) {
+      index.groups_of_param[v].push_back(static_cast<std::uint32_t>(g));
+    }
+    // Distinct roots in order of first use, then each root's bits: the
+    // table lists them by ascending address, so each run is ascending.
+    roots.clear();
+    group.root_bits.assign(1, 0);
+    for (const std::uint32_t i : build.fns) {
+      const logic::BddRef r = view.refs[i];
+      if (root_stamp[r] != gs) {
+        root_stamp[r] = gs;
+        root_of[r] = static_cast<std::uint32_t>(roots.size());
+        roots.push_back(r);
+        group.root_bits.push_back(0);
+      }
+      ++group.root_bits[root_of[r] + 1];
+    }
+    for (std::size_t r = 0; r < roots.size(); ++r) {
+      group.root_bits[r + 1] += group.root_bits[r];
+    }
+    group.bits.resize(build.fns.size());
+    std::vector<std::uint32_t> cursor(group.root_bits.begin(),
+                                      group.root_bits.end() - 1);
+    for (const std::uint32_t i : build.fns) {
+      group.bits[cursor[root_of[view.refs[i]]]++] =
+          static_cast<std::uint32_t>(view.bits[i]);
+    }
+
     // Ascending node ids are a topological order: the arena keeps children
     // before parents (make_node appends; load_arena checks it).
     std::sort(build.nodes.begin(), build.nodes.end());
@@ -271,22 +335,64 @@ const PConf::IncrementalIndex& PConf::incremental_index() const {
     for (std::size_t k = 0; k < build.nodes.size(); ++k) {
       local[build.nodes[k]] = static_cast<std::uint32_t>(k + 2);
     }
-    SupportGroup& group = index.groups[g];
-    group.nodes.reserve(build.nodes.size());
-    for (const std::uint32_t r : build.nodes) {
-      const logic::BddManager::Node& n = arena[r];
-      group.nodes.push_back({n.var, local[n.low], local[n.high]});
+    group.vars = std::move(build.vars);
+    if (group.vars.size() > kTableParams) {
+      group.nodes.reserve(build.nodes.size());
+      for (const std::uint32_t r : build.nodes) {
+        const logic::BddManager::Node& n = arena[r];
+        group.nodes.push_back({n.var, local[n.low], local[n.high]});
+      }
+      for (const std::uint32_t r : roots) group.root_node.push_back(local[r]);
+      index.max_group_nodes =
+          std::max(index.max_group_nodes, group.nodes.size());
+      continue;
     }
-    group.fns.reserve(build.fns.size());
-    for (const std::uint32_t i : build.fns) {
-      group.fns.push_back({static_cast<std::uint32_t>(view.bits[i]),
-                           local[view.refs[i]]});
+
+    // Every node's truth table over the codes, children first: word w of a
+    // node holds its values under codes 64w .. 64w + 63.
+    const std::size_t codes = std::size_t{1} << group.vars.size();
+    const std::size_t words = (codes + 63) / 64;
+    for (std::size_t i = 0; i < group.vars.size(); ++i) {
+      code_bit[group.vars[i]] = static_cast<std::uint32_t>(i);
     }
-    index.max_group_nodes = std::max(index.max_group_nodes, group.nodes.size());
-  }
-  index.groups_of_param.resize(param_names_.size());
-  for (const auto& [vars, g] : group_of_support) {
-    for (const std::uint32_t v : vars) index.groups_of_param[v].push_back(g);
+    tt.assign((build.nodes.size() + 2) * words, 0);
+    std::fill_n(tt.begin() + static_cast<std::ptrdiff_t>(words), words,
+                ~std::uint64_t{0});
+    for (std::size_t k = 0; k < build.nodes.size(); ++k) {
+      const logic::BddManager::Node& n = arena[build.nodes[k]];
+      const std::uint32_t bit = code_bit[n.var];
+      const std::uint64_t* low = &tt[local[n.low] * words];
+      const std::uint64_t* high = &tt[local[n.high] * words];
+      std::uint64_t* out = &tt[(k + 2) * words];
+      for (std::size_t w = 0; w < words; ++w) {
+        // Codes whose bit `bit` is set: a fixed pattern within a word for
+        // the low six bits, whole words above them.
+        const std::uint64_t high_codes =
+            bit < 6 ? kCodeBitPattern[bit]
+                    : 0 - static_cast<std::uint64_t>((w >> (bit - 6)) & 1);
+        out[w] = (high[w] & high_codes) | (low[w] & ~high_codes);
+      }
+    }
+    // Transposed into rows, 64 roots by 64 codes at a time.  Under fewer
+    // than 64 codes, a word's bits past the last code are no row.
+    const std::size_t row_words = (roots.size() + 63) / 64;
+    const std::size_t codes_per_word = std::min<std::size_t>(64, codes);
+    group.words_per_row = row_words;
+    group.rows.resize(codes * row_words);
+    std::uint64_t block[64];
+    for (std::size_t rw = 0; rw < row_words; ++rw) {
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::size_t r = 0; r < 64; ++r) {
+          const std::size_t root = rw * 64 + r;
+          block[r] = root < roots.size() ? tt[local[roots[root]] * words + w]
+                                         : 0;
+        }
+        transpose64(block);
+        for (std::size_t c = 0; c < codes_per_word; ++c) {
+          group.rows[(w * 64 + c) * row_words + rw] = block[c];
+        }
+      }
+    }
   }
   return index_.emplace(std::move(index));
 }
@@ -319,43 +425,81 @@ PConf::Respecialization PConf::respecialize(ConfigMemory& config,
       }
     }
   }
-  std::vector<std::uint8_t> param_value(num_params());
-  for (std::size_t p = 0; p < param_value.size(); ++p) {
-    param_value[p] = to.get(p);
-  }
 
   BitVec& memory = config.bits();
-  // Node values of one group's program, by local id.  The program lists
-  // children first, so each read below hits a node this sweep already
-  // wrote (or a constant).
-  std::vector<std::uint8_t> value(index.max_group_nodes + 2, 0);
-  value[1] = 1;
-  std::size_t visited = 0;
+  // Root r of `group` changed value: flip its bits.
+  const auto flip_root = [&](const SupportGroup& group, std::size_t r) {
+    for (std::uint32_t j = group.root_bits[r]; j < group.root_bits[r + 1];
+         ++j) {
+      memory.flip(group.bits[j]);
+      result.changed_bits.push_back(group.bits[j]);
+    }
+  };
+  const auto value_of = [](const BitVec& values, std::uint32_t p) {
+    return static_cast<std::size_t>((values.word(p >> 6) >> (p & 63)) & 1);
+  };
+  // Wide groups only: per parameter its value under `from` (bit 0) and
+  // under `to` (bit 1), and the two-lane node values of one program.
+  std::vector<std::uint8_t> lanes;
+  std::vector<std::uint8_t> value;
+  std::size_t visited = 0, rows_read = 0;
   for (const std::uint32_t g : dirty) {
     const SupportGroup& group = index.groups[g];
+    result.bits_evaluated += group.bits.size();
+    if (group.vars.size() <= kTableParams) {
+      std::size_t from_code = 0, to_code = 0;
+      for (std::size_t i = 0; i < group.vars.size(); ++i) {
+        from_code |= value_of(from, group.vars[i]) << i;
+        to_code |= value_of(to, group.vars[i]) << i;
+      }
+      const std::size_t words = group.words_per_row;
+      const std::uint64_t* before = group.rows.data() + from_code * words;
+      const std::uint64_t* after = group.rows.data() + to_code * words;
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t diff = before[w] ^ after[w]; diff != 0;
+             diff &= diff - 1) {
+          flip_root(group, w * 64 + static_cast<std::size_t>(
+                                        std::countr_zero(diff)));
+        }
+      }
+      rows_read += 2;
+      continue;
+    }
+    if (lanes.empty()) {
+      lanes.resize(num_params());
+      for (std::uint32_t p = 0; p < lanes.size(); ++p) {
+        lanes[p] = static_cast<std::uint8_t>(value_of(from, p) |
+                                             value_of(to, p) << 1);
+      }
+      value.assign(index.max_group_nodes + 2, 0);
+      value[1] = 3;
+    }
+    // The program lists children first, so each read below hits a node
+    // this sweep already wrote (or a constant).  Each lane takes high
+    // where its parameter is set: a branch-free select, since a
+    // parameter's value is no predictable branch.
     const logic::BddManager::Node* nodes = group.nodes.data();
     const std::size_t count = group.nodes.size();
     for (std::size_t k = 0; k < count; ++k) {
       const logic::BddManager::Node& n = nodes[k];
-      // Branch-free select: a parameter's value is no predictable branch.
-      const std::uint32_t high = 0u - param_value[n.var];
-      value[k + 2] = value[n.low ^ ((n.low ^ n.high) & high)];
+      const std::uint8_t take_high = lanes[n.var];
+      value[k + 2] = static_cast<std::uint8_t>(
+          (value[n.low] & ~take_high) | (value[n.high] & take_high));
     }
     visited += count;
-    for (const GroupFunction& f : group.fns) {
-      if (((memory.word(f.bit >> 6) >> (f.bit & 63)) & 1) != value[f.root]) {
-        memory.flip(f.bit);
-        result.changed_bits.push_back(f.bit);
-      }
+    for (std::size_t r = 0; r < group.root_node.size(); ++r) {
+      const std::uint8_t v = value[group.root_node[r]];
+      if ((v ^ (v >> 1)) & 1) flip_root(group, r);
     }
-    result.bits_evaluated += group.fns.size();
   }
-  // Groups interleave in the table, so their flipped bits do too.
+  // Groups interleave in the table, and so do the roots of one group, so
+  // their flipped bits do too.
   std::sort(result.changed_bits.begin(), result.changed_bits.end());
   result.eval_seconds = timer.elapsed_seconds();
   static telemetry::Counter& runs =
       telemetry::metrics().counter("scg.incremental_specializations");
-  record_scg(runs, result.bits_evaluated, visited, result.eval_seconds);
+  record_scg(runs, result.bits_evaluated, visited, rows_read,
+             result.eval_seconds);
   return result;
 }
 

@@ -112,29 +112,37 @@ class PConf {
   Specialization specialize(
       const std::unordered_map<std::string, bool>& assignment) const;
 
-  /// Incremental SCG, in place: `config` holds the specialization for the
-  /// parameter values `from`; rewrite it into the one for `to`,
-  /// re-evaluating ONLY the functions whose support contains a changed
-  /// parameter.  Functions are grouped by support set; each group that
-  /// reads a changed parameter runs its program once (its nodes, children
-  /// before parents, then every function reads its value at its root) and
-  /// only the bits that differ are flipped.  The embedded-processor
-  /// optimization behind the paper's microsecond-scale turns on large
-  /// PConfs.  Afterwards `config` is bit-identical to specialize(to).memory.
+  /// Incremental SCG, in place: rewrite `config` from the specialization
+  /// for the parameter values `from` into the one for `to`, re-evaluating
+  /// ONLY the functions whose support contains a changed parameter.
+  /// Functions are grouped by support set.  A group over at most
+  /// kTableParams parameters reads its table's rows for the old and the
+  /// new values of its support; a wider group sweeps its BDD nodes once
+  /// under both assignments.  Either way, every distinct function whose
+  /// value changed flips its bits.  The embedded-processor optimization
+  /// behind the paper's microsecond-scale turns on large PConfs.
+  ///
+  /// Precondition: `config` holds specialize(from).memory.  The SCG reads
+  /// no bit of `config`, it only flips the bits whose value changes, so a
+  /// configuration that disagrees with `from` is not repaired.  Under the
+  /// precondition `config` is bit-identical to specialize(to).memory
+  /// afterwards.
   Respecialization respecialize(ConfigMemory& config, const BitVec& from,
                                 const BitVec& to) const;
 
   /// respecialize() on a copy of `previous.memory`, with both assignments
-  /// by parameter name.
+  /// by parameter name.  `previous` must hold the specialization for
+  /// `previous_assignment` (respecialize()'s precondition).
   Specialization specialize_incremental(
       const Specialization& previous,
       const std::unordered_map<std::string, bool>& previous_assignment,
       const std::unordered_map<std::string, bool>& assignment) const;
 
-  /// Builds the support-group index the incremental SCG uses.  Called by
-  /// the offline stage so no online turn pays the one-time cost; safe (and
-  /// idempotent) to call any time.  Any edit of the function table drops
-  /// the index; the next call rebuilds it.
+  /// Builds the support-group index the incremental SCG uses: a value
+  /// table per group of at most kTableParams parameters, a node program
+  /// per wider group.  Called by the offline stage so no online turn pays
+  /// the one-time cost; safe (and idempotent) to call any time.  Any edit
+  /// of the function table drops the index; the next call rebuilds it.
   void prepare_incremental() const { (void)incremental_index(); }
 
   /// Compacts the BDD arena to the nodes some function reaches, keeping
@@ -144,28 +152,37 @@ class PConf {
   /// intermediate nodes of the build.
   void drop_unreachable_nodes();
 
+  /// Widest support that gets a value table: 2^10 rows per group.
+  static constexpr std::size_t kTableParams = 10;
+
  private:
-  /// One support group as a straight-line program: the arena nodes its
-  /// functions reach, in ascending arena order and renumbered from 2 (0
-  /// and 1 are the constants, so every child id is local too), then its
-  /// functions as (bit address, local root).  Copied out of the arena, so
-  /// the sweep reads nothing but the group's own two arrays.
-  struct GroupFunction {
-    std::uint32_t bit;
-    std::uint32_t root;
-  };
+  /// One support group: the functions whose support is exactly `vars`.
+  /// Its distinct BDD roots are numbered 0..R-1, and the configuration bits
+  /// of root r are bits[root_bits[r]] .. bits[root_bits[r + 1] - 1],
+  /// ascending.  A group over at most kTableParams parameters keeps only a
+  /// table: row c, `words_per_row` words from rows[c * words_per_row],
+  /// holds bit r = root r's value under code c, where code bit i is the
+  /// value of vars[i].  A wider group keeps its straight-line program
+  /// instead: the arena nodes its roots reach, in ascending arena order
+  /// and renumbered from 2 (0 and 1 are the constants, so every child id
+  /// is local too), and root r's local id in root_node[r].
   struct SupportGroup {
+    std::vector<std::uint32_t> vars;  ///< the support, ascending
+    std::vector<std::uint32_t> root_bits;
+    std::vector<std::uint32_t> bits;
+    std::size_t words_per_row = 0;
+    std::vector<std::uint64_t> rows;  ///< empty for a wide group
     std::vector<logic::BddManager::Node> nodes;
-    std::vector<GroupFunction> fns;
+    std::vector<std::uint32_t> root_node;
   };
   /// The incremental SCG's index: the function table grouped by support
-  /// set.  Holds copies of table entries and arena nodes, so every edit of
-  /// the table and every compaction drops it.
+  /// set.  Holds copies of table entries and values derived from the
+  /// arena, so every edit of the table and every compaction drops it.
   struct IncrementalIndex {
     std::vector<SupportGroup> groups;
     /// Per parameter, the groups whose support contains it.
     std::vector<std::vector<std::uint32_t>> groups_of_param;
-    /// Node count of the largest group (sizes the sweep's value scratch).
+    /// Node count of the largest wide group (sizes the sweep's scratch).
     std::size_t max_group_nodes = 0;
   };
 

@@ -341,7 +341,11 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
       offline.pconf_stats = artifact.stats;
       // Index for the incremental SCG belongs to the offline budget; it is
       // derived state, so it is rebuilt on cache hits too.
+      telemetry::TraceScope index_span("bitstream.scg_index");
+      Stopwatch index_timer;
       offline.pconf->prepare_incremental();
+      m.histogram("bitstream.scg_index_seconds")
+          .observe(index_timer.elapsed_seconds());
     }
     end_stage();
     offline.bitstream_seconds =

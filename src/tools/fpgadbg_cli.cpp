@@ -645,6 +645,10 @@ support::Result<int> cmd_profile(const Args& args) {
   row_c("pnr.route.bbox_expansions");
   row_c("scg.bits_reevaluated");
   row_c("scg.bdd_nodes_visited");
+  // Table groups read two rows per turn and visit no node; the index that
+  // holds the tables is built in the pconf-build stage.
+  row_c("scg.table_rows_read");
+  row_h("bitstream.scg_index_seconds");
   row_c("scg.incremental_specializations");
   row_c("icap.frames_transferred");
   row_c("icap.bytes_transferred");

@@ -5,6 +5,7 @@
 #include "genbench/genbench.h"
 #include "support/error.h"
 #include "support/rng.h"
+#include "support/telemetry.h"
 
 namespace fpgadbg::bitstream {
 namespace {
@@ -126,6 +127,127 @@ TEST(PConfIncremental, MatchesFullSpecialization) {
                         std::string("flip ") + p);
     prev = next;
   }
+}
+
+/// Parity of `vars` XOR a product of two or three distinct ones of them:
+/// a function whose support is exactly `vars` (every variable's
+/// derivative is 1 XOR a product of others, never constant 0).
+logic::BddRef exact_support_function(logic::BddManager& bdd,
+                                     std::vector<int> vars, Rng& rng) {
+  logic::BddRef f = bdd.zero();
+  for (const int v : vars) f = bdd.bdd_xor(f, bdd.var(v));
+  if (vars.size() < 2) return rng.next_bool() ? f : bdd.bdd_not(f);
+  rng.shuffle(vars);
+  logic::BddRef product = bdd.bdd_and(bdd.var(vars[0]), bdd.var(vars[1]));
+  if (vars.size() > 2 && rng.next_bool()) {
+    product = bdd.bdd_and(product, bdd.var(vars[2]));
+  }
+  return bdd.bdd_xor(f, product);
+}
+
+TEST(PConfIncremental, TableAndWideGroupsMatchFullSpecialization) {
+  // 13 parameters.  Two groups are wider than the table cap (12 and 11
+  // parameters) and sweep their nodes; the others read table rows, with
+  // fewer than 64 codes, exactly 64, more than 64, and the cap itself
+  // (rows of three words: over 128 distinct roots).  p12 is read by
+  // table groups only.
+  std::vector<std::string> names;
+  for (int p = 0; p < 13; ++p) names.push_back("p" + std::to_string(p));
+  PConf pconf(kFrameBits * 4, names);
+  auto& bdd = pconf.bdd();
+  const auto range = [](int lo, int hi) {
+    std::vector<int> vars;
+    for (int v = lo; v <= hi; ++v) vars.push_back(v);
+    return vars;
+  };
+  const std::vector<std::pair<std::vector<int>, int>> groups = {
+      {range(0, 11), 40},           // wide, 12 parameters
+      {range(1, 11), 30},           // wide, 11 parameters
+      {range(0, 9), 150},           // at the cap, 1,024 codes
+      {range(6, 12), 60},           // 128 codes
+      {{2, 4, 6, 8, 10, 12}, 50},   // 64 codes
+      {{3, 7, 12}, 20},             // 8 codes
+      {{12}, 6},                    // 2 codes
+  };
+  ASSERT_GT(groups[0].first.size(), PConf::kTableParams);
+  ASSERT_GT(groups[1].first.size(), PConf::kTableParams);
+  ASSERT_EQ(groups[2].first.size(), PConf::kTableParams);
+  Rng rng(1306);
+  std::vector<std::size_t> bits(pconf.total_bits());
+  for (std::size_t bit = 0; bit < bits.size(); ++bit) bits[bit] = bit;
+  rng.shuffle(bits);  // groups and roots interleave in address order
+  std::size_t next_bit = 0;
+  std::vector<std::size_t> first_bit;  // per group, where its bits start
+  for (const auto& [vars, count] : groups) {
+    first_bit.push_back(next_bit);
+    for (int k = 0; k < count; ++k) {
+      const logic::BddRef f = exact_support_function(bdd, vars, rng);
+      ASSERT_EQ(bdd.support(f), vars);
+      // Some roots drive several bits.
+      for (int copy = 0, copies = 1 + static_cast<int>(rng.next_below(3));
+           copy < copies; ++copy) {
+        pconf.set_function(bits[next_bit++], f);
+      }
+    }
+  }
+
+  Assignment prev;
+  auto base = pconf.specialize(prev);
+  ConfigMemory loaded = base.memory;
+  const auto turn = [&](const Assignment& next, const std::string& where) {
+    base = checked_step(pconf, base, loaded, prev, next, where);
+    prev = next;
+  };
+  for (int trial = 0; trial < 24; ++trial) {
+    Assignment next;
+    for (const std::string& p : names) next[p] = rng.next_bool();
+    turn(next, "trial " + std::to_string(trial));
+  }
+  for (int trial = 0; trial < 26; ++trial) {  // each parameter flips twice
+    Assignment next = prev;
+    const std::string& p = names[static_cast<std::size_t>(trial % 13)];
+    next[p] = !next[p];
+    turn(next, "flip " + p);
+  }
+
+  // The index follows edits: a table group's function and a wide group's
+  // function change, and a new table group appears.
+  pconf.set_function(bits[first_bit[2]],
+                     exact_support_function(bdd, range(0, 9), rng));
+  pconf.set_function(bits[first_bit[0]],
+                     exact_support_function(bdd, range(0, 11), rng));
+  pconf.set_function(bits[next_bit],
+                     exact_support_function(bdd, {5, 12}, rng));
+  base = pconf.specialize(prev);
+  loaded = base.memory;
+  for (int trial = 0; trial < 8; ++trial) {
+    Assignment next;
+    for (const std::string& p : names) next[p] = rng.next_bool();
+    turn(next, "after edit " + std::to_string(trial));
+  }
+
+  // The counters tell the kernels apart: a turn on p12 reads only tables,
+  // a turn on p11 also sweeps the wide groups' nodes.
+  telemetry::Counter& nodes =
+      telemetry::metrics().counter("scg.bdd_nodes_visited");
+  telemetry::Counter& rows = telemetry::metrics().counter("scg.table_rows_read");
+  const auto respecialize_flip = [&](const std::string& p) {
+    Assignment next = prev;
+    next[p] = !next[p];
+    pconf.respecialize(loaded, pconf.values_from(prev), pconf.values_from(next));
+    prev = next;
+  };
+  std::uint64_t nodes_before = nodes.value(), rows_before = rows.value();
+  respecialize_flip("p12");
+  EXPECT_EQ(nodes.value(), nodes_before) << "a table turn visited BDD nodes";
+  // {6..12}, {2,4,..,12}, {3,7,12}, {12} and the edit's {5,12}.
+  EXPECT_EQ(rows.value() - rows_before, 2u * 5u);
+  nodes_before = nodes.value();
+  rows_before = rows.value();
+  respecialize_flip("p11");
+  EXPECT_GT(nodes.value(), nodes_before) << "a wide turn visited no node";
+  EXPECT_EQ(rows.value() - rows_before, 2u);  // {6..12}
+  EXPECT_EQ(loaded, pconf.specialize(prev).memory);
 }
 
 TEST(PConfIncremental, NoChangeEvaluatesNothing) {

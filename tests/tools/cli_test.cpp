@@ -281,6 +281,8 @@ TEST(Cli, ProfileWritesTelemetryArtifacts) {
   EXPECT_NE(r.output.find("offline stage times"), std::string::npos);
   EXPECT_NE(r.output.find("pnr.route.iterations"), std::string::npos);
   EXPECT_NE(r.output.find("scg.bits_reevaluated"), std::string::npos);
+  EXPECT_NE(r.output.find("scg.table_rows_read"), std::string::npos);
+  EXPECT_NE(r.output.find("bitstream.scg_index_seconds"), std::string::npos);
 
   // The Chrome-trace timeline parses and holds the expected stage spans.
   const JsonValue trace = parse_json(read_file(trace_path));
@@ -307,6 +309,14 @@ TEST(Cli, ProfileWritesTelemetryArtifacts) {
     EXPECT_GE(s_ts, o_ts) << stage;
     EXPECT_LE(s_ts + span->find("dur")->number, o_end + 1.0) << stage;
   }
+  // The incremental SCG's index is built inside the bitstream stage.
+  const JsonValue* bitstream = find_span("offline.bitstream");
+  const JsonValue* index = find_span("bitstream.scg_index");
+  ASSERT_NE(index, nullptr);
+  EXPECT_GE(index->find("ts")->number, bitstream->find("ts")->number);
+  EXPECT_LE(index->find("ts")->number + index->find("dur")->number,
+            bitstream->find("ts")->number + bitstream->find("dur")->number +
+                1.0);
   // Per-turn online spans: SCG evaluation and the DPR charge.
   ASSERT_NE(find_span("debug.turn"), nullptr);
   ASSERT_NE(find_span("debug.scg"), nullptr);
@@ -322,6 +332,10 @@ TEST(Cli, ProfileWritesTelemetryArtifacts) {
   };
   EXPECT_GE(counter("pnr.route.iterations"), 1.0);
   EXPECT_GE(counter("scg.bits_reevaluated"), 1.0);
+  // The design's supports fit the table cap, so its incremental turns read
+  // two rows per changed group.
+  EXPECT_GE(counter("scg.incremental_specializations"), 1.0);
+  EXPECT_GE(counter("scg.table_rows_read"), 2.0);
   EXPECT_GE(counter("icap.frames_transferred"), 1.0);
   // 3 profile turns + the session's initial observation.
   EXPECT_GE(counter("debug.turns"), 4.0);
@@ -330,7 +344,8 @@ TEST(Cli, ProfileWritesTelemetryArtifacts) {
   ASSERT_NE(hists, nullptr);
   for (const char* h : {"offline.instrument_seconds", "offline.map_seconds",
                         "offline.pnr_seconds", "offline.bitstream_seconds",
-                        "scg.eval_seconds", "debug.turn_seconds"}) {
+                        "bitstream.scg_index_seconds", "scg.eval_seconds",
+                        "debug.turn_seconds"}) {
     const JsonValue* hist = hists->find(h);
     ASSERT_NE(hist, nullptr) << "missing histogram " << h;
     EXPECT_GE(hist->find("count")->number, 1.0) << h;
